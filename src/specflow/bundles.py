@@ -29,8 +29,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (IllConditioned, InvalidSection, RankJump,
                      SingularOverlap, UnstableIndex)
 from .flow import (OperatorCurve, Partition, SpectralSection, _SpectrumCache,
-                   aps_projection, difference_element, gap_partition,
-                   validate_section_for)
+                   _validate_section, aps_projection, difference_element,
+                   gap_partition)
 from .operators import FourierTruncation, SymbolFunction, TruncatedOperator
 from .toeplitz import (hardy_section, toeplitz_compress,
                        toeplitz_small_subspaces)
@@ -390,12 +390,11 @@ class CurveOfFamilies:
                               {v: c.at(t) for v, c in self.curves.items()})
 
 
-def _common_partition(curve_fam: CurveOfFamilies,
-                      tolerances: Tolerances) -> Partition:
+def _common_partition(curve_fam: CurveOfFamilies, tolerances: Tolerances,
+                      caches: Mapping[tuple, _SpectrumCache]) -> Partition:
     """Gap partition certified simultaneously for every vertex, with
     levels whose eigenvalue counts agree across the base (so transported
     projectors have constant rank)."""
-    caches = {v: _SpectrumCache(c) for v, c in curve_fam.curves.items()}
 
     class _PerVertex:
         def __call__(self, t):
@@ -420,40 +419,41 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
     whole base; the class is assembled from the kernel bundles of the
     comparison maps between consecutive transported sections (plus the
     endpoint comparisons), and ch0 is checked to be the constant pointwise
-    flow.
+    flow.  Each vertex operator is diagonalized at most once, and its
+    eigendecomposition is dropped once the brackets at its breakpoint are
+    built.
     """
     base = curve_fam.base
+    caches = {v: _SpectrumCache(curve_fam.curves[v], tolerances)
+              for v in base.vertices}
     for v in base.vertices:
-        validate_section_for(curve_fam.curves[v].at(0.0), q0[v], tolerances)
-        validate_section_for(curve_fam.curves[v].at(1.0), q1[v], tolerances)
+        _validate_section(caches[v].decomposition(0.0), q0[v], tolerances)
+        _validate_section(caches[v].decomposition(1.0), q1[v], tolerances)
 
-    part = _common_partition(curve_fam, tolerances)
+    part = _common_partition(curve_fam, tolerances, caches)
     n = len(part.intervals)
 
-    def transported(vertex, t, level) -> SpectralSection:
-        return aps_projection(curve_fam.curves[vertex].at(t), level,
-                              policy="inclusive", tolerances=tolerances)
+    def transported(t, level) -> dict:
+        return {v: caches[v].section(t, level) for v in base.vertices}
 
     # brackets [X - Y]: (P^(1)(0) - Q0), (P^(j+1) - P^(j)) at interior
     # breakpoints, (Q1 - P^(n)(1)); the class is their sum
-    brackets: list[tuple[Mapping, Mapping]] = []
-    iv0 = part.intervals[0]
-    brackets.append(({v: transported(v, iv0.t_left, iv0.level)
-                      for v in base.vertices}, dict(q0)))
-    for j in range(1, n):
-        prev, nxt = part.intervals[j - 1], part.intervals[j]
-        t = prev.t_right
-        brackets.append((
-            {v: transported(v, t, nxt.level) for v in base.vertices},
-            {v: transported(v, t, prev.level) for v in base.vertices}))
-    ivn = part.intervals[-1]
-    brackets.append((dict(q1), {v: transported(v, ivn.t_right, ivn.level)
-                                for v in base.vertices}))
+    def brackets():
+        iv0 = part.intervals[0]
+        yield iv0.t_left, transported(iv0.t_left, iv0.level), dict(q0)
+        for j in range(1, n):
+            prev, nxt = part.intervals[j - 1], part.intervals[j]
+            t = prev.t_right
+            yield t, transported(t, nxt.level), transported(t, prev.level)
+        ivn = part.intervals[-1]
+        yield ivn.t_right, dict(q1), transported(ivn.t_right, ivn.level)
 
     pointwise = {v: 0 for v in base.vertices}
     positive: ProjectorFamily | None = None
     negative: ProjectorFamily | None = None
-    for x_fam, y_fam in brackets:
+    for t, x_fam, y_fam in brackets():
+        for cache in caches.values():
+            cache.release(t)
         for v in base.vertices:
             pointwise[v] += difference_element(x_fam[v], y_fam[v],
                                                tolerances=tolerances).value

@@ -38,8 +38,6 @@ def _add_global_flags(parser, suppress: bool):
                         help="Fourier truncation: modes -K..K")
     parser.add_argument("--tol", type=float, default=default(None),
                         help="relative singular-value cutoff override")
-    parser.add_argument("--seed", type=int, default=default(0),
-                        help="seed for property-test fixtures")
     parser.add_argument("--out", type=str, default=default(None),
                         help="write the full result record to this JSON file")
     parser.add_argument("--json", action="store_true", default=default(False),
@@ -132,7 +130,7 @@ def _run(args) -> tuple[dict, dict, dict]:
     from . import jsonio
 
     tolerances = DEFAULT
-    config: dict = {"command": args.command, "k": args.k, "seed": args.seed}
+    config: dict = {"command": args.command, "k": args.k}
 
     if args.command == "sf":
         from .flow import spectral_flow_result

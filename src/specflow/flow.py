@@ -24,8 +24,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import (EigenvalueAtCutoff, IllConditioned, InvalidSection,
                      NoGapFound, ResolutionExceeded, UnstableIndex)
-from .operators import (FourierTruncation, SymbolFunction, TruncatedOperator,
-                        build_dirac, eigh, eigvalsh)
+from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
+                        TruncatedOperator, build_dirac, eigh, eigvalsh)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,14 @@ def aps_projection(operator: TruncatedOperator, cutoff: float,
     """
     if policy not in ("strict", "inclusive", "exclusive"):
         raise ValueError(f"unknown cutoff policy {policy!r}")
-    dec = eigh(operator, tolerances)
+    return _section_above(eigh(operator, tolerances), cutoff, policy,
+                          tolerances)
+
+
+def _section_above(dec: EigenDecomposition, cutoff: float, policy: str,
+                   tolerances: Tolerances) -> SpectralSection:
+    """The ``aps_projection`` section of an operator, read off its
+    eigendecomposition."""
     w = dec.eigenvalues
     atol = tolerances.cutoff_atol
     at_cut = np.abs(w - cutoff) <= atol
@@ -119,12 +126,17 @@ def aps_projection(operator: TruncatedOperator, cutoff: float,
                            basis=basis)
 
 
-def section_condition_defect(operator: TruncatedOperator,
-                             section: SpectralSection,
-                             tolerances: Tolerances = DEFAULT) -> float:
-    """Worst violation of the section condition: eigenvectors above the
-    window must be fixed, eigenvectors below must be annihilated."""
-    dec = eigh(operator, tolerances)
+def validate_section_for(operator: TruncatedOperator, section: SpectralSection,
+                         tolerances: Tolerances = DEFAULT):
+    _validate_section(eigh(operator, tolerances), section, tolerances)
+
+
+def _validate_section(dec: EigenDecomposition, section: SpectralSection,
+                      tolerances: Tolerances):
+    """Raise InvalidSection unless the section is an orthogonal projector
+    that fixes the eigenvectors above its window and annihilates those
+    below it."""
+    section.validate(tolerances)
     w, v = dec.eigenvalues, dec.eigenvectors
     p = section.projector
     R = section.threshold_window
@@ -137,16 +149,9 @@ def section_condition_defect(operator: TruncatedOperator,
     if np.any(below):
         cols = v[:, below]
         worst = max(worst, float(np.linalg.norm(p @ cols, axis=0).max()))
-    return worst
-
-
-def validate_section_for(operator: TruncatedOperator, section: SpectralSection,
-                         tolerances: Tolerances = DEFAULT):
-    section.validate(tolerances)
-    defect = section_condition_defect(operator, section, tolerances)
-    if defect > tolerances.section_condition:
+    if worst > tolerances.section_condition:
         raise InvalidSection(
-            f"section condition fails with defect {defect:.3e} "
+            f"section condition fails with defect {worst:.3e} "
             f"(window R = {section.threshold_window:g})")
 
 
@@ -178,8 +183,10 @@ def difference_element(p: SpectralSection, q: SpectralSection,
                        tolerances: Tolerances = DEFAULT) -> DifferenceElement:
     """Index of Q o P : Im P -> Im Q, the finite difference element [P - Q].
 
-    Raises IllConditioned when singular values of the comparison map
-    cluster at the rank threshold.
+    The rank of the comparison map counts its singular values above
+    ``tol`` times the largest.  Raises IllConditioned when the smallest
+    kept and the largest dropped value differ by less than
+    ``svd_gap_factor``.
     """
     tol = tolerances.rank_rtol if tol is None else tol
     t = comparison_map(p, q)
@@ -187,17 +194,15 @@ def difference_element(p: SpectralSection, q: SpectralSection,
     if min(t.shape) == 0:
         rank = 0
     else:
-        s = np.sort(np.linalg.svd(t, compute_uv=False))[::-1]
-        if s[0] == 0.0:
-            rank = 0
-        else:
-            thresh = tol * s[0]
-            near = (s > thresh / 10) & (s < thresh * 10)
-            if np.any(near):
+        s = np.linalg.svd(t, compute_uv=False)
+        rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
+        if 0 < rank < s.size:
+            kept, dropped = s[rank - 1], s[rank]
+            if dropped > 0 and kept / dropped < tolerances.svd_gap_factor:
                 raise IllConditioned(
-                    f"comparison-map singular value {s[near][0]:.3e} sits at "
-                    f"the rank threshold {thresh:.3e}")
-            rank = int(np.count_nonzero(s > thresh))
+                    f"comparison-map singular values cluster at the rank "
+                    f"threshold: {kept:.3e} / {dropped:.3e} = "
+                    f"{kept / dropped:.1f} < {tolerances.svd_gap_factor}")
     return DifferenceElement(value=rp - rq, kernel_dim=rp - rank,
                              cokernel_dim=rq - rank)
 
@@ -209,14 +214,12 @@ def difference_element(p: SpectralSection, q: SpectralSection,
 class OperatorCurve:
     """Sampled curve [0, 1] -> Hermitian truncated operators.
 
-    When built from potentials the curve refines itself exactly
-    (linear-in-symbol interpolation); a plain matrix curve falls back to
-    piecewise-linear interpolation between samples, which is then the curve
-    being analyzed.
+    The curve is affine on every sample segment [t_k, t_{k+1}]: when built
+    from potentials it interpolates the potentials linearly
+    (linear-in-symbol), and a plain matrix curve interpolates the matrices.
     """
 
     def __init__(self, ts: Sequence[float], operators: Sequence[TruncatedOperator],
-                 generator: Callable[[float], TruncatedOperator] | None = None,
                  potentials: Sequence[SymbolFunction] | None = None,
                  interpolation: str = "linear"):
         ts = np.asarray(ts, dtype=float)
@@ -233,7 +236,6 @@ class OperatorCurve:
         self.ts = ts
         self.operators = list(operators)
         self.truncation = trunc
-        self.generator = generator
         self.potentials = list(potentials) if potentials is not None else None
         self.interpolation = interpolation
         self._cache: dict[float, TruncatedOperator] = {
@@ -247,12 +249,6 @@ class OperatorCurve:
         curve = cls(ts, ops, potentials=potentials,
                     interpolation="linear-in-symbol")
         return curve
-
-    @classmethod
-    def from_generator(cls, generator, trunc: FourierTruncation,
-                       samples: int = 9) -> "OperatorCurve":
-        ts = np.linspace(0.0, 1.0, samples)
-        return cls(ts, [generator(float(t)) for t in ts], generator=generator)
 
     def potential_at(self, t: float) -> SymbolFunction:
         if self.potentials is None:
@@ -268,9 +264,7 @@ class OperatorCurve:
         hit = self._cache.get(t)
         if hit is not None:
             return hit
-        if self.generator is not None:
-            op = self.generator(t)
-        elif self.potentials is not None:
+        if self.potentials is not None:
             op = build_dirac(self.potential_at(t), self.truncation)
         else:
             i = bisect.bisect_right(self.ts, t) - 1
@@ -364,9 +358,17 @@ def certify_level(evals_left, evals_right, lipschitz: float, width: float,
 
 
 class _SpectrumCache:
-    def __init__(self, curve: OperatorCurve):
+    """Spectral data of one curve, computed at most once per parameter
+    value or sample segment and held for one public call: eigenvalues for
+    the gap partition, eigendecompositions for sections, and the rate of
+    each segment for the Lipschitz bound."""
+
+    def __init__(self, curve: OperatorCurve, tolerances: Tolerances = DEFAULT):
         self.curve = curve
+        self.tolerances = tolerances
         self._evals: dict[float, np.ndarray] = {}
+        self._decs: dict[float, EigenDecomposition] = {}
+        self._rates: dict[int, float] = {}
 
     def __call__(self, t: float) -> np.ndarray:
         t = float(t)
@@ -374,10 +376,44 @@ class _SpectrumCache:
             self._evals[t] = eigvalsh(self.curve.at(t))
         return self._evals[t]
 
+    def decomposition(self, t: float) -> EigenDecomposition:
+        t = float(t)
+        if t not in self._decs:
+            self._decs[t] = eigh(self.curve.at(t), self.tolerances)
+        return self._decs[t]
+
+    def section(self, t: float, cutoff: float) -> SpectralSection:
+        """Inclusive-at-cutoff positive section of the operator at t."""
+        return _section_above(self.decomposition(t), cutoff, "inclusive",
+                              self.tolerances)
+
+    def release(self, t: float):
+        """Drop the eigendecomposition at t."""
+        self._decs.pop(float(t), None)
+
     def lipschitz(self, u: float, v: float, safety: float) -> float:
-        du = self.curve.at(v).matrix - self.curve.at(u).matrix
-        rate = np.linalg.norm(du, 2) / (v - u)
-        return safety * rate
+        """Bound on the speed of every eigenvalue over [u, v].
+
+        The curve is affine on each sample segment, so by Weyl's inequality
+        the eigenvalues move at most ||D(t_{k+1}) - D(t_k)|| / (t_{k+1} - t_k)
+        on segment k, and that rate is attained by the extreme eigenvalue
+        of the difference.  An interval spanning several segments takes
+        the largest of their rates.
+        """
+        ts = self.curve.ts
+        last = len(ts) - 2
+        first = min(max(bisect.bisect_right(ts, u) - 1, 0), last)
+        stop = min(max(bisect.bisect_left(ts, v) - 1, first), last)
+        return safety * max(self._segment_rate(k)
+                            for k in range(first, stop + 1))
+
+    def _segment_rate(self, k: int) -> float:
+        if k not in self._rates:
+            ops = self.curve.operators
+            step = eigvalsh(ops[k + 1].matrix - ops[k].matrix)
+            self._rates[k] = float(np.abs(step).max()) \
+                / (self.curve.ts[k + 1] - self.curve.ts[k])
+        return self._rates[k]
 
 
 def gap_partition(curve: OperatorCurve, tolerances: Tolerances = DEFAULT,
@@ -387,7 +423,7 @@ def gap_partition(curve: OperatorCurve, tolerances: Tolerances = DEFAULT,
     """Adaptively bisect [0, 1] into subintervals each carrying a certified
     spectral-gap level.  Raises NoGapFound at the resolution floor and
     ResolutionExceeded past the subdivision budget."""
-    cache = _cache if _cache is not None else _SpectrumCache(curve)
+    cache = _cache if _cache is not None else _SpectrumCache(curve, tolerances)
     breaks = list(initial_breaks) if initial_breaks is not None else list(curve.ts)
     stack = [(breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
     stack.reverse()
@@ -447,7 +483,7 @@ def spectral_flow_result(curve: OperatorCurve, cutoff0: float = 0.0,
     zero level to the given one; eigenvalues within tolerance of a cutoff
     are counted on the nonnegative side (inclusive endpoint policy).
     """
-    cache = _SpectrumCache(curve)
+    cache = _SpectrumCache(curve, tolerances)
     part = gap_partition(curve, tolerances, lipschitz, _cache=cache)
     atol = tolerances.cutoff_atol
     total = 0
@@ -480,38 +516,33 @@ def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
     elements against the endpoint sections (interval boundaries use the
     inclusive-at-zero positive projector).  With ``refine_check`` the
     computation is repeated on a once-bisected partition and must agree.
+    Each operator on the curve is diagonalized at most once.
     """
-    d0, d1 = curve.at(0.0), curve.at(1.0)
-    validate_section_for(d0, q0, tolerances)
-    validate_section_for(d1, q1, tolerances)
+    cache = _SpectrumCache(curve, tolerances)
+    _validate_section(cache.decomposition(0.0), q0, tolerances)
+    _validate_section(cache.decomposition(1.0), q1, tolerances)
 
-    def run(initial_breaks=None) -> int:
-        part = gap_partition(curve, tolerances, initial_breaks=initial_breaks)
+    def run(part: Partition) -> int:
         total = 0
         n = len(part.intervals)
         for j, iv in enumerate(part.intervals):
-            p_left = aps_projection(curve.at(iv.t_left), iv.level,
-                                    policy="inclusive", tolerances=tolerances)
-            p_right = aps_projection(curve.at(iv.t_right), iv.level,
-                                     policy="inclusive", tolerances=tolerances)
-            a_left = q0 if j == 0 else aps_projection(
-                curve.at(iv.t_left), 0.0, policy="inclusive",
-                tolerances=tolerances)
-            a_right = q1 if j == n - 1 else aps_projection(
-                curve.at(iv.t_right), 0.0, policy="inclusive",
-                tolerances=tolerances)
+            p_left = cache.section(iv.t_left, iv.level)
+            p_right = cache.section(iv.t_right, iv.level)
+            a_left = q0 if j == 0 else cache.section(iv.t_left, 0.0)
+            a_right = q1 if j == n - 1 else cache.section(iv.t_right, 0.0)
             total += difference_element(a_right, p_right, tolerances=tolerances).value
             total -= difference_element(a_left, p_left, tolerances=tolerances).value
         return total
 
-    value = run()
+    part = gap_partition(curve, tolerances, _cache=cache)
+    value = run(part)
     if refine_check:
-        part = gap_partition(curve, tolerances)
         finer = []
         for iv in part.intervals:
             finer.extend([iv.t_left, 0.5 * (iv.t_left + iv.t_right)])
         finer.append(1.0)
-        refined = run(initial_breaks=finer)
+        refined = run(gap_partition(curve, tolerances, initial_breaks=finer,
+                                    _cache=cache))
         if refined != value:
             raise UnstableIndex(
                 f"sf_pairs changed under partition refinement: "

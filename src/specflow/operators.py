@@ -269,12 +269,17 @@ class EigenDecomposition:
             raise AssertionError("eigenbasis not orthonormal")
 
 
+def _leading_index(v: np.ndarray) -> np.ndarray:
+    """Row of the first entry of each column above 1e-8 of the column's
+    largest modulus."""
+    a = np.abs(v)
+    return np.argmax(a > 1e-8 * np.maximum(a.max(axis=0), 1e-300), axis=0)
+
+
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(v) > 1e-8 * max(np.abs(v).max(), 1e-300))
-    if len(idx) == 0:
-        return v
-    lead = v[idx[0]]
-    return v * (abs(lead) / lead)
+    """Unit columns rotated so their leading entry is real positive."""
+    lead = v[_leading_index(v), np.arange(v.shape[1])]
+    return v * (np.abs(lead) / lead)
 
 
 def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
@@ -290,29 +295,30 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
     if np.abs(m - m.conj().T).max() > tolerances.hermitian_max * scale:
         raise ValueError("eigh requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
-    v = np.stack([_canonical_phase(v[:, i]) for i in range(v.shape[1])], axis=1)
+    v = _canonical_phase(v)
 
     cluster_tol = tolerances.degenerate_cluster * max(np.abs(w).max(), 1.0)
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > cluster_tol:
-            if i - start > 1:
-                v[:, start:i] = _sort_cluster(v[:, start:i])
-            start = i
-    v = v.copy()
+    cluster = np.concatenate([[0], np.cumsum(np.diff(w) > cluster_tol)])
+    sizes = np.bincount(cluster)
+    cols = np.flatnonzero(sizes[cluster] > 1)
+    if cols.size:
+        v[:, cols] = v[:, cols[_cluster_order(v[:, cols], cluster[cols])]]
     v.setflags(write=False)
-    w = w.copy()
     w.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _sort_cluster(block: np.ndarray) -> np.ndarray:
-    def key(col):
-        a = np.abs(col)
-        lead = int(np.argmax(a > 1e-8 * max(a.max(), 1e-300)))
-        return (lead,) + tuple(np.round(np.c_[col.real, col.imag].ravel(), 9))
-    order = sorted(range(block.shape[1]), key=lambda j: key(block[:, j]))
-    return block[:, order]
+def _cluster_order(block: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+    """Column order that keeps each cluster label (nondecreasing) in place
+    and sorts inside a cluster by leading index, then by the entries
+    rounded to 9 decimals and read as (re, im) pairs row by row."""
+    entries = np.empty((2 * block.shape[0], block.shape[1]))
+    entries[0::2] = np.round(block.real, 9)
+    entries[1::2] = np.round(block.imag, 9)
+    # lexsort ranks by its last key first
+    keys = np.vstack([entries[::-1], _leading_index(block)[None, :],
+                      cluster[None, :]])
+    return np.lexsort(keys)
 
 
 def eigvalsh(operator) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (GridResolutionError, IllConditioned, RoundingAmbiguous,
                      UnstableIndex)
 from .flow import SpectralSection, aps_projection
 from .operators import (FourierTruncation, SymbolFunction,
-                        build_derivative, build_dirac, build_multiplication)
+                        build_dirac, build_multiplication)
 
 #: Degree-1 cochain normalization, one (2 pi) per cohomology degree; see
 #: the module docstring for how the sign and power were frozen.
@@ -42,13 +42,19 @@ CH1_NORMALIZATION = 1.0 / (4.0 * np.pi ** 2)
 def hardy_section(trunc: FourierTruncation,
                   tolerances: Tolerances = DEFAULT) -> SpectralSection:
     """Projection onto the nonnegative Fourier modes (the discrete Hardy
-    space), i.e. the inclusive-at-zero positive projector of -i d/dx."""
-    section = aps_projection(build_derivative(trunc), 0.0, policy="inclusive",
-                             tolerances=tolerances)
-    section = SpectralSection(
-        section.projector, section.threshold_window, "hardy", section.basis,
-        rebuilder=lambda tr: hardy_section(tr, tolerances))
-    return section
+    space), i.e. the inclusive-at-zero positive projector of -i d/dx.
+
+    -i d/dx is diagonal with the integer mode numbers on the diagonal, so
+    the section is the coordinate selection of the modes k >= 0, in basis
+    order.  Its window is the one ``aps_projection`` gives at cutoff 0:
+    the tolerance band plus half the distance to the modes +-1.
+    """
+    keep = trunc.modes() >= 0
+    basis = np.eye(trunc.dim, dtype=complex)[:, keep]
+    atol = tolerances.cutoff_atol
+    return SpectralSection(
+        np.diag(keep.astype(complex)), atol + 0.5 * (1.0 - atol), "hardy",
+        basis, rebuilder=lambda tr: hardy_section(tr, tolerances))
 
 
 def dirac_aps_section(potential: SymbolFunction, trunc: FourierTruncation,

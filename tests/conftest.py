@@ -5,9 +5,12 @@ Dirac spectrum, the Berry-curvature Riemann sum, and the random-object
 constructions are self-contained.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import specflow.flow
 from specflow import SymbolFunction
 
 
@@ -67,6 +70,21 @@ def random_trig_unitary(rank: int, rng: np.random.Generator,
                                                               unitary=True)
         total += int(ns.sum())
     return symbol, total
+
+
+def count_eigh(monkeypatch):
+    """Route specflow.flow.eigh through a counter keyed by the operator
+    object; the list keeps every operator alive so ids stay unique."""
+    calls, seen = Counter(), []
+    original = specflow.flow.eigh
+
+    def counted(operator, *args, **kwargs):
+        seen.append(operator)
+        calls[id(operator)] += 1
+        return original(operator, *args, **kwargs)
+
+    monkeypatch.setattr(specflow.flow, "eigh", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from specflow.errors import InvalidSection, RankJump, SingularOverlap
 from specflow.models import (bott_symbol_family, qwz_projector,
                              qwz_projector_family)
 from specflow.toeplitz import interior_compression
-from conftest import berry_chern_oracle, random_unitary, rng_for
+from conftest import berry_chern_oracle, count_eigh, random_unitary, rng_for
 
 
 class TestBaseGrid:
@@ -217,6 +217,21 @@ class TestHigherSpectralFlow:
         ref = toeplitz_family_index(fam, base, tr)
         assert cls.equivalent(ref)
         assert (cls.ch0, cls.ch1) == (-1, -1)
+
+    def test_one_eigh_per_vertex_and_breakpoint(self, monkeypatch):
+        base = BaseGrid.torus(8)
+        tr = FourierTruncation(3, 2)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        cf = CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], tr)
+        q0, q1 = self.qsections(cf)
+        calls = count_eigh(monkeypatch)
+        cls = higher_spectral_flow(cf, q0, q1)
+        assert (cls.ch0, cls.ch1) == (-1, -1)
+        n = cls.meta["partitions"]
+        assert len(calls) == len(base.vertices) * (n + 1)
+        assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_periodic_family_section_independent(self, seed):

@@ -8,8 +8,11 @@ from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
                       sf_pairs, spectral_flow, spectral_flow_result,
                       validate_section_for)
 from specflow.config import DEFAULT
-from specflow.errors import (EigenvalueAtCutoff, InvalidSection, NoGapFound)
-from conftest import random_hermitian_symbol, random_unitary, rng_for
+from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
+                             InvalidSection, NoGapFound)
+from specflow.flow import _SpectrumCache
+from conftest import (count_eigh, random_hermitian_symbol, random_unitary,
+                      rng_for)
 
 TR8 = FourierTruncation(8, 1)
 
@@ -67,6 +70,38 @@ class TestDifferenceElement:
         b = random_unitary(6, rng)[:, :3]
         p = section_from_basis(b)
         assert difference_element(p, p).value == 0
+
+    @staticmethod
+    def sections_with_cosines(kept, dropped):
+        """Sections of C^6 whose comparison map has singular values
+        1, kept and dropped (cosines of the principal angles)."""
+        e = np.eye(6)
+        p = section_from_basis(e[:, :3])
+        q = section_from_basis(np.stack([
+            e[:, 0],
+            kept * e[:, 1] + np.sqrt(1 - kept ** 2) * e[:, 3],
+            dropped * e[:, 2] + np.sqrt(1 - dropped ** 2) * e[:, 4]], axis=1))
+        return p, q
+
+    @pytest.mark.parametrize("ratio", [0.99, 1.01])
+    def test_rank_split_needs_the_gap_factor(self, ratio):
+        # tol 1e-6 drops the cosine 5e-7 and keeps the one just below or
+        # just above svd_gap_factor times it
+        dropped = 5e-7
+        kept = ratio * DEFAULT.svd_gap_factor * dropped
+        p, q = self.sections_with_cosines(kept, dropped)
+        if ratio < 1:
+            with pytest.raises(IllConditioned, match="cluster"):
+                difference_element(p, q, tol=1e-6)
+        else:
+            d = difference_element(p, q, tol=1e-6)
+            assert (d.value, d.kernel_dim, d.cokernel_dim) == (0, 1, 1)
+
+    def test_full_rank_needs_no_split(self):
+        # every singular value kept: no split to certify, however small
+        p, q = self.sections_with_cosines(2e-6, 1.5e-6)
+        d = difference_element(p, q, tol=1e-6)
+        assert (d.value, d.kernel_dim, d.cokernel_dim) == (0, 0, 0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_commuting_rank_difference(self, seed):
@@ -205,7 +240,93 @@ class TestSpectralFlow:
             OperatorCurve([0.0, 1.0], [op, op2])
 
 
+class TestLipschitzBound:
+    @staticmethod
+    def curves(seed):
+        rng = rng_for(seed + 700)
+        tr = FourierTruncation(4, 2)
+        ts = [0.0, 0.3, 0.7, 1.0]
+        pots = [random_hermitian_symbol(2, 2, rng, scale=0.5) for _ in ts]
+        by_symbol = OperatorCurve.from_potentials(ts, pots, tr)
+        by_matrix = OperatorCurve(ts, [by_symbol.at(t) for t in ts])
+        return by_symbol, by_matrix
+
+    @staticmethod
+    def secant(curve, u, v):
+        du = curve.at(v).matrix - curve.at(u).matrix
+        return np.linalg.norm(du, 2) / (v - u)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_secant_on_random_subintervals(self, seed):
+        rng = rng_for(seed + 710)
+        for curve in self.curves(seed):
+            cache = _SpectrumCache(curve)
+            for _ in range(20):
+                u, v = np.sort(rng.uniform(0.0, 1.0, size=2))
+                assert cache.lipschitz(u, v, 1.0) >= \
+                    self.secant(curve, u, v) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_inside_a_segment(self, seed):
+        curve = self.curves(seed)[0]
+        cache = _SpectrumCache(curve)
+        assert cache.lipschitz(0.35, 0.6, 1.0) == \
+            pytest.approx(self.secant(curve, 0.35, 0.6), rel=1e-10)
+        assert cache.lipschitz(0.35, 0.6, 1.5) == \
+            pytest.approx(1.5 * cache.lipschitz(0.35, 0.6, 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_initial_break_straddling_a_sample(self, seed, monkeypatch):
+        # [0.1, 0.45] straddles t = 0.3: the bound the partition uses there
+        # covers both segments, so it bounds the eigenvalue speed between
+        # any two points inside
+        curve = self.curves(seed)[0]
+        used = {}
+        original = _SpectrumCache.lipschitz
+
+        def recorded(cache, u, v, safety):
+            used[u, v] = original(cache, u, v, safety) / safety
+            return safety * used[u, v]
+
+        monkeypatch.setattr(_SpectrumCache, "lipschitz", recorded)
+        gap_partition(curve, initial_breaks=[0.0, 0.1, 0.45, 1.0])
+        for (u, v), lip in used.items():
+            assert lip >= self.secant(curve, u, v) * (1 - 1e-12)
+        lip = used[0.1, 0.45]
+        grid = np.linspace(0.1, 0.45, 15)
+        evals = [eigvalsh(curve.at(t)) for t in grid]
+        for i in range(len(grid)):
+            for j in range(i + 1, len(grid)):
+                speed = np.abs(evals[j] - evals[i]).max() / (grid[j] - grid[i])
+                assert speed <= lip * (1 + 1e-12)
+        cache = _SpectrumCache(curve)
+        assert lip == max(original(cache, 0.1, 0.3, 1.0),
+                          original(cache, 0.3, 0.45, 1.0))
+
+    def test_returning_curve_is_not_a_zero_secant(self):
+        # D(0) = D(1): the secant over [0, 1] is zero, the eigenvalues move
+        tr = FourierTruncation(3, 1)
+        pots = [SymbolFunction.constant(a) for a in (0.0, 0.4, 0.0)]
+        curve = OperatorCurve.from_potentials([0.0, 0.5, 1.0], pots, tr)
+        assert self.secant(curve, 0.0, 1.0) == 0.0
+        assert _SpectrumCache(curve).lipschitz(0.0, 1.0, 1.0) == \
+            pytest.approx(0.8, rel=1e-12)
+
+
 class TestSfPairs:
+    def test_one_eigh_per_operator(self, monkeypatch):
+        tr = FourierTruncation(8, 1)
+        pot = gauge_transformed_potential(SymbolFunction.exponential(3))
+        curve = OperatorCurve.from_potentials(
+            [0.0, 0.5, 1.0], [pot.scale(t) for t in (0.0, 0.5, 1.0)], tr)
+        q0 = aps_projection(curve.at(0.0), 0.0, policy="inclusive")
+        q1 = aps_projection(curve.at(1.0), 0.0, policy="inclusive")
+        calls = count_eigh(monkeypatch)
+        assert sf_pairs(curve, q0, q1) == -3
+        breaks = set(gap_partition(curve).breakpoints)
+        assert len(calls) > len(breaks)     # the refined run adds midpoints
+        assert max(calls.values()) == 1
+
     def test_matches_spectral_flow_with_aps_ends(self):
         curve = shift_curve(-0.25, 0.25)
         q0 = aps_projection(curve.at(0.0), 0.0)

@@ -148,6 +148,62 @@ class TestEigh:
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @staticmethod
+    def reference_tiebreak(m, cluster_rtol=1e-10):
+        """Column-by-column phase normalization and cluster sort: leading
+        entry above 1e-8 of the column maximum made real positive, then
+        clusters ordered by leading index and by the entries rounded to 9
+        decimals as (re, im) pairs."""
+        w, v = np.linalg.eigh(m)
+        cols = []
+        for i in range(v.shape[1]):
+            col = v[:, i]
+            idx = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
+            cols.append(col * (abs(col[idx[0]]) / col[idx[0]]))
+        v = np.stack(cols, axis=1)
+
+        def key(col):
+            a = np.abs(col)
+            lead = int(np.argmax(a > 1e-8 * a.max()))
+            return (lead,) + tuple(np.round(np.c_[col.real, col.imag].ravel(), 9))
+
+        tol = cluster_rtol * max(np.abs(w).max(), 1.0)
+        start = 0
+        for i in range(1, len(w) + 1):
+            if i == len(w) or w[i] - w[i - 1] > tol:
+                block = v[:, start:i]
+                order = sorted(range(i - start), key=lambda j: key(block[:, j]))
+                v[:, start:i] = block[:, order]
+                start = i
+        return w, v
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_clusters_match_reference(self, seed):
+        rng = rng_for(seed + 300)
+        dim = 12
+        u = random_unitary(dim, rng)
+        # clusters of sizes 3, 1, 4, 2, 2; dense eigenvectors all lead at
+        # row 0, so the entries decide the order inside each cluster
+        values = np.repeat([-2.0, -0.5, 0.0, 1.0, 3.0], [3, 1, 4, 2, 2])
+        m = (u * values[None, :]) @ u.conj().T
+        m = 0.5 * (m + m.conj().T)
+        w_ref, v_ref = self.reference_tiebreak(m)
+        dec = eigh(m)
+        assert np.array_equal(dec.eigenvalues, w_ref)
+        assert np.abs(dec.eigenvectors - v_ref).max() < 1e-13
+
+    def test_cluster_sort_breaks_leading_index_ties_lexicographically(self):
+        from specflow.operators import _cluster_order
+        s = 1 / np.sqrt(2)
+        block = np.array([[s, s, 0.0], [0.4j, -0.4j, 0.0], [0.0, 0.0, 1.0],
+                          [np.sqrt(0.5 - 0.16), np.sqrt(0.5 - 0.16), 0.0]],
+                         dtype=complex)
+        # same leading row 0 and equal first entries: the imaginary part of
+        # row 1 decides (-0.4 before 0.4); the column led by row 2 is last
+        assert list(_cluster_order(block, np.zeros(3, dtype=int))) == [1, 0, 2]
+        # a lower cluster label outranks the entries
+        assert list(_cluster_order(block, np.array([0, 1, 1]))) == [0, 1, 2]
+
 
 class TestRank:
     def test_identity(self):

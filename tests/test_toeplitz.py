@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
-                      OperatorCurve, SymbolFunction, build_derivative,
-                      dirac_aps_section, fredholm_index,
+                      OperatorCurve, SymbolFunction, aps_projection,
+                      build_derivative, dirac_aps_section, fredholm_index,
                       gauge_transformed_potential, hardy_section,
                       odd_chern_integral, spectral_flow, toeplitz_compress,
                       winding)
@@ -26,6 +26,17 @@ class TestHardySection:
         p = hardy_section(tr).projector
         d = build_derivative(tr).matrix
         assert np.array_equal(p @ d, d @ p)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_equals_inclusive_aps_projection_of_derivative(self, rank):
+        tr = FourierTruncation(6, rank)
+        h = hardy_section(tr)
+        ref = aps_projection(build_derivative(tr), 0.0, policy="inclusive")
+        assert h.basis.shape == ref.basis.shape
+        assert np.abs(h.basis - ref.basis).max() < 1e-14
+        assert np.abs(h.projector - ref.projector).max() < 1e-14
+        assert h.threshold_window == pytest.approx(ref.threshold_window,
+                                                   rel=1e-15)
 
 
 class TestCompression:
