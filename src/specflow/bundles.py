@@ -26,12 +26,13 @@ import numpy as np
 
 from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
-from .errors import (IllConditioned, InvalidSection, RankJump,
-                     SingularOverlap, UnstableIndex)
+from .errors import (InvalidSection, RankJump, SingularOverlap,
+                     UnstableIndex)
 from .flow import (OperatorCurve, Partition, SpectralSection, _SpectrumCache,
-                   _validate_section, aps_projection, difference_element,
+                   _validate_section, aps_projection, comparison_map,
                    gap_partition)
-from .operators import FourierTruncation, SymbolFunction, TruncatedOperator
+from .operators import (FourierTruncation, SymbolFunction, TruncatedOperator,
+                        null_split)
 from .toeplitz import (hardy_section, toeplitz_compress,
                        toeplitz_small_subspaces)
 
@@ -162,48 +163,38 @@ class ProjectorFamily:
 # kernel bundles and Chern numbers
 # ---------------------------------------------------------------------------
 
+def _frame_family(base: BaseGrid, frames: Mapping[tuple, np.ndarray],
+                  what: str, tolerances: Tolerances) -> ProjectorFamily:
+    """Projector family spanned by per-vertex orthonormal frames; the
+    frame width must be constant (RankJump otherwise)."""
+    dims = {v: f.shape[1] for v, f in frames.items()}
+    first_frame = frames[base.vertices[0]]
+    first = first_frame.shape[1]
+    if any(d != first for d in dims.values()):
+        bad = sorted(v for v, d in dims.items() if d != first)
+        raise RankJump(f"{what} dimension varies over the base: e.g. at "
+                       f"{bad[:4]} (got {sorted(set(dims.values()))}); "
+                       f"perturb the family")
+    if first == 0:
+        return ProjectorFamily.empty(base, first_frame.shape[0])
+    return ProjectorFamily.from_bases(base, frames, tolerances=tolerances)
+
+
 def kernel_bundle(base: BaseGrid, matrices: Mapping[tuple, np.ndarray],
                   tol: float | None = None,
                   tolerances: Tolerances = DEFAULT) -> ProjectorFamily:
-    """Orthogonal projector onto the numerical kernel at each vertex.
+    """Orthogonal projector onto the numerical kernel (``null_split`` at
+    ``tol``) at each vertex.
 
     The kernel dimension must be constant (RankJump otherwise) and the
     singular spectrum must split by the configured gap factor at every
     vertex (IllConditioned otherwise).
     """
     tol = tolerances.rank_rtol if tol is None else tol
-    bases, dims = {}, {}
-    dim_ambient = None
-    for v in base.vertices:
-        m = np.asarray(matrices[v], dtype=complex)
-        dim_ambient = m.shape[1]
-        if m.size == 0 or not np.any(np.abs(m) > 0):
-            ns = m.shape[1]
-            bases[v] = np.eye(m.shape[1], dtype=complex)
-            dims[v] = ns
-            continue
-        _, s, vh = np.linalg.svd(m)
-        smax = max(float(s[0]), 1e-300)
-        small = np.count_nonzero(s < tol * smax)
-        ns = small + (m.shape[1] - len(s))   # trailing exact zeros of a wide matrix
-        if 0 < small < s.size:
-            kept, dropped = s[-small - 1], max(float(s[-small:].max()), 1e-300)
-            if kept / dropped < tolerances.svd_gap_factor:
-                raise IllConditioned(
-                    f"kernel split at vertex {v} is ambiguous: "
-                    f"{kept:.3e} vs {dropped:.3e}")
-        full_vh = np.linalg.svd(m, full_matrices=True)[2]
-        bases[v] = full_vh.conj().T[:, m.shape[1] - ns:]
-        dims[v] = ns
-    first = dims[base.vertices[0]]
-    if any(d != first for d in dims.values()):
-        bad = sorted(v for v, d in dims.items() if d != first)
-        raise RankJump(f"kernel dimension varies over the base: e.g. at "
-                       f"{bad[:4]} (got {sorted(set(dims.values()))}); "
-                       f"perturb the family")
-    if first == 0:
-        return ProjectorFamily.empty(base, dim_ambient)
-    return ProjectorFamily.from_bases(base, bases, tolerances=tolerances)
+    frames = {v: null_split(np.asarray(matrices[v], dtype=complex), tol,
+                            tolerances).kernel
+              for v in base.vertices}
+    return _frame_family(base, frames, "kernel", tolerances)
 
 
 def chern_number(family: ProjectorFamily,
@@ -448,27 +439,27 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
         ivn = part.intervals[-1]
         yield ivn.t_right, dict(q1), transported(ivn.t_right, ivn.level)
 
+    # one split of the comparison map Y* X : Im X -> Im Y gives the
+    # kernel frame (in X's basis) and the cokernel frame (in Y's basis)
     pointwise = {v: 0 for v in base.vertices}
     positive: ProjectorFamily | None = None
     negative: ProjectorFamily | None = None
     for t, x_fam, y_fam in brackets():
         for cache in caches.values():
             cache.release(t)
+        ker, cok = {}, {}
         for v in base.vertices:
-            pointwise[v] += difference_element(x_fam[v], y_fam[v],
-                                               tolerances=tolerances).value
-        maps_xy = {v: y_fam[v].basis.conj().T @ x_fam[v].basis
-                   for v in base.vertices}
-        maps_yx = {v: x_fam[v].basis.conj().T @ y_fam[v].basis
-                   for v in base.vertices}
-        ker = kernel_bundle(base, maps_xy, tolerances=tolerances)
-        cok = kernel_bundle(base, maps_yx, tolerances=tolerances)
-        if ker.rank:
-            lifted = {v: x_fam[v].basis @ ker.frame(v) for v in base.vertices}
+            x, y = x_fam[v], y_fam[v]
+            split = null_split(comparison_map(x, y), tolerances.rank_rtol,
+                               tolerances)
+            pointwise[v] += x.rank - y.rank
+            ker[v], cok[v] = split.kernel, split.cokernel
+        if _frame_family(base, ker, "kernel", tolerances).rank:
+            lifted = {v: x_fam[v].basis @ ker[v] for v in base.vertices}
             fam = ProjectorFamily.from_bases(base, lifted, tolerances=tolerances)
             positive = fam if positive is None else positive.direct_sum(fam)
-        if cok.rank:
-            lifted = {v: y_fam[v].basis @ cok.frame(v) for v in base.vertices}
+        if _frame_family(base, cok, "cokernel", tolerances).rank:
+            lifted = {v: y_fam[v].basis @ cok[v] for v in base.vertices}
             fam = ProjectorFamily.from_bases(base, lifted, tolerances=tolerances)
             negative = fam if negative is None else negative.direct_sum(fam)
 

@@ -22,10 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (EigenvalueAtCutoff, IllConditioned, InvalidSection,
-                     NoGapFound, ResolutionExceeded, UnstableIndex)
+from .errors import (EigenvalueAtCutoff, InvalidSection, NoGapFound,
+                     ResolutionExceeded, UnstableIndex)
 from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
-                        TruncatedOperator, build_dirac, eigh, eigvalsh)
+                        TruncatedOperator, build_dirac, eigh, eigvalsh,
+                        null_split)
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +184,14 @@ def difference_element(p: SpectralSection, q: SpectralSection,
                        tolerances: Tolerances = DEFAULT) -> DifferenceElement:
     """Index of Q o P : Im P -> Im Q, the finite difference element [P - Q].
 
-    The rank of the comparison map counts its singular values above
-    ``tol`` times the largest.  Raises IllConditioned when the smallest
-    kept and the largest dropped value differ by less than
-    ``svd_gap_factor``.
+    The rank of the comparison map is its ``null_split`` at ``tol``
+    (default ``rank_rtol``), which raises IllConditioned when the singular
+    spectrum does not split cleanly.
     """
     tol = tolerances.rank_rtol if tol is None else tol
-    t = comparison_map(p, q)
-    rp, rq = p.rank, q.rank
-    if min(t.shape) == 0:
-        rank = 0
-    else:
-        s = np.linalg.svd(t, compute_uv=False)
-        rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
-        if 0 < rank < s.size:
-            kept, dropped = s[rank - 1], s[rank]
-            if dropped > 0 and kept / dropped < tolerances.svd_gap_factor:
-                raise IllConditioned(
-                    f"comparison-map singular values cluster at the rank "
-                    f"threshold: {kept:.3e} / {dropped:.3e} = "
-                    f"{kept / dropped:.1f} < {tolerances.svd_gap_factor}")
-    return DifferenceElement(value=rp - rq, kernel_dim=rp - rank,
-                             cokernel_dim=rq - rank)
+    rank = null_split(comparison_map(p, q), tol, tolerances).rank
+    return DifferenceElement(value=p.rank - q.rank, kernel_dim=p.rank - rank,
+                             cokernel_dim=q.rank - rank)
 
 
 # ---------------------------------------------------------------------------

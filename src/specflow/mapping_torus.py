@@ -30,7 +30,8 @@ from .errors import (DoublingDetected, GluingInconsistent,
 from .flow import OperatorCurve
 from .operators import (FourierTruncation, SymbolFunction,
                         build_multiplication, eigvalsh,
-                        gauge_transformed_potential)
+                        gauge_transformed_potential, interior_directions,
+                        split_rank)
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,6 @@ class MappingTorusOperator:
     @property
     def shape(self):
         return self.matrix.shape
-
-    def full_matrix(self) -> sp.csc_matrix:
-        a = self.matrix
-        return sp.bmat([[None, a], [a.getH(), None]], format="csc")
 
     def adjoint(self) -> "MappingTorusOperator":
         return MappingTorusOperator(self.matrix.getH().tocsc(), self.spec,
@@ -194,16 +191,6 @@ def _small_singular_vectors(op: MappingTorusOperator, threshold: float,
     return v_r[:, :ns], v_l[:, :ns], s_r[:ns], s_r[ns] if ns < len(s_r) else np.inf
 
 
-def _interior_count(vectors: np.ndarray, m_u: int,
-                    trunc: FourierTruncation, tolerances: Tolerances) -> int:
-    if vectors.shape[1] == 0:
-        return 0
-    modes = np.abs(trunc.modes())
-    interior = np.tile(modes <= trunc.max_mode // 2, m_u)
-    sv = np.linalg.svd(vectors[interior, :], compute_uv=False)
-    return int(np.count_nonzero(sv > np.sqrt(tolerances.localization_mass)))
-
-
 def index(op: MappingTorusOperator, tol: float | None = None,
           check_stability: bool = True,
           tolerances: Tolerances = DEFAULT) -> int:
@@ -216,14 +203,11 @@ def index(op: MappingTorusOperator, tol: float | None = None,
     tol = tolerances.mapping_torus_rank_rtol if tol is None else tol
     threshold = tol * op.sigma_max_bound
     right, left, s_small, s_next = _small_singular_vectors(op, threshold)
-    if s_small.size and s_small.max() > 0:
-        ratio = s_next / max(float(s_small.max()), 1e-300)
-        if ratio < tolerances.svd_gap_factor:
-            raise IllConditioned(
-                f"singular gap {ratio:.1f} below the required factor "
-                f"{tolerances.svd_gap_factor}")
-    gk = _interior_count(right, op.m_u, op.truncation, tolerances)
-    gc = _interior_count(left, op.m_u, op.truncation, tolerances)
+    split_rank(np.concatenate([[s_next], s_small[::-1]]), threshold,
+               tolerances)
+    interior = np.tile(op.truncation.interior(), op.m_u)
+    gk = interior_directions(right, interior, tolerances).shape[1]
+    gc = interior_directions(left, interior, tolerances).shape[1]
     value = gk - gc
 
     if check_stability:

@@ -47,6 +47,11 @@ class FourierTruncation:
     def doubled(self) -> "FourierTruncation":
         return FourierTruncation(2 * self.max_mode, self.bundle_rank)
 
+    def interior(self) -> np.ndarray:
+        """Mask of the interior modes |k| <= K/2, away from the
+        truncation edge."""
+        return np.abs(self.modes()) <= self.max_mode // 2
+
 
 def _as_block(value, rank: int) -> np.ndarray:
     block = np.asarray(value, dtype=complex)
@@ -365,53 +370,65 @@ def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
     return TruncatedOperator(m, trunc, label=label or "dirac")
 
 
-def numerical_rank(matrix, tol: float, tolerances: Tolerances = DEFAULT) -> int:
-    """Number of singular values above tol * sigma_max; 0 for the zero
-    matrix."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    m = np.asarray(matrix)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+@dataclass(frozen=True)
+class NullSplit:
+    """One SVD of an m x n matrix read as a rank decision: the kernel
+    (n x (n - rank)) and cokernel (m x (m - rank)) are orthonormal
+    singular-vector frames, and ``gap_ratio`` is the smallest kept over
+    the largest dropped singular value (inf when nothing is dropped)."""
+
+    rank: int
+    kernel: np.ndarray
+    cokernel: np.ndarray
+    singular_values: np.ndarray
+    gap_ratio: float
 
 
-def rank_with_gap_check(matrix, tol: float,
-                        tolerances: Tolerances = DEFAULT) -> int:
-    """numerical_rank plus the contract that the singular spectrum splits
-    cleanly: the smallest kept and largest dropped value must differ by the
-    configured factor."""
-    m = np.asarray(matrix)
-    if m.size == 0:
-        return 0
-    s = np.sort(np.linalg.svd(m, compute_uv=False))[::-1]
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    r = int(np.count_nonzero(s > tol * s[0]))
-    if 0 < r < s.size:
-        kept, dropped = s[r - 1], s[r]
-        if dropped > 0 and kept / dropped < tolerances.svd_gap_factor:
+def split_rank(s, threshold: float,
+               tolerances: Tolerances = DEFAULT) -> tuple[int, float]:
+    """Rank of a descending singular spectrum: the number of values at or
+    above the absolute threshold, and the gap ratio across that split.
+
+    Raises IllConditioned when the smallest kept value exceeds the largest
+    nonzero dropped one by less than ``svd_gap_factor``.
+    """
+    s = np.asarray(s)
+    rank = int(np.count_nonzero(s >= threshold))
+    ratio = np.inf
+    if 0 < rank < s.size and s[rank] > 0:
+        kept, dropped = float(s[rank - 1]), float(s[rank])
+        ratio = kept / dropped
+        if ratio < tolerances.svd_gap_factor:
             raise IllConditioned(
-                f"singular values cluster at the threshold: "
-                f"{kept:.3e} / {dropped:.3e} = {kept / dropped:.1f} "
+                f"singular values cluster at the rank threshold "
+                f"{threshold:.3e}: {kept:.3e} / {dropped:.3e} = {ratio:.1f} "
                 f"< {tolerances.svd_gap_factor}")
-    return r
+    return rank, ratio
 
 
-def conjugate(operator, unitary, tolerances: Tolerances = DEFAULT):
-    """U M U* for a unitary U; preserves the spectrum and Hermiticity."""
-    m = operator.matrix if isinstance(operator, TruncatedOperator) else np.asarray(operator)
-    u = np.asarray(unitary, dtype=complex)
-    defect = np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2)
-    if defect > tolerances.unitary:
-        raise ValueError(f"conjugation requires a unitary matrix "
-                         f"(defect {defect:.3e})")
-    out = u @ m @ u.conj().T
-    if isinstance(operator, TruncatedOperator):
-        out = 0.5 * (out + out.conj().T)
-        return TruncatedOperator(out, operator.truncation,
-                                 label=operator.label + " conjugated")
-    return out
+def null_split(matrix, rtol: float,
+               tolerances: Tolerances = DEFAULT) -> NullSplit:
+    """Full SVD split at ``rtol`` times the largest singular value; the
+    zero and the empty matrix have rank 0."""
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rank tolerance must lie in (0, 1), got {rtol}")
+    u, s, vh = np.linalg.svd(np.asarray(matrix))
+    threshold = rtol * s[0] if s.size and s[0] > 0 else np.inf
+    rank, ratio = split_rank(s, threshold, tolerances)
+    return NullSplit(rank=rank, kernel=vh[rank:].conj().T,
+                     cokernel=u[:, rank:], singular_values=s, gap_ratio=ratio)
+
+
+def interior_directions(vectors: np.ndarray, mask: np.ndarray,
+                        tolerances: Tolerances = DEFAULT) -> np.ndarray:
+    """Orthonormal basis of the directions in the span of ``vectors``
+    (orthonormal columns) that keep more than ``localization_mass`` of
+    their weight on the rows selected by ``mask`` (a principal-angle
+    count); its column count is the number of localized directions."""
+    if vectors.shape[1] == 0:
+        return vectors
+    _, sv, vh = np.linalg.svd(vectors[mask], full_matrices=False)
+    localized = vh[sv > np.sqrt(tolerances.localization_mass)]
+    if localized.shape[0] == 0:
+        return vectors[:, :0]
+    return np.linalg.qr(vectors @ localized.conj().T)[0]

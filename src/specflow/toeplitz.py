@@ -28,11 +28,10 @@ import numpy as np
 
 from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
-from .errors import (GridResolutionError, IllConditioned, RoundingAmbiguous,
-                     UnstableIndex)
+from .errors import GridResolutionError, RoundingAmbiguous, UnstableIndex
 from .flow import SpectralSection, aps_projection
-from .operators import (FourierTruncation, SymbolFunction,
-                        build_dirac, build_multiplication)
+from .operators import (FourierTruncation, SymbolFunction, build_dirac,
+                        build_multiplication, interior_directions, null_split)
 
 #: Degree-1 cochain normalization, one (2 pi) per cohomology degree; see
 #: the module docstring for how the sign and power were frozen.
@@ -93,9 +92,6 @@ class ToeplitzOperator:
         return toeplitz_compress(self.section.rebuilder(trunc), self.symbol,
                                  trunc)
 
-    def adjoint_matrix(self) -> np.ndarray:
-        return self.matrix.conj().T
-
 
 def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
                       trunc: FourierTruncation,
@@ -112,35 +108,9 @@ def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
     return ToeplitzOperator(t, section, symbol, trunc)
 
 
-def interior_compression(symbol: SymbolFunction, trunc: FourierTruncation,
-                         tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    """Rectangular Hardy compression with the top bandwidth modes removed
-    from the domain, so every retained column reproduces the untruncated
-    operator exactly.  For nonnegative-winding symbols its null data is
-    free of edge artifacts; used to hand honest matrix families to generic
-    kernel extraction."""
-    t = toeplitz_compress(hardy_section(trunc, tolerances), symbol, trunc,
-                          tolerances)
-    drop = symbol.bandwidth * trunc.bundle_rank
-    if drop == 0:
-        return t.matrix
-    return t.matrix[:, :-drop]
-
-
 # ---------------------------------------------------------------------------
 # kernel/cokernel splitting at the truncation edge
 # ---------------------------------------------------------------------------
-
-def _interior_counts(lifted: np.ndarray, trunc: FourierTruncation,
-                     tolerances: Tolerances) -> int:
-    """Number of directions of the lifted subspace localized on interior
-    modes |k| <= K/2 (principal-angle count against the interior mask)."""
-    if lifted.shape[1] == 0:
-        return 0
-    interior = np.abs(trunc.modes()) <= trunc.max_mode // 2
-    sv = np.linalg.svd(lifted[interior, :], compute_uv=False)
-    return int(np.count_nonzero(sv > np.sqrt(tolerances.localization_mass)))
-
 
 @dataclass(frozen=True)
 class SmallSubspaces:
@@ -158,37 +128,16 @@ class SmallSubspaces:
 def toeplitz_small_subspaces(t: ToeplitzOperator, tol: float | None = None,
                              tolerances: Tolerances = DEFAULT) -> SmallSubspaces:
     tol = tolerances.rank_rtol if tol is None else tol
-    u, s, vh = np.linalg.svd(t.matrix)
-    smax = max(float(s[0]) if s.size else 0.0, 1e-300)
-    small = s < tol * smax
-    ns = int(small.sum())
-    if 0 < ns < s.size:
-        gap = s[-ns - 1] / max(s[-1 * ns:].max(), 1e-300) if s[-ns:].max() > 0 \
-            else np.inf
-        if gap < tolerances.svd_gap_factor:
-            raise IllConditioned(
-                f"Toeplitz singular spectrum has no clean zero split: "
-                f"ratio {gap:.1f} < {tolerances.svd_gap_factor}")
-    basis = t.section.basis
-    ker = basis @ vh.conj().T[:, -ns:] if ns else basis[:, :0]
-    cok = basis @ u[:, -ns:] if ns else basis[:, :0]
-    nk = _interior_counts(ker, t.truncation, tolerances)
-    nc = _interior_counts(cok, t.truncation, tolerances)
-
-    def interior_part(w, count):
-        if count == 0:
-            return w[:, :0]
-        interior = np.abs(t.truncation.modes()) <= t.truncation.max_mode // 2
-        uu, ss, vvh = np.linalg.svd(w[interior, :], full_matrices=False)
-        directions = w @ vvh.conj().T[:, :count]
-        q, _ = np.linalg.qr(directions)
-        return q
-
-    return SmallSubspaces(kernel_interior=interior_part(ker, nk),
-                          cokernel_interior=interior_part(cok, nc),
+    split = null_split(t.matrix, tol, tolerances)
+    basis, interior = t.section.basis, t.truncation.interior()
+    ker = interior_directions(basis @ split.kernel, interior, tolerances)
+    cok = interior_directions(basis @ split.cokernel, interior, tolerances)
+    nk, nc = ker.shape[1], cok.shape[1]
+    return SmallSubspaces(kernel_interior=ker, cokernel_interior=cok,
                           kernel_dim=nk, cokernel_dim=nc,
-                          edge_artifacts=2 * ns - nk - nc,
-                          singular_values=s)
+                          edge_artifacts=split.kernel.shape[1]
+                          + split.cokernel.shape[1] - nk - nc,
+                          singular_values=split.singular_values)
 
 
 def fredholm_index(t: ToeplitzOperator, tol: float | None = None,

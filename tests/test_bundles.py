@@ -7,11 +7,21 @@ from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       gauge_transformed_potential, higher_spectral_flow,
                       kernel_bundle, section_from_basis, spectral_flow,
                       toeplitz_family_index)
-from specflow.errors import InvalidSection, RankJump, SingularOverlap
+import specflow.bundles
+from specflow.config import DEFAULT
+from specflow.errors import (IllConditioned, InvalidSection, RankJump,
+                             SingularOverlap)
 from specflow.models import (bott_symbol_family, qwz_projector,
                              qwz_projector_family)
-from specflow.toeplitz import interior_compression
+from specflow.toeplitz import hardy_section, toeplitz_compress
 from conftest import berry_chern_oracle, count_eigh, random_unitary, rng_for
+
+
+def interior_compression(symbol, trunc):
+    """Hardy compression with the top bandwidth modes dropped from the
+    domain, so every retained column equals the untruncated operator's."""
+    t = toeplitz_compress(hardy_section(trunc), symbol, trunc)
+    return t.matrix[:, :t.rank - symbol.bandwidth * trunc.bundle_rank]
 
 
 class TestBaseGrid:
@@ -70,6 +80,21 @@ class TestKernelBundle:
                 (2,): np.array([[0.0, 0.0]]), (3,): np.array([[1.0, 0.0]])}
         with pytest.raises(RankJump, match="perturb"):
             kernel_bundle(base, mats)
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_clustered_split_raises(self, factor):
+        # tol 1e-6 drops 1e-7 and keeps the value just below or just above
+        # svd_gap_factor times it
+        base = BaseGrid.loop(4)
+        m = np.diag([1.0, factor * DEFAULT.svd_gap_factor * 1e-7, 1e-7])
+        mats = {v: m for v in base.vertices}
+        if factor < 1:
+            with pytest.raises(IllConditioned, match="cluster"):
+                kernel_bundle(base, mats, tol=1e-6)
+        else:
+            ker = kernel_bundle(base, mats, tol=1e-6)
+            assert ker.rank == 1
+            assert abs(abs(ker.frame((0,))[2, 0]) - 1.0) <= 1e-12
 
 
 class TestProjectorFamily:
@@ -232,6 +257,27 @@ class TestHigherSpectralFlow:
         n = cls.meta["partitions"]
         assert len(calls) == len(base.vertices) * (n + 1)
         assert max(calls.values()) == 1
+
+    def test_one_null_split_per_vertex_and_bracket(self, monkeypatch):
+        base = BaseGrid.torus(8)
+        tr = FourierTruncation(3, 2)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        cf = CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], tr)
+        q0, q1 = self.qsections(cf)
+        calls = []
+        original = specflow.bundles.null_split
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(specflow.bundles, "null_split", counted)
+        cls = higher_spectral_flow(cf, q0, q1)
+        assert (cls.ch0, cls.ch1) == (-1, -1)
+        # brackets: both endpoints plus one per interior breakpoint
+        assert len(calls) == len(base.vertices) * (cls.meta["partitions"] + 1)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_periodic_family_section_independent(self, seed):

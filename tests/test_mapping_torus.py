@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
+import specflow.mapping_torus
 from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
                       TwistedLoopSpec, build_mapping_torus,
                       mapping_torus_index, spectral_flow)
-from specflow.errors import GluingInconsistent
+from specflow.config import DEFAULT
+from specflow.errors import GluingInconsistent, IllConditioned
 from specflow.models import constant_shift_potential
 
 
@@ -54,10 +57,17 @@ class TestBuild:
         op = build_mapping_torus(spec, 12)
         dim = spec.truncation.dim
         assert op.shape == (12 * dim, 12 * dim)
-        full = op.full_matrix()
-        # the loop operator is Hermitian with zero diagonal blocks
-        assert (full != full.getH()).nnz == 0
-        assert abs(full[:12 * dim, :12 * dim]).max() == 0
+        # Cayley stencil: slice j couples only to itself and to slice j + 1,
+        # the last one wrapping to the first; the two blocks of a row differ
+        # by -2/h times the identity (the twist enters on the wrap row only)
+        a = op.matrix.toarray().reshape(12, dim, 12, dim)
+        coupled = {(i, j) for i in range(12) for j in range(12)
+                   if np.abs(a[i, :, j, :]).max() > 0}
+        assert coupled == ({(j, j) for j in range(12)}
+                           | {(j, (j + 1) % 12) for j in range(12)})
+        for j in range(11):
+            assert np.allclose(a[j, :, j, :] - a[j, :, j + 1, :],
+                               -2.0 * 12 * np.eye(dim))
 
     def test_minimum_slices(self):
         with pytest.raises(ValueError, match="8"):
@@ -93,6 +103,27 @@ class TestIndex:
         a = mapping_torus_index(op, check_stability=False)
         b = mapping_torus_index(op.adjoint(), check_stability=False)
         assert a == -b == -2
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_clustered_split_raises(self, monkeypatch, factor):
+        # one small singular value at a tenth of the threshold and the first
+        # retained one just below or just above svd_gap_factor times it
+        op = build_mapping_torus(flux_spec(1, k=4), 8)
+        dropped = 0.1 * DEFAULT.mapping_torus_rank_rtol * op.sigma_max_bound
+        vector = np.zeros((op.shape[0], 1), dtype=complex)
+        vector[op.truncation.dim // 2] = 1.0     # mode 0 of the first slice
+
+        def fake(op, threshold):
+            return (vector, vector, np.array([dropped]),
+                    factor * DEFAULT.svd_gap_factor * dropped)
+
+        monkeypatch.setattr(specflow.mapping_torus, "_small_singular_vectors",
+                            fake)
+        if factor < 1:
+            with pytest.raises(IllConditioned, match="cluster"):
+                mapping_torus_index(op, check_stability=False)
+        else:
+            assert mapping_torus_index(op, check_stability=False) == 0
 
     def test_refinement_invariance(self):
         spec = flux_spec(1, k=12)

@@ -3,8 +3,10 @@ import pytest
 
 from specflow import (FourierTruncation, SymbolFunction,
                       build_derivative, build_dirac, build_multiplication,
-                      conjugate, eigh, eigvalsh, numerical_rank)
-from specflow.operators import rank_with_gap_check
+                      eigh, eigvalsh)
+from specflow.config import DEFAULT
+from specflow.errors import IllConditioned
+from specflow.operators import interior_directions, null_split, split_rank
 from conftest import (fd_dirac_cos_spectrum, random_hermitian,
                       random_hermitian_symbol, random_unitary, rng_for)
 
@@ -207,46 +209,84 @@ class TestEigh:
 
 class TestRank:
     def test_identity(self):
-        assert numerical_rank(np.eye(7), 1e-8) == 7
+        split = null_split(np.eye(7), 1e-8)
+        assert split.rank == 7
+        assert split.kernel.shape == (7, 0) and split.cokernel.shape == (7, 0)
+        assert split.gap_ratio == np.inf
 
     def test_zero(self):
-        assert numerical_rank(np.zeros((4, 6)), 1e-8) == 0
+        # the zero matrix has rank 0: its whole domain is the kernel
+        split = null_split(np.zeros((4, 6)), 1e-8)
+        assert split.rank == 0
+        assert np.allclose(split.kernel.conj().T @ split.kernel, np.eye(6))
+        assert np.allclose(split.cokernel.conj().T @ split.cokernel, np.eye(4))
 
     def test_rank3_construction(self, rng):
         vs = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
         m = sum(np.outer(v, v.conj()) for v in vs)
-        assert numerical_rank(m, 1e-8) == 3
+        split = null_split(m, 1e-8)
+        assert split.rank == 3
+        assert np.abs(m @ split.kernel).max() <= 1e-10 * split.singular_values[0]
+        assert np.abs(split.cokernel.conj().T @ m).max() \
+            <= 1e-10 * split.singular_values[0]
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5])
     def test_tol_domain(self, tol):
         with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), tol)
+            null_split(np.eye(2), tol)
 
     def test_gap_check(self):
         # values straddle the threshold within the required factor
         m = np.diag([1.0, 5e-8, 2e-9])
-        from specflow.errors import IllConditioned
-        with pytest.raises(IllConditioned):
-            rank_with_gap_check(m, 1e-8)
-        assert rank_with_gap_check(np.diag([1.0, 0.5]), 1e-8) == 2
+        with pytest.raises(IllConditioned, match="cluster"):
+            null_split(m, 1e-8)
+        assert null_split(np.diag([1.0, 0.5]), 1e-8).rank == 2
+
+    def test_value_at_threshold_is_kept(self):
+        assert null_split(np.diag([1.0, 1e-3]), 1e-3).rank == 2
+        assert split_rank(np.array([1.0, 1e-3]), 1e-3) == (2, np.inf)
+
+    def test_empty_matrix(self):
+        split = null_split(np.zeros((0, 3)), 1e-8)
+        assert split.rank == 0
+        assert split.kernel.shape == (3, 3) and split.cokernel.shape == (0, 0)
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_split_rank_gap_factor(self, factor):
+        # kept / dropped sits just below or just above svd_gap_factor
+        dropped = 1e-6
+        s = np.array([1.0, factor * DEFAULT.svd_gap_factor * dropped, dropped])
+        if factor < 1:
+            with pytest.raises(IllConditioned, match="cluster"):
+                split_rank(s, 1e-5)
+        else:
+            rank, ratio = split_rank(s, 1e-5)
+            assert rank == 2
+            assert ratio == pytest.approx(factor * DEFAULT.svd_gap_factor)
+
+
+class TestInteriorDirections:
+    def test_counts_localized_directions(self):
+        # e0 lives on the masked rows, e3 off them; a mixture with mass
+        # 0.4 on the masked rows stays below localization_mass
+        eye = np.eye(4)
+        mask = np.array([True, True, False, False])
+        q = interior_directions(eye[:, [0, 3]], mask)
+        assert q.shape == (4, 1)
+        assert abs(abs(q[0, 0]) - 1.0) <= 1e-12
+        mixed = np.sqrt(0.4) * eye[:, [0]] + np.sqrt(0.6) * eye[:, [3]]
+        assert interior_directions(mixed, mask).shape == (4, 0)
+
+    def test_empty(self):
+        assert interior_directions(np.zeros((5, 0)),
+                                   np.ones(5, dtype=bool)).shape == (5, 0)
+
+    def test_truncation_interior(self):
+        assert list(FourierTruncation(4, 1).interior()) == \
+            [False, False, True, True, True, True, True, False, False]
 
 
 class TestConjugate:
-    def test_identity(self, rng):
-        m = random_hermitian(6, rng)
-        assert np.allclose(conjugate(m, np.eye(6)), m)
-
-    def test_spectrum_preserved(self, rng):
-        tr = FourierTruncation(4, 1)
-        d = build_dirac(SymbolFunction.constant(0.3), tr)
-        u = random_unitary(tr.dim, rng)
-        c = conjugate(d, u)
-        assert np.abs(eigvalsh(c) - eigvalsh(d)).max() < 1e-9
-
-    def test_non_unitary_rejected(self, rng):
-        with pytest.raises(ValueError, match="unitary"):
-            conjugate(random_hermitian(4, rng), 2.0 * np.eye(4))
-
     def test_shift_sandwich_interior(self):
         # the truncated e^{ix} multiplication is an isometry away from the
         # edge; its sandwich of -i d/dx equals the shifted diagonal on the
@@ -288,8 +328,7 @@ class TestSymbolAlgebra:
         for seed in range(5):
             v = random_hermitian_symbol(2, 3, rng_for(seed))
             d = build_dirac(v, tr)   # constructor enforces the invariant
-            u = random_unitary(tr.dim, rng_for(seed + 100))
-            conjugate(d, u)
+            assert np.abs(d.matrix - d.matrix.conj().T).max() <= 1e-12
 
     def test_unitary_flag_checked(self):
         with pytest.raises(ValueError, match="unitary"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,18 @@ from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
                       gauge_transformed_potential, hardy_section,
                       odd_chern_integral, spectral_flow, toeplitz_compress,
                       winding)
-from specflow.errors import RoundingAmbiguous, UnstableIndex
+from specflow.config import DEFAULT
+from specflow.errors import IllConditioned, RoundingAmbiguous, UnstableIndex
 from specflow.models import bott_symbol_family, qwz_projector
-from specflow.toeplitz import interior_compression
+from specflow.toeplitz import toeplitz_small_subspaces
 from conftest import random_hermitian_symbol, random_trig_unitary, rng_for
+
+
+def interior_compression(symbol, trunc):
+    """Hardy compression with the top bandwidth modes dropped from the
+    domain, so every retained column equals the untruncated operator's."""
+    t = toeplitz_compress(hardy_section(trunc), symbol, trunc)
+    return t.matrix[:, :t.rank - symbol.bandwidth * trunc.bundle_rank]
 
 
 class TestHardySection:
@@ -140,6 +150,33 @@ class TestFredholmIndex:
         sec = dirac_aps_section(pot, tr, 0.0)
         t = toeplitz_compress(sec, SymbolFunction.exponential(2), tr)
         assert fredholm_index(t) == -2
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        tr = FourierTruncation(8, 1)
+        t = toeplitz_compress(hardy_section(tr), SymbolFunction.exponential(1),
+                              tr)
+        with pytest.raises(ValueError, match="tolerance"):
+            fredholm_index(t, tol=tol)
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_clustered_split_raises(self, factor):
+        # tol 1e-6 drops 1e-7 and keeps the value just below or just above
+        # svd_gap_factor times it; the dropped direction is the top mode, so
+        # its kernel and cokernel lines are both edge artifacts
+        tr = FourierTruncation(4, 1)
+        t = toeplitz_compress(hardy_section(tr), SymbolFunction.exponential(1),
+                              tr)
+        s = np.ones(t.rank)
+        s[-2:] = factor * DEFAULT.svd_gap_factor * 1e-7, 1e-7
+        t = dataclasses.replace(t, matrix=np.diag(s).astype(complex))
+        if factor < 1:
+            with pytest.raises(IllConditioned, match="cluster"):
+                toeplitz_small_subspaces(t, tol=1e-6)
+        else:
+            sub = toeplitz_small_subspaces(t, tol=1e-6)
+            assert (sub.kernel_dim, sub.cokernel_dim, sub.edge_artifacts) \
+                == (0, 0, 2)
 
 
 class TestWinding:
