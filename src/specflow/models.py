@@ -14,6 +14,7 @@ import numpy as np
 
 from .basegrid import BaseGrid
 from .bundles import ProjectorFamily
+from .config import DEFAULT, Tolerances
 from .operators import SymbolFunction
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,9 +38,10 @@ def qwz_projector(b1: float, b2: float, m0: float = 1.0) -> np.ndarray:
 
 
 def qwz_projector_family(base: BaseGrid, m0: float = 1.0,
-                         **kw) -> ProjectorFamily:
-    return ProjectorFamily.from_function(
-        base, lambda b1, b2: qwz_projector(b1, b2, m0), **kw)
+                         tolerances: Tolerances = DEFAULT) -> ProjectorFamily:
+    return ProjectorFamily.from_projectors(
+        base, {v: qwz_projector(*base.coordinates(v), m0)
+               for v in base.vertices}, tolerances)
 
 
 def bott_symbol(b1: float, b2: float, m0: float = 1.0) -> SymbolFunction:

@@ -191,10 +191,6 @@ class SymbolFunction:
                 out[k] = out.get(k, 0) + blk
         return SymbolFunction(out, rank=self.rank, unitary=unitary)
 
-    def bandlimit(self, kmax: int) -> "SymbolFunction":
-        return SymbolFunction({k: c for k, c in self.coefficients.items()
-                               if abs(k) <= kmax}, rank=self.rank)
-
     def hermitized(self) -> "SymbolFunction":
         """Project onto pointwise-Hermitian symbols (kills roundoff skew)."""
         keys = set(self.coefficients)
@@ -249,9 +245,6 @@ class TruncatedOperator:
     @property
     def dim(self) -> int:
         return self.truncation.dim
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 @dataclass(frozen=True)

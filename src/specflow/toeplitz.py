@@ -48,12 +48,10 @@ def hardy_section(trunc: FourierTruncation,
     order.  Its window is the one ``aps_projection`` gives at cutoff 0:
     the tolerance band plus half the distance to the modes +-1.
     """
-    keep = trunc.modes() >= 0
-    basis = np.eye(trunc.dim, dtype=complex)[:, keep]
+    basis = np.eye(trunc.dim, dtype=complex)[:, trunc.modes() >= 0]
     atol = tolerances.cutoff_atol
-    return SpectralSection(
-        np.diag(keep.astype(complex)), atol + 0.5 * (1.0 - atol), "hardy",
-        basis, rebuilder=lambda tr: hardy_section(tr, tolerances))
+    return SpectralSection(basis, atol + 0.5 * (1.0 - atol), "hardy",
+                           rebuilder=lambda tr: hardy_section(tr, tolerances))
 
 
 def dirac_aps_section(potential: SymbolFunction, trunc: FourierTruncation,
@@ -64,8 +62,7 @@ def dirac_aps_section(potential: SymbolFunction, trunc: FourierTruncation,
     section = aps_projection(build_dirac(potential, trunc), cutoff,
                              policy=policy, tolerances=tolerances)
     return SpectralSection(
-        section.projector, section.threshold_window,
-        f"dirac-aps cutoff {cutoff:g}", section.basis,
+        section.basis, section.threshold_window, f"dirac-aps cutoff {cutoff:g}",
         rebuilder=lambda tr: dirac_aps_section(potential, tr, cutoff, policy,
                                                tolerances))
 

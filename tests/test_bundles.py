@@ -8,6 +8,7 @@ from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       kernel_bundle, section_from_basis, spectral_flow,
                       toeplitz_family_index)
 import specflow.bundles
+from specflow.bundles import _projector_steps
 from specflow.config import DEFAULT
 from specflow.errors import (IllConditioned, InvalidSection, RankJump,
                              SingularOverlap)
@@ -22,6 +23,19 @@ def interior_compression(symbol, trunc):
     domain, so every retained column equals the untruncated operator's."""
     t = toeplitz_compress(hardy_section(trunc), symbol, trunc)
     return t.matrix[:, :t.rank - symbol.bandwidth * trunc.bundle_rank]
+
+
+def constant_family(base, projector):
+    return ProjectorFamily.from_projectors(
+        base, {v: projector for v in base.vertices})
+
+
+def complement(fam):
+    """Family of the orthogonal complements of a family's ranges."""
+    eye = np.eye(fam.dim)
+    return ProjectorFamily.from_projectors(
+        fam.base, {v: eye - fam.frame(v) @ fam.frame(v).conj().T
+                   for v in fam.base.vertices})
 
 
 class TestBaseGrid:
@@ -103,19 +117,86 @@ class TestProjectorFamily:
         flip = {v: np.diag([1.0, 0.0]) if v[0] % 2 else np.diag([0.0, 1.0])
                 for v in base.vertices}
         with pytest.raises(InvalidSection, match="refine"):
-            ProjectorFamily(base, flip)
+            ProjectorFamily.from_projectors(base, flip)
 
     def test_rank_constancy(self):
         base = BaseGrid.loop(4)
         mats = {v: np.diag([1.0, 0.0]) for v in base.vertices}
         mats[(2,)] = np.diag([1.0, 1.0])
-        with pytest.raises(RankJump):
-            ProjectorFamily(base, mats)
+        with pytest.raises(RankJump, match="perturb"):
+            ProjectorFamily.from_projectors(base, mats)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_frame_gram_defect_guard(self, factor):
+        base = BaseGrid.loop(4)
+        frames = {v: np.eye(3)[:, :1] for v in base.vertices}
+        frames[(2,)] = np.sqrt(1.0 + factor * DEFAULT.projector_idempotent) \
+            * np.eye(3)[:, :1]
+        if factor < 1:
+            assert ProjectorFamily(base, frames).rank == 1
+        else:
+            with pytest.raises(InvalidSection, match="orthonormal"):
+                ProjectorFamily(base, frames)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_from_projectors_hermiticity_guard(self, factor):
+        base = BaseGrid.loop(4)
+        p = np.diag([1.0, 0.0]).astype(complex)
+        p[0, 1] = factor * DEFAULT.projector_hermitian    # ||P - P*|| = that
+        if factor < 1:
+            fam = ProjectorFamily.from_projectors(
+                base, {v: p for v in base.vertices})
+            assert fam.rank == 1
+        else:
+            with pytest.raises(InvalidSection, match="Hermitian"):
+                ProjectorFamily.from_projectors(
+                    base, {v: p for v in base.vertices})
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_from_projectors_idempotency_guard(self, factor):
+        # eigenvalue 1 + e gives |w^2 - w| = e + e^2 = ||P^2 - P||
+        base = BaseGrid.loop(4)
+        mats = {v: np.diag([1.0, 0.0]) for v in base.vertices}
+        mats[(1,)] = np.diag([1.0 + factor * DEFAULT.projector_idempotent, 0.0])
+        if factor < 1:
+            assert ProjectorFamily.from_projectors(base, mats).rank == 1
+        else:
+            with pytest.raises(InvalidSection, match="not a projector"):
+                ProjectorFamily.from_projectors(base, mats)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("step", [0.49, 0.51])
+    def test_principal_angle_step(self, rank, step):
+        # odd vertices turn the frame by theta (and the second column of
+        # the rank-2 frame by theta / 2), so every edge moves the
+        # projector by sin(theta) in the spectral norm
+        base = BaseGrid.loop(4)
+        theta = np.arcsin(step)
+        twist = np.exp(0.3j)
+
+        def frame(angle):
+            f = np.zeros((2 * rank, rank), dtype=complex)
+            for j in range(rank):
+                a = angle / (j + 1)
+                f[j, j] = np.cos(a)
+                f[rank + j, j] = twist * np.sin(a)
+            return f
+
+        frames = {v: frame(theta if v[0] % 2 else 0.0) for v in base.vertices}
+        a, b = frames[(0,)], frames[(1,)]
+        dense = np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2)
+        assert abs(dense - step) <= 1e-12
+        assert abs(_projector_steps(a, b) - dense) <= 1e-12
+        if step < DEFAULT.neighbor_continuity:
+            assert ProjectorFamily(base, frames).rank == rank
+        else:
+            with pytest.raises(InvalidSection, match="refine"):
+                ProjectorFamily(base, frames)
 
     def test_direct_sum(self):
         base = BaseGrid.torus(8)
         fam = qwz_projector_family(base)
-        both = fam.direct_sum(fam.complement())
+        both = fam.direct_sum(complement(fam))
         assert both.rank == 2
         assert both.dim == 4
 
@@ -123,7 +204,7 @@ class TestProjectorFamily:
 class TestChernNumber:
     def test_constant_family(self):
         base = BaseGrid.torus(8)
-        fam = ProjectorFamily.constant(base, np.diag([1.0, 0.0]))
+        fam = constant_family(base, np.diag([1.0, 0.0]))
         assert chern_number(fam) == 0
 
     @pytest.mark.parametrize("m", [8, 12])
@@ -141,8 +222,8 @@ class TestChernNumber:
 
     def test_complement_negates(self):
         fam = qwz_projector_family(BaseGrid.torus(10))
-        assert chern_number(fam.complement()) == -1
-        assert chern_number(fam) + chern_number(fam.complement()) == 0
+        assert chern_number(complement(fam)) == -1
+        assert chern_number(fam) + chern_number(complement(fam)) == 0
 
     def test_grid_doubling_stable(self):
         a = chern_number(qwz_projector_family(BaseGrid.torus(8)))
@@ -157,22 +238,25 @@ class TestChernNumber:
         assert ch1[0] == ch1[1] == -1
 
     def test_minimum_grid(self):
-        fam = ProjectorFamily.constant(BaseGrid.torus(6), np.diag([1.0, 0.0]))
+        fam = constant_family(BaseGrid.torus(6), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="8 x 8"):
             chern_number(fam)
 
     def test_torus_only(self):
         base = BaseGrid.loop(8)
-        fam = ProjectorFamily.constant(base, np.diag([1.0, 0.0]))
+        fam = constant_family(base, np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="torus"):
             chern_number(fam)
 
     def test_singular_overlap_guard(self):
-        # bypass continuity validation to reach the overlap determinant
+        # a continuity bound above 1 admits an orthogonal jump, which is
+        # what reaches the overlap determinant: a family that passes the
+        # default bound 0.5 has |det| >= cos(theta_max)^rank >= 0.866^rank
         base = BaseGrid.torus(8)
         mats = {v: np.diag([1.0, 0.0]) for v in base.vertices}
         mats[(3, 3)] = np.diag([0.0, 1.0])
-        fam = ProjectorFamily(base, mats, validate=False)
+        fam = ProjectorFamily.from_projectors(
+            base, mats, DEFAULT.with_(neighbor_continuity=2.0))
         with pytest.raises(SingularOverlap):
             chern_number(fam)
 

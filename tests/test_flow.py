@@ -33,7 +33,7 @@ class TestApsProjection:
         sec = aps_projection(diag_operator([-1, 0, 1]), -0.5)
         assert sec.rank == 2
         expected = np.diag([0.0, 1.0, 1.0])
-        assert np.allclose(sec.projector, expected)
+        assert np.allclose(sec.basis @ sec.basis.conj().T, expected)
 
     def test_shifted_rank(self):
         k = 5
@@ -57,6 +57,21 @@ class TestApsProjection:
         bad = section_from_basis(np.eye(5)[:, :1], threshold_window=0.1)
         with pytest.raises(InvalidSection):
             validate_section_for(d, bad)
+
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_basis_gram_defect_guard(self, factor):
+        # B* B - I = diag(factor * tol, 0): the projector B B* is idempotent
+        # exactly when the frame is orthonormal
+        tol = DEFAULT.projector_idempotent
+        basis = np.eye(5)[:, :2]
+        basis[:, 0] *= np.sqrt(1.0 + factor * tol)
+        sec = section_from_basis(basis)
+        if factor < 1:
+            sec.validate()
+        else:
+            with pytest.raises(InvalidSection, match="orthonormal"):
+                sec.validate()
 
 
 class TestDifferenceElement:
@@ -196,7 +211,8 @@ class TestSpectralFlow:
         pots = [SymbolFunction.constant(-0.4 + 0.8 * t + 0.05 * t * t)
                 for t in ts]
         curve = OperatorCurve.from_potentials(ts, pots, tr)
-        warped = curve.reparametrized(ts ** 2)
+        warped = OperatorCurve(ts ** 2, curve.operators,
+                               potentials=curve.potentials)
         assert spectral_flow(curve) == spectral_flow(warped)
 
     def test_refinement_stability(self):
