@@ -14,8 +14,6 @@ class Tolerances:
     # matrix-level invariants
     hermitian_max: float = 1e-12        # ||M - M*||_max <= tol * (1 + ||M||_max)
     unitary: float = 1e-10              # ||U U* - I||_2
-    eig_residual: float = 1e-9          # ||M v - w v|| <= tol * ||M||_2
-    gram: float = 1e-10                 # eigenbasis orthonormality
     degenerate_cluster: float = 1e-10   # relative gap defining a degenerate cluster
 
     # projectors and spectral sections

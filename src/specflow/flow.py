@@ -202,9 +202,12 @@ def difference_element(p: SpectralSection, q: SpectralSection,
 class OperatorCurve:
     """Sampled curve [0, 1] -> Hermitian truncated operators.
 
-    The curve is affine on every sample segment [t_k, t_{k+1}]: when built
-    from potentials it interpolates the potentials linearly
-    (linear-in-symbol), and a plain matrix curve interpolates the matrices.
+    The curve is affine in its matrices on every sample segment
+    [t_k, t_{k+1}], which is exactly what the per-segment Lipschitz rate
+    of the gap partition certifies.  A curve built from potentials is the
+    same curve (``build_dirac`` is affine in the potential) and keeps
+    ``potentials`` for rebuilding at another truncation and for the
+    gluing check of a twisted loop.
     """
 
     def __init__(self, ts: Sequence[float], operators: Sequence[TruncatedOperator],
@@ -234,30 +237,18 @@ class OperatorCurve:
         ops = [build_dirac(p, trunc) for p in potentials]
         return cls(ts, ops, potentials=potentials)
 
-    def potential_at(self, t: float) -> SymbolFunction:
-        if self.potentials is None:
-            raise ValueError("curve carries no potential data")
-        i = bisect.bisect_right(self.ts, t) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        lam = (t - t0) / (t1 - t0)
-        return self.potentials[i].scale(1 - lam) + self.potentials[i + 1].scale(lam)
-
     def at(self, t: float) -> TruncatedOperator:
         t = float(t)
         hit = self._cache.get(t)
         if hit is not None:
             return hit
-        if self.potentials is not None:
-            op = build_dirac(self.potential_at(t), self.truncation)
-        else:
-            i = bisect.bisect_right(self.ts, t) - 1
-            i = min(max(i, 0), len(self.ts) - 2)
-            t0, t1 = self.ts[i], self.ts[i + 1]
-            lam = (t - t0) / (t1 - t0)
-            m = (1 - lam) * self.operators[i].matrix \
-                + lam * self.operators[i + 1].matrix
-            op = TruncatedOperator(m, self.truncation)
+        i = bisect.bisect_right(self.ts, t) - 1
+        i = min(max(i, 0), len(self.ts) - 2)
+        t0, t1 = self.ts[i], self.ts[i + 1]
+        lam = (t - t0) / (t1 - t0)
+        m = (1 - lam) * self.operators[i].matrix \
+            + lam * self.operators[i + 1].matrix
+        op = TruncatedOperator(m, self.truncation)
         self._cache[t] = op
         return op
 

@@ -12,8 +12,10 @@ At finite mode truncation the square discretization forces raw kernel and
 cokernel counts to coincide, exactly as for Toeplitz compressions; genuine
 null states of the flux problem concentrate on interior Fourier modes
 while the gluing artifacts live at the mode edges, so the index counts
-only interior-localized small singular directions of A and A*.  Doubling
-both grid parameters must leave the counts unchanged (mandatory check).
+only interior-localized small singular directions of A and A*.  Those
+directions come from one path at every size: seeded block inverse
+iteration on the sparse A*A and A A*.  Doubling both grid parameters must
+leave the counts unchanged (mandatory check).
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ class TwistedLoopSpec:
             if defect > 1e-10:
                 raise ValueError(f"gluing symbol must be unitary "
                                  f"(defect {defect:.3e})")
-            expected = gauge_transformed_potential(g, self.path.potential_at(0.0))
+            expected = gauge_transformed_potential(g, self.path.potentials[0])
         else:
-            expected = self.path.potential_at(0.0)
-        diff = expected - self.path.potential_at(1.0)
+            expected = self.path.potentials[0]
+        diff = expected - self.path.potentials[-1]
         worst = max((float(np.abs(c).max()) for c in diff.coefficients.values()),
                     default=0.0)
         if worst > self.gluing_atol:
@@ -94,15 +96,14 @@ class MappingTorusOperator:
     def shape(self):
         return self.matrix.shape
 
-    def adjoint(self) -> "MappingTorusOperator":
-        return MappingTorusOperator(self.matrix.getH().tocsc(), self.spec,
-                                    self.m_u, self.truncation,
-                                    self.sigma_max_bound)
 
+def build_mapping_torus(spec: TwistedLoopSpec, m_u: int) -> MappingTorusOperator:
+    """Assemble the Cayley-stencil discretization on m_u slices.
 
-def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
-                        tolerances: Tolerances = DEFAULT) -> MappingTorusOperator:
-    """Assemble the Cayley-stencil discretization on m_u slices."""
+    The path is affine between its samples and ``||D(s)||_2`` is convex on
+    an affine segment, so the largest sample norm bounds every midpoint
+    slice in ``sigma_max_bound``.
+    """
     if m_u < 8:
         raise ValueError("need at least 8 u-slices")
     trunc = spec.truncation
@@ -111,10 +112,10 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
     eye = np.eye(dim)
     g = spec.glue_matrix()
     blocks = [[None] * m_u for _ in range(m_u)]
-    dnorm = 0.0
+    dnorm = max(float(np.abs(eigvalsh(op)).max())
+                for op in spec.path.operators)
     for j in range(m_u):
         d_mid = spec.path.at((j + 0.5) * h).matrix
-        dnorm = max(dnorm, float(np.abs(eigvalsh(d_mid)).max()))
         left = -eye / h + 0.5 * d_mid
         right = eye / h + 0.5 * d_mid
         blocks[j][j] = left
@@ -127,10 +128,16 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
                                 sigma_max_bound=2.0 / h + dnorm + 1.0)
 
 
-def _smallest_block(mat, k: int, scale: float):
+def _smallest_block(mat, k: int, scale: float, cut: float):
     """Smallest k eigenpairs of a sparse PSD matrix by seeded block
     inverse iteration (block methods resolve degenerate clusters, which
-    single-vector Lanczos misses with a fixed start)."""
+    single-vector Lanczos misses with a fixed start).
+
+    Convergence is judged on the Ritz values a rank decision at ``cut``
+    reads: every value below it and the first one above it.  The values
+    above those are never read, and in inverse iteration they are the
+    slowest to settle.
+    """
     n = mat.shape[0]
     shift = 1e-12 * scale + 1e-300
     lu = spla.splu((mat + shift * sp.identity(n, format="csc",
@@ -143,8 +150,10 @@ def _smallest_block(mat, k: int, scale: float):
         x, _ = np.linalg.qr(lu.solve(x))
         small = x.conj().T @ (mat @ x)
         vals, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
+        read = min(int(np.count_nonzero(vals < cut)) + 1, len(vals))
         if previous is not None and np.all(
-                np.abs(vals - previous) <= 1e-10 * scale + 1e-10 * np.abs(vals)):
+                np.abs(vals[:read] - previous[:read])
+                <= 1e-10 * scale + 1e-10 * np.abs(vals[:read])):
             break
         previous = vals
     else:
@@ -157,20 +166,10 @@ def _small_singular_vectors(op: MappingTorusOperator, threshold: float,
     """Right and left singular vectors with singular value below the
     threshold, plus the first retained singular value."""
     a = op.matrix
-    n = a.shape[0]
-    if n <= 600:
-        u, s, vh = np.linalg.svd(a.toarray())
-        small = s < threshold
-        ns = int(small.sum())
-        right = vh.conj().T[:, n - ns:]
-        left = u[:, n - ns:]
-        s_sorted = np.sort(s)
-        return right, left, s_sorted[:ns], (s_sorted[ns] if ns < n else np.inf)
-
     scale = op.sigma_max_bound ** 2
 
     def smallest(mat, k):
-        vals, vecs = _smallest_block(mat.tocsc(), k, scale)
+        vals, vecs = _smallest_block(mat.tocsc(), k, scale, threshold ** 2)
         return np.sqrt(vals), vecs
 
     k = k_seek

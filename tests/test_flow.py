@@ -156,6 +156,24 @@ class TestDifferenceElement:
             == (b.value, b.kernel_dim, b.cokernel_dim)
 
 
+class TestOperatorCurve:
+    @pytest.mark.parametrize("t", [0.1, 0.25, 0.4, 0.55, 0.9])
+    def test_affine_in_matrices(self, t):
+        rng = rng_for(730)
+        tr = FourierTruncation(4, 2)
+        ts = [0.0, 0.4, 1.0]
+        pots = [random_hermitian_symbol(2, 2, rng, scale=0.5) for _ in ts]
+        curve = OperatorCurve.from_potentials(ts, pots, tr)
+        i = 0 if t < 0.4 else 1
+        lam = (t - ts[i]) / (ts[i + 1] - ts[i])
+        a, b = curve.operators[i].matrix, curve.operators[i + 1].matrix
+        assert np.array_equal(curve.at(t).matrix, (1 - lam) * a + lam * b)
+        # build_dirac is affine in the potential: the same operator
+        interpolated = pots[i].scale(1 - lam) + pots[i + 1].scale(lam)
+        assert np.abs(curve.at(t).matrix
+                      - build_dirac(interpolated, tr).matrix).max() <= 1e-12
+
+
 class TestSpectralFlow:
     def test_constant_curve(self):
         assert spectral_flow(shift_curve(0.25, 0.25)) == 0
@@ -218,10 +236,7 @@ class TestSpectralFlow:
     def test_refinement_stability(self):
         curve = shift_curve(-0.25, 0.25)
         base = spectral_flow(curve)
-        finer_ts = np.linspace(0.0, 1.0, 9)
-        finer = OperatorCurve.from_potentials(
-            finer_ts, [curve.potential_at(t) for t in finer_ts],
-            curve.truncation)
+        finer = shift_curve(-0.25, 0.25, samples=np.linspace(0.0, 1.0, 9))
         assert spectral_flow(finer) == base
 
     def test_endpoint_cutoffs(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from specflow import BaseGrid, FourierTruncation, SymbolFunction
+from specflow import (BaseGrid, FourierTruncation, SymbolFunction,
+                      build_derivative)
 from specflow.errors import ConfigError
 from specflow.jsonio import (canonical_json, config_hash, curve_from_json,
                              curve_to_json, family_from_json, family_to_json,
@@ -51,9 +52,12 @@ class TestCurveRoundTrip:
     def test_round_trip(self):
         pots = [SymbolFunction.constant(-0.25), SymbolFunction.constant(0.25)]
         payload = curve_to_json([0.0, 1.0], pots)
-        curve = curve_from_json(payload, FourierTruncation(4, 1))
-        assert np.abs(curve.potential_at(0.5).evaluate([0.0])).max() < 1e-12
-        assert np.allclose(curve.potential_at(1.0).evaluate([0.0]), 0.25)
+        trunc = FourierTruncation(4, 1)
+        curve = curve_from_json(payload, trunc)
+        # the midpoint of the shift path -0.25 -> 0.25 is -i d/dx itself
+        assert np.abs(curve.at(0.5).matrix
+                      - build_derivative(trunc).matrix).max() < 1e-12
+        assert np.allclose(curve.potentials[-1].evaluate([0.0]), 0.25)
 
     def test_interpolation_required(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,10 @@ from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
                       mapping_torus_index, spectral_flow)
 from specflow.config import DEFAULT
 from specflow.errors import GluingInconsistent, IllConditioned
+from specflow.mapping_torus import (MappingTorusOperator,
+                                    _small_singular_vectors)
 from specflow.models import constant_shift_potential
+from conftest import random_hermitian_symbol, rng_for
 
 
 def flux_spec(flux: int, k: int = 16) -> TwistedLoopSpec:
@@ -73,6 +76,51 @@ class TestBuild:
         with pytest.raises(ValueError, match="8"):
             build_mapping_torus(flux_spec(1, k=4), 4)
 
+    @pytest.mark.parametrize("spec", [
+        flux_spec(1, k=6), flux_spec(2, k=8),
+        # a three-sample loop whose middle potential varies in x
+        TwistedLoopSpec(OperatorCurve.from_potentials(
+            [0.0, 0.4, 1.0],
+            [constant_shift_potential(0.3),
+             random_hermitian_symbol(1, 2, rng_for(5), scale=0.5),
+             constant_shift_potential(0.3)],
+            FourierTruncation(6, 1)))])
+    @pytest.mark.parametrize("m_u", [8, 13])
+    def test_sigma_max_bound_covers_every_slice(self, spec, m_u):
+        # the sample norms bound every midpoint slice of the affine path
+        op = build_mapping_torus(spec, m_u)
+        h = 1.0 / m_u
+        slices = max(np.linalg.norm(spec.path.at((j + 0.5) * h).matrix, 2)
+                     for j in range(m_u))
+        assert op.sigma_max_bound >= 2.0 / h + slices + 1.0
+
+
+def _sine_of_largest_angle(a, b):
+    """||(I - A A*) B||_2 for orthonormal frames A and B of equal width."""
+    return np.linalg.norm(b - a @ (a.conj().T @ b), 2)
+
+
+class TestSmallSingularVectors:
+    @pytest.mark.parametrize("spec, m_u", [
+        (flux_spec(0, k=6), 12),
+        (flux_spec(1, k=6), 12),
+        (flux_spec(2, k=8), 16),
+        # the doubled-truncation operator of flux_spec(1, k=10) at m_u = 12,
+        # n = 492, where the unread top of the block converges slowest
+        (flux_spec(1, k=20), 12)])
+    def test_matches_dense_svd(self, spec, m_u):
+        op = build_mapping_torus(spec, m_u)
+        threshold = DEFAULT.mapping_torus_rank_rtol * op.sigma_max_bound
+        right, left, s_small, s_next = _small_singular_vectors(op, threshold)
+
+        u, s, vh = np.linalg.svd(op.matrix.toarray())
+        n = len(s)
+        ns = int(np.count_nonzero(s < threshold))
+        assert len(s_small) == right.shape[1] == left.shape[1] == ns
+        assert abs(s_next - s[n - ns - 1]) <= 1e-8 * s[n - ns - 1]
+        assert _sine_of_largest_angle(right, vh.conj().T[:, n - ns:]) <= 1e-6
+        assert _sine_of_largest_angle(left, u[:, n - ns:]) <= 1e-6
+
 
 class TestIndex:
     def test_trivial_loop(self):
@@ -100,8 +148,11 @@ class TestIndex:
     def test_adjoint_negates(self):
         spec = flux_spec(2, k=12)
         op = build_mapping_torus(spec, 16)
+        adjoint = MappingTorusOperator(op.matrix.getH().tocsc(), op.spec,
+                                       op.m_u, op.truncation,
+                                       op.sigma_max_bound)
         a = mapping_torus_index(op, check_stability=False)
-        b = mapping_torus_index(op.adjoint(), check_stability=False)
+        b = mapping_torus_index(adjoint, check_stability=False)
         assert a == -b == -2
 
     @pytest.mark.parametrize("factor", [0.99, 1.01])

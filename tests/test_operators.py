@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from specflow import (FourierTruncation, SymbolFunction,
+from specflow import (BaseGrid, FourierTruncation, SymbolFunction,
                       build_derivative, build_dirac, build_multiplication,
                       eigh, eigvalsh)
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned
+from specflow.models import bott_symbol_family
 from specflow.operators import interior_directions, null_split, split_rank
 from conftest import (fd_dirac_cos_spectrum, random_hermitian,
-                      random_hermitian_symbol, random_unitary, rng_for)
+                      random_hermitian_symbol, random_trig_unitary,
+                      random_unitary, rng_for)
 
 
 class TestTruncation:
@@ -122,7 +124,11 @@ class TestEigh:
     def test_invariants_random(self, rng):
         m = random_hermitian(50, rng)
         dec = eigh(m)
-        dec.validate(m)
+        w, v = dec.eigenvalues, dec.eigenvectors
+        assert np.all(np.diff(w) >= 0)
+        residual = np.linalg.norm(m @ v - v * w[None, :], axis=0).max()
+        assert residual <= 1e-9 * np.linalg.norm(m, 2)
+        assert np.abs(v.conj().T @ v - np.eye(50)).max() <= 1e-10
 
     def test_reconstruction_idempotent(self, rng):
         m = random_hermitian(20, rng)
@@ -298,6 +304,33 @@ class TestConjugate:
         interior = slice(1, 2 * 6)     # drop the lowest mode row/col
         expected = (d - np.eye(tr.dim))[interior, interior]
         assert np.abs(sandwich[interior, interior] - expected).max() < 1e-12
+
+
+def _unitarity_defect_per_point(symbol):
+    """The per-grid-point spectral norm the batched defect replaced."""
+    m = symbol.native_grid or max(4 * symbol.bandwidth + 8, 32)
+    vals = symbol.evaluate(2 * np.pi * np.arange(m) / m)
+    eye = np.eye(symbol.rank)
+    return max(np.linalg.norm(v @ v.conj().T - eye, 2) for v in vals)
+
+
+class TestUnitarityDefect:
+    @staticmethod
+    def symbols():
+        base = BaseGrid.torus(12)
+        yield from bott_symbol_family(base).values()
+        for rank in (1, 2, 3):
+            yield SymbolFunction.exponential(2 * rank - 3, rank=rank)
+            for seed in range(4):
+                yield random_trig_unitary(rank, rng_for(740 + seed), 3,
+                                          product_factors=1 + seed % 2)[0]
+        xs = 2 * np.pi * np.arange(16) / 16
+        yield SymbolFunction.from_samples(np.exp(1j * xs), unitary=True)
+
+    def test_batched_equals_per_point_bit_for_bit(self):
+        for symbol in self.symbols():
+            assert symbol.unitarity_defect() \
+                == _unitarity_defect_per_point(symbol)
 
 
 class TestSymbolAlgebra:
