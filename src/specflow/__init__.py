@@ -14,7 +14,7 @@ from .eta import (EtaValue, FiniteRankShift, eta_form_degree0, eta_heat,
                   shifted_model_spectrum, shifted_path_profile)
 from .flow import (DifferenceElement, GapInterval, OperatorCurve, Partition,
                    SpectralSection, aps_projection, difference_element,
-                   gap_partition, section_from_basis, sf_pairs, spectral_flow,
+                   gap_partition, sf_pairs, spectral_flow,
                    spectral_flow_result, validate_section_for)
 from .mapping_torus import (MappingTorusOperator, TwistedLoopSpec,
                             build_mapping_torus)

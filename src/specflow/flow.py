@@ -26,7 +26,7 @@ from .errors import (EigenvalueAtCutoff, InvalidSection, NoGapFound,
                      ResolutionExceeded, UnstableIndex)
 from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
                         TruncatedOperator, build_dirac, eigh, eigvalsh,
-                        null_split)
+                        numerical_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +78,6 @@ def _gram_defect(frames: np.ndarray) -> np.ndarray:
         return np.zeros(frames.shape[:-2])
     gram = np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(rank)
     return np.linalg.norm(gram, 2, axis=(-2, -1))
-
-
-def section_from_basis(basis: np.ndarray, threshold_window: float = 0.0,
-                       provenance: str = "explicit") -> SpectralSection:
-    return SpectralSection(basis, threshold_window, provenance)
 
 
 def aps_projection(operator: TruncatedOperator, cutoff: float,
@@ -185,12 +180,12 @@ def difference_element(p: SpectralSection, q: SpectralSection,
                        tolerances: Tolerances = DEFAULT) -> DifferenceElement:
     """Index of Q o P : Im P -> Im Q, the finite difference element [P - Q].
 
-    The rank of the comparison map is its ``null_split`` at ``tol``
+    The rank of the comparison map is its ``numerical_rank`` at ``tol``
     (default ``rank_rtol``), which raises IllConditioned when the singular
     spectrum does not split cleanly.
     """
     tol = tolerances.rank_rtol if tol is None else tol
-    rank = null_split(comparison_map(p, q), tol, tolerances).rank
+    rank = numerical_rank(comparison_map(p, q), tol, tolerances)
     return DifferenceElement(value=p.rank - q.rank, kernel_dim=p.rank - rank,
                              cokernel_dim=q.rank - rank)
 
@@ -283,48 +278,69 @@ def certify_level(evals_left, evals_right, lipschitz: float, width: float,
     """Find a level a > 0 with +-a certifiably outside the sampled spectra
     for the whole subinterval, or None.
 
-    The arguments are eigenvalue arrays, or lists of arrays (one per family
-    member).  Certification: the distance from +-a to every sampled
-    spectrum must exceed half the Lipschitz drift lipschitz * width, and
-    for families the count of eigenvalues above the level must agree
-    across members at each end, so the transported projectors have a
-    well-defined constant rank over the base.  Returns (a, margin)
-    maximizing the margin over gap midpoints of the merged |spectrum|.
+    The arguments are eigenvalue arrays, or lists of equal-length arrays
+    (one per family member).  Certification: the distance from +-a to
+    every sampled spectrum must exceed half the Lipschitz drift
+    lipschitz * width, and for families the count of eigenvalues above the
+    level must agree across members at each end, so the transported
+    projectors have a well-defined constant rank over the base.  The
+    candidates are the gap midpoints of the merged |spectrum|; among the
+    certified ones, returns (a, margin) for the smallest a whose margin is
+    within ``cutoff_atol`` of the best, so margins that differ only by
+    roundoff cannot choose the level.
     """
-    lists = [np.sort(np.asarray(e)) for e in
-             (evals_left if isinstance(evals_left, list) else [evals_left])]
-    lists_r = [np.sort(np.asarray(e)) for e in
-               (evals_right if isinstance(evals_right, list) else [evals_right])]
-    merged = np.sort(np.abs(np.concatenate(lists + lists_r)))
+    left, right = _member_spectra(evals_left), _member_spectra(evals_right)
+    values = np.sort(np.concatenate([left.ravel(), right.ravel()]))
+    merged = np.sort(np.abs(values))
     merged = merged[np.concatenate([[True], np.diff(merged) > 1e-14])]
-    candidates = []
+    candidates = 0.5 * (merged[:-1] + merged[1:])
     if merged.size and merged[0] > 0:
-        candidates.append(0.5 * merged[0])
-    candidates.extend(0.5 * (merged[:-1] + merged[1:]))
-    if not candidates:
-        candidates = [1.0]
+        candidates = np.concatenate([[0.5 * merged[0]], candidates])
+    if candidates.size == 0:
+        candidates = np.array([1.0])
+    atol = tolerances.cutoff_atol
+    candidates = candidates[candidates > atol]
 
-    def dist(x):
-        return min(np.abs(sp - x).min() for sp in lists + lists_r)
-
-    def count_constant(a):
-        for group in (lists, lists_r):
-            counts = {int((sp > a).sum()) for sp in group}
-            if len(counts) != 1:
-                return False
-        return True
-
-    need = max(0.5 * lipschitz * width, tolerances.cutoff_atol)
-    best, best_margin = None, -np.inf
-    for a in candidates:
-        if a <= tolerances.cutoff_atol:
-            continue
-        margin = min(dist(a), dist(-a))
-        if margin > max(best_margin, need) and count_constant(a):
-            best, best_margin = a, margin
-    if best is None:
+    margin = np.minimum(_distance(values, candidates),
+                        _distance(values, -candidates))
+    need = max(0.5 * lipschitz * width, atol)
+    ok = (margin > need) & _count_constant(left, candidates) \
+        & _count_constant(right, candidates)
+    if not ok.any():
         return None
-    return float(best), float(best_margin)
+    best = margin[ok].max()
+    i = int(np.argmax(ok & (margin >= best - atol)))
+    return float(candidates[i]), float(margin[i])
+
+
+def _member_spectra(evals) -> np.ndarray:
+    """Members x eigenvalues, each row ascending."""
+    return np.sort(np.atleast_2d(np.asarray(evals, dtype=float)), axis=-1)
+
+
+def _distance(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Distance from each x to the nearest of the sorted values (inf when
+    there are none)."""
+    if values.size == 0:
+        return np.full(xs.shape, np.inf)
+    i = np.searchsorted(values, xs)
+    above = values[np.minimum(i, values.size - 1)]
+    below = values[np.maximum(i - 1, 0)]
+    return np.minimum(np.abs(above - xs), np.abs(below - xs))
+
+
+def _count_constant(spectra: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Whether every member (row, ascending) has the same number of
+    eigenvalues above each level.
+
+    Column j of the rows has its least and greatest value at lo[j] and
+    hi[j], both ascending in j; every member's count lies between the
+    number of lo above the level and the number of hi above it, and the
+    counts agree exactly when those two numbers do.
+    """
+    lo, hi = spectra.min(axis=0), spectra.max(axis=0)
+    return np.searchsorted(lo, levels, side="right") \
+        == np.searchsorted(hi, levels, side="right")
 
 
 class _SpectrumCache:

@@ -101,8 +101,26 @@ def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
     if section.dim != trunc.dim:
         raise ValueError("section dimension does not match truncation")
     mg = build_multiplication(symbol, trunc)
-    t = section.basis.conj().T @ mg @ section.basis
+    rows = _coordinate_rows(section.basis)
+    if rows is not None:
+        # B* M B of a coordinate selection B only multiplies by 0 and 1,
+        # so the index block is the same matrix
+        t = mg[np.ix_(rows, rows)]
+    else:
+        t = section.basis.conj().T @ mg @ section.basis
     return ToeplitzOperator(t, section, symbol, trunc)
+
+
+def _coordinate_rows(basis: np.ndarray) -> np.ndarray | None:
+    """Row of each column when every column is a standard basis vector
+    (one entry exactly 1, the rest exactly 0), as in ``hardy_section``;
+    otherwise None."""
+    nonzero = basis != 0
+    rows = nonzero.argmax(axis=0)
+    if np.count_nonzero(nonzero) != basis.shape[1] \
+            or not np.all(basis[rows, np.arange(basis.shape[1])] == 1):
+        return None
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import specflow.flow
 from specflow import SymbolFunction
+from specflow.config import DEFAULT
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -133,6 +134,60 @@ def berry_chern_oracle(proj_fn, grid: int = 64) -> float:
                   - proj_fn(bs[i], bs[j - 1])) / (2 * h)
             total += np.trace(p @ (d1 @ d2 - d2 @ d1)) * h * h
     return float((-total / (2j * np.pi)).real)
+
+
+def reference_certify_level(evals_left, evals_right, lipschitz, width,
+                            tolerances=DEFAULT):
+    """``certify_level`` as one Python loop over the candidate levels:
+    among the certified candidates, the smallest whose margin is within
+    ``cutoff_atol`` of the best margin."""
+    lists = [np.sort(np.asarray(e)) for e in
+             (evals_left if isinstance(evals_left, list) else [evals_left])]
+    lists_r = [np.sort(np.asarray(e)) for e in
+               (evals_right if isinstance(evals_right, list)
+                else [evals_right])]
+    merged = np.sort(np.abs(np.concatenate(lists + lists_r)))
+    merged = merged[np.concatenate([[True], np.diff(merged) > 1e-14])]
+    candidates = []
+    if merged.size and merged[0] > 0:
+        candidates.append(0.5 * merged[0])
+    candidates.extend(0.5 * (merged[:-1] + merged[1:]))
+    if not candidates:
+        candidates = [1.0]
+
+    def dist(x):
+        return min(np.abs(sp - x).min() for sp in lists + lists_r)
+
+    def count_constant(a):
+        return all(len({int((sp > a).sum()) for sp in group}) == 1
+                   for group in (lists, lists_r))
+
+    atol = tolerances.cutoff_atol
+    need = max(0.5 * lipschitz * width, atol)
+    certified = []
+    for a in candidates:
+        if a <= atol:
+            continue
+        margin = min(dist(a), dist(-a))
+        if margin > need and count_constant(a):
+            certified.append((float(a), float(margin)))
+    if not certified:
+        return None
+    best = max(margin for _, margin in certified)
+    return next(c for c in certified if c[1] >= best - atol)
+
+
+@pytest.fixture(autouse=True)
+def certify_level_matches_reference(monkeypatch):
+    """Check every level the suite certifies against the reference loop."""
+    original = specflow.flow.certify_level
+
+    def checked(*args, **kwargs):
+        level = original(*args, **kwargs)
+        assert level == reference_certify_level(*args, **kwargs)
+        return level
+
+    monkeypatch.setattr(specflow.flow, "certify_level", checked)
 
 
 @pytest.fixture

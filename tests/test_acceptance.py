@@ -14,13 +14,13 @@ import pytest
 import scipy.linalg
 
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
-                      OperatorCurve, SymbolFunction, aps_projection,
-                      aps_section_family, build_dirac,
+                      OperatorCurve, SpectralSection, SymbolFunction,
+                      aps_projection, aps_section_family, build_dirac,
                       difference_element, eta_form_degree0, eta_heat,
                       eta_shifted_derivative, fredholm_index,
                       gauge_transformed_potential, hardy_section,
                       higher_spectral_flow, odd_chern_integral,
-                      section_from_basis, sf_via_eta, shifted_model_spectrum,
+                      sf_via_eta, shifted_model_spectrum,
                       shifted_path_profile, spectral_flow,
                       toeplitz_compress, toeplitz_family_index,
                       TwistedLoopSpec, build_mapping_torus,
@@ -232,8 +232,9 @@ def test_criterion_9_property_suites():
         for seed in range(20):
             rng = rng_for(200 + seed)
             dim = 11
-            p1, p2, p3 = (section_from_basis(
-                random_unitary(dim, rng)[:, :int(rng.integers(1, dim))])
+            p1, p2, p3 = (SpectralSection(
+                random_unitary(dim, rng)[:, :int(rng.integers(1, dim))],
+                0.0, "explicit")
                 for _ in range(3))
             assert difference_element(p3, p1).value \
                 == difference_element(p3, p2).value \
@@ -243,8 +244,9 @@ def test_criterion_9_property_suites():
         for seed in range(20):
             rng = rng_for(400 + seed)
             dim = 9
-            q1, q2, q3 = (section_from_basis(
-                random_unitary(dim, rng)[:, :int(rng.integers(2, dim - 1))])
+            q1, q2, q3 = (SpectralSection(
+                random_unitary(dim, rng)[:, :int(rng.integers(2, dim - 1))],
+                0.0, "explicit")
                 for _ in range(3))
             assert difference_element(q1, q2).value \
                 + difference_element(q2, q3).value \
@@ -254,12 +256,15 @@ def test_criterion_9_property_suites():
         for seed in range(20):
             rng = rng_for(600 + seed)
             dim = 8
-            q = section_from_basis(random_unitary(dim, rng)[:, :3])
-            ref = section_from_basis(random_unitary(dim, rng)[:, :5])
+            q = SpectralSection(random_unitary(dim, rng)[:, :3], 0.0,
+                                "explicit")
+            ref = SpectralSection(random_unitary(dim, rng)[:, :5], 0.0,
+                                  "explicit")
             x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             x = 0.04 * (x - x.conj().T)
             vals = {difference_element(
-                section_from_basis(scipy.linalg.expm(s * x) @ q.basis),
+                SpectralSection(scipy.linalg.expm(s * x) @ q.basis, 0.0,
+                                "explicit"),
                 ref).value for s in np.linspace(0, 1, 7)}
             assert len(vals) == 1
 
@@ -267,12 +272,15 @@ def test_criterion_9_property_suites():
         for seed in range(20):
             rng = rng_for(800 + seed)
             dim = 9
-            p = section_from_basis(random_unitary(dim, rng)[:, :4])
-            q = section_from_basis(random_unitary(dim, rng)[:, :6])
+            p = SpectralSection(random_unitary(dim, rng)[:, :4], 0.0,
+                                "explicit")
+            q = SpectralSection(random_unitary(dim, rng)[:, :6], 0.0,
+                                "explicit")
             u = random_unitary(dim, rng)
             a = difference_element(p, q)
-            b = difference_element(section_from_basis(u @ p.basis),
-                                   section_from_basis(u @ q.basis))
+            b = difference_element(
+                SpectralSection(u @ p.basis, 0.0, "explicit"),
+                SpectralSection(u @ q.basis, 0.0, "explicit"))
             assert (a.value, a.kernel_dim, a.cokernel_dim) \
                 == (b.value, b.kernel_dim, b.cokernel_dim)
 

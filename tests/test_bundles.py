@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
-                      OperatorCurve, ProjectorFamily, SymbolFunction,
-                      aps_section_family, chern_number, difference_element,
-                      gauge_transformed_potential, higher_spectral_flow,
-                      kernel_bundle, section_from_basis, spectral_flow,
+                      OperatorCurve, ProjectorFamily, SpectralSection,
+                      SymbolFunction, aps_section_family, chern_number,
+                      difference_element, gauge_transformed_potential,
+                      higher_spectral_flow, kernel_bundle, spectral_flow,
                       toeplitz_family_index)
 import specflow.bundles
 from specflow.bundles import _projector_steps
@@ -392,7 +392,8 @@ class TestDifferenceElementFamilies:
     def test_generalized_additivity_vertexwise(self, seed):
         rng = rng_for(seed + 81)
         dim = 10
-        secs = [section_from_basis(random_unitary(dim, rng)[:, :r])
+        secs = [SpectralSection(random_unitary(dim, rng)[:, :r], 0.0,
+                                "explicit")
                 for r in rng.integers(2, 9, size=3)]
         q1, q2, q3 = secs
         assert difference_element(q1, q2).value \
@@ -405,14 +406,14 @@ class TestDifferenceElementFamilies:
         # elements against a fixed third section are unchanged
         rng = rng_for(seed + 120)
         dim = 8
-        q = section_from_basis(random_unitary(dim, rng)[:, :3])
-        ref = section_from_basis(random_unitary(dim, rng)[:, :5])
+        q = SpectralSection(random_unitary(dim, rng)[:, :3], 0.0, "explicit")
+        ref = SpectralSection(random_unitary(dim, rng)[:, :5], 0.0, "explicit")
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         x = 0.05 * (x - x.conj().T)
         import scipy.linalg
         values = []
         for s in np.linspace(0.0, 1.0, 9):
             u = scipy.linalg.expm(s * x)
-            qs = section_from_basis(u @ q.basis)
+            qs = SpectralSection(u @ q.basis, 0.0, "explicit")
             values.append(difference_element(qs, ref).value)
         assert len(set(values)) == 1

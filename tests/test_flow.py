@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
-                      TruncatedOperator, aps_projection, build_dirac,
-                      difference_element, eigvalsh, gap_partition,
-                      gauge_transformed_potential, section_from_basis,
-                      sf_pairs, spectral_flow, spectral_flow_result,
+from specflow import (FourierTruncation, OperatorCurve, SpectralSection,
+                      SymbolFunction, TruncatedOperator, aps_projection,
+                      build_dirac, difference_element, eigvalsh,
+                      gap_partition, gauge_transformed_potential, sf_pairs,
+                      spectral_flow, spectral_flow_result,
                       validate_section_for)
 from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
                              InvalidSection, NoGapFound)
-from specflow.flow import _SpectrumCache
+from specflow.flow import _SpectrumCache, certify_level
 from conftest import (count_eigh, random_hermitian_symbol, random_unitary,
                       rng_for)
 
@@ -54,7 +54,7 @@ class TestApsProjection:
         d = diag_operator([-2, -1, 0, 1, 2])
         sec = aps_projection(d, 0.0, policy="inclusive")
         validate_section_for(d, sec)
-        bad = section_from_basis(np.eye(5)[:, :1], threshold_window=0.1)
+        bad = SpectralSection(np.eye(5)[:, :1], 0.1, "explicit")
         with pytest.raises(InvalidSection):
             validate_section_for(d, bad)
 
@@ -66,7 +66,7 @@ class TestApsProjection:
         tol = DEFAULT.projector_idempotent
         basis = np.eye(5)[:, :2]
         basis[:, 0] *= np.sqrt(1.0 + factor * tol)
-        sec = section_from_basis(basis)
+        sec = SpectralSection(basis, 0.0, "explicit")
         if factor < 1:
             sec.validate()
         else:
@@ -76,14 +76,14 @@ class TestApsProjection:
 
 class TestDifferenceElement:
     def test_nested_spans(self):
-        p = section_from_basis(np.eye(4)[:, :2])
-        q = section_from_basis(np.eye(4)[:, :1])
+        p = SpectralSection(np.eye(4)[:, :2], 0.0, "explicit")
+        q = SpectralSection(np.eye(4)[:, :1], 0.0, "explicit")
         d = difference_element(p, q)
         assert (d.value, d.kernel_dim, d.cokernel_dim) == (1, 1, 0)
 
     def test_equal_projectors(self, rng):
         b = random_unitary(6, rng)[:, :3]
-        p = section_from_basis(b)
+        p = SpectralSection(b, 0.0, "explicit")
         assert difference_element(p, p).value == 0
 
     @staticmethod
@@ -91,11 +91,12 @@ class TestDifferenceElement:
         """Sections of C^6 whose comparison map has singular values
         1, kept and dropped (cosines of the principal angles)."""
         e = np.eye(6)
-        p = section_from_basis(e[:, :3])
-        q = section_from_basis(np.stack([
+        p = SpectralSection(e[:, :3], 0.0, "explicit")
+        q = SpectralSection(np.stack([
             e[:, 0],
             kept * e[:, 1] + np.sqrt(1 - kept ** 2) * e[:, 3],
-            dropped * e[:, 2] + np.sqrt(1 - dropped ** 2) * e[:, 4]], axis=1))
+            dropped * e[:, 2] + np.sqrt(1 - dropped ** 2) * e[:, 4]], axis=1),
+            0.0, "explicit")
         return p, q
 
     @pytest.mark.parametrize("ratio", [0.99, 1.01])
@@ -112,6 +113,19 @@ class TestDifferenceElement:
             d = difference_element(p, q, tol=1e-6)
             assert (d.value, d.kernel_dim, d.cokernel_dim) == (0, 1, 1)
 
+    def test_empty_comparison_map_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an empty comparison map was factored")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        p = SpectralSection(np.eye(5)[:, :0], 0.0, "explicit")
+        q = SpectralSection(np.eye(5)[:, :2], 0.0, "explicit")
+        for a, b in ((p, q), (q, p), (p, p)):
+            d = difference_element(a, b)
+            assert (d.kernel_dim, d.cokernel_dim) == (a.rank, b.rank)
+        with pytest.raises(ValueError, match="rank tolerance"):
+            difference_element(p, q, tol=1.0)
+
     def test_full_rank_needs_no_split(self):
         # every singular value kept: no split to certify, however small
         p, q = self.sections_with_cosines(2e-6, 1.5e-6)
@@ -126,16 +140,17 @@ class TestDifferenceElement:
         rp, rq = rng.integers(1, dim), rng.integers(1, dim)
         cols_p = rng.permutation(dim)[:rp]
         cols_q = rng.permutation(dim)[:rq]
-        p = section_from_basis(u[:, cols_p])
-        q = section_from_basis(u[:, cols_q])
+        p = SpectralSection(u[:, cols_p], 0.0, "explicit")
+        q = SpectralSection(u[:, cols_q], 0.0, "explicit")
         assert difference_element(p, q).value == rp - rq
 
     @pytest.mark.parametrize("seed", range(20))
     def test_cocycle(self, seed):
         rng = rng_for(seed + 500)
         dim = 10
-        secs = [section_from_basis(
-            random_unitary(dim, rng)[:, :rng.integers(1, dim)])
+        secs = [SpectralSection(
+            random_unitary(dim, rng)[:, :rng.integers(1, dim)], 0.0,
+            "explicit")
             for _ in range(3)]
         p1, p2, p3 = secs
         lhs = difference_element(p3, p1).value
@@ -146,14 +161,41 @@ class TestDifferenceElement:
     def test_conjugation_invariance(self, seed):
         rng = rng_for(seed + 900)
         dim = 9
-        p = section_from_basis(random_unitary(dim, rng)[:, :4])
-        q = section_from_basis(random_unitary(dim, rng)[:, :6])
+        p = SpectralSection(random_unitary(dim, rng)[:, :4], 0.0, "explicit")
+        q = SpectralSection(random_unitary(dim, rng)[:, :6], 0.0, "explicit")
         u = random_unitary(dim, rng)
-        pu = section_from_basis(u @ p.basis)
-        qu = section_from_basis(u @ q.basis)
+        pu = SpectralSection(u @ p.basis, 0.0, "explicit")
+        qu = SpectralSection(u @ q.basis, 0.0, "explicit")
         a, b = difference_element(p, q), difference_element(pu, qu)
         assert (a.value, a.kernel_dim, a.cokernel_dim) \
             == (b.value, b.kernel_dim, b.cokernel_dim)
+
+
+class TestCertifyLevel:
+    @pytest.mark.parametrize("shift,expected", [
+        (0.0, 2.0),          # an exact tie: the smaller level
+        (4e-12, 2.0),        # the larger margin leads by roundoff only
+        (4e-9, 4.0 + 2e-9),  # it leads by more than cutoff_atol
+    ], ids=["tie", "roundoff", "beyond-atol"])
+    def test_near_ties_take_the_smallest_level(self, shift, expected):
+        # candidates 0.5, 2 and 4 + shift/2 with margins 0.5, 1 and
+        # 1 + shift/2
+        evals = np.array([1.0, 3.0, 5.0 + shift])
+        level, margin = certify_level(evals, evals, 0.0, 0.1)
+        assert level == expected
+        assert margin == pytest.approx(1.0 + (expected > 2) * shift / 2,
+                                       rel=0, abs=1e-15)
+
+    def test_member_counts_must_agree(self):
+        # the widest gap, around 5.25, separates the members' top
+        # eigenvalues, so the members disagree on the count above it
+        a, b = np.array([1.0, 1.5]), np.array([1.0, 9.0])
+        assert certify_level([a, b], [a, b], 0.0, 0.1) == (0.5, 0.5)
+        assert certify_level(b, b, 0.0, 0.1) == (5.0, 4.0)
+
+    def test_no_level_beats_the_drift(self):
+        evals = np.array([-1.0, 1.0])
+        assert certify_level(evals, evals, 10.0, 1.0) is None
 
 
 class TestOperatorCurve:
@@ -379,7 +421,7 @@ class TestSfPairs:
     def test_invalid_section_rejected(self):
         curve = shift_curve(-0.25, 0.25)
         q0 = aps_projection(curve.at(0.0), 0.0)
-        bad = section_from_basis(np.eye(curve.truncation.dim)[:, :1],
-                                 threshold_window=0.0)
+        bad = SpectralSection(np.eye(curve.truncation.dim)[:, :1], 0.0,
+                              "explicit")
         with pytest.raises(InvalidSection):
             sf_pairs(curve, q0, bad)

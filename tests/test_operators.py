@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from specflow import (BaseGrid, FourierTruncation, SymbolFunction,
-                      build_derivative, build_dirac, build_multiplication,
-                      eigh, eigvalsh)
+from specflow import (BaseGrid, FourierTruncation, OperatorCurve,
+                      SymbolFunction, build_derivative, build_dirac,
+                      build_multiplication, eigh, eigvalsh)
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
-from specflow.operators import interior_directions, null_split, split_rank
+from specflow.flow import _SpectrumCache
+from specflow.operators import (half_bandwidth, interior_directions,
+                                null_split, numerical_rank, split_rank)
 from conftest import (fd_dirac_cos_spectrum, random_hermitian,
                       random_hermitian_symbol, random_trig_unitary,
                       random_unitary, rng_for)
@@ -113,6 +116,101 @@ class TestDirac:
                 w = eigvalsh(build_dirac(SymbolFunction.constant(a),
                                          FourierTruncation(k, 1)))
                 assert abs(w[np.argmin(np.abs(w))] - a) < 1e-12
+
+
+def random_band(n: int, b: int, rng) -> np.ndarray:
+    """Random Hermitian matrix whose entries beyond |i - j| = b are zero."""
+    m = random_hermitian(n, rng)
+    i, j = np.indices((n, n))
+    m[np.abs(i - j) > b] = 0
+    return m
+
+
+def band_calls(monkeypatch) -> list:
+    """Record the band-solver calls that ``operators.eigvalsh`` makes."""
+    calls = []
+    original = scipy.linalg.eigvals_banded
+
+    def counted(band, *args, **kwargs):
+        calls.append(band.shape)
+        return original(band, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counted)
+    return calls
+
+
+class TestBandedEigvalsh:
+    @pytest.mark.parametrize("n", [1, 2, 34, 514])
+    @pytest.mark.parametrize("b", [0, 1, 3, 7])
+    def test_matches_dense(self, n, b, monkeypatch):
+        m = random_band(n, b, rng_for(1000 * n + b))
+        calls = band_calls(monkeypatch)
+        w = eigvalsh(m)
+        dense = np.linalg.eigvalsh(m)
+        assert half_bandwidth(m) == min(b, n - 1)
+        assert len(calls) == (16 * (min(b, n - 1) + 1) <= n)
+        assert np.abs(w - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    def test_wide_matrix_takes_the_dense_path(self, rng, monkeypatch):
+        m = random_band(64, 4, rng)  # 16 (b + 1) = 80 > 64
+        calls = band_calls(monkeypatch)
+        assert np.array_equal(eigvalsh(m), np.linalg.eigvalsh(m))
+        assert calls == []
+
+    def test_zero_and_diagonal(self, rng, monkeypatch):
+        calls = band_calls(monkeypatch)
+        assert half_bandwidth(np.zeros((40, 40))) == 0
+        assert np.array_equal(eigvalsh(np.zeros((40, 40))), np.zeros(40))
+        d = rng.normal(size=40)
+        assert np.allclose(eigvalsh(np.diag(d)), np.sort(d),
+                           rtol=0, atol=1e-15)
+        assert calls == [(1, 40), (1, 40)]
+
+    def test_band_reads_the_lower_triangle(self):
+        # the Hermitian solvers read only the lower triangle, so an upper
+        # entry beyond the band does not widen it
+        m = np.diag(np.arange(5.0))
+        m[0, 3] = 1.0
+        assert half_bandwidth(m) == 0
+        m[3, 0] = 1.0
+        assert half_bandwidth(m) == 3
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_dirac_bandwidth(self, rank, b):
+        potential = random_hermitian_symbol(rank, b, rng_for(10 * b + rank))
+        d = build_dirac(potential, FourierTruncation(6, rank))
+        assert d.bandwidth == (b + 1) * rank - 1
+
+    def test_tiny_coefficient_widens_the_band(self):
+        coeffs = {0: np.array([[0.3]]), 2: np.array([[3e-17]]),
+                  -2: np.array([[3e-17]])}
+        d = build_dirac(SymbolFunction(coeffs, rank=1), FourierTruncation(6))
+        assert d.bandwidth == 2
+
+    def test_midpoint_band(self, rng):
+        tr = FourierTruncation(40, 1)
+        curve = OperatorCurve.from_potentials(
+            [0.0, 1.0], [random_hermitian_symbol(1, 1, rng),
+                         random_hermitian_symbol(1, 3, rng)], tr)
+        assert curve.at(0.0).bandwidth == 1
+        assert curve.at(0.37).bandwidth == 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segment_rate_matches_dense(self, seed, monkeypatch):
+        rng = rng_for(seed + 60)
+        tr = FourierTruncation(64, 1)
+        ts = [0.0, 0.3, 1.0]
+        curve = OperatorCurve.from_potentials(
+            ts, [random_hermitian_symbol(1, 2, rng) for _ in ts], tr)
+        cache = _SpectrumCache(curve)
+        calls = band_calls(monkeypatch)
+        for k in range(2):
+            step = curve.operators[k + 1].matrix - curve.operators[k].matrix
+            dense = np.abs(np.linalg.eigvalsh(step)).max() \
+                / (ts[k + 1] - ts[k])
+            assert abs(cache._segment_rate(k) - dense) <= 1e-12 * dense
+        assert calls == [(3, tr.dim), (3, tr.dim)]
 
 
 class TestEigh:
@@ -240,6 +338,20 @@ class TestRank:
     def test_tol_domain(self, tol):
         with pytest.raises(ValueError):
             null_split(np.eye(2), tol)
+        with pytest.raises(ValueError):
+            numerical_rank(np.eye(2), tol)
+        with pytest.raises(ValueError):
+            numerical_rank(np.zeros((0, 3)), tol)
+
+    def test_numerical_rank_is_the_null_split_rank(self, rng):
+        vs = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
+        cases = [np.eye(7), np.zeros((4, 6)), np.zeros((0, 3)),
+                 np.diag([1.0, 1e-3]), np.diag([1.0, 0.5]),
+                 sum(np.outer(v, v.conj()) for v in vs)]
+        for m in cases:
+            assert numerical_rank(m, 1e-3) == null_split(m, 1e-3).rank
+        with pytest.raises(IllConditioned, match="cluster"):
+            numerical_rank(np.diag([1.0, 5e-8, 2e-9]), 1e-8)
 
     def test_gap_check(self):
         # values straddle the threshold within the required factor

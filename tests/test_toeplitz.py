@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
-                      OperatorCurve, SymbolFunction, aps_projection,
-                      build_derivative, dirac_aps_section, fredholm_index,
+                      OperatorCurve, SpectralSection, SymbolFunction,
+                      aps_projection, build_derivative, build_multiplication,
+                      dirac_aps_section, fredholm_index,
                       gauge_transformed_potential, hardy_section,
                       odd_chern_integral, spectral_flow, toeplitz_compress,
                       winding)
@@ -81,6 +82,35 @@ class TestCompression:
         with pytest.raises(ValueError, match="unitary"):
             toeplitz_compress(hardy_section(tr),
                               SymbolFunction.constant(0.5), tr)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coordinate_section_is_the_index_block(self, seed):
+        # B* M_g B of a coordinate selection B, in any column order, is
+        # the index block of M_g bit for bit
+        rng = rng_for(seed + 40)
+        symbol, _ = random_trig_unitary(2, rng)
+        tr = FourierTruncation(12, 2)
+        mg = build_multiplication(symbol, tr)
+        hardy = hardy_section(tr)
+        cols = rng.permutation(hardy.rank)
+        shuffled = SpectralSection(hardy.basis[:, cols], 0.0, "explicit")
+        for section in (hardy, shuffled):
+            dense = section.basis.conj().T @ mg @ section.basis
+            t = toeplitz_compress(section, symbol, tr)
+            assert np.array_equal(t.matrix, dense)
+        assert np.array_equal(
+            toeplitz_compress(hardy, symbol, tr).matrix,
+            mg[np.ix_(tr.modes() >= 0, tr.modes() >= 0)])
+
+    def test_eigenvector_section_takes_the_product(self):
+        rng = rng_for(7)
+        symbol, _ = random_trig_unitary(2, rng)
+        tr = FourierTruncation(8, 2)
+        section = dirac_aps_section(random_hermitian_symbol(2, 1, rng), tr)
+        mg = build_multiplication(symbol, tr)
+        t = toeplitz_compress(section, symbol, tr)
+        assert np.array_equal(t.matrix,
+                              section.basis.conj().T @ mg @ section.basis)
 
 
 class TestFredholmIndex:
