@@ -6,7 +6,10 @@ torus whose index equals the spectral flow of the open path.  The
 u-derivative is discretized by the two-point Cayley (Crank-Nicolson)
 stencil on midpoints, which couples only neighboring u-slices and has no
 spurious doubler modes; the twist enters once, on the wrap-around row,
-through the truncated multiplication matrix of g.
+through the truncated multiplication matrix of g.  The stencil is
+assembled in one sparse pass: every slice is read on the nonzero pattern
+of the path's samples, so no slice is formed as a dense matrix except the
+wrap row's.
 
 At finite mode truncation the square discretization forces raw kernel and
 cokernel counts to coincide, exactly as for Toeplitz compressions; genuine
@@ -14,8 +17,9 @@ null states of the flux problem concentrate on interior Fourier modes
 while the gluing artifacts live at the mode edges, so the index counts
 only interior-localized small singular directions of A and A*.  Those
 directions come from one path at every size: seeded block inverse
-iteration on the sparse A*A and A A*.  Doubling both grid parameters must
-leave the counts unchanged (mandatory check).
+iteration on the sparse A*A and A A*.  The small singular values are the
+residual norms ||A v|| and ||A* u|| of its Ritz vectors.  Doubling both
+grid parameters must leave the counts unchanged (mandatory check).
 """
 
 from __future__ import annotations
@@ -100,6 +104,15 @@ class MappingTorusOperator:
 def build_mapping_torus(spec: TwistedLoopSpec, m_u: int) -> MappingTorusOperator:
     """Assemble the Cayley-stencil discretization on m_u slices.
 
+    Slice j is the path at its midpoint u_j = (j + 1/2) / m_u, formed with
+    the arithmetic of ``OperatorCurve.at`` but only on the nonzero pattern
+    of the path's samples (their union, made symmetric, plus the
+    diagonal), all slices in one ``(m_u, nnz)`` array.  Each slice must be
+    Hermitian by the ``TruncatedOperator`` test.  Row j holds
+    ``-I/h + D_j/2`` on the diagonal block and ``I/h + D_j/2`` on block
+    j + 1; the wrap row's second block is multiplied by the gluing matrix.
+    Exact zeros are dropped, as a dense-to-sparse conversion would.
+
     The path is affine between its samples and ``||D(s)||_2`` is convex on
     an affine segment, so the largest sample norm bounds every midpoint
     slice in ``sigma_max_bound``.
@@ -109,29 +122,59 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int) -> MappingTorusOperator
     trunc = spec.truncation
     dim = trunc.dim
     h = 1.0 / m_u
-    eye = np.eye(dim)
-    g = spec.glue_matrix()
-    blocks = [[None] * m_u for _ in range(m_u)]
+    path = spec.path
+    pattern = np.eye(dim, dtype=bool)
+    for op in path.operators:
+        pattern |= op.matrix != 0
+    pattern |= pattern.T
+    rows, cols = np.nonzero(pattern)
+    # position of entry (c, r) for entry (r, c); np.nonzero is row-major
+    transposed = np.searchsorted(rows * dim + cols, cols * dim + rows)
+    samples = np.stack([op.matrix[rows, cols] for op in path.operators])
+
+    u = (np.arange(m_u) + 0.5) * h
+    seg = np.clip(np.searchsorted(path.ts, u, side="right") - 1,
+                  0, len(path.ts) - 2)
+    lam = ((u - path.ts[seg]) / (path.ts[seg + 1] - path.ts[seg]))[:, None]
+    d_mid = (1 - lam) * samples[seg] + lam * samples[seg + 1]
+    scale = 1.0 + np.abs(d_mid).max(axis=1)
+    defect = np.abs(d_mid - d_mid[:, transposed].conj()).max(axis=1)
+    bad = np.flatnonzero(defect > DEFAULT.hermitian_max * scale)
+    if bad.size:
+        raise ValueError(f"u-slice {bad[0]} is not Hermitian: "
+                         f"defect {defect[bad[0]]:.3e}")
+
+    eye = (rows == cols).astype(float)
+    left = -eye / h + 0.5 * d_mid
+    right = eye / h + 0.5 * d_mid
+    last = np.zeros((dim, dim), dtype=complex)
+    last[rows, cols] = right[-1]
+    wrap = last @ spec.glue_matrix()
+    wrap_rows, wrap_cols = np.nonzero(wrap)
+
+    base = dim * np.arange(m_u)[:, None]
+    keep_l = left != 0
+    keep_r = right[:-1] != 0
+    row_idx = np.concatenate([(base + rows)[keep_l],
+                              (base[:-1] + rows)[keep_r],
+                              base[-1] + wrap_rows])
+    col_idx = np.concatenate([(base + cols)[keep_l],
+                              (base[1:] + cols)[keep_r], wrap_cols])
+    data = np.concatenate([left[keep_l], right[:-1][keep_r],
+                           wrap[wrap_rows, wrap_cols]])
+    a = sp.coo_matrix((data, (row_idx, col_idx)),
+                      shape=(m_u * dim, m_u * dim)).tocsc()
     dnorm = max(float(np.abs(eigvalsh(op)).max())
-                for op in spec.path.operators)
-    for j in range(m_u):
-        d_mid = spec.path.at((j + 0.5) * h).matrix
-        left = -eye / h + 0.5 * d_mid
-        right = eye / h + 0.5 * d_mid
-        blocks[j][j] = left
-        if j + 1 < m_u:
-            blocks[j][j + 1] = right
-        else:
-            blocks[j][0] = right @ g
-    a = sp.bmat(blocks, format="csc")
+                for op in path.operators)
     return MappingTorusOperator(a, spec, m_u, trunc,
                                 sigma_max_bound=2.0 / h + dnorm + 1.0)
 
 
 def _smallest_block(mat, k: int, scale: float, cut: float):
-    """Smallest k eigenpairs of a sparse PSD matrix by seeded block
-    inverse iteration (block methods resolve degenerate clusters, which
-    single-vector Lanczos misses with a fixed start).
+    """Ritz vectors of the smallest k eigenvalues of a sparse PSD matrix,
+    in ascending order of Ritz value, by seeded block inverse iteration
+    (block methods resolve degenerate clusters, which single-vector
+    Lanczos misses with a fixed start).
 
     Convergence is judged on the Ritz values a rank decision at ``cut``
     reads: every value below it and the first one above it.  The values
@@ -158,23 +201,32 @@ def _smallest_block(mat, k: int, scale: float, cut: float):
         previous = vals
     else:
         raise IllConditioned("block inverse iteration did not converge")
-    return np.maximum(vals, 0.0), x @ rot
+    return x @ rot
 
 
 def _small_singular_vectors(op: MappingTorusOperator, threshold: float,
                             k_seek: int = 8):
     """Right and left singular vectors with singular value below the
-    threshold, plus the first retained singular value."""
+    threshold, plus the first retained singular value.
+
+    The singular values are the residual norms ``||A v||`` and ``||A* u||``
+    of the Ritz vectors, in ascending order; they are accurate to about
+    ``eps ||A||``, where the square roots of the Ritz values of ``A*A``
+    are accurate only to about ``sqrt(eps) ||A||``.
+    """
     a = op.matrix
+    a_h = a.getH()
     scale = op.sigma_max_bound ** 2
 
-    def smallest(mat, k):
-        vals, vecs = _smallest_block(mat.tocsc(), k, scale, threshold ** 2)
-        return np.sqrt(vals), vecs
+    def smallest(gram, factor, k):
+        vecs = _smallest_block(gram.tocsc(), k, scale, threshold ** 2)
+        s = np.linalg.norm(factor @ vecs, axis=0)
+        order = np.argsort(s, kind="stable")
+        return s[order], vecs[:, order]
 
     k = k_seek
     while True:
-        s_r, v_r = smallest(a.getH() @ a, k)
+        s_r, v_r = smallest(a_h @ a, a, k)
         if s_r[-1] >= threshold or k >= 64:
             break
         k *= 2
@@ -182,7 +234,7 @@ def _small_singular_vectors(op: MappingTorusOperator, threshold: float,
     if ns >= k:
         raise IllConditioned("could not isolate the small singular "
                              "spectrum within the search budget")
-    s_l, v_l = smallest(a @ a.getH(), max(ns + 2, 4))
+    s_l, v_l = smallest(a @ a_h, a_h, max(ns + 2, 4))
     nl = int(np.count_nonzero(s_l < threshold))
     if nl != ns:
         raise IllConditioned(f"two-sided small-singular counts differ "

@@ -370,15 +370,12 @@ def build_multiplication(symbol: SymbolFunction,
     if symbol.rank != trunc.bundle_rank:
         raise ValueError(f"symbol rank {symbol.rank} does not match "
                          f"bundle rank {trunc.bundle_rank}")
-    K, N = trunc.max_mode, trunc.bundle_rank
+    n, N = 2 * trunc.max_mode + 1, trunc.bundle_rank
     out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    blocks = out.reshape(n, N, n, N)     # blocks[j, :, k, :] couples j to k
     for d, c in symbol.coefficients.items():
-        if abs(d) > 2 * K:
-            continue
-        for k in range(-K, K + 1):
-            j = k + d
-            if -K <= j <= K:
-                out[(j + K) * N:(j + K + 1) * N, (k + K) * N:(k + K + 1) * N] = c
+        k = np.arange(max(0, -d), min(n, n - d))
+        blocks[k + d, :, k, :] = c
     return out
 
 
@@ -388,7 +385,8 @@ def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
     if not potential.is_hermitian():
         raise ValueError("Dirac potential must be Hermitian-valued "
                          f"(defect {potential.hermitian_defect():.3e})")
-    m = build_derivative(trunc).matrix + build_multiplication(potential, trunc)
+    m = (np.diag(trunc.modes().astype(complex))
+         + build_multiplication(potential, trunc))
     return TruncatedOperator(m, trunc, label=label or "dirac")
 
 

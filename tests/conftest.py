@@ -7,12 +7,17 @@ constructions are self-contained.
 
 from collections import Counter
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import specflow.flow
+import specflow.mapping_torus
 from specflow import SymbolFunction
 from specflow.config import DEFAULT
+from specflow.operators import eigvalsh
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -188,6 +193,53 @@ def certify_level_matches_reference(monkeypatch):
         return level
 
     monkeypatch.setattr(specflow.flow, "certify_level", checked)
+
+
+def reference_mapping_torus_matrix(spec, m_u: int):
+    """The Cayley-stencil matrix and ``sigma_max_bound`` assembled block by
+    block: one dense midpoint operator ``spec.path.at(u_j)`` per slice, the
+    blocks ``-I/h + D/2`` and ``I/h + D/2`` (times the gluing matrix on the
+    wrap row), and ``sp.bmat`` over all of them."""
+    dim = spec.truncation.dim
+    h = 1.0 / m_u
+    eye = np.eye(dim)
+    blocks = [[None] * m_u for _ in range(m_u)]
+    for j in range(m_u):
+        d_mid = spec.path.at((j + 0.5) * h).matrix
+        blocks[j][j] = -eye / h + 0.5 * d_mid
+        right = eye / h + 0.5 * d_mid
+        if j + 1 < m_u:
+            blocks[j][j + 1] = right
+        else:
+            blocks[j][0] = right @ spec.glue_matrix()
+    dnorm = max(float(np.abs(eigvalsh(op)).max())
+                for op in spec.path.operators)
+    return sp.bmat(blocks, format="csc"), 2.0 / h + dnorm + 1.0
+
+
+def assert_matches_reference_assembly(op):
+    matrix, bound = reference_mapping_torus_matrix(op.spec, op.m_u)
+    assert op.matrix.shape == matrix.shape
+    assert op.matrix.dtype == matrix.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.matrix, name), getattr(matrix, name))
+    assert op.sigma_max_bound == bound
+
+
+@pytest.fixture(autouse=True)
+def mapping_torus_matches_reference(monkeypatch):
+    """Check every matrix the suite assembles against the block-by-block
+    reference, wherever ``build_mapping_torus`` was imported to."""
+    original = specflow.mapping_torus.build_mapping_torus
+
+    def checked(spec, m_u):
+        op = original(spec, m_u)
+        assert_matches_reference_assembly(op)
+        return op
+
+    for module in list(sys.modules.values()):
+        if vars(module).get("build_mapping_torus") is original:
+            monkeypatch.setattr(module, "build_mapping_torus", checked)
 
 
 @pytest.fixture

@@ -3,14 +3,16 @@ import pytest
 
 import specflow.mapping_torus
 from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
-                      TwistedLoopSpec, build_mapping_torus,
+                      TruncatedOperator, TwistedLoopSpec, build_mapping_torus,
                       mapping_torus_index, spectral_flow)
 from specflow.config import DEFAULT
 from specflow.errors import GluingInconsistent, IllConditioned
 from specflow.mapping_torus import (MappingTorusOperator,
-                                    _small_singular_vectors)
+                                    _small_singular_vectors,
+                                    _with_doubled_truncation)
 from specflow.models import constant_shift_potential
-from conftest import random_hermitian_symbol, rng_for
+from conftest import (assert_matches_reference_assembly, random_hermitian,
+                      random_hermitian_symbol, rng_for)
 
 
 def flux_spec(flux: int, k: int = 16) -> TwistedLoopSpec:
@@ -25,12 +27,38 @@ def flux_spec(flux: int, k: int = 16) -> TwistedLoopSpec:
     return TwistedLoopSpec(curve, glue)
 
 
+def three_sample_spec() -> TwistedLoopSpec:
+    """A three-sample identity-glued loop whose middle potential varies
+    in x."""
+    return TwistedLoopSpec(OperatorCurve.from_potentials(
+        [0.0, 0.4, 1.0],
+        [constant_shift_potential(0.3),
+         random_hermitian_symbol(1, 2, rng_for(5), scale=0.5),
+         constant_shift_potential(0.3)],
+        FourierTruncation(6, 1)))
+
+
+def cancelling_spec() -> TwistedLoopSpec:
+    """A loop through cos x, -cos x and cos x at u = 0, 1/8 and 1: on 8
+    slices the first one is the segment's midpoint, where the cosine
+    cancels exactly and leaves zeros inside the samples' pattern."""
+    cos = SymbolFunction({1: 0.5, -1: 0.5}, rank=1)
+    return TwistedLoopSpec(OperatorCurve.from_potentials(
+        [0.0, 0.125, 1.0], [cos, cos.scale(-1.0), cos],
+        FourierTruncation(6, 1)))
+
+
+def constant_loop_spec(k: int = 8) -> TwistedLoopSpec:
+    """The constant path -i d/dx + 0.3 with identity gluing."""
+    curve = OperatorCurve.from_potentials(
+        [0.0, 1.0], [constant_shift_potential(0.3)] * 2,
+        FourierTruncation(k, 1))
+    return TwistedLoopSpec(curve)
+
+
 class TestSpecValidation:
     def test_identity_gluing_constant_path(self):
-        tr = FourierTruncation(8, 1)
-        curve = OperatorCurve.from_potentials(
-            [0.0, 1.0], [constant_shift_potential(0.3)] * 2, tr)
-        TwistedLoopSpec(curve)   # no error
+        constant_loop_spec()   # no error
 
     @pytest.mark.parametrize("flux", [1, 2])
     def test_conjugation_identity_exact(self, flux):
@@ -77,14 +105,7 @@ class TestBuild:
             build_mapping_torus(flux_spec(1, k=4), 4)
 
     @pytest.mark.parametrize("spec", [
-        flux_spec(1, k=6), flux_spec(2, k=8),
-        # a three-sample loop whose middle potential varies in x
-        TwistedLoopSpec(OperatorCurve.from_potentials(
-            [0.0, 0.4, 1.0],
-            [constant_shift_potential(0.3),
-             random_hermitian_symbol(1, 2, rng_for(5), scale=0.5),
-             constant_shift_potential(0.3)],
-            FourierTruncation(6, 1)))])
+        flux_spec(1, k=6), flux_spec(2, k=8), three_sample_spec()])
     @pytest.mark.parametrize("m_u", [8, 13])
     def test_sigma_max_bound_covers_every_slice(self, spec, m_u):
         # the sample norms bound every midpoint slice of the affine path
@@ -93,6 +114,39 @@ class TestBuild:
         slices = max(np.linalg.norm(spec.path.at((j + 0.5) * h).matrix, 2)
                      for j in range(m_u))
         assert op.sigma_max_bound >= 2.0 / h + slices + 1.0
+
+
+class TestReferenceAssembly:
+    @pytest.mark.parametrize("spec", [
+        flux_spec(0, k=6), flux_spec(1, k=6), flux_spec(2, k=8),
+        constant_loop_spec(), three_sample_spec(), cancelling_spec()])
+    @pytest.mark.parametrize("m_u", [8, 13])
+    def test_matches_block_assembly(self, spec, m_u):
+        op = build_mapping_torus(spec, m_u)
+        assert_matches_reference_assembly(op)
+        assert_matches_reference_assembly(_with_doubled_truncation(op))
+
+    @staticmethod
+    def _guard_spec(delta: float) -> TwistedLoopSpec:
+        # samples X + E and -X + E with E = i delta I: both pass the
+        # Hermiticity test at the scale of X, the middle slices of the path
+        # are (1 - 2u) X + E, where the allowed defect shrinks with |X|
+        tr = FourierTruncation(4, 1)
+        x = random_hermitian(tr.dim, rng_for(11))
+        x *= 1e4 / np.abs(x).max()
+        e = 1j * delta * np.eye(tr.dim)
+        curve = OperatorCurve(
+            [0.0, 1.0], [TruncatedOperator(x + e, tr),
+                         TruncatedOperator(-x + e, tr)],
+            potentials=[constant_shift_potential(0.0)] * 2)
+        return TwistedLoopSpec(curve)
+
+    def test_every_slice_is_checked_hermitian(self):
+        # defect 2e-9: allowed 1e-8 at the samples, 3.75e-9 at u = 5/16
+        # and 1.25e-9 at u = 7/16 (slice 3)
+        with pytest.raises(ValueError, match="u-slice 3 is not Hermitian"):
+            build_mapping_torus(self._guard_spec(1e-9), 8)
+        build_mapping_torus(self._guard_spec(0.0), 8)
 
 
 def _sine_of_largest_angle(a, b):
@@ -118,16 +172,16 @@ class TestSmallSingularVectors:
         ns = int(np.count_nonzero(s < threshold))
         assert len(s_small) == right.shape[1] == left.shape[1] == ns
         assert abs(s_next - s[n - ns - 1]) <= 1e-8 * s[n - ns - 1]
+        # residual norms read the small values to roundoff in ||A||
+        assert np.all(np.abs(s_small - s[n - ns:][::-1])
+                      <= 1e-12 * op.sigma_max_bound)
         assert _sine_of_largest_angle(right, vh.conj().T[:, n - ns:]) <= 1e-6
         assert _sine_of_largest_angle(left, u[:, n - ns:]) <= 1e-6
 
 
 class TestIndex:
     def test_trivial_loop(self):
-        tr = FourierTruncation(10, 1)
-        curve = OperatorCurve.from_potentials(
-            [0.0, 1.0], [constant_shift_potential(0.3)] * 2, tr)
-        op = build_mapping_torus(TwistedLoopSpec(curve), 16)
+        op = build_mapping_torus(constant_loop_spec(k=10), 16)
         assert mapping_torus_index(op, check_stability=False) == 0
 
     @pytest.mark.parametrize("flux", [1, 2])

@@ -81,6 +81,44 @@ class TestMultiplication:
         assert np.allclose(m, np.kron(np.eye(5), a))
 
 
+def reference_multiplication(symbol, trunc):
+    """``build_multiplication`` as one block copy per mode pair."""
+    K, N = trunc.max_mode, trunc.bundle_rank
+    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    for d, c in symbol.coefficients.items():
+        for k in range(-K, K + 1):
+            j = k + d
+            if -K <= j <= K:
+                out[(j + K) * N:(j + K + 1) * N,
+                    (k + K) * N:(k + K + 1) * N] = c
+    return out
+
+
+class TestMultiplicationFill:
+    # max_mode 0 is no truncation (FourierTruncation rejects it), so the
+    # smallest window is K = 1
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_per_mode_loop(self, k, rank):
+        rng = rng_for(100 * k + rank)
+        reach = 2 * k + 3         # offsets up to and beyond 2K
+        symbol = SymbolFunction(
+            {d: rng.normal(size=(rank, rank))
+             + 1j * rng.normal(size=(rank, rank))
+             for d in range(-reach, reach + 1)}, rank=rank)
+        tr = FourierTruncation(k, rank)
+        assert np.array_equal(build_multiplication(symbol, tr),
+                              reference_multiplication(symbol, tr))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_dirac_is_modes_plus_multiplication(self, rank):
+        tr = FourierTruncation(5, rank)
+        potential = random_hermitian_symbol(rank, 3, rng_for(rank))
+        expected = (np.diag(tr.modes().astype(complex))
+                    + reference_multiplication(potential, tr))
+        assert np.array_equal(build_dirac(potential, tr).matrix, expected)
+
+
 class TestDirac:
     def test_constant_shift(self):
         tr = FourierTruncation(4, 1)
