@@ -20,9 +20,8 @@ from .mapping_torus import (MappingTorusOperator, TwistedLoopSpec,
                             build_mapping_torus)
 from .mapping_torus import index as mapping_torus_index
 from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
-                        TruncatedOperator, build_derivative, build_dirac,
-                        build_multiplication, eigh, eigvalsh,
-                        gauge_transformed_potential)
+                        TruncatedOperator, build_dirac, build_multiplication,
+                        eigh, eigvalsh, gauge_transformed_potential)
 from .toeplitz import (CH1_NORMALIZATION, OddChernCochain, ToeplitzOperator,
                        WindingData, dirac_aps_section, fredholm_index,
                        hardy_section, odd_chern_integral, toeplitz_compress,

@@ -79,15 +79,6 @@ class BaseGrid:
         return [(i, j), ((i + 1) % m, j), ((i + 1) % m, (j + 1) % m),
                 (i, (j + 1) % m)]
 
-    def neighbors(self, vertex) -> list[tuple]:
-        m = self.size
-        if self.is_torus:
-            i, j = vertex
-            return [((i + 1) % m, j), ((i - 1) % m, j),
-                    (i, (j + 1) % m), (i, (j - 1) % m)]
-        (i,) = vertex
-        return [((i + 1) % m,), ((i - 1) % m,)]
-
     def check_consistency(self):
         """Closed plaquette boundaries and the Euler count of the
         topology."""

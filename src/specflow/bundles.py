@@ -34,8 +34,7 @@ from .flow import (OperatorCurve, Partition, SpectralSection, _gram_defect,
                    comparison_map, gap_partition)
 from .operators import (FourierTruncation, SymbolFunction, TruncatedOperator,
                         null_split)
-from .toeplitz import (hardy_section, toeplitz_compress,
-                       toeplitz_small_subspaces)
+from .toeplitz import _doubling_checked, hardy_section, toeplitz_compress
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +161,15 @@ def _projector_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def kernel_bundle(base: BaseGrid, matrices: Mapping[tuple, np.ndarray],
-                  tol: float | None = None,
                   tolerances: Tolerances = DEFAULT) -> ProjectorFamily:
     """Orthogonal projector onto the numerical kernel (``null_split`` at
-    ``tol``) at each vertex.
+    ``rank_rtol``) at each vertex.
 
     The kernel dimension must be constant (RankJump otherwise) and the
     singular spectrum must split by the configured gap factor at every
     vertex (IllConditioned otherwise).
     """
-    tol = tolerances.rank_rtol if tol is None else tol
-    frames = {v: null_split(np.asarray(matrices[v], dtype=complex), tol,
+    frames = {v: null_split(np.asarray(matrices[v], dtype=complex),
                             tolerances).kernel
               for v in base.vertices}
     return ProjectorFamily(base, frames, tolerances)
@@ -255,8 +252,6 @@ def _class_from_parts(base: BaseGrid, positive: ProjectorFamily,
 # ---------------------------------------------------------------------------
 
 def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
-                          tol: float | None = None,
-                          check_stability: bool = True,
                           tolerances: Tolerances = DEFAULT) -> KClassNumeric:
     """Index bundle of the Toeplitz family over the Hardy sections.
 
@@ -267,26 +262,19 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
     """
     fam = {v: (g_family(v) if callable(g_family) else g_family[v])
            for v in base.vertices}
+    trunc2 = trunc.doubled()
     section = hardy_section(trunc, tolerances)
-    section2 = hardy_section(trunc.doubled(), tolerances) if check_stability \
-        else None
+    section2 = hardy_section(trunc2, tolerances)
 
     ker_bases, cok_bases, indices = {}, {}, {}
     for v in base.vertices:
-        t = toeplitz_compress(section, fam[v], trunc, tolerances)
-        sub = toeplitz_small_subspaces(t, tol, tolerances)
+        sub = _doubling_checked(
+            toeplitz_compress(section, fam[v], trunc, tolerances),
+            toeplitz_compress(section2, fam[v], trunc2, tolerances),
+            tolerances)
         indices[v] = sub.kernel_dim - sub.cokernel_dim
         ker_bases[v] = sub.kernel_interior
         cok_bases[v] = sub.cokernel_interior
-        if check_stability:
-            t2 = toeplitz_compress(section2, fam[v], trunc.doubled(),
-                                   tolerances)
-            sub2 = toeplitz_small_subspaces(t2, tol, tolerances)
-            if sub2.kernel_dim - sub2.cokernel_dim != indices[v]:
-                raise UnstableIndex(
-                    f"Toeplitz index at vertex {v} changed under truncation "
-                    f"doubling: {indices[v]} vs "
-                    f"{sub2.kernel_dim - sub2.cokernel_dim}")
     first = indices[base.vertices[0]]
     if any(i != first for i in indices.values()):
         raise RankJump(f"pointwise Toeplitz index is not constant: "
@@ -410,8 +398,7 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
         ker, cok = {}, {}
         for v in base.vertices:
             x, y = x_fam[v], y_fam[v]
-            split = null_split(comparison_map(x, y), tolerances.rank_rtol,
-                               tolerances)
+            split = null_split(comparison_map(x, y), tolerances)
             pointwise[v] += x.rank - y.rank
             ker[v], cok[v] = split.kernel, split.cokernel
         if ProjectorFamily(base, ker, tolerances).rank:

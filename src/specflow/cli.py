@@ -37,7 +37,8 @@ def _add_global_flags(parser, suppress: bool):
     parser.add_argument("--k", type=int, default=default(16),
                         help="Fourier truncation: modes -K..K")
     parser.add_argument("--tol", type=float, default=default(None),
-                        help="relative singular-value cutoff override")
+                        help="relative singular-value cutoff (rank_rtol) "
+                             "for every subcommand; echoed in the record")
     parser.add_argument("--out", type=str, default=default(None),
                         help="write the full result record to this JSON file")
     parser.add_argument("--json", action="store_true", default=default(False),
@@ -120,6 +121,14 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _base_config(args) -> dict:
+    """The flags every subcommand echoes; ``tol`` only when given."""
+    config = {"command": args.command, "k": args.k}
+    if args.tol is not None:
+        config["tol"] = args.tol
+    return config
+
+
 def _run(args) -> tuple[dict, dict, dict]:
     """Returns (config echo, outputs, stability flags)."""
     from . import __version__  # noqa: F401  (record carries the version)
@@ -129,8 +138,9 @@ def _run(args) -> tuple[dict, dict, dict]:
     from .operators import FourierTruncation
     from . import jsonio
 
-    tolerances = DEFAULT
-    config: dict = {"command": args.command, "k": args.k}
+    config = _base_config(args)
+    tolerances = DEFAULT if args.tol is None \
+        else DEFAULT.with_(rank_rtol=args.tol)
 
     if args.command == "sf":
         from .flow import spectral_flow_result
@@ -162,10 +172,9 @@ def _run(args) -> tuple[dict, dict, dict]:
         symbol = jsonio.symbol_from_json(payload)
         config.update(symbol=payload)
         trunc = FourierTruncation(args.k, symbol.rank)
-        kw = {"tol": args.tol} if args.tol else {}
         t = toeplitz_compress(hardy_section(trunc, tolerances), symbol, trunc,
                               tolerances)
-        idx = fredholm_index(t, tolerances=tolerances, **kw)
+        idx = fredholm_index(t, tolerances)
         wind = winding(symbol, tolerances=tolerances)
         outputs = {"index": idx, "winding": wind.winding,
                    "raw_integral": wind.raw_integral}
@@ -222,8 +231,10 @@ def _run(args) -> tuple[dict, dict, dict]:
         pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
         curve_fam = CurveOfFamilies.from_potentials(
             base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], trunc)
-        q0 = aps_section_family(curve_fam.family_at(0.0))
-        q1 = aps_section_family(curve_fam.family_at(1.0))
+        q0 = aps_section_family(curve_fam.family_at(0.0),
+                                tolerances=tolerances)
+        q1 = aps_section_family(curve_fam.family_at(1.0),
+                                tolerances=tolerances)
         cls = higher_spectral_flow(curve_fam, q0, q1, tolerances)
         outputs = {"ch0": cls.ch0}
         if base.is_torus:
@@ -257,7 +268,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         from .models import qwz_projector_family
         base = BaseGrid.parse(args.base)
         config.update(builtin=args.builtin, m0=args.m0, base=args.base)
-        fam = qwz_projector_family(base, m0=args.m0)
+        fam = qwz_projector_family(base, args.m0, tolerances)
         c = chern_number(fam, tolerances)
         return config, {"chern": c}, {"stable": True}
 
@@ -311,7 +322,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except SpecflowError as exc:
-        config = {"command": args.command, "k": args.k}
+        config = _base_config(args)
         outputs, stability = {}, {"stable": False}
         error = f"{type(exc).__name__}: {exc}"
 

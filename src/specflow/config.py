@@ -3,7 +3,8 @@
 Every operation in the package reads its thresholds from a single
 ``Tolerances`` record so that the contracts stay consistent across modules.
 The defaults below are the contract values; override by passing a modified
-record into the operation that needs it.
+record into the operation that needs it.  No operation takes a threshold
+or a guard switch of its own.
 """
 
 from dataclasses import dataclass, replace
@@ -51,6 +52,12 @@ class Tolerances:
     # mapping torus: the threshold must clear the O(h^2) stencil residual
     # of genuine null states while staying far below the first spectral gap
     mapping_torus_rank_rtol: float = 1e-4
+
+    def __post_init__(self):
+        for rtol in (self.rank_rtol, self.mapping_torus_rank_rtol):
+            if not 0.0 < rtol < 1.0:
+                raise ValueError(
+                    f"rank tolerance must lie in (0, 1), got {rtol}")
 
     def with_(self, **kw) -> "Tolerances":
         return replace(self, **kw)

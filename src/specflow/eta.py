@@ -87,7 +87,6 @@ def _spectrum_of(spectrum_or_operator) -> np.ndarray:
 
 
 def eta_heat(spectrum_or_operator, t_grid: Sequence[float] | None = None,
-             tail: str = "symmetric",
              tolerances: Tolerances = DEFAULT) -> EtaValue:
     """Heat-regularized eta with small-time Richardson extrapolation.
 
@@ -101,14 +100,10 @@ def eta_heat(spectrum_or_operator, t_grid: Sequence[float] | None = None,
     eigenvalues flipped far from zero stay inside the series' useful
     range.
 
-    ``tail`` declares the spectrum beyond the supplied window; only the
-    symmetric free-Dirac tail (zero net contribution) is supported.
-    Matches the Hurwitz path to within 1e-6 on model spectra.
+    Beyond the supplied window the spectrum is taken to be the symmetric
+    free-Dirac tail, whose net contribution is zero.  Matches the Hurwitz
+    path to within 1e-6 on model spectra.
     """
-    if tail != "symmetric":
-        raise ValueError("only the symmetric free-Dirac tail model is "
-                         "supported; anything else would silently change "
-                         "the answer")
     spec = _spectrum_of(spectrum_or_operator)
     if spec.size == 0:
         raise ValueError("empty spectrum")
@@ -156,7 +151,7 @@ def eta_heat(spectrum_or_operator, t_grid: Sequence[float] | None = None,
     return EtaValue(eta=float(best), kernel_dim=kernel,
                     method="heat-extrapolation",
                     meta={"t_grid": ts.tolist(), "ladder_residual": float(err),
-                          "window_max": lam_max, "tail": tail})
+                          "window_max": lam_max, "tail": "symmetric"})
 
 
 # ---------------------------------------------------------------------------

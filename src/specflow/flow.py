@@ -176,16 +176,14 @@ def comparison_map(p: SpectralSection, q: SpectralSection) -> np.ndarray:
 
 
 def difference_element(p: SpectralSection, q: SpectralSection,
-                       tol: float = None,
                        tolerances: Tolerances = DEFAULT) -> DifferenceElement:
     """Index of Q o P : Im P -> Im Q, the finite difference element [P - Q].
 
-    The rank of the comparison map is its ``numerical_rank`` at ``tol``
-    (default ``rank_rtol``), which raises IllConditioned when the singular
-    spectrum does not split cleanly.
+    The rank of the comparison map is its ``numerical_rank`` at
+    ``rank_rtol``, which raises IllConditioned when the singular spectrum
+    does not split cleanly.
     """
-    tol = tolerances.rank_rtol if tol is None else tol
-    rank = numerical_rank(comparison_map(p, q), tol, tolerances)
+    rank = numerical_rank(comparison_map(p, q), tolerances)
     return DifferenceElement(value=p.rank - q.rank, kernel_dim=p.rank - rank,
                              cokernel_dim=q.rank - rank)
 
@@ -403,7 +401,6 @@ class _SpectrumCache:
 
 
 def gap_partition(curve: OperatorCurve, tolerances: Tolerances = DEFAULT,
-                  lipschitz: float | None = None,
                   initial_breaks: Sequence[float] | None = None,
                   _cache: "_SpectrumCache | None" = None) -> Partition:
     """Adaptively bisect [0, 1] into subintervals each carrying a certified
@@ -416,8 +413,7 @@ def gap_partition(curve: OperatorCurve, tolerances: Tolerances = DEFAULT,
     done: list[GapInterval] = []
     while stack:
         u, v = stack.pop()
-        lip = lipschitz if lipschitz is not None \
-            else cache.lipschitz(u, v, tolerances.lipschitz_safety)
+        lip = cache.lipschitz(u, v, tolerances.lipschitz_safety)
         cert = certify_level(cache(u), cache(v), lip, v - u, tolerances)
         if cert is not None:
             a, margin = cert
@@ -461,8 +457,7 @@ class SpectralFlowResult:
 
 def spectral_flow_result(curve: OperatorCurve, cutoff0: float = 0.0,
                          cutoff1: float = 0.0,
-                         tolerances: Tolerances = DEFAULT,
-                         lipschitz: float | None = None) -> SpectralFlowResult:
+                         tolerances: Tolerances = DEFAULT) -> SpectralFlowResult:
     """Spectral flow together with partition diagnostics.
 
     Endpoint cutoffs move the reference projector at t=0 / t=1 from the
@@ -470,7 +465,7 @@ def spectral_flow_result(curve: OperatorCurve, cutoff0: float = 0.0,
     are counted on the nonnegative side (inclusive endpoint policy).
     """
     cache = _SpectrumCache(curve, tolerances)
-    part = gap_partition(curve, tolerances, lipschitz, _cache=cache)
+    part = gap_partition(curve, tolerances, _cache=cache)
     atol = tolerances.cutoff_atol
     total = 0
     for iv in part.intervals:
@@ -484,24 +479,22 @@ def spectral_flow_result(curve: OperatorCurve, cutoff0: float = 0.0,
 
 
 def spectral_flow(curve: OperatorCurve, cutoff0: float = 0.0,
-                  cutoff1: float = 0.0, tolerances: Tolerances = DEFAULT,
-                  lipschitz: float | None = None) -> int:
+                  cutoff1: float = 0.0,
+                  tolerances: Tolerances = DEFAULT) -> int:
     """Net number of eigenvalues crossing zero, upward crossings +1,
     measured against endpoint cutoff levels."""
-    return spectral_flow_result(curve, cutoff0, cutoff1, tolerances,
-                                lipschitz).sf
+    return spectral_flow_result(curve, cutoff0, cutoff1, tolerances).sf
 
 
 def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
-             tolerances: Tolerances = DEFAULT,
-             refine_check: bool = True) -> int:
+             tolerances: Tolerances = DEFAULT) -> int:
     """Spectral flow between endpoint pairs (D_0, q0) and (D_1, q1).
 
     The transported section is realized per gap subinterval as the
     projector above the certified level; contributions are the difference
     elements against the endpoint sections (interval boundaries use the
-    inclusive-at-zero positive projector).  With ``refine_check`` the
-    computation is repeated on a once-bisected partition and must agree.
+    inclusive-at-zero positive projector).  The computation is repeated on
+    a once-bisected partition and must agree.
     Each operator on the curve is diagonalized at most once.
     """
     cache = _SpectrumCache(curve, tolerances)
@@ -522,15 +515,14 @@ def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
 
     part = gap_partition(curve, tolerances, _cache=cache)
     value = run(part)
-    if refine_check:
-        finer = []
-        for iv in part.intervals:
-            finer.extend([iv.t_left, 0.5 * (iv.t_left + iv.t_right)])
-        finer.append(1.0)
-        refined = run(gap_partition(curve, tolerances, initial_breaks=finer,
-                                    _cache=cache))
-        if refined != value:
-            raise UnstableIndex(
-                f"sf_pairs changed under partition refinement: "
-                f"{value} vs {refined}")
+    finer = []
+    for iv in part.intervals:
+        finer.extend([iv.t_left, 0.5 * (iv.t_left + iv.t_right)])
+    finer.append(1.0)
+    refined = run(gap_partition(curve, tolerances, initial_breaks=finer,
+                                _cache=cache))
+    if refined != value:
+        raise UnstableIndex(
+            f"sf_pairs changed under partition refinement: "
+            f"{value} vs {refined}")
     return value

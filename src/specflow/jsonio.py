@@ -162,6 +162,9 @@ def family_from_json(payload: dict):
         name = payload["builtin"]
         if name != "bott":
             raise ConfigError(f"unknown builtin family {name!r}")
+        if not base.is_torus:
+            raise ConfigError("builtin family 'bott' needs a torus base, "
+                              f"got {payload['base']!r}")
         return base, bott_symbol_family(base, m0=payload.get("m0", 1.0))
     if "vertices" not in payload:
         raise ConfigError("family needs 'vertices' or 'builtin'")

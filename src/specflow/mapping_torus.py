@@ -61,7 +61,7 @@ class TwistedLoopSpec:
                              "gluing identity can be verified")
         g = self.glue
         if g is not None:
-            defect = g.unitarity_defect()
+            defect = g.unitarity_defect
             if defect > 1e-10:
                 raise ValueError(f"gluing symbol must be unitary "
                                  f"(defect {defect:.3e})")
@@ -242,35 +242,36 @@ def _small_singular_vectors(op: MappingTorusOperator, threshold: float,
     return v_r[:, :ns], v_l[:, :ns], s_r[:ns], s_r[ns] if ns < len(s_r) else np.inf
 
 
-def index(op: MappingTorusOperator, tol: float | None = None,
-          check_stability: bool = True,
+def index(op: MappingTorusOperator,
           tolerances: Tolerances = DEFAULT) -> int:
     """dim ker A - dim ker A* restricted to interior-localized directions.
 
     Requires a clean gap (configured factor) between the numerically-zero
-    singular values and the rest; with ``check_stability`` the count is
-    recomputed at doubled m_u and doubled truncation and must not change.
+    singular values and the rest; the count is recomputed at doubled m_u
+    and at doubled truncation and must not change.
     """
-    tol = tolerances.mapping_torus_rank_rtol if tol is None else tol
-    threshold = tol * op.sigma_max_bound
+    value = _interior_index(op, tolerances)
+    for label, finer in (("m_u", _with_doubled_mu(op)),
+                         ("truncation", _with_doubled_truncation(op))):
+        other = _interior_index(finer, tolerances)
+        if other != value:
+            raise DoublingDetected(
+                f"index changed from {value} to {other} when doubling "
+                f"{label}; the discretization has spurious modes")
+    return value
+
+
+def _interior_index(op: MappingTorusOperator, tolerances: Tolerances) -> int:
+    """The count of ``index`` at the operator's own grid, with the gap
+    check at ``mapping_torus_rank_rtol`` times the norm bound."""
+    threshold = tolerances.mapping_torus_rank_rtol * op.sigma_max_bound
     right, left, s_small, s_next = _small_singular_vectors(op, threshold)
     split_rank(np.concatenate([[s_next], s_small[::-1]]), threshold,
                tolerances)
     interior = np.tile(op.truncation.interior(), op.m_u)
     gk = interior_directions(right, interior, tolerances).shape[1]
     gc = interior_directions(left, interior, tolerances).shape[1]
-    value = gk - gc
-
-    if check_stability:
-        for label, finer in (("m_u", _with_doubled_mu(op)),
-                             ("truncation", _with_doubled_truncation(op))):
-            other = index(finer, tol, check_stability=False,
-                          tolerances=tolerances)
-            if other != value:
-                raise DoublingDetected(
-                    f"index changed from {value} to {other} when doubling "
-                    f"{label}; the discretization has spurious modes")
-    return value
+    return gk - gc
 
 
 def _with_doubled_mu(op: MappingTorusOperator) -> MappingTorusOperator:

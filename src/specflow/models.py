@@ -59,8 +59,3 @@ def bott_symbol_family(base: BaseGrid, m0: float = 1.0) -> dict:
 def constant_shift_potential(a: float) -> SymbolFunction:
     """The scalar potential V = a, spectrum {k + a} after quantization."""
     return SymbolFunction.constant(np.array([[a]], dtype=complex))
-
-
-def shifted_path_potentials(a0: float, a1: float):
-    """Potential endpoints of the linear path a(t) = (1-t) a0 + t a1."""
-    return [constant_shift_potential(a0), constant_shift_potential(a1)]

@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -73,6 +74,8 @@ class SymbolFunction:
     g(x) = sum_k c_k e^{ikx} with c_k an N x N complex matrix.  Sampled
     input is converted by the discrete Fourier transform.  The ``unitary``
     flag is a promise that is verified on a sample grid at construction.
+    The symbol is immutable, so its unitarity defect is computed at most
+    once and shared by every check that reads it.
     """
 
     coefficients: Mapping[int, np.ndarray]
@@ -89,7 +92,7 @@ class SymbolFunction:
                 clean[int(k)] = block
         object.__setattr__(self, "coefficients", clean)
         if self.unitary:
-            err = self.unitarity_defect()
+            err = self.unitarity_defect
             if err > self.tolerances.unitary:
                 raise ValueError(
                     f"symbol marked unitary but ||g g* - I|| = {err:.3e}")
@@ -136,10 +139,12 @@ class SymbolFunction:
             out += np.exp(1j * k * xs)[:, None, None] * c[None]
         return out
 
-    def unitarity_defect(self, samples: int = 0) -> float:
-        # sampled-input symbols promise unitarity at their own sample
-        # points; coefficient-built ones are checked on a dense grid
-        m = samples or self.native_grid or max(4 * self.bandwidth + 8, 32)
+    @cached_property
+    def unitarity_defect(self) -> float:
+        """max ||g g* - I||_2 over a sample grid: sampled-input symbols
+        promise unitarity at their own sample points, coefficient-built
+        ones are checked on a dense grid."""
+        m = self.native_grid or max(4 * self.bandwidth + 8, 32)
         vals = self.evaluate(2 * np.pi * np.arange(m) / m)
         defect = vals @ np.swapaxes(vals.conj(), -1, -2) - np.eye(self.rank)
         return float(np.linalg.norm(defect, 2, axis=(-2, -1)).max())
@@ -152,9 +157,6 @@ class SymbolFunction:
             other = self.coefficients.get(-k, np.zeros_like(c))
             worst = max(worst, float(np.abs(other - c.conj().T).max()))
         return worst
-
-    def is_hermitian(self, atol: float = 1e-10) -> bool:
-        return self.hermitian_defect() <= atol
 
     # -- algebra -----------------------------------------------------------
     def adjoint(self) -> "SymbolFunction":
@@ -355,12 +357,6 @@ def eigvalsh(operator) -> np.ndarray:
 
 # -- builders ---------------------------------------------------------------
 
-def build_derivative(trunc: FourierTruncation) -> TruncatedOperator:
-    """The operator -i d/dx: diagonal with entry k on every copy of mode k."""
-    return TruncatedOperator(np.diag(trunc.modes().astype(complex)), trunc,
-                             label="-i d/dx")
-
-
 def build_multiplication(symbol: SymbolFunction,
                          trunc: FourierTruncation) -> np.ndarray:
     """Block-Toeplitz matrix of pointwise multiplication by the symbol:
@@ -382,9 +378,10 @@ def build_multiplication(symbol: SymbolFunction,
 def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
                 label: str = "") -> TruncatedOperator:
     """-i d/dx tensor I_N plus multiplication by a Hermitian potential."""
-    if not potential.is_hermitian():
+    defect = potential.hermitian_defect()
+    if defect > 1e-10:
         raise ValueError("Dirac potential must be Hermitian-valued "
-                         f"(defect {potential.hermitian_defect():.3e})")
+                         f"(defect {defect:.3e})")
     m = (np.diag(trunc.modes().astype(complex))
          + build_multiplication(potential, trunc))
     return TruncatedOperator(m, trunc, label=label or "dirac")
@@ -426,31 +423,27 @@ def split_rank(s, threshold: float,
     return rank, ratio
 
 
-def null_split(matrix, rtol: float,
-               tolerances: Tolerances = DEFAULT) -> NullSplit:
-    """Full SVD split at ``rtol`` times the largest singular value; the
-    zero and the empty matrix have rank 0."""
+def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
+    """Full SVD split at ``rank_rtol`` times the largest singular value;
+    the zero and the empty matrix have rank 0."""
     u, s, vh = np.linalg.svd(np.asarray(matrix))
-    rank, ratio = _relative_split(s, rtol, tolerances)
+    rank, ratio = _relative_split(s, tolerances)
     return NullSplit(rank=rank, kernel=vh[rank:].conj().T,
                      cokernel=u[:, rank:], singular_values=s, gap_ratio=ratio)
 
 
-def numerical_rank(matrix, rtol: float,
-                   tolerances: Tolerances = DEFAULT) -> int:
+def numerical_rank(matrix, tolerances: Tolerances = DEFAULT) -> int:
     """The rank ``null_split`` decides, from the singular values alone;
     an empty matrix is not factored."""
     m = np.asarray(matrix)
     s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
-    return _relative_split(s, rtol, tolerances)[0]
+    return _relative_split(s, tolerances)[0]
 
 
-def _relative_split(s: np.ndarray, rtol: float,
+def _relative_split(s: np.ndarray,
                     tolerances: Tolerances) -> tuple[int, float]:
-    """``split_rank`` at ``rtol`` times the largest singular value."""
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rank tolerance must lie in (0, 1), got {rtol}")
-    threshold = rtol * s[0] if s.size and s[0] > 0 else np.inf
+    """``split_rank`` at ``rank_rtol`` times the largest singular value."""
+    threshold = tolerances.rank_rtol * s[0] if s.size and s[0] > 0 else np.inf
     return split_rank(s, threshold, tolerances)
 
 

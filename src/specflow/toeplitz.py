@@ -37,6 +37,9 @@ from .operators import (FourierTruncation, SymbolFunction, build_dirac,
 #: the module docstring for how the sign and power were frozen.
 CH1_NORMALIZATION = 1.0 / (4.0 * np.pi ** 2)
 
+#: Fiber sample points of the degree-1 cochain's x-integral.
+_FIBER_GRID = 256
+
 
 def hardy_section(trunc: FourierTruncation,
                   tolerances: Tolerances = DEFAULT) -> SpectralSection:
@@ -80,21 +83,12 @@ class ToeplitzOperator:
     def rank(self) -> int:
         return self.matrix.shape[0]
 
-    def rebuild(self, trunc: FourierTruncation) -> "ToeplitzOperator":
-        if self.section.rebuilder is None:
-            raise UnstableIndex(
-                "section carries no rebuild recipe, so the two-truncation "
-                "stability contract cannot run; use hardy_section / "
-                "dirac_aps_section or pass check_stability=False")
-        return toeplitz_compress(self.section.rebuilder(trunc), self.symbol,
-                                 trunc)
-
 
 def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
                       trunc: FourierTruncation,
                       tolerances: Tolerances = DEFAULT) -> ToeplitzOperator:
     """Matrix of P M_g P on Im P for a pointwise-unitary symbol."""
-    defect = symbol.unitarity_defect()
+    defect = symbol.unitarity_defect
     if defect > tolerances.unitary:
         raise ValueError(f"Toeplitz symbol must be unitary-valued "
                          f"(defect {defect:.3e})")
@@ -140,10 +134,9 @@ class SmallSubspaces:
     singular_values: np.ndarray
 
 
-def toeplitz_small_subspaces(t: ToeplitzOperator, tol: float | None = None,
+def toeplitz_small_subspaces(t: ToeplitzOperator,
                              tolerances: Tolerances = DEFAULT) -> SmallSubspaces:
-    tol = tolerances.rank_rtol if tol is None else tol
-    split = null_split(t.matrix, tol, tolerances)
+    split = null_split(t.matrix, tolerances)
     basis, interior = t.section.basis, t.truncation.interior()
     ker = interior_directions(basis @ split.kernel, interior, tolerances)
     cok = interior_directions(basis @ split.cokernel, interior, tolerances)
@@ -155,23 +148,35 @@ def toeplitz_small_subspaces(t: ToeplitzOperator, tol: float | None = None,
                           singular_values=split.singular_values)
 
 
-def fredholm_index(t: ToeplitzOperator, tol: float | None = None,
-                   check_stability: bool = True,
+def fredholm_index(t: ToeplitzOperator,
                    tolerances: Tolerances = DEFAULT) -> int:
     """dim ker - dim coker of the compression, counting only
-    interior-localized null directions; recomputed at doubled truncation
-    and required to agree when ``check_stability`` is set."""
-    sub = toeplitz_small_subspaces(t, tol, tolerances)
-    index = sub.kernel_dim - sub.cokernel_dim
-    if check_stability:
-        t2 = t.rebuild(t.truncation.doubled())
-        sub2 = toeplitz_small_subspaces(t2, tol, tolerances)
-        index2 = sub2.kernel_dim - sub2.cokernel_dim
-        if index2 != index:
-            raise UnstableIndex(
-                f"index {index} at K={t.truncation.max_mode} but {index2} "
-                f"at K={t2.truncation.max_mode}")
-    return index
+    interior-localized null directions; recomputed at doubled truncation,
+    over the section's rebuild recipe, and required to agree."""
+    if t.section.rebuilder is None:
+        raise UnstableIndex(
+            "section carries no rebuild recipe, so the two-truncation "
+            "stability contract cannot run; use hardy_section or "
+            "dirac_aps_section")
+    trunc2 = t.truncation.doubled()
+    t2 = toeplitz_compress(t.section.rebuilder(trunc2), t.symbol, trunc2,
+                           tolerances)
+    sub = _doubling_checked(t, t2, tolerances)
+    return sub.kernel_dim - sub.cokernel_dim
+
+
+def _doubling_checked(t: ToeplitzOperator, t2: ToeplitzOperator,
+                      tolerances: Tolerances) -> SmallSubspaces:
+    """Small subspaces of ``t``, once its compression ``t2`` at doubled
+    truncation has shown the same index (UnstableIndex otherwise)."""
+    sub = toeplitz_small_subspaces(t, tolerances)
+    sub2 = toeplitz_small_subspaces(t2, tolerances)
+    index, index2 = (s.kernel_dim - s.cokernel_dim for s in (sub, sub2))
+    if index2 != index:
+        raise UnstableIndex(
+            f"index {index} at K={t.truncation.max_mode} but {index2} "
+            f"at K={t2.truncation.max_mode}")
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +190,14 @@ class WindingData:
     grid: int
 
 
-def winding(symbol: SymbolFunction, grid: int | None = None,
+def winding(symbol: SymbolFunction,
             tolerances: Tolerances = DEFAULT) -> WindingData:
     """Degree of det g : S^1 -> U(1) via the trapezoid integral of
-    tr(g^{-1} g') / (2 pi i)."""
-    grid = tolerances.winding_grid if grid is None else int(grid)
+    tr(g^{-1} g') / (2 pi i) on ``winding_grid`` points."""
+    grid = tolerances.winding_grid
     if grid < 64:
         raise ValueError("winding needs at least 64 sample points")
-    defect = symbol.unitarity_defect()
+    defect = symbol.unitarity_defect
     if defect > tolerances.unitary:
         raise ValueError(f"winding expects a unitary symbol "
                          f"(defect {defect:.3e})")
@@ -228,7 +233,6 @@ def _family_values(g_family, base: BaseGrid):
 
 
 def odd_chern_integral(g_family, base: BaseGrid, n: int,
-                       fiber_grid: int = 256,
                        tolerances: Tolerances = DEFAULT) -> OddChernCochain:
     """Discrete Chern-character cochain of the Toeplitz index bundle of a
     unitary symbol family.
@@ -255,8 +259,8 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
 
     m = base.size
     rank = next(iter(fam.values())).rank
-    xs = 2 * np.pi * np.arange(fiber_grid) / fiber_grid
-    g = np.empty((m, m, fiber_grid, rank, rank), dtype=complex)
+    xs = 2 * np.pi * np.arange(_FIBER_GRID) / _FIBER_GRID
+    g = np.empty((m, m, _FIBER_GRID, rank, rank), dtype=complex)
     dxg = np.empty_like(g)
     for (i, j) in base.vertices:
         g[i, j] = fam[i, j].evaluate(xs)
@@ -272,7 +276,7 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
     b1 = ginv @ d1g
     b2 = ginv @ d2g
     density = np.trace(a @ (b1 @ b2 - b2 @ b1), axis1=-2, axis2=-1)
-    density = 0.5 * density.sum(axis=2).real * (2 * np.pi / fiber_grid)
+    density = 0.5 * density.sum(axis=2).real * (2 * np.pi / _FIBER_GRID)
 
     h = 2 * np.pi / m
     values = {}

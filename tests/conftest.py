@@ -24,6 +24,11 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def derivative_matrix(trunc) -> np.ndarray:
+    """The matrix of -i d/dx: entry k on every copy of mode k."""
+    return np.diag(trunc.modes().astype(complex))
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)

@@ -165,8 +165,7 @@ def test_criterion_7_bott_family_class():
         sec = hardy_section(tr)
         from specflow.toeplitz import toeplitz_small_subspaces
         for v in base.vertices:
-            sub = toeplitz_small_subspaces(
-                toeplitz_compress(sec, fam[v], tr), None)
+            sub = toeplitz_small_subspaces(toeplitz_compress(sec, fam[v], tr))
             assert sub.kernel_dim - sub.cokernel_dim == -1
 
         cls = toeplitz_family_index(fam, base, tr)

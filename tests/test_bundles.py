@@ -104,9 +104,9 @@ class TestKernelBundle:
         mats = {v: m for v in base.vertices}
         if factor < 1:
             with pytest.raises(IllConditioned, match="cluster"):
-                kernel_bundle(base, mats, tol=1e-6)
+                kernel_bundle(base, mats, DEFAULT.with_(rank_rtol=1e-6))
         else:
-            ker = kernel_bundle(base, mats, tol=1e-6)
+            ker = kernel_bundle(base, mats, DEFAULT.with_(rank_rtol=1e-6))
             assert ker.rank == 1
             assert abs(abs(ker.frame((0,))[2, 0]) - 1.0) <= 1e-12
 
@@ -294,6 +294,26 @@ class TestToeplitzFamilyIndex:
         cls = toeplitz_family_index(fam, base, tr)
         for v in base.vertices:
             assert cls.meta["pointwise_index"] == -winding(fam[v]).winding
+
+    def test_one_unitarity_check_per_vertex_symbol(self, monkeypatch):
+        # symbols built without the unitary flag are not checked at
+        # construction, so every defect evaluation here is the
+        # compression's; K and 2K share the one of each symbol
+        base = BaseGrid.torus(8)
+        tr = FourierTruncation(8, 2)
+        fam = {v: SymbolFunction(g.coefficients, rank=g.rank)
+               for v, g in bott_symbol_family(base).items()}
+        evaluate = SymbolFunction.evaluate
+        calls = []
+
+        def counted(self, xs):
+            calls.append(id(self))
+            return evaluate(self, xs)
+
+        monkeypatch.setattr(SymbolFunction, "evaluate", counted)
+        cls = toeplitz_family_index(fam, base, tr)
+        assert (cls.ch0, cls.ch1) == (-1, -1)
+        assert sorted(calls) == sorted(id(g) for g in fam.values())
 
 
 class TestHigherSpectralFlow:

@@ -173,6 +173,37 @@ class TestContracts:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bott_on_loop_base_exits_2(self, files, capsys):
+        loop = files["tmp"] / "bott_loop.json"
+        loop.write_text(json.dumps({"base": "loop:8", "builtin": "bott"}))
+        assert main(["higher-sf", "--family", str(loop), "--k", "4"]) == 2
+        assert main(["higher-sf", "--family", str(files["bott"]), "--k", "4",
+                     "--base", "loop:8"]) == 2
+        assert "torus base" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["1.5", "0"])
+    def test_tol_outside_unit_interval_exits_2(self, files, capsys, tol):
+        code = main(["higher-sf", "--family", str(files["bott"]), "--k", "4",
+                     "--tol", tol])
+        assert code == 2
+        assert "rank tolerance" in capsys.readouterr().err
+
+    def test_tol_is_recorded(self, files, capsys, tmp_path):
+        records = {}
+        for tol in ("1e-6", "1e-3", None):
+            out = tmp_path / f"{tol}.json"
+            argv = ["toeplitz", "--symbol", str(files["e3x"]), "--k", "16",
+                    "--out", str(out)]
+            if tol is not None:
+                argv += ["--tol", tol]
+            assert main(argv) == 0
+            records[tol] = json.loads(out.read_text())
+        capsys.readouterr()
+        assert records["1e-6"]["config"]["tol"] == 1e-6
+        assert "tol" not in records[None]["config"]
+        assert len({r["config_hash"] for r in records.values()}) == 3
+        assert all(r["outputs"]["index"] == -3 for r in records.values())
+
     def test_full_record_flag(self, files, capsys):
         code = main(["sf", "--curve", str(files["constant"]), "--k", "6",
                      "--json"])

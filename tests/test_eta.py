@@ -96,8 +96,6 @@ class TestHeat:
             eta_heat(spec, t_grid=[1e-2, 1e-3, 1e-4, 2e-5])
         with pytest.raises(ValueError, match="decrease"):
             eta_heat(spec, t_grid=[1e-6, 1e-5, 1e-4, 1e-3])
-        with pytest.raises(ValueError, match="symmetric"):
-            eta_heat(spec, tail="asymptotic")
 
 
 class TestSfViaEta:

@@ -108,9 +108,9 @@ class TestDifferenceElement:
         p, q = self.sections_with_cosines(kept, dropped)
         if ratio < 1:
             with pytest.raises(IllConditioned, match="cluster"):
-                difference_element(p, q, tol=1e-6)
+                difference_element(p, q, DEFAULT.with_(rank_rtol=1e-6))
         else:
-            d = difference_element(p, q, tol=1e-6)
+            d = difference_element(p, q, DEFAULT.with_(rank_rtol=1e-6))
             assert (d.value, d.kernel_dim, d.cokernel_dim) == (0, 1, 1)
 
     def test_empty_comparison_map_takes_no_svd(self, monkeypatch):
@@ -124,12 +124,12 @@ class TestDifferenceElement:
             d = difference_element(a, b)
             assert (d.kernel_dim, d.cokernel_dim) == (a.rank, b.rank)
         with pytest.raises(ValueError, match="rank tolerance"):
-            difference_element(p, q, tol=1.0)
+            difference_element(p, q, DEFAULT.with_(rank_rtol=1.0))
 
     def test_full_rank_needs_no_split(self):
         # every singular value kept: no split to certify, however small
         p, q = self.sections_with_cosines(2e-6, 1.5e-6)
-        d = difference_element(p, q, tol=1e-6)
+        d = difference_element(p, q, DEFAULT.with_(rank_rtol=1e-6))
         assert (d.value, d.kernel_dim, d.cokernel_dim) == (0, 0, 0)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -289,11 +289,11 @@ class TestSpectralFlow:
 
     def test_no_gap_found(self):
         curve = shift_curve(-0.25, 0.25)
-        tight = DEFAULT.with_(min_interval_width=0.6)
         # widen the certification demand so no level can certify on the
         # initial segments and bisection immediately hits the floor
+        tight = DEFAULT.with_(min_interval_width=0.6, lipschitz_safety=1e6)
         with pytest.raises(NoGapFound):
-            gap_partition(curve, tight, lipschitz=1e6)
+            gap_partition(curve, tight)
 
     def test_resolution_exceeded(self):
         from specflow.errors import ResolutionExceeded

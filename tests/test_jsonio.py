@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from specflow import (BaseGrid, FourierTruncation, SymbolFunction,
-                      build_derivative)
+from specflow import BaseGrid, FourierTruncation, SymbolFunction
 from specflow.errors import ConfigError
 from specflow.jsonio import (canonical_json, config_hash, curve_from_json,
                              curve_to_json, family_from_json, family_to_json,
                              matrix_to_json_debug, symbol_from_json,
                              symbol_to_json)
 from specflow.models import bott_symbol
-from conftest import random_hermitian_symbol
+from conftest import derivative_matrix, random_hermitian_symbol
 
 
 class TestSymbolRoundTrip:
@@ -56,7 +55,7 @@ class TestCurveRoundTrip:
         curve = curve_from_json(payload, trunc)
         # the midpoint of the shift path -0.25 -> 0.25 is -i d/dx itself
         assert np.abs(curve.at(0.5).matrix
-                      - build_derivative(trunc).matrix).max() < 1e-12
+                      - derivative_matrix(trunc)).max() < 1e-12
         assert np.allclose(curve.potentials[-1].evaluate([0.0]), 0.25)
 
     def test_interpolation_required(self):
@@ -87,6 +86,10 @@ class TestFamilyRoundTrip:
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError, match="unknown builtin"):
             family_from_json({"base": "torus:8", "builtin": "nope"})
+
+    def test_builtin_bott_needs_torus(self):
+        with pytest.raises(ConfigError, match="needs a torus base"):
+            family_from_json({"base": "loop:8", "builtin": "bott"})
 
 
 class TestHashing:

@@ -7,7 +7,7 @@ from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
                       mapping_torus_index, spectral_flow)
 from specflow.config import DEFAULT
 from specflow.errors import GluingInconsistent, IllConditioned
-from specflow.mapping_torus import (MappingTorusOperator,
+from specflow.mapping_torus import (MappingTorusOperator, _interior_index,
                                     _small_singular_vectors,
                                     _with_doubled_truncation)
 from specflow.models import constant_shift_potential
@@ -182,7 +182,7 @@ class TestSmallSingularVectors:
 class TestIndex:
     def test_trivial_loop(self):
         op = build_mapping_torus(constant_loop_spec(k=10), 16)
-        assert mapping_torus_index(op, check_stability=False) == 0
+        assert mapping_torus_index(op) == 0
 
     @pytest.mark.parametrize("flux", [1, 2])
     def test_flux_index_equals_path_flow(self, flux):
@@ -191,7 +191,7 @@ class TestIndex:
         # adjoint kernel and none in the kernel, so the index is -flux
         spec = flux_spec(flux)
         op = build_mapping_torus(spec, 24)
-        idx = mapping_torus_index(op, check_stability=False)
+        idx = mapping_torus_index(op)
         assert idx == spectral_flow(spec.path) == -flux
 
     def test_doubling_stability_runs(self):
@@ -205,8 +205,11 @@ class TestIndex:
         adjoint = MappingTorusOperator(op.matrix.getH().tocsc(), op.spec,
                                        op.m_u, op.truncation,
                                        op.sigma_max_bound)
-        a = mapping_torus_index(op, check_stability=False)
-        b = mapping_torus_index(adjoint, check_stability=False)
+        # the doubling checks rebuild from the spec, which describes A and
+        # not its adjoint, so this hand-built operator is counted at its
+        # own grid only
+        a = _interior_index(op, DEFAULT)
+        b = _interior_index(adjoint, DEFAULT)
         assert a == -b == -2
 
     @pytest.mark.parametrize("factor", [0.99, 1.01])
@@ -214,11 +217,13 @@ class TestIndex:
         # one small singular value at a tenth of the threshold and the first
         # retained one just below or just above svd_gap_factor times it
         op = build_mapping_torus(flux_spec(1, k=4), 8)
-        dropped = 0.1 * DEFAULT.mapping_torus_rank_rtol * op.sigma_max_bound
-        vector = np.zeros((op.shape[0], 1), dtype=complex)
-        vector[op.truncation.dim // 2] = 1.0     # mode 0 of the first slice
 
         def fake(op, threshold):
+            # sized by the operator it is given, so the doubled copies that
+            # the index checks get their own
+            dropped = 0.1 * threshold
+            vector = np.zeros((op.shape[0], 1), dtype=complex)
+            vector[op.truncation.dim // 2] = 1.0     # mode 0 of the first slice
             return (vector, vector, np.array([dropped]),
                     factor * DEFAULT.svd_gap_factor * dropped)
 
@@ -226,17 +231,14 @@ class TestIndex:
                             fake)
         if factor < 1:
             with pytest.raises(IllConditioned, match="cluster"):
-                mapping_torus_index(op, check_stability=False)
+                mapping_torus_index(op)
         else:
-            assert mapping_torus_index(op, check_stability=False) == 0
+            assert mapping_torus_index(op) == 0
 
     def test_refinement_invariance(self):
         spec = flux_spec(1, k=12)
-        coarse = mapping_torus_index(build_mapping_torus(spec, 16),
-                                     check_stability=False)
-        fine = mapping_torus_index(build_mapping_torus(spec, 32),
-                                   check_stability=False)
+        coarse = mapping_torus_index(build_mapping_torus(spec, 16))
+        fine = mapping_torus_index(build_mapping_torus(spec, 32))
         spec2 = flux_spec(1, k=24)
-        finer_k = mapping_torus_index(build_mapping_torus(spec2, 16),
-                                      check_stability=False)
+        finer_k = mapping_torus_index(build_mapping_torus(spec2, 16))
         assert coarse == fine == finer_k == -1

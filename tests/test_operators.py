@@ -3,17 +3,17 @@ import pytest
 import scipy.linalg
 
 from specflow import (BaseGrid, FourierTruncation, OperatorCurve,
-                      SymbolFunction, build_derivative, build_dirac,
-                      build_multiplication, eigh, eigvalsh)
-from specflow.config import DEFAULT
+                      SymbolFunction, build_dirac, build_multiplication, eigh,
+                      eigvalsh)
+from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
 from specflow.flow import _SpectrumCache
 from specflow.operators import (half_bandwidth, interior_directions,
                                 null_split, numerical_rank, split_rank)
-from conftest import (fd_dirac_cos_spectrum, random_hermitian,
-                      random_hermitian_symbol, random_trig_unitary,
-                      random_unitary, rng_for)
+from conftest import (derivative_matrix, fd_dirac_cos_spectrum,
+                      random_hermitian, random_hermitian_symbol,
+                      random_trig_unitary, random_unitary, rng_for)
 
 
 class TestTruncation:
@@ -31,17 +31,17 @@ class TestTruncation:
 
 class TestDerivative:
     def test_k1_n1(self):
-        d = build_derivative(FourierTruncation(1, 1))
-        assert np.array_equal(d.matrix, np.diag([-1.0, 0.0, 1.0]))
+        d = derivative_matrix(FourierTruncation(1, 1))
+        assert np.array_equal(d, np.diag([-1.0, 0.0, 1.0]))
 
     def test_k2_n2(self):
-        d = build_derivative(FourierTruncation(2, 2))
+        d = derivative_matrix(FourierTruncation(2, 2))
         expected = np.diag([-2, -2, -1, -1, 0, 0, 1, 1, 2, 2]).astype(complex)
-        assert np.array_equal(d.matrix, expected)
+        assert np.array_equal(d, expected)
 
     @pytest.mark.parametrize("k,n", [(3, 1), (5, 2), (8, 3)])
     def test_trace_zero(self, k, n):
-        assert np.trace(build_derivative(FourierTruncation(k, n)).matrix) == 0
+        assert np.trace(derivative_matrix(FourierTruncation(k, n))) == 0
 
 
 class TestMultiplication:
@@ -129,7 +129,7 @@ class TestDirac:
     def test_zero_potential(self):
         tr = FourierTruncation(3, 2)
         d = build_dirac(SymbolFunction.constant(np.zeros((2, 2))), tr)
-        assert np.array_equal(d.matrix, build_derivative(tr).matrix)
+        assert np.array_equal(d.matrix, derivative_matrix(tr))
 
     def test_cos_potential_vs_finite_differences(self):
         # oracle: 1025-point central-difference discretization with
@@ -254,7 +254,7 @@ class TestBandedEigvalsh:
 class TestEigh:
     def test_diagonal_sorted(self):
         tr = FourierTruncation(2, 1)
-        dec = eigh(build_derivative(tr))
+        dec = eigh(derivative_matrix(tr))
         assert np.array_equal(dec.eigenvalues, np.arange(-2.0, 3.0))
 
     def test_invariants_random(self, rng):
@@ -351,14 +351,14 @@ class TestEigh:
 
 class TestRank:
     def test_identity(self):
-        split = null_split(np.eye(7), 1e-8)
+        split = null_split(np.eye(7))
         assert split.rank == 7
         assert split.kernel.shape == (7, 0) and split.cokernel.shape == (7, 0)
         assert split.gap_ratio == np.inf
 
     def test_zero(self):
         # the zero matrix has rank 0: its whole domain is the kernel
-        split = null_split(np.zeros((4, 6)), 1e-8)
+        split = null_split(np.zeros((4, 6)))
         assert split.rank == 0
         assert np.allclose(split.kernel.conj().T @ split.kernel, np.eye(6))
         assert np.allclose(split.cokernel.conj().T @ split.cokernel, np.eye(4))
@@ -366,7 +366,7 @@ class TestRank:
     def test_rank3_construction(self, rng):
         vs = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
         m = sum(np.outer(v, v.conj()) for v in vs)
-        split = null_split(m, 1e-8)
+        split = null_split(m)
         assert split.rank == 3
         assert np.abs(m @ split.kernel).max() <= 1e-10 * split.singular_values[0]
         assert np.abs(split.cokernel.conj().T @ m).max() \
@@ -374,36 +374,38 @@ class TestRank:
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5])
     def test_tol_domain(self, tol):
-        with pytest.raises(ValueError):
-            null_split(np.eye(2), tol)
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), tol)
-        with pytest.raises(ValueError):
-            numerical_rank(np.zeros((0, 3)), tol)
+        # the record refuses the value, so no rank decision can read it
+        for name in ("rank_rtol", "mapping_torus_rank_rtol"):
+            with pytest.raises(ValueError, match="rank tolerance"):
+                Tolerances(**{name: tol})
+            with pytest.raises(ValueError, match="rank tolerance"):
+                DEFAULT.with_(**{name: tol})
 
     def test_numerical_rank_is_the_null_split_rank(self, rng):
         vs = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
         cases = [np.eye(7), np.zeros((4, 6)), np.zeros((0, 3)),
                  np.diag([1.0, 1e-3]), np.diag([1.0, 0.5]),
                  sum(np.outer(v, v.conj()) for v in vs)]
+        loose = DEFAULT.with_(rank_rtol=1e-3)
         for m in cases:
-            assert numerical_rank(m, 1e-3) == null_split(m, 1e-3).rank
+            assert numerical_rank(m, loose) == null_split(m, loose).rank
         with pytest.raises(IllConditioned, match="cluster"):
-            numerical_rank(np.diag([1.0, 5e-8, 2e-9]), 1e-8)
+            numerical_rank(np.diag([1.0, 5e-8, 2e-9]))
 
     def test_gap_check(self):
         # values straddle the threshold within the required factor
         m = np.diag([1.0, 5e-8, 2e-9])
         with pytest.raises(IllConditioned, match="cluster"):
-            null_split(m, 1e-8)
-        assert null_split(np.diag([1.0, 0.5]), 1e-8).rank == 2
+            null_split(m)
+        assert null_split(np.diag([1.0, 0.5])).rank == 2
 
     def test_value_at_threshold_is_kept(self):
-        assert null_split(np.diag([1.0, 1e-3]), 1e-3).rank == 2
+        assert null_split(np.diag([1.0, 1e-3]),
+                          DEFAULT.with_(rank_rtol=1e-3)).rank == 2
         assert split_rank(np.array([1.0, 1e-3]), 1e-3) == (2, np.inf)
 
     def test_empty_matrix(self):
-        split = null_split(np.zeros((0, 3)), 1e-8)
+        split = null_split(np.zeros((0, 3)))
         assert split.rank == 0
         assert split.kernel.shape == (3, 3) and split.cokernel.shape == (0, 0)
 
@@ -448,7 +450,7 @@ class TestConjugate:
         # edge; its sandwich of -i d/dx equals the shifted diagonal on the
         # interior modes (direct matrix product, edges excluded)
         tr = FourierTruncation(6, 1)
-        d = build_derivative(tr).matrix
+        d = derivative_matrix(tr)
         s = build_multiplication(SymbolFunction.exponential(1), tr)
         sandwich = s @ d @ s.conj().T
         interior = slice(1, 2 * 6)     # drop the lowest mode row/col
@@ -479,7 +481,7 @@ class TestUnitarityDefect:
 
     def test_batched_equals_per_point_bit_for_bit(self):
         for symbol in self.symbols():
-            assert symbol.unitarity_defect() \
+            assert symbol.unitarity_defect \
                 == _unitarity_defect_per_point(symbol)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
                       OperatorCurve, SpectralSection, SymbolFunction,
-                      aps_projection, build_derivative, build_multiplication,
+                      aps_projection, build_multiplication,
                       dirac_aps_section, fredholm_index,
                       gauge_transformed_potential, hardy_section,
                       odd_chern_integral, spectral_flow, toeplitz_compress,
@@ -14,7 +14,8 @@ from specflow.config import DEFAULT
 from specflow.errors import IllConditioned, RoundingAmbiguous, UnstableIndex
 from specflow.models import bott_symbol_family, qwz_projector
 from specflow.toeplitz import toeplitz_small_subspaces
-from conftest import random_hermitian_symbol, random_trig_unitary, rng_for
+from conftest import (derivative_matrix, random_hermitian_symbol,
+                      random_trig_unitary, rng_for)
 
 
 def interior_compression(symbol, trunc):
@@ -37,14 +38,14 @@ class TestHardySection:
         tr = FourierTruncation(5, 1)
         b = hardy_section(tr).basis
         p = b @ b.conj().T
-        d = build_derivative(tr).matrix
+        d = derivative_matrix(tr)
         assert np.array_equal(p @ d, d @ p)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_equals_inclusive_aps_projection_of_derivative(self, rank):
         tr = FourierTruncation(6, rank)
         h = hardy_section(tr)
-        ref = aps_projection(build_derivative(tr), 0.0, policy="inclusive")
+        ref = aps_projection(derivative_matrix(tr), 0.0, policy="inclusive")
         assert h.basis.shape == ref.basis.shape
         assert np.abs(h.basis - ref.basis).max() < 1e-14
         assert np.abs(h.basis @ h.basis.conj().T
@@ -163,9 +164,8 @@ class TestFredholmIndex:
         d = build_dirac(SymbolFunction.constant(0.25), tr)
         bare = aps_projection(d, 0.0)    # no rebuild recipe attached
         t = toeplitz_compress(bare, SymbolFunction.exponential(1), tr)
-        with pytest.raises(UnstableIndex, match="check_stability"):
+        with pytest.raises(UnstableIndex, match="rebuild recipe"):
             fredholm_index(t)
-        assert fredholm_index(t, check_stability=False) == -1
 
     def test_unstable_at_tiny_truncation(self):
         # winding 2 at K = 2 cannot separate genuine from edge null
@@ -190,7 +190,7 @@ class TestFredholmIndex:
         t = toeplitz_compress(hardy_section(tr), SymbolFunction.exponential(1),
                               tr)
         with pytest.raises(ValueError, match="tolerance"):
-            fredholm_index(t, tol=tol)
+            fredholm_index(t, DEFAULT.with_(rank_rtol=tol))
 
     @pytest.mark.parametrize("factor", [0.99, 1.01])
     def test_clustered_split_raises(self, factor):
@@ -203,11 +203,12 @@ class TestFredholmIndex:
         s = np.ones(t.rank)
         s[-2:] = factor * DEFAULT.svd_gap_factor * 1e-7, 1e-7
         t = dataclasses.replace(t, matrix=np.diag(s).astype(complex))
+        loose = DEFAULT.with_(rank_rtol=1e-6)
         if factor < 1:
             with pytest.raises(IllConditioned, match="cluster"):
-                toeplitz_small_subspaces(t, tol=1e-6)
+                toeplitz_small_subspaces(t, loose)
         else:
-            sub = toeplitz_small_subspaces(t, tol=1e-6)
+            sub = toeplitz_small_subspaces(t, loose)
             assert (sub.kernel_dim, sub.cokernel_dim, sub.edge_artifacts) \
                 == (0, 0, 2)
 
@@ -235,11 +236,12 @@ class TestWinding:
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=128))
         g = SymbolFunction.from_samples(phases, unitary=True)
         with pytest.raises(RoundingAmbiguous):
-            winding(g, grid=128)
+            winding(g, DEFAULT.with_(winding_grid=128))
 
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="64"):
-            winding(SymbolFunction.exponential(1), grid=32)
+            winding(SymbolFunction.exponential(1),
+                    DEFAULT.with_(winding_grid=32))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
