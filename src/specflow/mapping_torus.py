@@ -16,8 +16,9 @@ cokernel counts to coincide, exactly as for Toeplitz compressions; genuine
 null states of the flux problem concentrate on interior Fourier modes
 while the gluing artifacts live at the mode edges, so the index counts
 only interior-localized small singular directions of A and A*.  Those
-directions come from one path at every size: seeded block inverse
-iteration on the sparse A*A and A A*.  The small singular values are the
+directions come from one path at every size, which the band route of
+``operators.null_split`` shares: seeded block inverse iteration on the
+sparse A*A and A A*.  The small singular values are the
 residual norms ||A v|| and ||A* u|| of its Ritz vectors.  Doubling both
 grid parameters must leave the counts unchanged (mandatory check).
 """
@@ -28,16 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import DEFAULT, Tolerances
-from .errors import (DoublingDetected, GluingInconsistent,
-                     IllConditioned)
+from .errors import DoublingDetected, GluingInconsistent
 from .flow import OperatorCurve
 from .operators import (FourierTruncation, SymbolFunction,
                         build_multiplication, eigvalsh,
                         gauge_transformed_potential, interior_directions,
-                        split_rank)
+                        small_singular_vectors, split_rank)
 
 
 @dataclass(frozen=True)
@@ -170,76 +169,11 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int) -> MappingTorusOperator
                                 sigma_max_bound=2.0 / h + dnorm + 1.0)
 
 
-def _smallest_block(mat, k: int, scale: float, cut: float):
-    """Ritz vectors of the smallest k eigenvalues of a sparse PSD matrix,
-    in ascending order of Ritz value, by seeded block inverse iteration
-    (block methods resolve degenerate clusters, which single-vector
-    Lanczos misses with a fixed start).
-
-    Convergence is judged on the Ritz values a rank decision at ``cut``
-    reads: every value below it and the first one above it.  The values
-    above those are never read, and in inverse iteration they are the
-    slowest to settle.
-    """
-    n = mat.shape[0]
-    shift = 1e-12 * scale + 1e-300
-    lu = spla.splu((mat + shift * sp.identity(n, format="csc",
-                                              dtype=complex)).tocsc())
-    rng = np.random.default_rng(1234567)
-    x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    x, _ = np.linalg.qr(x)
-    previous = None
-    for _ in range(60):
-        x, _ = np.linalg.qr(lu.solve(x))
-        small = x.conj().T @ (mat @ x)
-        vals, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
-        read = min(int(np.count_nonzero(vals < cut)) + 1, len(vals))
-        if previous is not None and np.all(
-                np.abs(vals[:read] - previous[:read])
-                <= 1e-10 * scale + 1e-10 * np.abs(vals[:read])):
-            break
-        previous = vals
-    else:
-        raise IllConditioned("block inverse iteration did not converge")
-    return x @ rot
-
-
-def _small_singular_vectors(op: MappingTorusOperator, threshold: float,
-                            k_seek: int = 8):
-    """Right and left singular vectors with singular value below the
-    threshold, plus the first retained singular value.
-
-    The singular values are the residual norms ``||A v||`` and ``||A* u||``
-    of the Ritz vectors, in ascending order; they are accurate to about
-    ``eps ||A||``, where the square roots of the Ritz values of ``A*A``
-    are accurate only to about ``sqrt(eps) ||A||``.
-    """
-    a = op.matrix
-    a_h = a.getH()
-    scale = op.sigma_max_bound ** 2
-
-    def smallest(gram, factor, k):
-        vecs = _smallest_block(gram.tocsc(), k, scale, threshold ** 2)
-        s = np.linalg.norm(factor @ vecs, axis=0)
-        order = np.argsort(s, kind="stable")
-        return s[order], vecs[:, order]
-
-    k = k_seek
-    while True:
-        s_r, v_r = smallest(a_h @ a, a, k)
-        if s_r[-1] >= threshold or k >= 64:
-            break
-        k *= 2
-    ns = int(np.count_nonzero(s_r < threshold))
-    if ns >= k:
-        raise IllConditioned("could not isolate the small singular "
-                             "spectrum within the search budget")
-    s_l, v_l = smallest(a @ a_h, a_h, max(ns + 2, 4))
-    nl = int(np.count_nonzero(s_l < threshold))
-    if nl != ns:
-        raise IllConditioned(f"two-sided small-singular counts differ "
-                             f"({ns} vs {nl}); threshold sits in the spectrum")
-    return v_r[:, :ns], v_l[:, :ns], s_r[:ns], s_r[ns] if ns < len(s_r) else np.inf
+def _small_singular_vectors(op: MappingTorusOperator, threshold: float):
+    """``small_singular_vectors`` of A below the threshold, with the norm
+    bound squared as its scale and a first block of 8 vectors."""
+    return small_singular_vectors(op.matrix, threshold,
+                                  op.sigma_max_bound ** 2, 8)
 
 
 def index(op: MappingTorusOperator,

@@ -124,7 +124,8 @@ def _coordinate_rows(basis: np.ndarray) -> np.ndarray | None:
 @dataclass(frozen=True)
 class SmallSubspaces:
     """Numerically-null data of a Toeplitz compression, split by
-    localization."""
+    localization; ``gap_ratio`` is the rank split's smallest kept over
+    largest dropped singular value (inf when nothing is dropped)."""
 
     kernel_interior: np.ndarray      # lifted, dim x n_k
     cokernel_interior: np.ndarray    # lifted, dim x n_c
@@ -132,6 +133,7 @@ class SmallSubspaces:
     cokernel_dim: int
     edge_artifacts: int
     singular_values: np.ndarray
+    gap_ratio: float
 
 
 def toeplitz_small_subspaces(t: ToeplitzOperator,
@@ -145,7 +147,8 @@ def toeplitz_small_subspaces(t: ToeplitzOperator,
                           kernel_dim=nk, cokernel_dim=nc,
                           edge_artifacts=split.kernel.shape[1]
                           + split.cokernel.shape[1] - nk - nc,
-                          singular_values=split.singular_values)
+                          singular_values=split.singular_values,
+                          gap_ratio=split.gap_ratio)
 
 
 def fredholm_index(t: ToeplitzOperator,

@@ -15,8 +15,10 @@ import scipy.sparse as sp
 
 import specflow.flow
 import specflow.mapping_torus
+import specflow.operators
 from specflow import SymbolFunction
 from specflow.config import DEFAULT
+from specflow.errors import IllConditioned
 from specflow.operators import eigvalsh
 
 
@@ -245,6 +247,82 @@ def mapping_torus_matches_reference(monkeypatch):
     for module in list(sys.modules.values()):
         if vars(module).get("build_mapping_torus") is original:
             monkeypatch.setattr(module, "build_mapping_torus", checked)
+
+
+def svd_shapes(monkeypatch) -> list:
+    """Record the shape of every matrix that ``np.linalg.svd`` factors."""
+    shapes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def dense_null_split(m, tolerances=DEFAULT, svd=np.linalg.svd):
+    """Rank, kernel, cokernel and singular values of ``m`` from its full
+    dense SVD, split at ``rank_rtol`` times the largest singular value;
+    raises IllConditioned, as ``split_rank`` does, when the smallest kept
+    value exceeds the largest nonzero dropped one by less than
+    ``svd_gap_factor``."""
+    u, s, vh = svd(m)
+    threshold = tolerances.rank_rtol * s[0] if s[0] > 0 else np.inf
+    rank = int(np.count_nonzero(s >= threshold))
+    if 0 < rank < s.size and s[rank] > 0 \
+            and s[rank - 1] / s[rank] < tolerances.svd_gap_factor:
+        raise IllConditioned("singular values cluster at the rank threshold")
+    return rank, vh[rank:].conj().T, u[:, rank:], s
+
+
+def sine_of_largest_angle(a, b) -> float:
+    """||(I - A A*) B||_2 for orthonormal frames A and B of equal width:
+    the sine of the largest principal angle between their spans."""
+    assert a.shape == b.shape
+    if a.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(b - a @ (a.conj().T @ b), 2))
+
+
+def assert_matches_dense_split(m, split, tolerances=DEFAULT,
+                               svd=np.linalg.svd):
+    """The split has the dense SVD's rank, singular values (to roundoff
+    in the largest) and kernel and cokernel spans."""
+    rank, kernel, cokernel, s = dense_null_split(m, tolerances, svd)
+    assert split.rank == rank
+    assert np.abs(split.singular_values - s).max() <= 1e-12 * max(s[0], 1e-300)
+    assert sine_of_largest_angle(split.kernel, kernel) <= 1e-6
+    assert sine_of_largest_angle(split.cokernel, cokernel) <= 1e-6
+
+
+@pytest.fixture(autouse=True)
+def band_null_split_matches_dense(monkeypatch):
+    """Repeat every band-route ``null_split`` of the suite with the dense
+    SVD, wherever ``null_split`` was imported to: a refusal must be the
+    dense route's refusal too, and a split must have its rank and
+    subspaces.  The SVD is the one in place before the test runs, so a
+    test that counts SVD calls does not count these."""
+    original = specflow.operators.null_split
+    svd = np.linalg.svd
+
+    def checked(matrix, tolerances=DEFAULT):
+        m = np.asarray(matrix)
+        if specflow.operators._interleaved_band(m) is None:
+            return original(matrix, tolerances)
+        try:
+            split = original(matrix, tolerances)
+        except IllConditioned:
+            with pytest.raises(IllConditioned):
+                dense_null_split(m, tolerances, svd)
+            raise
+        assert_matches_dense_split(m, split, tolerances, svd)
+        return split
+
+    for module in list(sys.modules.values()):
+        if vars(module).get("null_split") is original:
+            monkeypatch.setattr(module, "null_split", checked)
 
 
 @pytest.fixture

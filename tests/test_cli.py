@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from specflow import SymbolFunction
@@ -66,6 +67,22 @@ class TestSubcommands:
         assert out == {"index": -3, "winding": 3,
                        "raw_integral": out["raw_integral"], "sf": -3}
         assert abs(out["raw_integral"] - 3.0) < 1e-9
+
+    def test_toeplitz_sampled_symbol_with_sf_check(self, files, capsys):
+        # unitary at its 16 sample points only, so the gauge potential of
+        # the sf check needs the adjoint checked at those points too
+        xs = 2 * np.pi * np.arange(16) / 16
+        g = np.exp(1j * (xs + 0.3 * np.sin(3 * xs)))
+        path = files["tmp"] / "sampled.json"
+        path.write_text(json.dumps({
+            "rank": 1, "unitary": True,
+            "samples": [{"re": v.real, "im": v.imag} for v in g]}))
+        code = main(["toeplitz", "--symbol", str(path), "--k", "32",
+                     "--check-sf", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["outputs"]["index"] == out["outputs"]["sf"] == -1
+        assert out["stability"]["index_equals_sf"] is True
 
     def test_eta_both_methods(self, files, capsys):
         code, out = run(capsys, "eta", "--a", "0.25")

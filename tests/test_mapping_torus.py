@@ -12,7 +12,8 @@ from specflow.mapping_torus import (MappingTorusOperator, _interior_index,
                                     _with_doubled_truncation)
 from specflow.models import constant_shift_potential
 from conftest import (assert_matches_reference_assembly, random_hermitian,
-                      random_hermitian_symbol, rng_for)
+                      random_hermitian_symbol, rng_for,
+                      sine_of_largest_angle)
 
 
 def flux_spec(flux: int, k: int = 16) -> TwistedLoopSpec:
@@ -149,11 +150,6 @@ class TestReferenceAssembly:
         build_mapping_torus(self._guard_spec(0.0), 8)
 
 
-def _sine_of_largest_angle(a, b):
-    """||(I - A A*) B||_2 for orthonormal frames A and B of equal width."""
-    return np.linalg.norm(b - a @ (a.conj().T @ b), 2)
-
-
 class TestSmallSingularVectors:
     @pytest.mark.parametrize("spec, m_u", [
         (flux_spec(0, k=6), 12),
@@ -175,8 +171,8 @@ class TestSmallSingularVectors:
         # residual norms read the small values to roundoff in ||A||
         assert np.all(np.abs(s_small - s[n - ns:][::-1])
                       <= 1e-12 * op.sigma_max_bound)
-        assert _sine_of_largest_angle(right, vh.conj().T[:, n - ns:]) <= 1e-6
-        assert _sine_of_largest_angle(left, u[:, n - ns:]) <= 1e-6
+        assert sine_of_largest_angle(right, vh.conj().T[:, n - ns:]) <= 1e-6
+        assert sine_of_largest_angle(left, u[:, n - ns:]) <= 1e-6
 
 
 class TestIndex:

@@ -4,16 +4,18 @@ import scipy.linalg
 
 from specflow import (BaseGrid, FourierTruncation, OperatorCurve,
                       SymbolFunction, build_dirac, build_multiplication, eigh,
-                      eigvalsh)
+                      eigvalsh, gauge_transformed_potential)
 from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
 from specflow.flow import _SpectrumCache
 from specflow.operators import (half_bandwidth, interior_directions,
                                 null_split, numerical_rank, split_rank)
-from conftest import (derivative_matrix, fd_dirac_cos_spectrum,
+from conftest import (assert_matches_dense_split, dense_null_split,
+                      derivative_matrix, fd_dirac_cos_spectrum,
                       random_hermitian, random_hermitian_symbol,
-                      random_trig_unitary, random_unitary, rng_for)
+                      random_trig_unitary, random_unitary, rng_for,
+                      sine_of_largest_angle, svd_shapes)
 
 
 class TestTruncation:
@@ -423,6 +425,136 @@ class TestRank:
             assert ratio == pytest.approx(factor * DEFAULT.svd_gap_factor)
 
 
+def random_square_band(n: int, kl: int, ku: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Random complex n x n matrix with lower and upper half-bandwidths kl
+    and ku, its diagonal shifted so every singular value is well above 0."""
+    t = np.zeros((n, n), dtype=complex)
+    for d in range(-kl, ku + 1):
+        k = n - abs(d)
+        t += np.diag(rng.normal(size=k) + 1j * rng.normal(size=k), d)
+    return t + 3 * (kl + ku + 1) * np.eye(n)
+
+
+class TestBandNullSplit:
+    """The band route of ``null_split`` against the dense SVD.  Every
+    matrix here has n >= 16 (b + 1) + 128 for its interleaved
+    half-bandwidth b, and each test checks that no n x n SVD ran."""
+
+    @staticmethod
+    def split(m, monkeypatch, tolerances=DEFAULT):
+        shapes = svd_shapes(monkeypatch)
+        bands = band_calls(monkeypatch)
+        try:
+            return null_split(m, tolerances)
+        finally:
+            assert m.shape not in shapes and len(bands) == 1
+
+    @pytest.mark.parametrize("kl, ku", [(1, 3), (3, 1), (2, 0), (0, 2)])
+    def test_spans_match_dense(self, kl, ku, monkeypatch):
+        # zero rows add cokernel lines, zero columns kernel lines
+        n = 260
+        t = random_square_band(n, kl, ku, rng_for(10 * kl + ku))
+        t[[7, 130], :] = 0
+        t[:, [40, 41, 250]] = 0
+        split = self.split(t, monkeypatch)
+        rank, kernel, cokernel, s = dense_null_split(t)
+        assert split.rank == rank <= n - 3
+        assert np.abs(split.singular_values - s).max() <= 1e-12 * s[0]
+        assert sine_of_largest_angle(split.kernel, kernel) <= 1e-10
+        assert sine_of_largest_angle(split.cokernel, cokernel) <= 1e-10
+        assert np.abs(t @ split.kernel).max() <= 1e-12 * s[0]
+        assert np.abs(split.cokernel.conj().T @ t).max() <= 1e-12 * s[0]
+
+    def test_gap_ratio_matches_dense(self, monkeypatch):
+        # two rows scaled to 1e-10 give dropped values far above roundoff,
+        # so both routes read the same ratio
+        n = 240
+        t = random_square_band(n, 3, 1, rng_for(77))
+        t[[20, 100]] *= 1e-10
+        split = self.split(t, monkeypatch)
+        s = np.linalg.svd(t, compute_uv=False)
+        assert split.rank == n - 2
+        assert split.gap_ratio == pytest.approx(s[n - 3] / s[n - 2], rel=1e-4)
+        assert 1e9 < split.gap_ratio < np.inf
+
+    def test_exactly_double_zero_singular_value(self, monkeypatch):
+        # rows 5 and 6 and columns 5 and 6 vanish: a double zero on each
+        # side, which a single-vector iteration would miss
+        n = 240
+        t = random_square_band(n, 1, 2, rng_for(5))
+        t[[5, 6], :] = 0
+        t[:, [5, 6]] = 0
+        split = self.split(t, monkeypatch)
+        assert split.rank == n - 2
+        assert split.singular_values[-2:].max() <= 1e-14 * split.singular_values[0]
+        eye = np.eye(n)[:, [5, 6]]
+        assert sine_of_largest_angle(split.kernel, eye) <= 1e-12
+        assert sine_of_largest_angle(split.cokernel, eye) <= 1e-12
+
+    def test_rank_zero_and_full_rank(self, monkeypatch):
+        n = 200
+        split = self.split(np.zeros((n, n), dtype=complex), monkeypatch)
+        assert split.rank == 0
+        assert np.array_equal(split.kernel, np.eye(n))
+        assert np.array_equal(split.cokernel, np.eye(n))
+        assert not split.singular_values.any()
+        t = random_square_band(n, 2, 1, rng_for(6))
+        split = self.split(t, monkeypatch)
+        assert split.rank == n and split.gap_ratio == np.inf
+        assert split.kernel.shape == split.cokernel.shape == (n, 0)
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_gap_factor_boundary(self, factor, monkeypatch):
+        # a band block next to diag(kept, dropped) with kept / dropped just
+        # below or just above svd_gap_factor at rank_rtol = 1e-3
+        n = 240
+        block = random_square_band(n - 2, 3, 1, rng_for(8))
+        s0 = np.linalg.svd(block, compute_uv=False)[0]
+        kept = 3e-3 * s0
+        t = np.zeros((n, n), dtype=complex)
+        t[:n - 2, :n - 2] = block
+        t[n - 2, n - 2] = kept
+        t[n - 1, n - 1] = kept / (factor * DEFAULT.svd_gap_factor)
+        loose = DEFAULT.with_(rank_rtol=1e-3)
+        if factor < 1:
+            for route in (lambda: self.split(t, monkeypatch, loose),
+                          lambda: dense_null_split(t, loose)):
+                with pytest.raises(IllConditioned, match="cluster"):
+                    route()
+        else:
+            split = self.split(t, monkeypatch, loose)
+            assert split.rank == n - 1
+            assert split.gap_ratio == pytest.approx(factor * 100, rel=1e-9)
+            e = np.eye(n)[:, [n - 1]]
+            assert sine_of_largest_angle(split.kernel, e) <= 1e-12
+            assert sine_of_largest_angle(split.cokernel, e) <= 1e-12
+
+    def test_narrow_kept_value_takes_dense_frames(self, monkeypatch):
+        # kept / largest below _BAND_FRAME_RTOL: T*T cannot resolve it, so
+        # the frames come from the dense SVD of the same matrix
+        n = 240
+        block = random_square_band(n - 2, 0, 1, rng_for(9))
+        t = np.zeros((n, n), dtype=complex)
+        t[:n - 2, :n - 2] = block
+        t[n - 2, n - 2] = 1e-6 * np.linalg.svd(block, compute_uv=False)[0]
+        shapes = svd_shapes(monkeypatch)
+        bands = band_calls(monkeypatch)
+        split = null_split(t)
+        assert shapes == [(n, n)] and len(bands) == 1
+        assert split.rank == n - 1
+        assert_matches_dense_split(t, split)
+
+    def test_wide_or_small_matrices_stay_dense(self, monkeypatch):
+        for m in (random_square_band(159, 0, 0, rng_for(1)),   # too small
+                  random_square_band(240, 3, 4, rng_for(2)),   # b = 9
+                  random_square_band(300, 1, 1, rng_for(3))[:, :299]):
+            shapes = svd_shapes(monkeypatch)
+            bands = band_calls(monkeypatch)
+            null_split(m)
+            assert bands == [] and shapes == [m.shape]
+
+
 class TestInteriorDirections:
     def test_counts_localized_directions(self):
         # e0 lives on the masked rows, e3 off them; a mixture with mass
@@ -518,6 +650,22 @@ class TestSymbolAlgebra:
     def test_unitary_flag_checked(self):
         with pytest.raises(ValueError, match="unitary"):
             SymbolFunction({0: np.array([[2.0]])}, rank=1, unitary=True)
+
+    def test_adjoint_of_sampled_unitary_keeps_its_grid(self):
+        # exp(i(x + 0.3 sin 3x)) is unitary at its 16 sample points, not
+        # between them (defect 2e-3 on the dense grid); its adjoint keeps
+        # the promise at those points, so the gauge potential builds
+        xs = 2 * np.pi * np.arange(16) / 16
+        record = DEFAULT.with_(unitary=1e-9)
+        g = SymbolFunction.from_samples(np.exp(1j * (xs + 0.3 * np.sin(3 * xs))),
+                                        unitary=True, tolerances=record)
+        gstar = g.adjoint()
+        assert gstar.native_grid == 16 and gstar.tolerances is record
+        assert gstar.unitary and gstar.unitarity_defect <= 1e-14
+        assert np.abs(gstar.evaluate(xs)
+                      - g.evaluate(xs).conj().swapaxes(-1, -2)).max() <= 1e-15
+        pot = gauge_transformed_potential(g)
+        assert pot.hermitian_defect() == 0.0
 
     def test_evaluate_matches_coefficients(self, rng):
         s = random_hermitian_symbol(2, 3, rng)

@@ -15,7 +15,8 @@ from specflow.errors import IllConditioned, RoundingAmbiguous, UnstableIndex
 from specflow.models import bott_symbol_family, qwz_projector
 from specflow.toeplitz import toeplitz_small_subspaces
 from conftest import (derivative_matrix, random_hermitian_symbol,
-                      random_trig_unitary, rng_for)
+                      random_trig_unitary, random_unitary, rng_for,
+                      svd_shapes)
 
 
 def interior_compression(symbol, trunc):
@@ -211,6 +212,60 @@ class TestFredholmIndex:
             sub = toeplitz_small_subspaces(t, loose)
             assert (sub.kernel_dim, sub.cokernel_dim, sub.edge_artifacts) \
                 == (0, 0, 2)
+
+    def test_small_subspaces_keep_the_gap_ratio(self):
+        tr = FourierTruncation(4, 1)
+        t = toeplitz_compress(hardy_section(tr), SymbolFunction.exponential(1),
+                              tr)
+        # the shift drops an exact zero, which bounds no ratio
+        assert toeplitz_small_subspaces(t).gap_ratio == np.inf
+        t = dataclasses.replace(
+            t, matrix=np.diag([1.0, 1.0, 1.0, 0.5, 1e-7]).astype(complex))
+        sub = toeplitz_small_subspaces(t, DEFAULT.with_(rank_rtol=1e-6))
+        assert sub.gap_ratio == 0.5 / 1e-7
+        # a band-route split keeps its ratio too
+        tr = FourierTruncation(128, 2)
+        t = toeplitz_compress(hardy_section(tr), winding_one_symbol(4), tr)
+        sub = toeplitz_small_subspaces(t)
+        s = sub.singular_values
+        rank = int(np.count_nonzero(s >= DEFAULT.rank_rtol * s[0]))
+        assert sub.gap_ratio == s[rank - 1] / s[rank] > 1e12
+
+
+def winding_one_symbol(seed: int) -> SymbolFunction:
+    """U diag(e^{ix}, 1) V with random unitaries U and V: winding 1, and
+    its Hardy compression has lower and upper half-bandwidths 3 and 1."""
+    rng = rng_for(seed)
+    u, v = random_unitary(2, rng), random_unitary(2, rng)
+    return SymbolFunction({1: u @ np.diag([1.0, 0.0]) @ v,
+                           0: u @ np.diag([0.0, 1.0]) @ v},
+                          rank=2, unitary=True)
+
+
+class TestNullSplitRoute:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hardy_compression_takes_no_full_svd(self, seed, monkeypatch):
+        # K = 128 and its doubling check at K = 256 (258 and 514 rows)
+        # both take the band route; the only SVDs left are the localization
+        # counts of the few null directions
+        tr = FourierTruncation(128, 2)
+        t = toeplitz_compress(hardy_section(tr), winding_one_symbol(seed), tr)
+        shapes = svd_shapes(monkeypatch)
+        assert fredholm_index(t) == -1
+        assert shapes and all(shape[1] <= 2 for shape in shapes)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_family_sized_compression_stays_dense(self, k, monkeypatch):
+        # the 18- and 34-row compressions of the Bott family at K = 8 and
+        # its doubling check at K = 16
+        g = bott_symbol_family(BaseGrid.torus(12))[(3, 5)]
+        tr = FourierTruncation(k, 2)
+        t = toeplitz_compress(hardy_section(tr), g, tr)
+        shapes = svd_shapes(monkeypatch)
+        sub = toeplitz_small_subspaces(t)
+        assert t.matrix.shape == (2 * k + 2, 2 * k + 2)
+        assert shapes.count(t.matrix.shape) == 1
+        assert sub.kernel_dim + sub.edge_artifacts >= 1
 
 
 class TestWinding:
