@@ -10,7 +10,7 @@ from .bundles import (CurveOfFamilies, KClassNumeric, OperatorFamily,
                       toeplitz_family_index)
 from .config import DEFAULT, Tolerances
 from .eta import (EtaValue, FiniteRankShift, eta_form_degree0, eta_heat,
-                  eta_shifted_derivative, sf_via_eta, sf_via_eta_result,
+                  eta_shifted_derivative, sf_via_eta_result,
                   shifted_model_spectrum, shifted_path_profile)
 from .flow import (DifferenceElement, GapInterval, OperatorCurve, Partition,
                    SpectralSection, aps_projection, difference_element,

@@ -29,9 +29,9 @@ from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
 from .errors import (InvalidSection, RankJump, SingularOverlap,
                      UnstableIndex)
-from .flow import (OperatorCurve, Partition, SpectralSection, _gram_defect,
-                   _SpectrumCache, _validate_section, aps_projection,
-                   comparison_map, gap_partition)
+from .flow import (OperatorCurve, Partition, SpectralSection, _brackets,
+                   _gram_defect, _SpectrumCache, _validate_section,
+                   aps_projection, comparison_map, gap_partition)
 from .operators import (FourierTruncation, SymbolFunction, TruncatedOperator,
                         null_split)
 from .toeplitz import _doubling_checked, hardy_section, toeplitz_compress
@@ -355,10 +355,10 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
     families.
 
     A single partition with per-interval levels is certified across the
-    whole base; the class is assembled from the kernel bundles of the
-    comparison maps between consecutive transported sections (plus the
-    endpoint comparisons), and ch0 is checked to be the constant pointwise
-    flow.  Each vertex operator is diagonalized at most once, and its
+    whole base; the class is the sum over the brackets of ``flow`` of the
+    kernel bundle minus the cokernel bundle of each bracket's comparison
+    maps, and ch0 is checked to be the constant pointwise flow.  Each
+    vertex operator is diagonalized at most once, and its
     eigendecomposition is dropped once the brackets at its breakpoint are
     built.
     """
@@ -370,29 +370,17 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
         _validate_section(caches[v].decomposition(1.0), q1[v], tolerances)
 
     part = _common_partition(curve_fam, tolerances, caches)
-    n = len(part.intervals)
 
     def transported(t, level) -> dict:
         return {v: caches[v].section(t, level) for v in base.vertices}
 
-    # brackets [X - Y]: (P^(1)(0) - Q0), (P^(j+1) - P^(j)) at interior
-    # breakpoints, (Q1 - P^(n)(1)); the class is their sum
-    def brackets():
-        iv0 = part.intervals[0]
-        yield iv0.t_left, transported(iv0.t_left, iv0.level), dict(q0)
-        for j in range(1, n):
-            prev, nxt = part.intervals[j - 1], part.intervals[j]
-            t = prev.t_right
-            yield t, transported(t, nxt.level), transported(t, prev.level)
-        ivn = part.intervals[-1]
-        yield ivn.t_right, dict(q1), transported(ivn.t_right, ivn.level)
-
-    # one split of the comparison map Y* X : Im X -> Im Y gives the
-    # kernel frame (in X's basis) and the cokernel frame (in Y's basis)
+    # one split of the comparison map Y* X : Im X -> Im Y gives the kernel
+    # frame in X's basis and the cokernel frame in Y's basis; lifted to the
+    # ambient space they frame the bracket's kernel and cokernel bundles
     pointwise = {v: 0 for v in base.vertices}
     positive: ProjectorFamily | None = None
     negative: ProjectorFamily | None = None
-    for t, x_fam, y_fam in brackets():
+    for t, x_fam, y_fam in _brackets(part, transported, q0, q1):
         for cache in caches.values():
             cache.release(t)
         ker, cok = {}, {}
@@ -400,14 +388,12 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
             x, y = x_fam[v], y_fam[v]
             split = null_split(comparison_map(x, y), tolerances)
             pointwise[v] += x.rank - y.rank
-            ker[v], cok[v] = split.kernel, split.cokernel
-        if ProjectorFamily(base, ker, tolerances).rank:
-            lifted = {v: x_fam[v].basis @ ker[v] for v in base.vertices}
-            fam = ProjectorFamily(base, lifted, tolerances)
+            ker[v], cok[v] = x.basis @ split.kernel, y.basis @ split.cokernel
+        fam = ProjectorFamily(base, ker, tolerances)
+        if fam.rank:
             positive = fam if positive is None else positive.direct_sum(fam)
-        if ProjectorFamily(base, cok, tolerances).rank:
-            lifted = {v: y_fam[v].basis @ cok[v] for v in base.vertices}
-            fam = ProjectorFamily(base, lifted, tolerances)
+        fam = ProjectorFamily(base, cok, tolerances)
+        if fam.rank:
             negative = fam if negative is None else negative.direct_sum(fam)
 
     first = pointwise[base.vertices[0]]
@@ -424,7 +410,8 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
             f"assembled class rank {positive.rank - negative.rank} disagrees "
             f"with pointwise flow {first}")
     return _class_from_parts(base, positive, negative, tolerances,
-                             meta={"partitions": n, "min_gap": part.min_gap})
+                             meta={"partitions": len(part.intervals),
+                                   "min_gap": part.min_gap})
 
 
 def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,

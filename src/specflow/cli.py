@@ -7,8 +7,10 @@ plaquette Chern numbers, and eigenvalue-trajectory plots.
 
 Exit codes: 0 on success with all stability flags true, 2 on configuration
 or schema errors, 3 on numerical-instability errors (partial results are
-still emitted).  ``SPECFLOW_THREADS`` caps the linear-algebra thread pools
-and must be honored before numpy loads, hence the lazy imports below.
+still emitted).  A stability flag is emitted only where a check backs it:
+``index_equals_sf`` (``toeplitz --check-sf``) and ``match``
+(``mapping-torus``).  ``SPECFLOW_THREADS`` caps the linear-algebra thread
+pools and must be honored before numpy loads, hence the lazy imports below.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def _run(args) -> tuple[dict, dict, dict]:
             outputs["debug"] = {
                 "endpoint_matrices": [jsonio.matrix_to_json_debug(
                     curve.at(t).matrix) for t in (0.0, 1.0)]}
-        return config, outputs, {"certified": True}
+        return config, outputs, {}
 
     if args.command == "toeplitz":
         from .flow import spectral_flow
@@ -181,7 +183,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         if args.debug_matrices:
             outputs["debug"] = {"compression": jsonio.matrix_to_json_debug(
                 t.matrix)}
-        stability = {"stable": True}
+        stability = {}
         if args.check_sf:
             from .flow import OperatorCurve
             pot = gauge_transformed_potential(symbol)
@@ -198,12 +200,12 @@ def _run(args) -> tuple[dict, dict, dict]:
         from .eta import eta_heat, eta_shifted_derivative, shifted_model_spectrum
         config.update(model=args.model, a=args.a, method=args.method)
         if args.method == "hurwitz":
-            val = eta_shifted_derivative(args.a, tolerances)
+            val = eta_shifted_derivative(args.a)
         else:
             val = eta_heat(shifted_model_spectrum(args.a),
                            tolerances=tolerances)
         return config, {"eta": val.eta, "reduced": val.reduced,
-                        "kernel_dim": val.kernel_dim}, {"converged": True}
+                        "kernel_dim": val.kernel_dim}, {}
 
     if args.command == "eta-sf":
         from .eta import shifted_path_profile, sf_via_eta_result
@@ -212,8 +214,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         res = sf_via_eta_result(shifted_path_profile(a0, a1), args.samples,
                                 tolerances)
         return config, {"sf": res.sf, "integral": -res.smooth_integral,
-                        "endpoints": res.endpoint_difference}, \
-            {"jumps_resolved": True}
+                        "endpoints": res.endpoint_difference}, {}
 
     if args.command == "higher-sf":
         from .bundles import (CurveOfFamilies, aps_section_family,
@@ -240,7 +241,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         if base.is_torus:
             outputs["ch1"] = cls.ch1
         outputs.update(cls.meta)
-        return config, outputs, {"stable": True}
+        return config, outputs, {}
 
     if args.command == "mapping-torus":
         from .flow import spectral_flow
@@ -261,7 +262,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         idx = index(op, tolerances=tolerances)
         sf = spectral_flow(curve, tolerances=tolerances)
         return config, {"index": idx, "sf": sf, "match": idx == sf}, \
-            {"stable": True, "match": idx == sf}
+            {"match": idx == sf}
 
     if args.command == "chern":
         from .bundles import chern_number
@@ -270,7 +271,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         config.update(builtin=args.builtin, m0=args.m0, base=args.base)
         fam = qwz_projector_family(base, args.m0, tolerances)
         c = chern_number(fam, tolerances)
-        return config, {"chern": c}, {"stable": True}
+        return config, {"chern": c}, {}
 
     if args.command == "plot":
         from .plotting import plot_spectrum, spectra_csv
@@ -284,8 +285,8 @@ def _run(args) -> tuple[dict, dict, dict]:
             spectra_csv(curve, args.csv, args.samples)
         return config, {"svg": args.svg, "crossings": len(crossings),
                         "upward": sum(1 for c in crossings if c.direction > 0),
-                        "downward": sum(1 for c in crossings if c.direction < 0)}, \
-            {"written": True}
+                        "downward": sum(1 for c in crossings
+                                        if c.direction < 0)}, {}
 
     raise ConfigError(f"unknown command {args.command!r}")
 

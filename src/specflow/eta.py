@@ -47,8 +47,7 @@ class EtaValue:
         return 0.5 * (self.eta + self.kernel_dim)
 
 
-def eta_shifted_derivative(a: float,
-                           tolerances: Tolerances = DEFAULT) -> EtaValue:
+def eta_shifted_derivative(a: float) -> EtaValue:
     """Eta of -i d/dx + a, spectrum {k + a}, for a strictly inside (0, 1).
 
     The asymmetry continues to eta(0) = zeta_H(0, a) - zeta_H(0, 1 - a);
@@ -72,7 +71,7 @@ def reduced_eta_shifted_model(a: float,
     frac = a - math.floor(a)
     if min(frac, 1.0 - frac) <= tolerances.eta_kernel_atol:
         return 0.5
-    return eta_shifted_derivative(frac, tolerances).reduced
+    return eta_shifted_derivative(frac).reduced
 
 
 def shifted_model_spectrum(a: float, window: int = 10000) -> np.ndarray:
@@ -201,11 +200,6 @@ def sf_via_eta_result(profile, samples: int = 128,
     endpoint = float(vals[-1] - vals[0])
     return EtaFlowResult(sf=int(total_jump), smooth_integral=float(smooth),
                          endpoint_difference=endpoint)
-
-
-def sf_via_eta(profile, samples: int = 128,
-               tolerances: Tolerances = DEFAULT) -> int:
-    return sf_via_eta_result(profile, samples, tolerances).sf
 
 
 def shifted_path_profile(a0: float, a1: float) -> Callable[[float], float]:

@@ -1,11 +1,15 @@
 """Spectral flow of operator curves and finite spectral sections.
 
-The crossing count uses a gap-partition scheme: the parameter interval is
-adaptively bisected until every subinterval admits a level a > 0 with both
-+a and -a certifiably outside the spectrum throughout (sampled spectra plus
-a Lipschitz bound on the operator curve).  On such a subinterval the
-flow contribution is the change in the number of eigenvalues inside
-[0, a); eigenvalues can enter or leave that window only through zero.
+The flow is Phillips' finite sum over a gap partition.  The parameter
+interval is adaptively bisected until every subinterval j admits a level
+a_j > 0 with both +a_j and -a_j certifiably outside the spectrum throughout
+(sampled spectra plus a Lipschitz bound on the operator curve), so the
+section P_j(t) above a_j moves continuously over it.  The flow is the sum
+of the brackets [P_1(0) - Q_0], [P_{j+1}(t_j) - P_j(t_j)] at each interior
+breakpoint t_j, and [Q_1 - P_n(1)], where Q_0 and Q_1 are the endpoint
+sections.  ``spectral_flow`` reads each bracket as a difference of
+eigenvalue counts, ``sf_pairs`` as a difference element, and
+``bundles.higher_spectral_flow`` as a difference of kernel bundles.
 
 Sign convention: an eigenvalue moving from lambda < 0 to lambda >= 0
 contributes +1; zero eigenvalues at interval ends count on the
@@ -439,13 +443,21 @@ def gap_partition(curve: OperatorCurve, tolerances: Tolerances = DEFAULT,
 # spectral flow
 # ---------------------------------------------------------------------------
 
-def _count_window(evals: np.ndarray, level: float, atol: float) -> int:
-    """Eigenvalues in [0, level), inclusive at zero within atol."""
-    return int(np.count_nonzero((evals >= -atol) & (evals < level)))
+def _brackets(part: Partition, section_at, q0, q1):
+    """The brackets [X - Y] whose sum is the flow along a gap partition.
 
-
-def _count_at_least(evals: np.ndarray, cutoff: float, atol: float) -> int:
-    return int(np.count_nonzero(evals >= cutoff - atol))
+    Yields (t, X, Y) for [P_1(0) - q0], for [P_{j+1}(t_j) - P_j(t_j)] at
+    each interior breakpoint t_j, and for [q1 - P_n(1)], where
+    ``P_j(t) = section_at(t, a_j)`` is taken above the level of interval
+    j.  A breakpoint's sections are built before they are yielded, so the
+    caller may drop the spectral data at t in its loop body.
+    """
+    ivs = part.intervals
+    yield ivs[0].t_left, section_at(ivs[0].t_left, ivs[0].level), q0
+    for prev, nxt in zip(ivs, ivs[1:]):
+        t = prev.t_right
+        yield t, section_at(t, nxt.level), section_at(t, prev.level)
+    yield ivs[-1].t_right, q1, section_at(ivs[-1].t_right, ivs[-1].level)
 
 
 @dataclass(frozen=True)
@@ -460,21 +472,22 @@ def spectral_flow_result(curve: OperatorCurve, cutoff0: float = 0.0,
                          tolerances: Tolerances = DEFAULT) -> SpectralFlowResult:
     """Spectral flow together with partition diagnostics.
 
-    Endpoint cutoffs move the reference projector at t=0 / t=1 from the
-    zero level to the given one; eigenvalues within tolerance of a cutoff
-    are counted on the nonnegative side (inclusive endpoint policy).
+    Each bracket is a difference of eigenvalue counts, the count of a
+    section above level a being ``#(eig >= a - cutoff_atol)``.  Endpoint
+    cutoffs move the reference projector at t=0 / t=1 from the zero level
+    to the given one; eigenvalues within tolerance of a cutoff are counted
+    on the nonnegative side (inclusive endpoint policy).
     """
     cache = _SpectrumCache(curve, tolerances)
     part = gap_partition(curve, tolerances, _cache=cache)
     atol = tolerances.cutoff_atol
-    total = 0
-    for iv in part.intervals:
-        total += _count_window(cache(iv.t_right), iv.level, atol) \
-            - _count_window(cache(iv.t_left), iv.level, atol)
-    ev0, ev1 = cache(0.0), cache(1.0)
-    total += _count_at_least(ev1, cutoff1, atol) - _count_at_least(ev1, 0.0, atol)
-    total -= _count_at_least(ev0, cutoff0, atol) - _count_at_least(ev0, 0.0, atol)
-    return SpectralFlowResult(sf=int(total), partitions=len(part.intervals),
+
+    def count(t: float, level: float) -> int:
+        return int(np.count_nonzero(cache(t) >= level - atol))
+
+    sf = sum(x - y for _, x, y in _brackets(
+        part, count, count(0.0, cutoff0), count(1.0, cutoff1)))
+    return SpectralFlowResult(sf=sf, partitions=len(part.intervals),
                               min_gap=part.min_gap)
 
 
@@ -490,28 +503,20 @@ def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
              tolerances: Tolerances = DEFAULT) -> int:
     """Spectral flow between endpoint pairs (D_0, q0) and (D_1, q1).
 
-    The transported section is realized per gap subinterval as the
-    projector above the certified level; contributions are the difference
-    elements against the endpoint sections (interval boundaries use the
-    inclusive-at-zero positive projector).  The computation is repeated on
-    a once-bisected partition and must agree.
-    Each operator on the curve is diagonalized at most once.
+    The sum of the difference elements of the brackets: the transported
+    section on each gap subinterval is the inclusive projector above its
+    certified level, so a partition of n intervals takes n + 1 difference
+    elements.  The computation is repeated on a once-bisected partition
+    and must agree.  Each operator on the curve is diagonalized at most
+    once.
     """
     cache = _SpectrumCache(curve, tolerances)
     _validate_section(cache.decomposition(0.0), q0, tolerances)
     _validate_section(cache.decomposition(1.0), q1, tolerances)
 
     def run(part: Partition) -> int:
-        total = 0
-        n = len(part.intervals)
-        for j, iv in enumerate(part.intervals):
-            p_left = cache.section(iv.t_left, iv.level)
-            p_right = cache.section(iv.t_right, iv.level)
-            a_left = q0 if j == 0 else cache.section(iv.t_left, 0.0)
-            a_right = q1 if j == n - 1 else cache.section(iv.t_right, 0.0)
-            total += difference_element(a_right, p_right, tolerances=tolerances).value
-            total -= difference_element(a_left, p_left, tolerances=tolerances).value
-        return total
+        return sum(difference_element(x, y, tolerances).value
+                   for _, x, y in _brackets(part, cache.section, q0, q1))
 
     part = gap_partition(curve, tolerances, _cache=cache)
     value = run(part)

@@ -38,6 +38,9 @@ from .operators import (FourierTruncation, SymbolFunction,
                         gauge_transformed_potential, interior_directions,
                         small_singular_vectors, split_rank)
 
+#: Largest coefficient of the endpoint potential minus the glued one.
+GLUING_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TwistedLoopSpec:
@@ -52,7 +55,6 @@ class TwistedLoopSpec:
 
     path: OperatorCurve
     glue: SymbolFunction | None = None
-    gluing_atol: float = 1e-9
 
     def __post_init__(self):
         if self.path.potentials is None:
@@ -61,7 +63,7 @@ class TwistedLoopSpec:
         g = self.glue
         if g is not None:
             defect = g.unitarity_defect
-            if defect > 1e-10:
+            if defect > DEFAULT.unitary:
                 raise ValueError(f"gluing symbol must be unitary "
                                  f"(defect {defect:.3e})")
             expected = gauge_transformed_potential(g, self.path.potentials[0])
@@ -70,7 +72,7 @@ class TwistedLoopSpec:
         diff = expected - self.path.potentials[-1]
         worst = max((float(np.abs(c).max()) for c in diff.coefficients.values()),
                     default=0.0)
-        if worst > self.gluing_atol:
+        if worst > GLUING_ATOL:
             raise GluingInconsistent(
                 f"endpoint potential differs from the glued one by {worst:.3e}")
 
@@ -216,5 +218,5 @@ def _with_doubled_truncation(op: MappingTorusOperator) -> MappingTorusOperator:
     trunc2 = op.truncation.doubled()
     path = op.spec.path
     curve2 = OperatorCurve.from_potentials(path.ts, path.potentials, trunc2)
-    spec2 = TwistedLoopSpec(curve2, op.spec.glue, op.spec.gluing_atol)
+    spec2 = TwistedLoopSpec(curve2, op.spec.glue)
     return build_mapping_torus(spec2, op.m_u)

@@ -114,7 +114,7 @@ class SymbolFunction:
         return cls({n: np.eye(rank)}, rank=rank, unitary=True, **kw)
 
     @classmethod
-    def from_samples(cls, samples, rank: int | None = None, **kw) -> "SymbolFunction":
+    def from_samples(cls, samples, **kw) -> "SymbolFunction":
         """Uniform samples g(2*pi*j/M), j = 0..M-1; DFT gives coefficients
         for modes in [-M/2, M/2)."""
         arr = np.asarray(samples, dtype=complex)
@@ -240,7 +240,6 @@ class TruncatedOperator:
 
     matrix: np.ndarray
     truncation: FourierTruncation
-    label: str = ""
     tolerances: Tolerances = field(default=DEFAULT, repr=False, compare=False)
     bandwidth: int = field(init=False, repr=False, compare=False)
 
@@ -388,8 +387,8 @@ def build_multiplication(symbol: SymbolFunction,
     return out
 
 
-def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
-                label: str = "") -> TruncatedOperator:
+def build_dirac(potential: SymbolFunction,
+                trunc: FourierTruncation) -> TruncatedOperator:
     """-i d/dx tensor I_N plus multiplication by a Hermitian potential."""
     defect = potential.hermitian_defect()
     if defect > 1e-10:
@@ -397,7 +396,7 @@ def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
                          f"(defect {defect:.3e})")
     m = (np.diag(trunc.modes().astype(complex))
          + build_multiplication(potential, trunc))
-    return TruncatedOperator(m, trunc, label=label or "dirac")
+    return TruncatedOperator(m, trunc)
 
 
 @dataclass(frozen=True)

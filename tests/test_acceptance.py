@@ -20,7 +20,7 @@ from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       eta_shifted_derivative, fredholm_index,
                       gauge_transformed_potential, hardy_section,
                       higher_spectral_flow, odd_chern_integral,
-                      sf_via_eta, shifted_model_spectrum,
+                      sf_via_eta_result, shifted_model_spectrum,
                       shifted_path_profile, spectral_flow,
                       toeplitz_compress, toeplitz_family_index,
                       TwistedLoopSpec, build_mapping_torus,
@@ -129,7 +129,7 @@ def test_criterion_5_variation_formula():
         tr = FourierTruncation(8, 1)
         cases = {(0.25, 0.75): 0, (-0.25, 0.25): 1}
         for (a0, a1), expected in cases.items():
-            via_eta = sf_via_eta(shifted_path_profile(a0, a1))
+            via_eta = sf_via_eta_result(shifted_path_profile(a0, a1)).sf
             curve = OperatorCurve.from_potentials(
                 [0.0, 1.0], [constant_shift_potential(a0),
                              constant_shift_potential(a1)], tr)

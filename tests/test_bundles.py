@@ -347,6 +347,24 @@ class TestHigherSpectralFlow:
         assert cls.equivalent(ref)
         assert (cls.ch0, cls.ch1) == (-1, -1)
 
+    def test_rotated_endpoint_frames_give_the_same_class(self):
+        # each q0 frame times a random unitary spans the same range, so the
+        # projectors, and with them the class, do not change
+        base = BaseGrid.torus(8)
+        tr = FourierTruncation(4, 2)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        cf = CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], tr)
+        q0, q1 = self.qsections(cf)
+        rng = rng_for(390)
+        rotated = {v: SpectralSection(s.basis @ random_unitary(s.rank, rng),
+                                      s.threshold_window, s.provenance)
+                   for v, s in q0.items()}
+        for sections in (q0, rotated):
+            cls = higher_spectral_flow(cf, sections, q1)
+            assert (cls.ch0, cls.ch1) == (-1, -1)
+
     def test_one_eigh_per_vertex_and_breakpoint(self, monkeypatch):
         base = BaseGrid.torus(8)
         tr = FourierTruncation(3, 2)

@@ -221,6 +221,18 @@ class TestContracts:
         assert len({r["config_hash"] for r in records.values()}) == 3
         assert all(r["outputs"]["index"] == -3 for r in records.values())
 
+    def test_flags_only_where_a_check_backs_them(self, files, capsys):
+        code = main(["sf", "--curve", str(files["crossing"]), "--k", "8",
+                     "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["stability"] == {}
+        code = main(["toeplitz", "--symbol", str(files["e3x"]), "--k", "16",
+                     "--check-sf", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["stability"] == {"index_equals_sf": True}
+
     def test_full_record_flag(self, files, capsys):
         code = main(["sf", "--curve", str(files["constant"]), "--k", "6",
                      "--json"])

@@ -3,7 +3,7 @@ import pytest
 
 from specflow import (FiniteRankShift, FourierTruncation, OperatorCurve,
                       SymbolFunction, build_dirac, eta_form_degree0, eta_heat,
-                      eta_shifted_derivative, sf_via_eta, sf_via_eta_result,
+                      eta_shifted_derivative, sf_via_eta_result,
                       shifted_model_spectrum, shifted_path_profile,
                       spectral_flow)
 from specflow.errors import AmbiguousJump, NonconvergentExtrapolation
@@ -106,14 +106,14 @@ class TestSfViaEta:
         assert res.endpoint_difference == pytest.approx(-0.5, abs=1e-9)
 
     def test_single_crossing_path(self):
-        assert sf_via_eta(shifted_path_profile(-0.25, 0.25)) == 1
+        assert sf_via_eta_result(shifted_path_profile(-0.25, 0.25)).sf == 1
 
     def test_constant_path(self):
-        assert sf_via_eta(shifted_path_profile(0.3, 0.3)) == 0
+        assert sf_via_eta_result(shifted_path_profile(0.3, 0.3)).sf == 0
 
     def test_multi_crossing(self):
-        assert sf_via_eta(shifted_path_profile(-2.25, 0.25)) == 3
-        assert sf_via_eta(shifted_path_profile(0.25, -1.75)) == -2
+        assert sf_via_eta_result(shifted_path_profile(-2.25, 0.25)).sf == 3
+        assert sf_via_eta_result(shifted_path_profile(0.25, -1.75)).sf == -2
 
     @pytest.mark.parametrize("a0,a1", [(0.25, 0.75), (-0.25, 0.25),
                                        (-1.6, 1.3)])
@@ -122,18 +122,19 @@ class TestSfViaEta:
         curve = OperatorCurve.from_potentials(
             [0.0, 1.0], [SymbolFunction.constant(a0),
                          SymbolFunction.constant(a1)], tr)
-        assert sf_via_eta(shifted_path_profile(a0, a1)) == spectral_flow(curve)
+        assert sf_via_eta_result(shifted_path_profile(a0, a1)).sf \
+            == spectral_flow(curve)
 
     def test_sampling_floor(self):
         with pytest.raises(ValueError, match="64"):
-            sf_via_eta(shifted_path_profile(0.0, 0.5), samples=16)
+            sf_via_eta_result(shifted_path_profile(0.0, 0.5), samples=16)
 
     def test_ambiguous_jump(self):
         # a profile with a genuine half-integer discontinuity cannot be
         # read as a crossing count
         profile = lambda s: 0.0 if s < 0.5 else 0.7
         with pytest.raises(AmbiguousJump):
-            sf_via_eta(profile)
+            sf_via_eta_result(profile)
 
 
 class TestEtaFormDegree0:

@@ -7,6 +7,7 @@ from specflow import (FourierTruncation, OperatorCurve, SpectralSection,
                       gap_partition, gauge_transformed_potential, sf_pairs,
                       spectral_flow, spectral_flow_result,
                       validate_section_for)
+import specflow.flow
 from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
                              InvalidSection, NoGapFound)
@@ -311,6 +312,72 @@ class TestSpectralFlow:
         op2 = build_dirac(SymbolFunction.constant(0.1), FourierTruncation(3, 1))
         with pytest.raises(ValueError, match="truncation"):
             OperatorCurve([0.0, 1.0], [op, op2])
+
+
+def window_count_flow(curve, cutoff0, cutoff1, tolerances=DEFAULT):
+    """Reference: the per-interval count of eigenvalues in the window
+    [0, a) of each gap interval, changed between its ends, plus the
+    endpoint cutoff corrections, on the same partition."""
+    atol = tolerances.cutoff_atol
+
+    def at_least(t, level):
+        return int(np.count_nonzero(eigvalsh(curve.at(t)) >= level - atol))
+
+    def window(t, level):
+        evals = eigvalsh(curve.at(t))
+        return int(np.count_nonzero((evals >= -atol) & (evals < level)))
+
+    total = sum(window(iv.t_right, iv.level) - window(iv.t_left, iv.level)
+                for iv in gap_partition(curve, tolerances).intervals)
+    total += at_least(1.0, cutoff1) - at_least(1.0, 0.0)
+    total -= at_least(0.0, cutoff0) - at_least(0.0, 0.0)
+    return total
+
+
+class TestBracketSum:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_window_counts_with_cutoffs(self, seed):
+        rng = rng_for(seed + 4100)
+        tr = FourierTruncation(int(rng.integers(3, 7)),
+                               int(rng.integers(1, 3)))
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 2)), [1.0]])
+        pots = [random_hermitian_symbol(tr.bundle_rank, 2, rng, scale=0.6)
+                for _ in ts]
+        curve = OperatorCurve.from_potentials(ts, pots, tr)
+        cutoff0, cutoff1 = rng.uniform(-1.5, 1.5, size=2)
+        res = spectral_flow_result(curve, cutoff0, cutoff1)
+        assert res.sf == window_count_flow(curve, cutoff0, cutoff1)
+        assert res.partitions == len(gap_partition(curve).intervals)
+
+    def test_eigenvalues_on_a_cutoff_count_as_nonnegative(self):
+        # an eigenvalue that ends on zero has crossed, one that starts on
+        # zero has not, and one on an endpoint cutoff is in that section
+        assert spectral_flow(shift_curve(-0.5, 0.0)) == 1
+        assert spectral_flow(shift_curve(0.0, 0.5)) == 0
+        assert spectral_flow(shift_curve(-0.25, 0.25), 0.0, 1.25) == 1 - 1
+        assert spectral_flow(shift_curve(-0.25, 0.25), -1.25, 0.0) == 1 - 2
+
+    def test_sf_pairs_takes_one_difference_element_per_bracket(
+            self, monkeypatch):
+        curve = shift_curve(-2.25, 0.25)
+        q0 = aps_projection(curve.at(0.0), 0.0)
+        q1 = aps_projection(curve.at(1.0), 0.0)
+        calls = []
+        original = specflow.flow.difference_element
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(specflow.flow, "difference_element", counted)
+        assert sf_pairs(curve, q0, q1) == spectral_flow(curve) == 3
+        part = gap_partition(curve)
+        finer = [t for iv in part.intervals
+                 for t in (iv.t_left, 0.5 * (iv.t_left + iv.t_right))] + [1.0]
+        refined = gap_partition(curve, initial_breaks=finer)
+        assert len(part.intervals) > 1
+        assert len(calls) == len(part.intervals) + 1 \
+            + len(refined.intervals) + 1
 
 
 class TestLipschitzBound:
