@@ -258,7 +258,7 @@ def _run(args) -> tuple[dict, dict, dict]:
             glue = jsonio.symbol_from_json(gpayload)
             config.update(glue=gpayload)
         spec = TwistedLoopSpec(curve, glue)
-        op = build_mapping_torus(spec, args.mu)
+        op = build_mapping_torus(spec, args.mu, tolerances)
         idx = index(op, tolerances=tolerances)
         sf = spectral_flow(curve, tolerances=tolerances)
         return config, {"index": idx, "sf": sf, "match": idx == sf}, \

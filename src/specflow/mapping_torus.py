@@ -19,8 +19,11 @@ only interior-localized small singular directions of A and A*.  Those
 directions come from one path at every size, which the band route of
 ``operators.null_split`` shares: seeded block inverse iteration on the
 sparse A*A and A A*.  The small singular values are the
-residual norms ||A v|| and ||A* u|| of its Ritz vectors.  Doubling both
-grid parameters must leave the counts unchanged (mandatory check).
+residual norms ||A v|| and ||A* u|| of its Ritz vectors.  A loop whose
+samples and gluing matrix are real (every constant-shift path with an
+``e^{inx}`` gluing, for one) has a real A, and it is iterated in real
+arithmetic.  Doubling both grid parameters must leave the counts
+unchanged (mandatory check).
 """
 
 from __future__ import annotations
@@ -102,14 +105,17 @@ class MappingTorusOperator:
         return self.matrix.shape
 
 
-def build_mapping_torus(spec: TwistedLoopSpec, m_u: int) -> MappingTorusOperator:
+def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
+                        tolerances: Tolerances = DEFAULT
+                        ) -> MappingTorusOperator:
     """Assemble the Cayley-stencil discretization on m_u slices.
 
     Slice j is the path at its midpoint u_j = (j + 1/2) / m_u, formed with
     the arithmetic of ``OperatorCurve.at`` but only on the nonzero pattern
     of the path's samples (their union, made symmetric, plus the
     diagonal), all slices in one ``(m_u, nnz)`` array.  Each slice must be
-    Hermitian by the ``TruncatedOperator`` test.  Row j holds
+    Hermitian by the ``TruncatedOperator`` test at the given
+    ``hermitian_max``.  Row j holds
     ``-I/h + D_j/2`` on the diagonal block and ``I/h + D_j/2`` on block
     j + 1; the wrap row's second block is multiplied by the gluing matrix.
     Exact zeros are dropped, as a dense-to-sparse conversion would.
@@ -140,7 +146,7 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int) -> MappingTorusOperator
     d_mid = (1 - lam) * samples[seg] + lam * samples[seg + 1]
     scale = 1.0 + np.abs(d_mid).max(axis=1)
     defect = np.abs(d_mid - d_mid[:, transposed].conj()).max(axis=1)
-    bad = np.flatnonzero(defect > DEFAULT.hermitian_max * scale)
+    bad = np.flatnonzero(defect > tolerances.hermitian_max * scale)
     if bad.size:
         raise ValueError(f"u-slice {bad[0]} is not Hermitian: "
                          f"defect {defect[bad[0]]:.3e}")
@@ -184,11 +190,13 @@ def index(op: MappingTorusOperator,
 
     Requires a clean gap (configured factor) between the numerically-zero
     singular values and the rest; the count is recomputed at doubled m_u
-    and at doubled truncation and must not change.
+    and at doubled truncation and must not change.  Both doubled operators
+    are built with the given tolerances.
     """
     value = _interior_index(op, tolerances)
-    for label, finer in (("m_u", _with_doubled_mu(op)),
-                         ("truncation", _with_doubled_truncation(op))):
+    for label, finer in (("m_u", _with_doubled_mu(op, tolerances)),
+                         ("truncation",
+                          _with_doubled_truncation(op, tolerances))):
         other = _interior_index(finer, tolerances)
         if other != value:
             raise DoublingDetected(
@@ -210,13 +218,15 @@ def _interior_index(op: MappingTorusOperator, tolerances: Tolerances) -> int:
     return gk - gc
 
 
-def _with_doubled_mu(op: MappingTorusOperator) -> MappingTorusOperator:
-    return build_mapping_torus(op.spec, 2 * op.m_u)
+def _with_doubled_mu(op: MappingTorusOperator,
+                     tolerances: Tolerances) -> MappingTorusOperator:
+    return build_mapping_torus(op.spec, 2 * op.m_u, tolerances)
 
 
-def _with_doubled_truncation(op: MappingTorusOperator) -> MappingTorusOperator:
+def _with_doubled_truncation(op: MappingTorusOperator,
+                             tolerances: Tolerances) -> MappingTorusOperator:
     trunc2 = op.truncation.doubled()
     path = op.spec.path
     curve2 = OperatorCurve.from_potentials(path.ts, path.potentials, trunc2)
     spec2 = TwistedLoopSpec(curve2, op.spec.glue)
-    return build_mapping_torus(spec2, op.m_u)
+    return build_mapping_torus(spec2, op.m_u, tolerances)

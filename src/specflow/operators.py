@@ -407,7 +407,10 @@ class NullSplit:
     and ``gap_ratio`` is the smallest kept over the largest dropped
     singular value (inf when nothing is dropped).  On the dense route the
     frames are singular vectors; on the band route they span the same
-    subspaces (see ``null_split``)."""
+    subspaces (see ``null_split``).  Band-route frames that come from the
+    iteration are real for a matrix whose entries are all real, whatever
+    its dtype, since ``small_singular_vectors`` then runs in real
+    arithmetic."""
 
     rank: int
     kernel: np.ndarray
@@ -580,7 +583,15 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int,
     ascending order; they are accurate to about ``eps ||a||``, where the
     square roots of the Ritz values of ``a*a`` are accurate only to about
     ``sqrt(eps) ||a||``.
+
+    A complex ``a`` whose entries have no nonzero imaginary part (an exact
+    test, not a tolerance) is iterated as its real part: ``a*a`` and
+    ``a a*`` are then real symmetric, so they have a real eigenbasis, a
+    real block finds the same subspaces, and the vectors returned are
+    real.
     """
+    if np.iscomplexobj(a.data) and not a.data.imag.any():
+        a = a.real
     a_h = a.getH()
 
     def smallest(gram, factor, k):
@@ -609,6 +620,20 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int,
     return v_r[:, :ns], v_l[:, :ns], s_r[:ns], s_r[ns] if ns < len(s_r) else np.inf
 
 
+def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of a full-rank n x k block
+    (k <= n): the Q of LAPACK's Householder QR (``geqrf``/``ungqr``).
+
+    ``scipy.linalg.qr`` returns Q in Fortran order, which is the layout
+    ``SuperLU.solve`` reads, so the next solve takes it without a copy.
+    Householder QR stays orthonormal to working precision whatever the
+    condition of the block; after one inverse-iteration step the null
+    columns of ``_smallest_block`` outgrow the rest by about 1e8, past
+    where a Cholesky QR of the Gram matrix breaks down.
+    """
+    return scipy.linalg.qr(x, mode="economic", check_finite=False)[0]
+
+
 def _smallest_block(mat, k: int, scale: float, cut: float,
                     count: int | None = None):
     """Ritz vectors of the smallest k eigenvalues of a sparse PSD matrix,
@@ -621,17 +646,30 @@ def _smallest_block(mat, k: int, scale: float, cut: float,
     ``count`` smallest when the count below the cut is known.  The values
     above those are never read, and in inverse iteration they are the
     slowest to settle.
+
+    The shifted matrix ``mat + 1e-12 scale I`` is Hermitian positive
+    definite, so SuperLU factors it with a symmetric ordering of
+    ``A + A^T`` and diagonal pivots, which is as stable as Cholesky for
+    such a matrix.  The block is orthonormalized by LAPACK's Householder
+    QR (``_orthonormal_columns``) at the start and after every solve.
+    The arithmetic follows ``mat.dtype``: a complex matrix is iterated
+    from a seeded complex start, and a real one in real arithmetic from
+    the real part of that start.
     """
     n = mat.shape[0]
     shift = 1e-12 * scale + 1e-300
     lu = spla.splu((mat + shift * sp.identity(n, format="csc",
-                                              dtype=complex)).tocsc())
+                                              dtype=mat.dtype)).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
     rng = np.random.default_rng(1234567)
-    x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    x, _ = np.linalg.qr(x)
+    x = rng.standard_normal((n, k))
+    if np.iscomplexobj(mat):
+        x = x + 1j * rng.standard_normal((n, k))
+    x = _orthonormal_columns(x)
     previous = None
     for _ in range(60):
-        x, _ = np.linalg.qr(lu.solve(x))
+        x = _orthonormal_columns(lu.solve(x))
         small = x.conj().T @ (mat @ x)
         vals, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
         read = count if count is not None else \

@@ -239,8 +239,8 @@ def mapping_torus_matches_reference(monkeypatch):
     reference, wherever ``build_mapping_torus`` was imported to."""
     original = specflow.mapping_torus.build_mapping_torus
 
-    def checked(spec, m_u):
-        op = original(spec, m_u)
+    def checked(spec, m_u, tolerances=DEFAULT):
+        op = original(spec, m_u, tolerances)
         assert_matches_reference_assembly(op)
         return op
 

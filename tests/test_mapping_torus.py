@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specflow.mapping_torus
+import specflow.operators
 from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
                       TruncatedOperator, TwistedLoopSpec, build_mapping_torus,
                       mapping_torus_index, spectral_flow)
@@ -125,7 +126,8 @@ class TestReferenceAssembly:
     def test_matches_block_assembly(self, spec, m_u):
         op = build_mapping_torus(spec, m_u)
         assert_matches_reference_assembly(op)
-        assert_matches_reference_assembly(_with_doubled_truncation(op))
+        assert_matches_reference_assembly(
+            _with_doubled_truncation(op, DEFAULT))
 
     @staticmethod
     def _guard_spec(delta: float) -> TwistedLoopSpec:
@@ -148,6 +150,15 @@ class TestReferenceAssembly:
         with pytest.raises(ValueError, match="u-slice 3 is not Hermitian"):
             build_mapping_torus(self._guard_spec(1e-9), 8)
         build_mapping_torus(self._guard_spec(0.0), 8)
+
+    def test_hermiticity_test_reads_the_given_tolerances(self):
+        # defect 2e-11: allowed 1.25e-9 at slice 3 by default, and at most
+        # 1.25e-12 anywhere with hermitian_max = 1e-15
+        spec = self._guard_spec(1e-11)
+        build_mapping_torus(spec, 8)
+        tight = DEFAULT.with_(hermitian_max=1e-15)
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            build_mapping_torus(spec, 8, tight)
 
 
 class TestSmallSingularVectors:
@@ -174,6 +185,17 @@ class TestSmallSingularVectors:
         assert sine_of_largest_angle(right, vh.conj().T[:, n - ns:]) <= 1e-6
         assert sine_of_largest_angle(left, u[:, n - ns:]) <= 1e-6
 
+    @pytest.mark.parametrize("spec, dtype", [
+        (flux_spec(1, k=6), np.float64), (flux_spec(2, k=8), np.float64),
+        (three_sample_spec(), np.complex128)])
+    def test_real_loops_take_real_frames(self, spec, dtype):
+        # the flux loops' samples and e^{i flux x} gluing are real matrices
+        # (stored as complex); the three-sample loop has a complex potential
+        op = build_mapping_torus(spec, 12)
+        threshold = DEFAULT.mapping_torus_rank_rtol * op.sigma_max_bound
+        right, left, _, _ = _small_singular_vectors(op, threshold)
+        assert right.dtype == left.dtype == dtype
+
 
 class TestIndex:
     def test_trivial_loop(self):
@@ -189,6 +211,34 @@ class TestIndex:
         op = build_mapping_torus(spec, 24)
         idx = mapping_torus_index(op)
         assert idx == spectral_flow(spec.path) == -flux
+
+    def test_two_factorizations_per_count(self, monkeypatch):
+        # A*A and A A* once each, at its own grid and both doubled ones
+        calls = []
+        splu = specflow.operators.spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(specflow.operators.spla, "splu", counted)
+        assert mapping_torus_index(build_mapping_torus(flux_spec(1), 16)) == -1
+        assert len(calls) == 6
+
+    def test_doubled_operators_get_the_given_tolerances(self, monkeypatch):
+        seen = []
+        build = specflow.mapping_torus.build_mapping_torus
+
+        def recorded(spec, m_u, tolerances=DEFAULT):
+            seen.append(tolerances)
+            return build(spec, m_u, tolerances)
+
+        monkeypatch.setattr(specflow.mapping_torus, "build_mapping_torus",
+                            recorded)
+        loose = DEFAULT.with_(hermitian_max=2e-12)
+        op = build_mapping_torus(flux_spec(1, k=6), 12, loose)
+        assert mapping_torus_index(op, loose) == -1
+        assert seen == [loose, loose]
 
     def test_doubling_stability_runs(self):
         spec = flux_spec(1, k=10)

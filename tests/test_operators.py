@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from specflow import (BaseGrid, FourierTruncation, OperatorCurve,
                       SymbolFunction, build_dirac, build_multiplication, eigh,
@@ -9,8 +10,10 @@ from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
 from specflow.flow import _SpectrumCache
-from specflow.operators import (half_bandwidth, interior_directions,
-                                null_split, numerical_rank, split_rank)
+from specflow.operators import (_orthonormal_columns, half_bandwidth,
+                                interior_directions, null_split,
+                                numerical_rank, small_singular_vectors,
+                                split_rank)
 from conftest import (assert_matches_dense_split, dense_null_split,
                       derivative_matrix, fd_dirac_cos_spectrum,
                       random_hermitian, random_hermitian_symbol,
@@ -553,6 +556,57 @@ class TestBandNullSplit:
             bands = band_calls(monkeypatch)
             null_split(m)
             assert bands == [] and shapes == [m.shape]
+
+
+class TestSmallSingularVectors:
+    def test_orthonormalization_of_an_ill_conditioned_block(self):
+        # singular values from 1 down to 1e-13, mixed across the columns as
+        # in an inverse-iteration iterate: the Gram matrix has condition
+        # 1e26, far past 1 / eps, so the Cholesky factorization of plain
+        # CholQR2 fails on such a block (a purely column-scaled block would
+        # not show it, as Cholesky is invariant to diagonal scaling)
+        rng = rng_for(3)
+        n, k = 2000, 8
+
+        def gaussian(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        frame = np.linalg.qr(gaussian(n, k))[0]
+        mixing = np.linalg.qr(gaussian(k, k))[0]
+        x = frame * np.logspace(0, -13, k) @ mixing
+        assert np.linalg.cond(x) >= 1e12
+        q = _orthonormal_columns(x)
+        assert q.shape == (n, k) and q.flags.f_contiguous
+        assert np.abs(q.conj().T @ q - np.eye(k)).max() <= 1e-13
+        assert sine_of_largest_angle(q, np.linalg.qr(x)[0]) <= 1e-12
+
+    def test_real_and_complex_routes_agree(self):
+        # a real band matrix stored as complex is iterated in real
+        # arithmetic; e^{0.3i} times it has the same right singular
+        # vectors, its left ones turned by the phase, and takes the
+        # complex route
+        n = 300
+        rng = rng_for(21)
+        t = np.zeros((n, n))
+        for d in range(-2, 2):
+            t += np.diag(rng.normal(size=n - abs(d)), d)
+        t += np.diag(np.linspace(6.0, 60.0, n))
+        t[[17, 160]] = 0
+        t[230] *= 1e-5
+        scale = np.linalg.norm(t, 2) ** 2
+        threshold = 1e-4 * np.sqrt(scale)
+        real = small_singular_vectors(sp.csc_matrix(t.astype(complex)),
+                                      threshold, scale, 8)
+        turned = small_singular_vectors(sp.csc_matrix(np.exp(0.3j) * t),
+                                        threshold, scale, 8)
+        assert real[0].dtype == real[1].dtype == np.float64
+        assert turned[0].dtype == turned[1].dtype == np.complex128
+        assert len(real[2]) == len(turned[2]) == 3
+        assert np.abs(real[2] - turned[2]).max() <= 1e-12 * np.sqrt(scale)
+        # the first retained value settles only with the Ritz values
+        assert abs(real[3] - turned[3]) <= 1e-8 * real[3]
+        assert sine_of_largest_angle(real[0], turned[0]) <= 1e-8
+        assert sine_of_largest_angle(real[1], turned[1]) <= 1e-8
 
 
 class TestInteriorDirections:
