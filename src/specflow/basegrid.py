@@ -9,6 +9,7 @@ sign of all lattice Chern numbers in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,27 @@ class BaseGrid:
         if self.is_torus:
             return [(i, j) for i in range(m) for j in range(m)]
         return [(i,) for i in range(m)]
+
+    @cached_property
+    def positions(self) -> dict[tuple[int, ...], int]:
+        """Position of each vertex in ``vertices``."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Positions of the tail and the head of every edge, in the order
+        of ``edges`` (2 x edges)."""
+        at = self.positions
+        return np.array([[at[a] for a, _ in self.edges],
+                         [at[b] for _, b in self.edges]], dtype=int)
+
+    @cached_property
+    def plaquette_index(self) -> np.ndarray:
+        """Positions of the corners of every plaquette, in the order of
+        ``plaquettes`` and of ``plaquette_corners`` (plaquettes x 4)."""
+        at = self.positions
+        return np.array([[at[c] for c in self.plaquette_corners(p)]
+                         for p in self.plaquettes], dtype=int).reshape(-1, 4)
 
     def coordinates(self, vertex) -> tuple[float, ...]:
         step = 2 * np.pi / self.size

@@ -19,22 +19,22 @@ pointwise kernel dimension varies must be perturbed by the caller.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
-from .errors import (InvalidSection, RankJump, SingularOverlap,
-                     UnstableIndex)
-from .flow import (OperatorCurve, Partition, SpectralSection, _brackets,
-                   _gram_defect, _SpectrumCache, _validate_section,
-                   aps_projection, comparison_map, gap_partition)
-from .operators import (FourierTruncation, SymbolFunction, TruncatedOperator,
-                        null_split)
-from .toeplitz import _doubling_checked, hardy_section, toeplitz_compress
+from .errors import (InvalidSection, RankJump, RoundingAmbiguous,
+                     SingularOverlap, UnstableIndex)
+from .flow import (Partition, SpectralSection, _brackets, _first_invalid,
+                   _gram_defect, _kept_above, _sample_grid, _SpectrumCache,
+                   comparison_map, gap_partition)
+from .operators import (FourierTruncation, TruncatedOperator, _dirac_matrices,
+                        _require_hermitian, eigh, null_splits)
+from .toeplitz import _family_subspaces, hardy_section
 
 
 # ---------------------------------------------------------------------------
@@ -63,29 +63,47 @@ class OperatorFamily:
         return self.operators[vertex]
 
 
+def _constant_rank(base: BaseGrid, ranks, what: str) -> int:
+    """The rank every vertex has (``ranks`` in the order of
+    ``base.vertices``); RankJump naming the vertices whose rank differs
+    from the first vertex's otherwise."""
+    ranks = np.asarray(ranks)
+    bad = np.flatnonzero(ranks != ranks[0])
+    if bad.size:
+        vertices = base.vertices
+        raise RankJump(f"{what} varies over the base: e.g. at "
+                       f"{[vertices[i] for i in bad[:4]]} (got "
+                       f"{sorted(set(ranks.tolist()))}); perturb the family")
+    return int(ranks[0])
+
+
 class ProjectorFamily:
     """Constant-rank family of orthogonal projectors over a base grid, held
-    as one orthonormal frame (dim x rank) per vertex.
+    as one stack of orthonormal frames (vertices, dim, rank) in the order
+    of ``base.vertices``.
 
     Validation works on the frames: ``||F* F - I||_2`` is the idempotency
     defect of ``F F*``, and across an edge ``||P_a - P_b||_2`` is the sine
     of the largest principal angle between the two ranges.
     """
 
-    def __init__(self, base: BaseGrid, frames: Mapping[tuple, np.ndarray],
+    def __init__(self, base: BaseGrid, frames,
                  tolerances: Tolerances = DEFAULT):
+        """``frames`` maps each vertex to its dim x rank frame, or is
+        already the stack."""
         self.base = base
-        self._frames = {v: np.asarray(frames[v], dtype=complex)
-                        for v in base.vertices}
-        if any(f.ndim != 2 for f in self._frames.values()):
-            raise ValueError("a frame must be a dim x rank matrix")
-        ranks = {v: f.shape[1] for v, f in self._frames.items()}
-        self.rank = ranks[base.vertices[0]]
-        if any(r != self.rank for r in ranks.values()):
-            bad = sorted(v for v, r in ranks.items() if r != self.rank)
-            raise RankJump(f"frame rank varies over the base: e.g. at "
-                           f"{bad[:4]} (got {sorted(set(ranks.values()))}); "
-                           f"perturb the family")
+        if isinstance(frames, np.ndarray):
+            stack = frames.astype(complex, copy=False)
+            if stack.ndim != 3 or len(stack) != len(base.vertices):
+                raise ValueError("a frame stack must be vertices x dim x rank")
+        else:
+            per = [np.asarray(frames[v], dtype=complex) for v in base.vertices]
+            if any(f.ndim != 2 for f in per):
+                raise ValueError("a frame must be a dim x rank matrix")
+            _constant_rank(base, [f.shape[1] for f in per], "frame rank")
+            stack = np.stack(per)
+        self._frames = stack
+        self.rank = stack.shape[2]
         if self.rank:
             self._validate(tolerances)
 
@@ -96,55 +114,64 @@ class ProjectorFamily:
         """Family of Hermitian projector matrices, one per vertex, framed by
         the eigenvectors of eigenvalue one.  For Hermitian P the eigenvalues
         w give ``||P^2 - P||_2 = max |w^2 - w|`` exactly."""
-        frames = {}
-        for v in base.vertices:
-            p = np.asarray(projectors[v], dtype=complex)
-            if np.linalg.norm(p - p.conj().T, 2) > tolerances.projector_hermitian:
+        p = np.stack([np.asarray(projectors[v], dtype=complex)
+                      for v in base.vertices])
+        skew = np.linalg.norm(p - np.swapaxes(p.conj(), -1, -2), 2,
+                              axis=(-2, -1))
+        w, vecs = np.linalg.eigh(p)
+        idempotent = np.abs(w * w - w).max(axis=-1)
+        not_hermitian = skew > tolerances.projector_hermitian
+        bad = np.flatnonzero(not_hermitian
+                             | (idempotent > tolerances.projector_idempotent))
+        if bad.size:
+            v = base.vertices[bad[0]]
+            if not_hermitian[bad[0]]:
                 raise InvalidSection(f"family member at {v} is not Hermitian")
-            w, vecs = np.linalg.eigh(p)
-            if np.abs(w * w - w).max() > tolerances.projector_idempotent:
-                raise InvalidSection(f"family member at {v} is not a projector")
-            frames[v] = vecs[:, w > 0.5]
-        return cls(base, frames, tolerances)
+            raise InvalidSection(f"family member at {v} is not a projector")
+        rank = _constant_rank(base, np.count_nonzero(w > 0.5, axis=-1),
+                              "frame rank")
+        # ascending eigenvalues: the ones above 1/2 are the last columns
+        return cls(base, vecs[..., vecs.shape[-1] - rank:], tolerances)
 
     @classmethod
     def empty(cls, base: BaseGrid, dim: int) -> "ProjectorFamily":
-        return cls(base, {v: np.zeros((dim, 0)) for v in base.vertices})
+        return cls(base, np.zeros((len(base.vertices), dim, 0)))
 
     @property
     def dim(self) -> int:
-        return self._frames[self.base.vertices[0]].shape[0]
+        return self._frames.shape[1]
 
     def _validate(self, tolerances: Tolerances):
-        vertices = self.base.vertices
-        stack = np.stack([self._frames[v] for v in vertices])
+        stack = self._frames
         defects = _gram_defect(stack)
         bad = np.flatnonzero(defects > tolerances.projector_idempotent)
         if bad.size:
             raise InvalidSection(
-                f"frame at {vertices[bad[0]]} is not orthonormal (Gram defect "
-                f"{defects[bad[0]]:.2e}), so its projector is not idempotent")
-        at = {v: i for i, v in enumerate(vertices)}
-        edges = self.base.edges
-        steps = _projector_steps(stack[[at[a] for a, _ in edges]],
-                                 stack[[at[b] for _, b in edges]])
+                f"frame at {self.base.vertices[bad[0]]} is not orthonormal "
+                f"(Gram defect {defects[bad[0]]:.2e}), so its projector is "
+                f"not idempotent")
+        tails, heads = self.base.edge_index
+        steps = _projector_steps(stack[tails], stack[heads])
         bad = np.flatnonzero(steps >= tolerances.neighbor_continuity)
         if bad.size:
-            (a, b), step = edges[bad[0]], steps[bad[0]]
+            (a, b), step = self.base.edges[bad[0]], steps[bad[0]]
             raise InvalidSection(
                 f"projector family moves by {step:.3f} across edge "
                 f"{a} -> {b}; refine the base grid")
 
     def frame(self, vertex) -> np.ndarray:
         """Orthonormal basis of the range at a vertex."""
-        return self._frames[vertex]
+        return self._frames[self.base.positions[vertex]]
 
     def direct_sum(self, other: "ProjectorFamily") -> "ProjectorFamily":
         if other.base != self.base:
             raise ValueError("direct sum needs a common base")
-        return ProjectorFamily(self.base, {
-            v: scipy.linalg.block_diag(self._frames[v], other._frames[v])
-            for v in self.base.vertices})
+        a, b = self._frames, other._frames
+        out = np.zeros((len(a), self.dim + other.dim, self.rank + other.rank),
+                       dtype=complex)
+        out[:, :self.dim, :self.rank] = a
+        out[:, self.dim:, self.rank:] = b
+        return ProjectorFamily(self.base, out)
 
 
 def _projector_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,6 +187,21 @@ def _projector_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # kernel bundles and Chern numbers
 # ---------------------------------------------------------------------------
 
+def _null_frames(base: BaseGrid, stack: np.ndarray,
+                 tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel and cokernel frames of every member of a stack (in the
+    order of ``base.vertices``), by ``null_splits``; the kernel dimension
+    must not vary over the base (RankJump otherwise), so the members
+    share one rank and one group."""
+    groups = null_splits(stack, tolerances)
+    nullity = np.empty(len(stack), dtype=int)
+    for members, split in groups:
+        nullity[members] = split.kernel.shape[-1]
+    _constant_rank(base, nullity, "frame rank")
+    (_, split), = groups
+    return split.kernel, split.cokernel
+
+
 def kernel_bundle(base: BaseGrid, matrices: Mapping[tuple, np.ndarray],
                   tolerances: Tolerances = DEFAULT) -> ProjectorFamily:
     """Orthogonal projector onto the numerical kernel (``null_split`` at
@@ -167,41 +209,51 @@ def kernel_bundle(base: BaseGrid, matrices: Mapping[tuple, np.ndarray],
 
     The kernel dimension must be constant (RankJump otherwise) and the
     singular spectrum must split by the configured gap factor at every
-    vertex (IllConditioned otherwise).
+    vertex (IllConditioned otherwise).  The matrices are split as one
+    stack (``null_splits``).
     """
-    frames = {v: null_split(np.asarray(matrices[v], dtype=complex),
-                            tolerances).kernel
-              for v in base.vertices}
-    return ProjectorFamily(base, frames, tolerances)
+    stack = np.stack([np.asarray(matrices[v], dtype=complex)
+                      for v in base.vertices])
+    kernel, _ = _null_frames(base, stack, tolerances)
+    return ProjectorFamily(base, kernel, tolerances)
 
 
 def chern_number(family: ProjectorFamily,
                  tolerances: Tolerances = DEFAULT) -> int:
     """Plaquette link-variable Chern number of a projector family on the
-    torus: sum of overlap-determinant phases around plaquettes over 2 pi."""
-    if not family.base.is_torus:
+    torus: sum of overlap-determinant phases around plaquettes over 2 pi.
+
+    The link overlaps of every plaquette are factored by one stacked
+    ``det`` per position on the plaquette boundary and multiplied around
+    each plaquette in traversal order.  A total more than 1e-6 from an
+    integer raises RoundingAmbiguous.
+    """
+    base = family.base
+    if not base.is_torus:
         raise ValueError("Chern numbers are defined on torus bases only")
-    if family.base.size < 8:
+    if base.size < 8:
         raise ValueError("plaquette method needs a grid of at least 8 x 8")
     if family.rank == 0:
         return 0
-    frames = {v: family.frame(v) for v in family.base.vertices}
-    total = 0.0
-    for p in family.base.plaquettes:
-        # traverse clockwise in (b1, b2) so the reference wrap lands on +1
-        corners = list(reversed(family.base.plaquette_corners(p)))
-        u = 1.0 + 0.0j
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            det = np.linalg.det(frames[a].conj().T @ frames[b])
-            if abs(det) < tolerances.overlap_min_det:
-                raise SingularOverlap(
-                    f"overlap determinant {abs(det):.2e} across {a} -> {b}; "
-                    f"the base grid is too coarse")
-            u *= det
-        total += float(np.angle(u))
-    c = total / (2 * np.pi)
+    frames = family._frames
+    # traverse clockwise in (b1, b2) so the reference wrap lands on +1
+    corners = base.plaquette_index[:, ::-1]
+    dets = np.stack([np.linalg.det(
+        np.swapaxes(frames[corners[:, k]].conj(), -1, -2)
+        @ frames[corners[:, (k + 1) % 4]]) for k in range(4)], axis=1)
+    small = np.flatnonzero(np.abs(dets) < tolerances.overlap_min_det)
+    if small.size:
+        p, k = divmod(int(small[0]), 4)
+        a, b = (base.vertices[corners[p, j % 4]] for j in (k, k + 1))
+        raise SingularOverlap(
+            f"overlap determinant {abs(dets[p, k]):.2e} across {a} -> {b}; "
+            f"the base grid is too coarse")
+    u = np.ones(len(dets), dtype=complex)
+    for k in range(4):
+        u = u * dets[:, k]
+    c = float(np.angle(u).sum()) / (2 * np.pi)
     if abs(c - round(c)) > 1e-6:
-        raise AssertionError(f"plaquette sum {c} is not an integer")
+        raise RoundingAmbiguous(f"plaquette sum {c} is not an integer")
     return int(round(c))
 
 
@@ -259,30 +311,35 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
     compressed family (interior-localized null directions only); ch0 is
     the constant pointwise index and ch1 comes from the plaquette method
     on torus bases.  Every vertex is re-checked at doubled truncation.
+    The compressions at each truncation are split as stacks over the base
+    (``toeplitz._family_subspaces``).
     """
-    fam = {v: (g_family(v) if callable(g_family) else g_family[v])
-           for v in base.vertices}
+    symbols = [g_family(v) if callable(g_family) else g_family[v]
+               for v in base.vertices]
     trunc2 = trunc.doubled()
-    section = hardy_section(trunc, tolerances)
-    section2 = hardy_section(trunc2, tolerances)
-
-    ker_bases, cok_bases, indices = {}, {}, {}
-    for v in base.vertices:
-        sub = _doubling_checked(
-            toeplitz_compress(section, fam[v], trunc, tolerances),
-            toeplitz_compress(section2, fam[v], trunc2, tolerances),
-            tolerances)
-        indices[v] = sub.kernel_dim - sub.cokernel_dim
-        ker_bases[v] = sub.kernel_interior
-        cok_bases[v] = sub.cokernel_interior
-    first = indices[base.vertices[0]]
-    if any(i != first for i in indices.values()):
+    sub = _family_subspaces(hardy_section(trunc, tolerances), symbols, trunc,
+                            tolerances)
+    sub2 = _family_subspaces(hardy_section(trunc2, tolerances), symbols,
+                             trunc2, tolerances)
+    index = sub.kernel_dims - sub.cokernel_dims
+    index2 = sub2.kernel_dims - sub2.cokernel_dims
+    bad = np.flatnonzero(index != index2)
+    if bad.size:
+        raise UnstableIndex(
+            f"index {index[bad[0]]} at K={trunc.max_mode} but "
+            f"{index2[bad[0]]} at K={trunc2.max_mode}")
+    first = int(index[0])
+    if np.any(index != first):
         raise RankJump(f"pointwise Toeplitz index is not constant: "
-                       f"{sorted(set(indices.values()))}")
+                       f"{sorted(set(index.tolist()))}")
 
-    out = _class_from_parts(base, ProjectorFamily(base, ker_bases, tolerances),
-                            ProjectorFamily(base, cok_bases, tolerances),
-                            tolerances, meta={"pointwise_index": first})
+    parts = []
+    for dims, frames in ((sub.kernel_dims, sub.kernel_interior),
+                         (sub.cokernel_dims, sub.cokernel_interior)):
+        _constant_rank(base, dims, "frame rank")
+        parts.append(ProjectorFamily(base, frames, tolerances))
+    out = _class_from_parts(base, *parts, tolerances,
+                            meta={"pointwise_index": first})
     assert out.ch0 == first
     return out
 
@@ -292,59 +349,78 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
 # ---------------------------------------------------------------------------
 
 class CurveOfFamilies:
-    """A curve u -> operator family, stored as one operator curve per
-    vertex over a common sample grid and truncation."""
+    """A curve u -> operator family over a common sample grid and
+    truncation, stored as one read-only stack ``samples`` of shape
+    (samples, vertices, dim, dim), vertices in the order of
+    ``base.vertices``.  The curve is affine in every member between
+    samples, and ``at(t)`` is the whole family at t as one stack."""
 
-    def __init__(self, base: BaseGrid, curves: Mapping[tuple, OperatorCurve]):
+    def __init__(self, base: BaseGrid, ts, samples: np.ndarray,
+                 truncation: FourierTruncation):
         self.base = base
-        self.curves = {v: curves[v] for v in base.vertices}
-        truncs = {c.truncation for c in self.curves.values()}
-        if len(truncs) != 1:
-            raise ValueError("vertex curves must share one truncation")
-        t0 = self.curves[base.vertices[0]].ts
-        for c in self.curves.values():
-            if len(c.ts) != len(t0) or np.any(np.abs(c.ts - t0) > 1e-12):
-                raise ValueError("vertex curves must share the sample grid")
+        self.truncation = truncation
+        samples = np.array(samples, dtype=complex)
+        self.ts = _sample_grid(ts, len(samples))
+        shape = (len(self.ts), len(base.vertices), truncation.dim,
+                 truncation.dim)
+        if samples.shape != shape:
+            raise ValueError(f"samples have shape {samples.shape}, "
+                             f"expected {shape}")
+        _require_hermitian(samples)
+        samples.setflags(write=False)
+        self.samples = samples
 
     @classmethod
     def from_potentials(cls, base: BaseGrid, potential_fn, ts,
                         trunc: FourierTruncation) -> "CurveOfFamilies":
         """potential_fn(vertex, t) -> Hermitian SymbolFunction."""
-        curves = {}
-        for v in base.vertices:
-            pots = [potential_fn(v, float(t)) for t in ts]
-            curves[v] = OperatorCurve.from_potentials(ts, pots, trunc)
-        return cls(base, curves)
+        ts = [float(t) for t in ts]
+        pots = [[potential_fn(v, t) for t in ts] for v in base.vertices]
+        matrices = _dirac_matrices([row[k] for k in range(len(ts))
+                                    for row in pots], trunc, DEFAULT)
+        return cls(base, ts, matrices.reshape(len(ts), len(pots), trunc.dim,
+                                              trunc.dim), trunc)
 
-    @property
-    def truncation(self) -> FourierTruncation:
-        return self.curves[self.base.vertices[0]].truncation
-
-    @property
-    def ts(self):
-        return self.curves[self.base.vertices[0]].ts
+    def at(self, t: float) -> np.ndarray:
+        """The family at t, (vertices, dim, dim): a sample itself at a
+        sample point, else ``(1 - lam) S_i + lam S_{i+1}`` on its segment,
+        the arithmetic of ``OperatorCurve.at``."""
+        t = float(t)
+        i = bisect.bisect_left(self.ts, t)
+        if i < len(self.ts) and self.ts[i] == t:
+            return self.samples[i]
+        i = min(max(bisect.bisect_right(self.ts, t) - 1, 0), len(self.ts) - 2)
+        t0, t1 = self.ts[i], self.ts[i + 1]
+        lam = (t - t0) / (t1 - t0)
+        stack = (1 - lam) * self.samples[i] + lam * self.samples[i + 1]
+        _require_hermitian(stack)
+        return stack
 
     def family_at(self, t: float) -> OperatorFamily:
-        return OperatorFamily(self.base,
-                              {v: c.at(t) for v, c in self.curves.items()})
+        return OperatorFamily(self.base, {
+            v: TruncatedOperator(m, self.truncation)
+            for v, m in zip(self.base.vertices, self.at(t))})
 
 
 def _common_partition(curve_fam: CurveOfFamilies, tolerances: Tolerances,
-                      caches: Mapping[tuple, _SpectrumCache]) -> Partition:
+                      cache: _SpectrumCache) -> Partition:
     """Gap partition certified simultaneously for every vertex, with
     levels whose eigenvalue counts agree across the base (so transported
-    projectors have constant rank)."""
+    projectors have constant rank): the cache's spectra are (vertices, n)
+    stacks, which ``certify_level`` reads member by member."""
+    return gap_partition(curve_fam, tolerances, _cache=cache)
 
-    class _PerVertex:
-        def __call__(self, t):
-            return [caches[v](t) for v in curve_fam.base.vertices]
 
-        def lipschitz(self, u, v, safety):
-            return max(caches[w].lipschitz(u, v, safety)
-                       for w in curve_fam.base.vertices)
-
-    anchor = curve_fam.curves[curve_fam.base.vertices[0]]
-    return gap_partition(anchor, tolerances, _cache=_PerVertex())
+def _endpoint_sections(base: BaseGrid,
+                       sections: Mapping[tuple, SpectralSection]
+                       ) -> SpectralSection:
+    """Per-vertex endpoint sections as one stacked section; their ranks
+    must not vary over the base (RankJump otherwise)."""
+    per = [sections[v] for v in base.vertices]
+    _constant_rank(base, [q.rank for q in per], "endpoint section rank")
+    return SpectralSection(np.stack([q.basis for q in per]),
+                           np.array([q.threshold_window for q in per]),
+                           provenance="endpoint sections")
 
 
 def higher_spectral_flow(curve_fam: CurveOfFamilies,
@@ -357,58 +433,52 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
     A single partition with per-interval levels is certified across the
     whole base; the class is the sum over the brackets of ``flow`` of the
     kernel bundle minus the cokernel bundle of each bracket's comparison
-    maps, and ch0 is checked to be the constant pointwise flow.  Each
-    vertex operator is diagonalized at most once, and its
-    eigendecomposition is dropped once the brackets at its breakpoint are
-    built.
+    maps, and ch0 is checked to be the constant pointwise flow.  The
+    endpoint sections must have one rank over the base (RankJump
+    otherwise).  The family at each breakpoint is diagonalized once, as
+    one stack, and its eigendecomposition is dropped once the bracket
+    there is built; each bracket's comparison maps are split as one stack.
     """
     base = curve_fam.base
-    caches = {v: _SpectrumCache(curve_fam.curves[v], tolerances)
-              for v in base.vertices}
-    for v in base.vertices:
-        _validate_section(caches[v].decomposition(0.0), q0[v], tolerances)
-        _validate_section(caches[v].decomposition(1.0), q1[v], tolerances)
+    q0, q1 = _endpoint_sections(base, q0), _endpoint_sections(base, q1)
+    cache = _SpectrumCache(curve_fam, tolerances)
+    # the first vertex whose q0 or q1 fails is reported, q0 first
+    failures = [f for f in (_first_invalid(cache.decomposition(0.0), q0,
+                                           tolerances),
+                            _first_invalid(cache.decomposition(1.0), q1,
+                                           tolerances)) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
-    part = _common_partition(curve_fam, tolerances, caches)
-
-    def transported(t, level) -> dict:
-        return {v: caches[v].section(t, level) for v in base.vertices}
+    part = _common_partition(curve_fam, tolerances, cache)
 
     # one split of the comparison map Y* X : Im X -> Im Y gives the kernel
     # frame in X's basis and the cokernel frame in Y's basis; lifted to the
     # ambient space they frame the bracket's kernel and cokernel bundles
-    pointwise = {v: 0 for v in base.vertices}
+    flow = 0
     positive: ProjectorFamily | None = None
     negative: ProjectorFamily | None = None
-    for t, x_fam, y_fam in _brackets(part, transported, q0, q1):
-        for cache in caches.values():
-            cache.release(t)
-        ker, cok = {}, {}
-        for v in base.vertices:
-            x, y = x_fam[v], y_fam[v]
-            split = null_split(comparison_map(x, y), tolerances)
-            pointwise[v] += x.rank - y.rank
-            ker[v], cok[v] = x.basis @ split.kernel, y.basis @ split.cokernel
-        fam = ProjectorFamily(base, ker, tolerances)
+    for t, x, y in _brackets(part, cache.section, q0, q1):
+        cache.release(t)
+        kernel, cokernel = _null_frames(base, comparison_map(x, y),
+                                        tolerances)
+        flow += x.rank - y.rank
+        fam = ProjectorFamily(base, x.basis @ kernel, tolerances)
         if fam.rank:
             positive = fam if positive is None else positive.direct_sum(fam)
-        fam = ProjectorFamily(base, cok, tolerances)
+        fam = ProjectorFamily(base, y.basis @ cokernel, tolerances)
         if fam.rank:
             negative = fam if negative is None else negative.direct_sum(fam)
 
-    first = pointwise[base.vertices[0]]
-    if any(x != first for x in pointwise.values()):
-        raise RankJump(f"pointwise spectral flow is not locally constant: "
-                       f"{sorted(set(pointwise.values()))}")
     dim = curve_fam.truncation.dim
     if positive is None:
         positive = ProjectorFamily.empty(base, dim)
     if negative is None:
         negative = ProjectorFamily.empty(base, dim)
-    if positive.rank - negative.rank != first:
+    if positive.rank - negative.rank != flow:
         raise UnstableIndex(
             f"assembled class rank {positive.rank - negative.rank} disagrees "
-            f"with pointwise flow {first}")
+            f"with pointwise flow {flow}")
     return _class_from_parts(base, positive, negative, tolerances,
                              meta={"partitions": len(part.intervals),
                                    "min_gap": part.min_gap})
@@ -417,7 +487,16 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
 def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,
                        policy: str = "inclusive",
                        tolerances: Tolerances = DEFAULT) -> dict:
-    """Pointwise positive-cutoff sections of an operator family."""
-    return {v: aps_projection(family[v], cutoff, policy=policy,
-                              tolerances=tolerances)
-            for v in family.base.vertices}
+    """Pointwise positive-cutoff sections of an operator family: the
+    ``aps_projection`` of every vertex operator, from one stacked
+    ``eigh`` of the family."""
+    if policy not in ("strict", "inclusive", "exclusive"):
+        raise ValueError(f"unknown cutoff policy {policy!r}")
+    vertices = family.base.vertices
+    dec = eigh(np.stack([family[v].matrix for v in vertices]), tolerances)
+    counts, windows = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
+    n = dec.eigenvalues.shape[-1]
+    return {v: SpectralSection(dec.eigenvectors[i, :, n - counts[i]:],
+                               float(windows[i]),
+                               provenance=f"aps cutoff {cutoff:g} ({policy})")
+            for i, v in enumerate(vertices)}

@@ -16,6 +16,7 @@ class Tolerances:
     hermitian_max: float = 1e-12        # ||M - M*||_max <= tol * (1 + ||M||_max)
     unitary: float = 1e-10              # ||U U* - I||_2
     degenerate_cluster: float = 1e-10   # relative gap defining a degenerate cluster
+    potential_hermitian: float = 1e-10  # max_k ||c_{-k} - c_k*|| of a Dirac potential
 
     # projectors and spectral sections
     projector_idempotent: float = 1e-9  # ||P^2 - P||, or ||B* B - I|| of a frame

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (EigenvalueAtCutoff, InvalidSection, NoGapFound,
-                     ResolutionExceeded, UnstableIndex)
+                     RankJump, ResolutionExceeded, UnstableIndex)
 from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
                         TruncatedOperator, build_dirac, eigh, eigvalsh,
                         numerical_rank)
@@ -41,10 +41,13 @@ from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
 class SpectralSection:
     """Orthogonal projector onto the span of an orthonormal frame
     (``basis``, dim x rank) that agrees with the positive spectral
-    projector above a threshold window and vanishes below it."""
+    projector above a threshold window and vanishes below it.
+
+    A family of sections of one rank is one section whose ``basis`` is a
+    stack (..., dim, rank) with one ``threshold_window`` per member."""
 
     basis: np.ndarray
-    threshold_window: float
+    threshold_window: float | np.ndarray
     provenance: str
     rebuilder: Callable[[FourierTruncation], "SpectralSection"] | None = \
         field(default=None, repr=False, compare=False)
@@ -56,18 +59,16 @@ class SpectralSection:
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-2]
 
     def validate(self, tolerances: Tolerances = DEFAULT):
-        defect = float(_gram_defect(self.basis))
-        if defect > tolerances.projector_idempotent:
-            raise InvalidSection(f"section basis is not orthonormal (Gram "
-                                 f"defect {defect:.2e}), so its projector "
-                                 f"is not idempotent")
+        failure = _first_invalid(None, self, tolerances)
+        if failure is not None:
+            raise failure[1]
 
 
 def _gram_defect(frames: np.ndarray) -> np.ndarray:
@@ -101,14 +102,35 @@ def aps_projection(operator: TruncatedOperator, cutoff: float,
 def _section_above(dec: EigenDecomposition, cutoff: float, policy: str,
                    tolerances: Tolerances) -> SpectralSection:
     """The ``aps_projection`` section of an operator, read off its
-    eigendecomposition."""
-    w = dec.eigenvalues
+    eigendecomposition; the decomposition of a stack gives the stacked
+    section, whose members must keep equal numbers of eigenvectors
+    (RankJump otherwise)."""
+    counts, window = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
+    rank = int(np.ravel(counts)[0])
+    if np.any(counts != rank):
+        raise RankJump(f"section rank varies over the family: "
+                       f"{sorted(set(np.ravel(counts).tolist()))}")
+    n = dec.eigenvalues.shape[-1]
+    return SpectralSection(dec.eigenvectors[..., n - rank:], window,
+                           provenance=f"aps cutoff {cutoff:g} ({policy})")
+
+
+def _kept_above(w: np.ndarray, cutoff: float, policy: str,
+                tolerances: Tolerances):
+    """How many of the ascending eigenvalues (..., n) an ``aps_projection``
+    section keeps (the top ones), and its window, for each member.
+
+    The window covers the cutoff tolerance band plus, as slack, half the
+    gap to the nearest eigenvalue beyond the band."""
     atol = tolerances.cutoff_atol
     at_cut = np.abs(w - cutoff) <= atol
     if policy == "strict":
-        if np.any(at_cut):
+        bad = np.flatnonzero(at_cut.any(axis=-1))
+        if bad.size:
+            member = w.reshape(-1, w.shape[-1])[bad[0]]
+            value = member[np.abs(member - cutoff) <= atol][0]
             raise EigenvalueAtCutoff(
-                f"eigenvalue {w[at_cut][0]:.12g} within {atol:g} of cutoff "
+                f"eigenvalue {value:.12g} within {atol:g} of cutoff "
                 f"{cutoff:g}; pass policy='inclusive' or 'exclusive'")
         keep = w >= cutoff
     elif policy == "inclusive":
@@ -116,14 +138,14 @@ def _section_above(dec: EigenDecomposition, cutoff: float, policy: str,
     else:
         keep = w > cutoff + atol
 
-    # the window must cover the cutoff tolerance band; add half the gap to
-    # the nearest eigenvalue beyond the band as slack
     outside = np.abs(w - cutoff) - atol
-    outside = outside[outside > 0]
-    slack = 0.5 * float(outside.min()) if outside.size else 0.0
-    return SpectralSection(dec.eigenvectors[:, keep],
-                           abs(cutoff) + atol + slack,
-                           provenance=f"aps cutoff {cutoff:g} ({policy})")
+    nearest = np.where(outside > 0, outside, np.inf).min(axis=-1,
+                                                         initial=np.inf)
+    slack = np.where(np.isfinite(nearest), 0.5 * nearest, 0.0)
+    window = abs(cutoff) + atol + slack
+    if window.ndim == 0:
+        window = float(window)
+    return np.count_nonzero(keep, axis=-1), window
 
 
 def validate_section_for(operator: TruncatedOperator, section: SpectralSection,
@@ -135,25 +157,45 @@ def _validate_section(dec: EigenDecomposition, section: SpectralSection,
                       tolerances: Tolerances):
     """Raise InvalidSection unless the section is an orthogonal projector
     that fixes the eigenvectors above its window and annihilates those
-    below it (``||B B* c - c||`` and ``||B* c||`` per eigenvector c)."""
-    section.validate(tolerances)
-    w, v = dec.eigenvalues, dec.eigenvectors
+    below it (``||B B* c - c||`` and ``||B* c||`` per eigenvector c); for
+    stacks, the first member that fails is reported."""
+    failure = _first_invalid(dec, section, tolerances)
+    if failure is not None:
+        raise failure[1]
+
+
+def _first_invalid(dec: EigenDecomposition | None, section: SpectralSection,
+                   tolerances: Tolerances) -> tuple[int, InvalidSection] | None:
+    """The first member (flat index) of a section, or of a stack of them,
+    that fails ``_validate_section`` against its decomposition, with the
+    error to raise; with no decomposition only the frames are checked.
+    A member's frame is checked before its section condition."""
     b = section.basis
-    R = section.threshold_window
-    worst = 0.0
-    above = w > R
-    if np.any(above):
-        cols = v[:, above]
-        worst = max(worst, float(np.linalg.norm(
-            b @ (b.conj().T @ cols) - cols, axis=0).max()))
-    below = w < -R
-    if np.any(below):
-        worst = max(worst, float(np.linalg.norm(
-            b.conj().T @ v[:, below], axis=0).max()))
-    if worst > tolerances.section_condition:
-        raise InvalidSection(
-            f"section condition fails with defect {worst:.3e} "
-            f"(window R = {section.threshold_window:g})")
+    gram = np.ravel(_gram_defect(b))
+    if dec is None:
+        worst = np.zeros(gram.shape)
+    else:
+        w, v = dec.eigenvalues, dec.eigenvectors
+        window = np.asarray(section.threshold_window)[..., None]
+        coeffs = np.swapaxes(b.conj(), -1, -2) @ v
+        fixed = np.linalg.norm(b @ coeffs - v, axis=-2)
+        killed = np.linalg.norm(coeffs, axis=-2)
+        worst = np.maximum(np.where(w > window, fixed, 0.0),
+                           np.where(w < -window, killed, 0.0))
+        worst = np.ravel(worst.max(axis=-1, initial=0.0))
+    bad_gram = gram > tolerances.projector_idempotent
+    bad = np.flatnonzero(bad_gram | (worst > tolerances.section_condition))
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    if bad_gram[i]:
+        return i, InvalidSection(
+            f"section basis is not orthonormal (Gram defect {gram[i]:.2e}), "
+            f"so its projector is not idempotent")
+    window = np.ravel(section.threshold_window)[i]
+    return i, InvalidSection(
+        f"section condition fails with defect {worst[i]:.3e} "
+        f"(window R = {window:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +215,11 @@ class DifferenceElement:
 
 
 def comparison_map(p: SpectralSection, q: SpectralSection) -> np.ndarray:
-    """Matrix of Q restricted to Im P -> Im Q in orthonormal bases."""
+    """Matrix of Q restricted to Im P -> Im Q in orthonormal bases (one
+    per member for stacked sections)."""
     if p.dim != q.dim:
         raise ValueError("projectors act on different spaces")
-    return q.basis.conj().T @ p.basis
+    return np.swapaxes(q.basis.conj(), -1, -2) @ p.basis
 
 
 def difference_element(p: SpectralSection, q: SpectralSection,
@@ -209,13 +252,7 @@ class OperatorCurve:
 
     def __init__(self, ts: Sequence[float], operators: Sequence[TruncatedOperator],
                  potentials: Sequence[SymbolFunction] | None = None):
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1 or len(ts) != len(operators) or len(ts) < 2:
-            raise ValueError("need matching ts/operators with at least 2 samples")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("parameter samples must be strictly increasing")
-        if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
-            raise ValueError("curve must be sampled on [0, 1] with endpoints")
+        ts = _sample_grid(ts, len(operators))
         trunc = operators[0].truncation
         for op in operators:
             if op.truncation != trunc:
@@ -234,6 +271,11 @@ class OperatorCurve:
         ops = [build_dirac(p, trunc) for p in potentials]
         return cls(ts, ops, potentials=potentials)
 
+    @property
+    def samples(self) -> list[np.ndarray]:
+        """The sample matrices, in the order of ``ts``."""
+        return [op.matrix for op in self.operators]
+
     def at(self, t: float) -> TruncatedOperator:
         t = float(t)
         hit = self._cache.get(t)
@@ -248,6 +290,19 @@ class OperatorCurve:
         op = TruncatedOperator(m, self.truncation)
         self._cache[t] = op
         return op
+
+
+def _sample_grid(ts, samples: int) -> np.ndarray:
+    """The parameter samples of a curve with the given number of sample
+    operators: strictly increasing, at least two, from 0 to 1."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or len(ts) != samples or len(ts) < 2:
+        raise ValueError("need matching ts/operators with at least 2 samples")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("parameter samples must be strictly increasing")
+    if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
+        raise ValueError("curve must be sampled on [0, 1] with endpoints")
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +404,16 @@ class _SpectrumCache:
     """Spectral data of one curve, computed at most once per parameter
     value or sample segment and held for one public call: eigenvalues for
     the gap partition, eigendecompositions for sections, and the rate of
-    each segment for the Lipschitz bound."""
+    each segment for the Lipschitz bound.
 
-    def __init__(self, curve: OperatorCurve, tolerances: Tolerances = DEFAULT):
+    The curve is an ``OperatorCurve`` or a ``bundles.CurveOfFamilies``:
+    anything with ``ts``, sample matrices ``samples`` and ``at(t)``.  For
+    a family every operator is a stack over the base, so the spectra are
+    (vertices, n), the decompositions and sections stacked, and each
+    factorization is one LAPACK call over the whole base.
+    """
+
+    def __init__(self, curve, tolerances: Tolerances = DEFAULT):
         self.curve = curve
         self.tolerances = tolerances
         self._evals: dict[float, np.ndarray] = {}
@@ -386,7 +448,8 @@ class _SpectrumCache:
         the eigenvalues move at most ||D(t_{k+1}) - D(t_k)|| / (t_{k+1} - t_k)
         on segment k, and that rate is attained by the extreme eigenvalue
         of the difference.  An interval spanning several segments takes
-        the largest of their rates.
+        the largest of their rates, and a family the largest over its
+        members.
         """
         ts = self.curve.ts
         last = len(ts) - 2
@@ -397,10 +460,11 @@ class _SpectrumCache:
 
     def _segment_rate(self, k: int) -> float:
         if k not in self._rates:
-            ops = self.curve.operators
-            step = eigvalsh(ops[k + 1].matrix - ops[k].matrix)
-            self._rates[k] = float(np.abs(step).max()) \
+            samples = self.curve.samples
+            step = eigvalsh(samples[k + 1] - samples[k])
+            rates = np.abs(step).max(axis=-1) \
                 / (self.curve.ts[k + 1] - self.curve.ts[k])
+            self._rates[k] = float(np.max(rates))
         return self._rates[k]
 
 

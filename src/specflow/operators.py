@@ -248,10 +248,7 @@ class TruncatedOperator:
         if m.shape != (self.truncation.dim, self.truncation.dim):
             raise ValueError(f"matrix shape {m.shape} does not match "
                              f"truncation dim {self.truncation.dim}")
-        scale = 1.0 + float(np.abs(m).max())
-        defect = float(np.abs(m - m.conj().T).max())
-        if defect > self.tolerances.hermitian_max * scale:
-            raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+        _require_hermitian(m, self.tolerances)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -262,9 +259,32 @@ class TruncatedOperator:
         return self.truncation.dim
 
 
+def _non_hermitian(m: np.ndarray,
+                  tolerances: Tolerances = DEFAULT) -> tuple[int, float] | None:
+    """The first member M of a stack (..., n, n), in C order, with
+    ``||M - M*||_max > hermitian_max (1 + ||M||_max)``, as (flat index,
+    defect); None when every member passes.  A matrix is a stack of
+    one."""
+    scale = 1.0 + np.abs(m).max(axis=(-2, -1))
+    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(defect > tolerances.hermitian_max * scale)
+    if bad.size == 0:
+        return None
+    return int(bad[0]), float(np.ravel(defect)[bad[0]])
+
+
+def _require_hermitian(m: np.ndarray, tolerances: Tolerances = DEFAULT):
+    """ValueError for the first member of a stack that ``_non_hermitian``
+    finds, as ``TruncatedOperator`` reports it."""
+    bad = _non_hermitian(m, tolerances)
+    if bad is not None:
+        raise ValueError(f"matrix is not Hermitian: defect {bad[1]:.3e}")
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues with a deterministic orthonormal eigenbasis."""
+    """Ascending eigenvalues with a deterministic orthonormal eigenbasis;
+    the decomposition of a stack carries its leading axes on both."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -272,14 +292,15 @@ class EigenDecomposition:
 
 def _leading_index(v: np.ndarray) -> np.ndarray:
     """Row of the first entry of each column above 1e-8 of the column's
-    largest modulus."""
+    largest modulus (columns of every member of a stack)."""
     a = np.abs(v)
-    return np.argmax(a > 1e-8 * np.maximum(a.max(axis=0), 1e-300), axis=0)
+    floor = 1e-8 * np.maximum(a.max(axis=-2, keepdims=True), 1e-300)
+    return np.argmax(a > floor, axis=-2)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     """Unit columns rotated so their leading entry is real positive."""
-    lead = v[_leading_index(v), np.arange(v.shape[1])]
+    lead = np.take_along_axis(v, _leading_index(v)[..., None, :], axis=-2)
     return v * (np.abs(lead) / lead)
 
 
@@ -290,20 +311,36 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
     threshold) the eigenvectors are phase-normalized (leading nonzero
     entry real positive) and ordered by leading index, then
     lexicographically, so identical input always yields identical output.
+
+    A stack (..., n, n) is decomposed by one LAPACK call and its
+    tie-break by one sort whose most significant key is the member, so
+    every member comes out as it does on its own; a single matrix is a
+    stack of one.
     """
-    m = operator.matrix if isinstance(operator, TruncatedOperator) else np.asarray(operator)
-    scale = 1.0 + float(np.abs(m).max())
-    if np.abs(m - m.conj().T).max() > tolerances.hermitian_max * scale:
+    m = operator.matrix if isinstance(operator, TruncatedOperator) \
+        else np.asarray(operator)
+    if _non_hermitian(m, tolerances) is not None:
         raise ValueError("eigh requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
     v = _canonical_phase(v)
 
-    cluster_tol = tolerances.degenerate_cluster * max(np.abs(w).max(), 1.0)
-    cluster = np.concatenate([[0], np.cumsum(np.diff(w) > cluster_tol)])
-    sizes = np.bincount(cluster)
-    cols = np.flatnonzero(sizes[cluster] > 1)
+    n = w.shape[-1]
+    flat_w, flat_v = w.reshape(-1, n), v.reshape(-1, n, n)
+    cluster_tol = tolerances.degenerate_cluster \
+        * np.maximum(np.abs(flat_w).max(axis=-1, initial=0.0), 1.0)
+    breaks = np.diff(flat_w, axis=-1) > cluster_tol[:, None]
+    cluster = np.concatenate([np.zeros((len(flat_w), 1), dtype=int),
+                              np.cumsum(breaks, axis=-1)], axis=-1)
+    # a column shares its cluster when it is joined to either neighbour
+    shared = np.zeros(flat_w.shape, dtype=bool)
+    shared[:, 1:] |= ~breaks
+    shared[:, :-1] |= ~breaks
+    members, cols = np.nonzero(shared)
     if cols.size:
-        v[:, cols] = v[:, cols[_cluster_order(v[:, cols], cluster[cols])]]
+        # member-major labels keep every member's clusters apart
+        order = _cluster_order(flat_v[members, :, cols].T,
+                               members * n + cluster[members, cols])
+        flat_v[members, :, cols] = flat_v[members[order], :, cols[order]]
     v.setflags(write=False)
     w.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
@@ -322,22 +359,22 @@ def _cluster_order(block: np.ndarray, cluster: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def half_bandwidth(m: np.ndarray) -> int:
-    """Largest i - j over the nonzero entries m[i, j] with i >= j.
+def half_bandwidth(m: np.ndarray):
+    """Largest i - j over the nonzero entries m[i, j] with i >= j, for a
+    matrix or for each member of a stack (..., n, n).
 
     No tolerance is applied: every entry below the band is exactly zero,
     so the band holds the whole lower triangle, which is all a Hermitian
     eigensolver reads.
     """
     nonzero = m != 0
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    if rows.size == 0:
-        return 0
-    return max(int((rows - nonzero[rows].argmax(axis=1)).max()), 0)
+    offset = np.arange(m.shape[-2]) - nonzero.argmax(axis=-1)
+    return np.where(nonzero.any(axis=-1), offset, 0).max(axis=-1, initial=0)
 
 
 def eigvalsh(operator) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix from its lower triangle.
+    """Ascending eigenvalues of a Hermitian matrix, or of each member of a
+    stack (..., n, n), from the lower triangle.
 
     A matrix whose band of half-bandwidth b fills at most a sixteenth of
     each column, 16 (b + 1) <= n, goes to LAPACK's Hermitian band solver
@@ -345,20 +382,31 @@ def eigvalsh(operator) -> np.ndarray:
     entries.  The crossover was measured on random Hermitian band
     matrices with one BLAS thread: the band solver costs about as much as
     the dense one once b reaches n / 12 (n = 130 to 1026), and below
-    n = 24 the dense one wins for any b >= 1.
+    n = 24 the dense one wins for any b >= 1.  Members of a stack are
+    routed one by one: the band members are solved one at a time, the
+    dense ones by one LAPACK call.
     """
     if isinstance(operator, TruncatedOperator):
         m, b = operator.matrix, operator.bandwidth
     else:
         m = np.asarray(operator)
         b = half_bandwidth(m)
-    n = m.shape[0]
-    if 16 * (b + 1) > n:
+    n = m.shape[-1]
+    flat = m.reshape(-1, n, n)
+    banded = np.ravel(16 * (b + 1) <= n)
+    if not banded.any():
         return np.linalg.eigvalsh(m)
-    band = np.zeros((b + 1, n), dtype=np.result_type(m.dtype, float))
-    for d in range(b + 1):
-        band[d, :n - d] = np.diagonal(m, -d)
-    return _banded_eigvals(band)
+    out = np.empty(flat.shape[:-1], dtype=float)
+    if not banded.all():
+        out[~banded] = np.linalg.eigvalsh(flat[~banded])
+    widths = np.ravel(b)
+    for i in np.flatnonzero(banded):
+        band = np.zeros((widths[i] + 1, n),
+                        dtype=np.result_type(m.dtype, float))
+        for d in range(widths[i] + 1):
+            band[d, :n - d] = np.diagonal(flat[i], -d)
+        out[i] = _banded_eigvals(band)
+    return out.reshape(m.shape[:-1])
 
 
 def _banded_eigvals(band: np.ndarray) -> np.ndarray:
@@ -375,28 +423,52 @@ def build_multiplication(symbol: SymbolFunction,
     B[j, k] = c_{j-k} over modes j, k in [-K, K].  Coefficients beyond
     mode 2K cannot couple truncated modes and are dropped.  The result is
     Hermitian exactly when the symbol is."""
-    if symbol.rank != trunc.bundle_rank:
-        raise ValueError(f"symbol rank {symbol.rank} does not match "
-                         f"bundle rank {trunc.bundle_rank}")
+    return _multiplications([symbol], trunc)[0]
+
+
+def _multiplications(symbols, trunc: FourierTruncation) -> np.ndarray:
+    """``build_multiplication`` of each symbol, as one stack
+    (len(symbols), dim, dim); one assignment per Fourier mode fills the
+    blocks of every symbol that carries it."""
+    for symbol in symbols:
+        if symbol.rank != trunc.bundle_rank:
+            raise ValueError(f"symbol rank {symbol.rank} does not match "
+                             f"bundle rank {trunc.bundle_rank}")
     n, N = 2 * trunc.max_mode + 1, trunc.bundle_rank
-    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    blocks = out.reshape(n, N, n, N)     # blocks[j, :, k, :] couples j to k
-    for d, c in symbol.coefficients.items():
+    out = np.zeros((len(symbols), trunc.dim, trunc.dim), dtype=complex)
+    # blocks[i, j, :, k, :] couples mode j to mode k for symbol i
+    blocks = out.reshape(len(symbols), n, N, n, N)
+    for d in sorted(set().union(*(s.coefficients for s in symbols))):
         k = np.arange(max(0, -d), min(n, n - d))
-        blocks[k + d, :, k, :] = c
+        if k.size == 0:
+            continue
+        members = [i for i, s in enumerate(symbols) if d in s.coefficients]
+        coeffs = np.stack([symbols[i].coefficients[d] for i in members])
+        blocks[np.array(members)[:, None], (k + d)[None, :], :,
+               k[None, :], :] = coeffs[:, None]
     return out
 
 
-def build_dirac(potential: SymbolFunction,
-                trunc: FourierTruncation) -> TruncatedOperator:
+def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
+                tolerances: Tolerances = DEFAULT) -> TruncatedOperator:
     """-i d/dx tensor I_N plus multiplication by a Hermitian potential."""
-    defect = potential.hermitian_defect()
-    if defect > 1e-10:
-        raise ValueError("Dirac potential must be Hermitian-valued "
-                         f"(defect {defect:.3e})")
-    m = (np.diag(trunc.modes().astype(complex))
-         + build_multiplication(potential, trunc))
-    return TruncatedOperator(m, trunc)
+    return TruncatedOperator(_dirac_matrices([potential], trunc, tolerances)[0],
+                             trunc, tolerances)
+
+
+def _dirac_matrices(potentials, trunc: FourierTruncation,
+                    tolerances: Tolerances) -> np.ndarray:
+    """The ``build_dirac`` matrix of each potential, as one stack.  A
+    potential whose ``hermitian_defect`` exceeds ``potential_hermitian``
+    is refused (the first one, in order)."""
+    for potential in potentials:
+        defect = potential.hermitian_defect()
+        if defect > tolerances.potential_hermitian:
+            raise ValueError("Dirac potential must be Hermitian-valued "
+                             f"(defect {defect:.3e})")
+    out = _multiplications(potentials, trunc)
+    out += np.diag(trunc.modes().astype(complex))
+    return out
 
 
 @dataclass(frozen=True)
@@ -407,10 +479,11 @@ class NullSplit:
     and ``gap_ratio`` is the smallest kept over the largest dropped
     singular value (inf when nothing is dropped).  On the dense route the
     frames are singular vectors; on the band route they span the same
-    subspaces (see ``null_split``).  Band-route frames that come from the
-    iteration are real for a matrix whose entries are all real, whatever
-    its dtype, since ``small_singular_vectors`` then runs in real
-    arithmetic."""
+    subspaces (see ``null_split``).  Band-route frames are real for a
+    matrix whose entries are all real, whatever its dtype and rank, since
+    ``small_singular_vectors`` then runs in real arithmetic.  The splits
+    of a group of stacked members (``null_splits``) carry a leading
+    member axis on every array field and on ``gap_ratio``."""
 
     rank: int
     kernel: np.ndarray
@@ -419,25 +492,36 @@ class NullSplit:
     gap_ratio: float
 
 
-def split_rank(s, threshold: float,
-               tolerances: Tolerances = DEFAULT) -> tuple[int, float]:
+def split_rank(s, threshold, tolerances: Tolerances = DEFAULT):
     """Rank of a descending singular spectrum: the number of values at or
     above the absolute threshold, and the gap ratio across that split.
 
     Raises IllConditioned when the smallest kept value exceeds the largest
-    nonzero dropped one by less than ``svd_gap_factor``.
+    nonzero dropped one by less than ``svd_gap_factor``.  A stack of
+    spectra (..., k) with one threshold per member gives arrays of ranks
+    and ratios, and the error reports the first member that fails.
     """
     s = np.asarray(s)
-    rank = int(np.count_nonzero(s >= threshold))
-    ratio = np.inf
-    if 0 < rank < s.size and s[rank] > 0:
-        kept, dropped = float(s[rank - 1]), float(s[rank])
-        ratio = kept / dropped
-        if ratio < tolerances.svd_gap_factor:
-            raise IllConditioned(
-                f"singular values cluster at the rank threshold "
-                f"{threshold:.3e}: {kept:.3e} / {dropped:.3e} = {ratio:.1f} "
-                f"< {tolerances.svd_gap_factor}")
+    threshold = np.asarray(threshold, dtype=float)
+    k = s.shape[-1]
+    rank = np.count_nonzero(s >= threshold[..., None], axis=-1)
+    kept = np.take_along_axis(s, np.clip(rank - 1, 0, None)[..., None],
+                              axis=-1)[..., 0] if k else np.zeros(rank.shape)
+    dropped = np.take_along_axis(s, np.clip(rank, None, k - 1)[..., None],
+                                 axis=-1)[..., 0] if k else np.zeros(rank.shape)
+    split = (rank > 0) & (rank < k) & (dropped > 0)
+    ratio = np.full(rank.shape, np.inf)
+    np.divide(kept, dropped, out=ratio, where=split)
+    bad = np.flatnonzero(ratio < tolerances.svd_gap_factor)
+    if bad.size:
+        i = bad[0]
+        raise IllConditioned(
+            f"singular values cluster at the rank threshold "
+            f"{np.ravel(threshold)[i]:.3e}: {np.ravel(kept)[i]:.3e} / "
+            f"{np.ravel(dropped)[i]:.3e} = {np.ravel(ratio)[i]:.1f} "
+            f"< {tolerances.svd_gap_factor}")
+    if s.ndim == 1:
+        return int(rank), float(ratio)
     return rank, ratio
 
 
@@ -480,6 +564,62 @@ def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
     rank, ratio = _relative_split(s, tolerances)
     return NullSplit(rank=rank, kernel=vh[rank:].conj().T,
                      cokernel=u[:, rank:], singular_values=s, gap_ratio=ratio)
+
+
+def null_splits(stack, tolerances: Tolerances = DEFAULT
+                ) -> list[tuple[np.ndarray, NullSplit]]:
+    """``null_split`` of every member of a stack (members, m, n), grouped
+    by rank: each entry holds the ascending indices of the members of one
+    rank and their splits as one ``NullSplit`` whose array fields carry a
+    leading member axis (``rank`` is the group's).  Every member's split
+    equals its own ``null_split``.
+
+    Members that take the band route are split one by one, first; the
+    rest by one stacked SVD.  A refusal reports the first refused band
+    member, else the first refused member of the stacked SVD.
+    """
+    stack = np.asarray(stack)
+    count, rows, cols = stack.shape
+    alone = {}
+    if rows == cols and _band_pays(1, cols):
+        for i in range(count):
+            band = _interleaved_band(stack[i])
+            split = None if band is None else \
+                _band_null_split(stack[i], band, tolerances)
+            if split is not None:
+                alone[i] = split
+    dense = np.array([i for i in range(count) if i not in alone], dtype=int)
+    ranks = np.empty(count, dtype=int)
+    if dense.size:
+        u, s, vh = np.linalg.svd(stack if not alone else stack[dense])
+        ranks[dense], ratios = _relative_split(s, tolerances)
+        at = np.full(count, -1)
+        at[dense] = np.arange(dense.size)
+    for i, split in alone.items():
+        ranks[i] = split.rank
+    groups = []
+    for rank in np.unique(ranks):
+        members = np.flatnonzero(ranks == rank)
+        if not alone:
+            sel = slice(None) if members.size == count else members
+            split = NullSplit(
+                rank=int(rank),
+                kernel=np.swapaxes(vh[sel, rank:].conj(), -1, -2),
+                cokernel=u[sel, :, rank:], singular_values=s[sel],
+                gap_ratio=ratios[sel])
+        else:
+            parts = [alone[i] if i in alone else NullSplit(
+                rank=int(rank), kernel=vh[at[i], rank:].conj().T,
+                cokernel=u[at[i], :, rank:], singular_values=s[at[i]],
+                gap_ratio=float(ratios[at[i]])) for i in members]
+            split = NullSplit(
+                rank=int(rank),
+                kernel=np.stack([p.kernel for p in parts]),
+                cokernel=np.stack([p.cokernel for p in parts]),
+                singular_values=np.stack([p.singular_values for p in parts]),
+                gap_ratio=np.array([p.gap_ratio for p in parts]))
+        groups.append((members, split))
+    return groups
 
 
 #: Smallest kept singular value, relative to the largest, whose split the
@@ -531,7 +671,9 @@ def _band_null_split(t: np.ndarray, band: np.ndarray,
     # the spectrum is +-s, so its top half holds each singular value once
     s = np.sort(np.abs(_banded_eigvals(band)[n:]))[::-1]
     rank, ratio = _relative_split(s, tolerances)
-    dtype = np.result_type(t.dtype, complex)
+    # the iteration runs a matrix without imaginary parts in real
+    # arithmetic, so the trivial frames take the dtype it would return
+    dtype = complex if np.iscomplexobj(t) and t.imag.any() else float
     if rank == n:
         kernel = cokernel = np.zeros((n, 0), dtype=dtype)
     elif rank == 0:
@@ -556,10 +698,11 @@ def numerical_rank(matrix, tolerances: Tolerances = DEFAULT) -> int:
     return _relative_split(s, tolerances)[0]
 
 
-def _relative_split(s: np.ndarray,
-                    tolerances: Tolerances) -> tuple[int, float]:
-    """``split_rank`` at ``rank_rtol`` times the largest singular value."""
-    threshold = tolerances.rank_rtol * s[0] if s.size and s[0] > 0 else np.inf
+def _relative_split(s: np.ndarray, tolerances: Tolerances):
+    """``split_rank`` at ``rank_rtol`` times the largest singular value,
+    of a spectrum or of each member of a stack of spectra."""
+    top = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    threshold = np.where(top > 0, tolerances.rank_rtol * top, np.inf)
     return split_rank(s, threshold, tolerances)
 
 
@@ -580,9 +723,12 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int,
     its eigenvalue from above and so cannot fall below the threshold, and
     both sides must count exactly that many.  The singular values are the
     residual norms ``||a v||`` and ``||a* u||`` of the Ritz vectors, in
-    ascending order; they are accurate to about ``eps ||a||``, where the
-    square roots of the Ritz values of ``a*a`` are accurate only to about
-    ``sqrt(eps) ||a||``.
+    ascending order.  Only the count below the threshold and the spans
+    are exact to working precision: the Rayleigh-Ritz matrix
+    ``x* (a*a) x`` carries roundoff of about ``eps ||a||^2``, so values
+    below about ``sqrt(eps) ||a||`` are not resolved one by one, and the
+    Ritz vectors of a cluster of such values are mixtures whose residual
+    norms mix the cluster's values.
 
     A complex ``a`` whose entries have no nonzero imaginary part (an exact
     test, not a tolerance) is iterated as its real part: ``a*a`` and
@@ -690,10 +836,25 @@ def interior_directions(vectors: np.ndarray, mask: np.ndarray,
     (orthonormal columns) that keep more than ``localization_mass`` of
     their weight on the rows selected by ``mask`` (a principal-angle
     count); its column count is the number of localized directions."""
-    if vectors.shape[1] == 0:
-        return vectors
-    _, sv, vh = np.linalg.svd(vectors[mask], full_matrices=False)
-    localized = vh[sv > np.sqrt(tolerances.localization_mass)]
-    if localized.shape[0] == 0:
-        return vectors[:, :0]
-    return np.linalg.qr(vectors @ localized.conj().T)[0]
+    return _interior_split(vectors, mask, tolerances)[1]
+
+
+def _interior_split(vectors: np.ndarray, mask: np.ndarray,
+                   tolerances: Tolerances = DEFAULT):
+    """``interior_directions`` of each member of a stack of frames
+    (..., dim, k), by one SVD and one QR: the number of localized
+    directions of each member, and their bases as one stack
+    (..., dim, count), or None when the members keep different numbers.
+    A frame is a stack of one."""
+    if vectors.shape[-1] == 0:
+        return np.zeros(vectors.shape[:-2], dtype=int), vectors
+    _, sv, vh = np.linalg.svd(vectors[..., mask, :], full_matrices=False)
+    counts = np.count_nonzero(sv > np.sqrt(tolerances.localization_mass),
+                              axis=-1)
+    kept = np.unique(counts)
+    if kept.size > 1:
+        return counts, None
+    if kept[0] == 0:
+        return counts, vectors[..., :0]
+    localized = np.swapaxes(vh[..., :kept[0], :].conj(), -1, -2)
+    return counts, np.linalg.qr(vectors @ localized)[0]

@@ -30,8 +30,9 @@ from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
 from .errors import GridResolutionError, RoundingAmbiguous, UnstableIndex
 from .flow import SpectralSection, aps_projection
-from .operators import (FourierTruncation, SymbolFunction, build_dirac,
-                        build_multiplication, interior_directions, null_split)
+from .operators import (FourierTruncation, SymbolFunction, _interior_split,
+                        _multiplications, build_dirac, interior_directions,
+                        null_split, null_splits)
 
 #: Degree-1 cochain normalization, one (2 pi) per cohomology degree; see
 #: the module docstring for how the sign and power were frozen.
@@ -88,21 +89,29 @@ def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
                       trunc: FourierTruncation,
                       tolerances: Tolerances = DEFAULT) -> ToeplitzOperator:
     """Matrix of P M_g P on Im P for a pointwise-unitary symbol."""
-    defect = symbol.unitarity_defect
-    if defect > tolerances.unitary:
-        raise ValueError(f"Toeplitz symbol must be unitary-valued "
-                         f"(defect {defect:.3e})")
+    t = _compressions(section, [symbol], trunc, tolerances)[0]
+    return ToeplitzOperator(t, section, symbol, trunc)
+
+
+def _compressions(section: SpectralSection, symbols,
+                  trunc: FourierTruncation,
+                  tolerances: Tolerances) -> np.ndarray:
+    """The ``toeplitz_compress`` matrix of each symbol, as one stack; the
+    first symbol whose unitarity defect exceeds ``unitary`` is refused."""
+    for symbol in symbols:
+        defect = symbol.unitarity_defect
+        if defect > tolerances.unitary:
+            raise ValueError(f"Toeplitz symbol must be unitary-valued "
+                             f"(defect {defect:.3e})")
     if section.dim != trunc.dim:
         raise ValueError("section dimension does not match truncation")
-    mg = build_multiplication(symbol, trunc)
+    mg = _multiplications(symbols, trunc)
     rows = _coordinate_rows(section.basis)
     if rows is not None:
         # B* M B of a coordinate selection B only multiplies by 0 and 1,
         # so the index block is the same matrix
-        t = mg[np.ix_(rows, rows)]
-    else:
-        t = section.basis.conj().T @ mg @ section.basis
-    return ToeplitzOperator(t, section, symbol, trunc)
+        return mg[:, rows[:, None], rows]
+    return section.basis.conj().T @ mg @ section.basis
 
 
 def _coordinate_rows(basis: np.ndarray) -> np.ndarray | None:
@@ -149,6 +158,56 @@ def toeplitz_small_subspaces(t: ToeplitzOperator,
                           + split.cokernel.shape[1] - nk - nc,
                           singular_values=split.singular_values,
                           gap_ratio=split.gap_ratio)
+
+
+@dataclass(frozen=True)
+class _FamilySubspaces:
+    """``toeplitz_small_subspaces`` of the compressions of a symbol family
+    (members in order): interior kernel and cokernel counts per member,
+    and their lifted frames as stacks (members, dim, count), or None where
+    the members' counts differ."""
+
+    kernel_dims: np.ndarray
+    cokernel_dims: np.ndarray
+    kernel_interior: np.ndarray | None
+    cokernel_interior: np.ndarray | None
+
+
+def _family_subspaces(section: SpectralSection, symbols,
+                      trunc: FourierTruncation,
+                      tolerances: Tolerances) -> _FamilySubspaces:
+    """The small subspaces of every symbol's compression, with one stacked
+    split per group of members of equal rank (``null_splits``) and one
+    stacked ``_interior_split`` of their kernels and of their cokernels;
+    every member's counts and frames equal its own
+    ``toeplitz_small_subspaces``."""
+    stack = _compressions(section, symbols, trunc, tolerances)
+    interior = trunc.interior()
+    dims = np.zeros((2, len(stack)), dtype=int)
+    frames: list = [[], []]
+    for members, split in null_splits(stack, tolerances):
+        for side, null in enumerate((split.kernel, split.cokernel)):
+            counts, lifted = _interior_split(section.basis @ null,
+                                             interior, tolerances)
+            dims[side, members] = counts
+            frames[side].append((members, lifted))
+    return _FamilySubspaces(dims[0], dims[1], *(
+        _gather(parts, len(stack), section.dim) for parts in frames))
+
+
+def _gather(parts, count: int, dim: int) -> np.ndarray | None:
+    """One stack of every member's frame from (members, frames) groups, or
+    None when the frames' widths differ."""
+    widths = {None if f is None else f.shape[-1] for _, f in parts}
+    if len(widths) != 1 or None in widths:
+        return None
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.empty((count, dim, widths.pop()),
+                   dtype=np.result_type(*(f for _, f in parts)))
+    for members, f in parts:
+        out[members] = f
+    return out
 
 
 def fredholm_index(t: ToeplitzOperator,

@@ -6,11 +6,13 @@ constructions are self-contained.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import specflow.flow
@@ -19,7 +21,7 @@ import specflow.operators
 from specflow import SymbolFunction
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned
-from specflow.operators import eigvalsh
+from specflow.operators import NullSplit, eigvalsh
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -148,16 +150,21 @@ def berry_chern_oracle(proj_fn, grid: int = 64) -> float:
     return float((-total / (2j * np.pi)).real)
 
 
+def member_spectra(evals) -> list:
+    """The spectra of a list of arrays, or the rows of a (members, n)
+    array, or a single spectrum, each sorted."""
+    if not isinstance(evals, list):
+        evals = list(np.atleast_2d(np.asarray(evals)))
+    return [np.sort(np.asarray(e)) for e in evals]
+
+
 def reference_certify_level(evals_left, evals_right, lipschitz, width,
                             tolerances=DEFAULT):
     """``certify_level`` as one Python loop over the candidate levels:
     among the certified candidates, the smallest whose margin is within
     ``cutoff_atol`` of the best margin."""
-    lists = [np.sort(np.asarray(e)) for e in
-             (evals_left if isinstance(evals_left, list) else [evals_left])]
-    lists_r = [np.sort(np.asarray(e)) for e in
-               (evals_right if isinstance(evals_right, list)
-                else [evals_right])]
+    lists = member_spectra(evals_left)
+    lists_r = member_spectra(evals_right)
     merged = np.sort(np.abs(np.concatenate(lists + lists_r)))
     merged = merged[np.concatenate([[True], np.diff(merged) > 1e-14])]
     candidates = []
@@ -323,6 +330,81 @@ def band_null_split_matches_dense(monkeypatch):
     for module in list(sys.modules.values()):
         if vars(module).get("null_split") is original:
             monkeypatch.setattr(module, "null_split", checked)
+
+
+def assert_same_split(a, b):
+    """Two ``NullSplit`` records with bit-identical fields."""
+    assert a.rank == b.rank
+    for name in ("kernel", "cokernel", "singular_values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and np.array_equal(x, y), name
+    assert a.gap_ratio == b.gap_ratio
+
+
+@pytest.fixture(autouse=True)
+def stacked_calls_match_members(monkeypatch):
+    """Repeat every stacked ``eigh`` and ``null_splits`` of the suite
+    member by member, wherever they were imported to: each member's
+    eigenvalues, eigenvectors and split must be bit-identical to those of
+    its own call, and each member must sit in the group of its rank.
+    The repeats run on the numpy and scipy kernels in place before the
+    test, so a test that counts factorizations does not count them."""
+    eigh = specflow.operators.eigh
+    null_splits = specflow.operators.null_splits
+    kernels = [(owner, name, getattr(owner, name)) for owner, name in (
+        (np.linalg, "eigh"), (np.linalg, "svd"),
+        (scipy.linalg, "eigvals_banded"))]
+
+    @contextmanager
+    def pristine_kernels():
+        current = [(owner, name, getattr(owner, name))
+                   for owner, name, _ in kernels]
+        for owner, name, kernel in kernels:
+            setattr(owner, name, kernel)
+        try:
+            yield
+        finally:
+            for owner, name, kernel in current:
+                setattr(owner, name, kernel)
+
+    def checked_eigh(operator, tolerances=DEFAULT):
+        dec = eigh(operator, tolerances)
+        m = np.asarray(operator) if not hasattr(operator, "matrix") \
+            else operator.matrix
+        if m.ndim > 2:
+            flat = m.reshape(-1, *m.shape[-2:])
+            w = dec.eigenvalues.reshape(-1, m.shape[-1])
+            v = dec.eigenvectors.reshape(flat.shape)
+            for i, member in enumerate(flat):
+                with pristine_kernels():
+                    alone = eigh(member, tolerances)
+                assert np.array_equal(alone.eigenvalues, w[i])
+                assert np.array_equal(alone.eigenvectors, v[i])
+        return dec
+
+    def checked_null_splits(stack, tolerances=DEFAULT):
+        groups = null_splits(stack, tolerances)
+        stack = np.asarray(stack)
+        seen = []
+        for members, split in groups:
+            seen.extend(members.tolist())
+            for j, i in enumerate(members):
+                with pristine_kernels():
+                    alone = specflow.operators.null_split(stack[i],
+                                                          tolerances)
+                assert_same_split(alone, NullSplit(
+                    rank=split.rank, kernel=split.kernel[j],
+                    cokernel=split.cokernel[j],
+                    singular_values=split.singular_values[j],
+                    gap_ratio=split.gap_ratio[j]))
+        assert sorted(seen) == list(range(len(stack)))
+        return groups
+
+    for module in list(sys.modules.values()):
+        if vars(module).get("eigh") is eigh:
+            monkeypatch.setattr(module, "eigh", checked_eigh)
+        if vars(module).get("null_splits") is null_splits:
+            monkeypatch.setattr(module, "null_splits", checked_null_splits)
 
 
 @pytest.fixture

@@ -1,21 +1,25 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       OperatorCurve, ProjectorFamily, SpectralSection,
-                      SymbolFunction, aps_section_family, chern_number,
-                      difference_element, gauge_transformed_potential,
+                      SymbolFunction, aps_projection, aps_section_family,
+                      chern_number,
+                      difference_element, gap_partition,
+                      gauge_transformed_potential,
                       higher_spectral_flow, kernel_bundle, spectral_flow,
                       toeplitz_family_index)
 import specflow.bundles
 from specflow.bundles import _projector_steps
 from specflow.config import DEFAULT
 from specflow.errors import (IllConditioned, InvalidSection, RankJump,
-                             SingularOverlap)
+                             RoundingAmbiguous, SingularOverlap)
 from specflow.models import (bott_symbol_family, qwz_projector,
                              qwz_projector_family)
 from specflow.toeplitz import hardy_section, toeplitz_compress
-from conftest import berry_chern_oracle, count_eigh, random_unitary, rng_for
+from conftest import berry_chern_oracle, random_unitary, rng_for
 
 
 def interior_compression(symbol, trunc):
@@ -237,6 +241,21 @@ class TestChernNumber:
             for m in (8, 16)]
         assert ch1[0] == ch1[1] == -1
 
+    @pytest.mark.parametrize("phase", [1e-9, 1e-3])
+    def test_non_integer_total_is_refused(self, phase, monkeypatch):
+        # every overlap determinant turned by one phase: the phases of the
+        # two directions of a link no longer cancel, and the plaquette sum
+        # moves by 4 * 64 * phase / (2 pi), 4e-8 or 0.04
+        fam = qwz_projector_family(BaseGrid.torus(8))
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det",
+                            lambda a: det(a) * np.exp(1j * phase))
+        if phase < 1e-6:
+            assert chern_number(fam) == 1
+        else:
+            with pytest.raises(RoundingAmbiguous, match="not an integer"):
+                chern_number(fam)
+
     def test_minimum_grid(self):
         fam = constant_family(BaseGrid.torus(6), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="8 x 8"):
@@ -365,41 +384,57 @@ class TestHigherSpectralFlow:
             cls = higher_spectral_flow(cf, sections, q1)
             assert (cls.ch0, cls.ch1) == (-1, -1)
 
-    def test_one_eigh_per_vertex_and_breakpoint(self, monkeypatch):
+    def bott_curve(self, k=3):
         base = BaseGrid.torus(8)
-        tr = FourierTruncation(3, 2)
         fam = bott_symbol_family(base)
         pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
-        cf = CurveOfFamilies.from_potentials(
-            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], tr)
+        return CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0],
+            FourierTruncation(k, 2))
+
+    def test_one_eigh_per_vertex_and_breakpoint(self, monkeypatch):
+        # counts factored matrices, not calls: the operators factored are
+        # exactly the family at each breakpoint, each member once, and
+        # each breakpoint's family in one LAPACK call
+        cf = self.bott_curve()
         q0, q1 = self.qsections(cf)
-        calls = count_eigh(monkeypatch)
+        factored, calls = Counter(), []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            factored.update(m.tobytes() for m in np.reshape(
+                a, (-1,) + np.shape(a)[-2:]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         cls = higher_spectral_flow(cf, q0, q1)
         assert (cls.ch0, cls.ch1) == (-1, -1)
-        n = cls.meta["partitions"]
-        assert len(calls) == len(base.vertices) * (n + 1)
-        assert max(calls.values()) == 1
+        breaks = gap_partition(cf).breakpoints
+        assert len(breaks) == cls.meta["partitions"] + 1
+        assert factored == Counter(m.tobytes() for t in breaks
+                                   for m in cf.at(t))
+        assert calls == [(len(cf.base.vertices),) + (cf.truncation.dim,) * 2
+                         ] * len(breaks)
 
     def test_one_null_split_per_vertex_and_bracket(self, monkeypatch):
-        base = BaseGrid.torus(8)
-        tr = FourierTruncation(3, 2)
-        fam = bott_symbol_family(base)
-        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
-        cf = CurveOfFamilies.from_potentials(
-            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], tr)
+        # counts split matrices, not calls: one stack of comparison maps
+        # per bracket, one member per vertex
+        cf = self.bott_curve()
         q0, q1 = self.qsections(cf)
-        calls = []
-        original = specflow.bundles.null_split
+        members = []
+        original = specflow.bundles.null_splits
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(stack, *args, **kwargs):
+            members.append(len(stack))
+            return original(stack, *args, **kwargs)
 
-        monkeypatch.setattr(specflow.bundles, "null_split", counted)
+        monkeypatch.setattr(specflow.bundles, "null_splits", counted)
         cls = higher_spectral_flow(cf, q0, q1)
         assert (cls.ch0, cls.ch1) == (-1, -1)
         # brackets: both endpoints plus one per interior breakpoint
-        assert len(calls) == len(base.vertices) * (cls.meta["partitions"] + 1)
+        assert members == [len(cf.base.vertices)] * (cls.meta["partitions"]
+                                                     + 1)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_periodic_family_section_independent(self, seed):
@@ -455,3 +490,163 @@ class TestDifferenceElementFamilies:
             qs = SpectralSection(u @ q.basis, 0.0, "explicit")
             values.append(difference_element(qs, ref).value)
         assert len(set(values)) == 1
+
+
+class TestStackedFamilies:
+    """One factorization per stack over the base: every member must come
+    out as on its own (the autouse ``stacked_calls_match_members`` also
+    checks that), and a refusal must name the first failing vertex."""
+
+    @staticmethod
+    def bott_curve(k=3, grid=8):
+        base = BaseGrid.torus(grid)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        return CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0],
+            FourierTruncation(k, 2))
+
+    def test_samples_are_one_read_only_stack(self):
+        cf = self.bott_curve()
+        n = cf.truncation.dim
+        assert cf.samples.shape == (3, len(cf.base.vertices), n, n)
+        assert not cf.samples.flags.writeable
+        # at a sample point the family is the sample; between samples it
+        # is each member's OperatorCurve interpolation, bit for bit
+        assert np.shares_memory(cf.at(0.5), cf.samples[1])
+        curve = OperatorCurve([0.0, 0.5, 1.0], [
+            specflow.bundles.TruncatedOperator(m, cf.truncation)
+            for m in cf.samples[:, 11]])
+        for t in (0.25, 0.375, 0.8):
+            assert np.array_equal(cf.at(t)[11], curve.at(t).matrix)
+        assert np.array_equal(cf.family_at(0.8)[cf.base.vertices[11]].matrix,
+                              curve.at(0.8).matrix)
+
+    def test_non_hermitian_member_refused(self):
+        cf = self.bott_curve()
+        samples = np.array(cf.samples)
+        samples[1, 5, 0, 1] += 1e-6
+        samples[1, 9, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="defect 1.000e-06"):
+            CurveOfFamilies(cf.base, cf.ts, samples, cf.truncation)
+
+    def test_degenerate_clusters_of_the_free_operator(self, monkeypatch):
+        # at t = 0 every member is -i d/dx on C^2: each eigenvalue is
+        # double, and the tie-break returns standard basis vectors in
+        # index order for every member, from one dense LAPACK call
+        cf = self.bott_curve(k=4)
+        stack = cf.at(0.0)
+        dec = specflow.operators.eigh(stack)
+        n = cf.truncation.dim
+        assert np.array_equal(dec.eigenvalues,
+                              np.tile(np.repeat(np.arange(-4.0, 5.0), 2),
+                                      (len(stack), 1)))
+        assert np.array_equal(dec.eigenvectors,
+                              np.broadcast_to(np.eye(n), stack.shape))
+        for i in (0, 17, len(stack) - 1):
+            alone = specflow.operators.eigh(stack[i])
+            assert np.array_equal(alone.eigenvectors, dec.eigenvectors[i])
+        # eigvalsh keeps the band route for each diagonal member and
+        # takes one dense call for the dense ones
+        bands, dense = [], []
+        monkeypatch.setattr(specflow.operators, "_banded_eigvals",
+                            lambda band: bands.append(band.shape)
+                            or scipy_banded(band))
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: dense.append(np.shape(a))
+                            or original(a))
+        wide = cf.at(0.5)[[9, 10]]
+        assert np.all(16 * (specflow.operators.half_bandwidth(wide) + 1) > n)
+        mixed = np.concatenate([stack[:3], wide])
+        w = specflow.operators.eigvalsh(mixed)
+        assert bands == [(1, n)] * 3
+        assert dense == [(2, n, n)]
+        for i, m in enumerate(mixed):
+            assert np.array_equal(w[i], specflow.operators.eigvalsh(m))
+
+    def test_random_clusters_per_member(self):
+        rng = rng_for(77)
+        values = np.repeat([-2.0, -0.5, 0.0, 1.0, 3.0], [3, 1, 4, 2, 2])
+        stack = []
+        for _ in range(6):
+            u = random_unitary(12, rng)
+            m = (u * values[None, :]) @ u.conj().T
+            stack.append(0.5 * (m + m.conj().T))
+        stack = np.stack(stack).reshape(2, 3, 12, 12)
+        dec = specflow.operators.eigh(stack)
+        assert dec.eigenvectors.shape == (2, 3, 12, 12)
+        for i in range(2):
+            for j in range(3):
+                alone = specflow.operators.eigh(stack[i, j])
+                assert np.array_equal(alone.eigenvalues,
+                                      dec.eigenvalues[i, j])
+                assert np.array_equal(alone.eigenvectors,
+                                      dec.eigenvectors[i, j])
+
+    def test_ragged_endpoint_sections_raise_rank_jump(self):
+        # one vertex's q0 keeps fewer modes: a valid section of its own
+        # operator, but the family of endpoint sections has no rank
+        cf = self.bott_curve()
+        q0 = aps_section_family(cf.family_at(0.0))
+        q1 = aps_section_family(cf.family_at(1.0))
+        ragged = dict(q0)
+        ragged[(2, 5)] = aps_projection(cf.family_at(0.0)[(2, 5)], 0.5,
+                                        policy="inclusive")
+        assert ragged[(2, 5)].rank < q0[(0, 0)].rank
+        with pytest.raises(RankJump, match=r"\[\(2, 5\)\].*perturb"):
+            higher_spectral_flow(cf, ragged, q1)
+
+    def test_first_failing_vertex_in_order_is_reported(self):
+        # q0 fails at (5, 1), q1 at (2, 3): (2, 3) comes first in
+        # base.vertices, so its Gram defect is the one reported
+        cf = self.bott_curve()
+        q0 = aps_section_family(cf.family_at(0.0))
+        q1 = aps_section_family(cf.family_at(1.0))
+
+        def scaled(s, factor):
+            return SpectralSection(s.basis * factor, s.threshold_window,
+                                   "explicit")
+
+        q0[(5, 1)] = scaled(q0[(5, 1)], 1 + 4e-9)
+        q1[(2, 3)] = scaled(q1[(2, 3)], 1 + 2e-9)
+        with pytest.raises(InvalidSection, match="Gram defect 4.00e-09"):
+            higher_spectral_flow(cf, q0, q1)
+
+    def test_first_non_unitary_symbol_is_reported(self):
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        for v, scale in (((3, 4), 1 + 1e-6), ((1, 2), 1 + 1e-3)):
+            fam[v] = SymbolFunction({k: scale * c for k, c
+                                     in fam[v].coefficients.items()}, rank=2)
+        with pytest.raises(ValueError, match=r"defect 2\.00[0-9]e-03"):
+            toeplitz_family_index(fam, base, FourierTruncation(4, 2))
+
+    def test_first_ill_conditioned_vertex_is_reported(self):
+        base = BaseGrid.loop(4)
+        mats = {v: np.diag([1.0, 1e-4, 1e-7]) for v in base.vertices}
+        mats[(1,)] = np.diag([1.0, 50 * 1e-7, 1e-7])
+        mats[(3,)] = np.diag([1.0, 20 * 1e-7, 1e-7])
+        with pytest.raises(IllConditioned, match=r"= 50\.0 <"):
+            kernel_bundle(base, mats, DEFAULT.with_(rank_rtol=1e-6))
+
+    def test_ragged_kernel_ranks_raise_rank_jump(self):
+        base = BaseGrid.loop(4)
+        mats = {v: np.diag([1.0, 1.0, 0.0]) for v in base.vertices}
+        mats[(2,)] = np.diag([1.0, 0.0, 0.0])
+        with pytest.raises(RankJump, match=r"\[\(2,\)\] \(got \[1, 2\]\)"):
+            kernel_bundle(base, mats)
+
+    def test_grid_indices_match_the_lists(self):
+        for base in (BaseGrid.torus(5), BaseGrid.loop(6)):
+            vs = base.vertices
+            tails, heads = base.edge_index
+            assert [(vs[a], vs[b]) for a, b in zip(tails, heads)] \
+                == base.edges
+            assert [[vs[c] for c in row] for row in base.plaquette_index] \
+                == [base.plaquette_corners(p) for p in base.plaquettes]
+
+
+def scipy_banded(band):
+    import scipy.linalg
+    return scipy.linalg.eigvals_banded(band, lower=True)

@@ -10,10 +10,11 @@ from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
 from specflow.flow import _SpectrumCache
-from specflow.operators import (_orthonormal_columns, half_bandwidth,
-                                interior_directions, null_split,
-                                numerical_rank, small_singular_vectors,
-                                split_rank)
+import specflow.operators
+from specflow.operators import (NullSplit, _orthonormal_columns,
+                                half_bandwidth, interior_directions,
+                                null_split, null_splits, numerical_rank,
+                                small_singular_vectors, split_rank)
 from conftest import (assert_matches_dense_split, dense_null_split,
                       derivative_matrix, fd_dirac_cos_spectrum,
                       random_hermitian, random_hermitian_symbol,
@@ -428,6 +429,85 @@ class TestRank:
             assert ratio == pytest.approx(factor * DEFAULT.svd_gap_factor)
 
 
+class TestStackedSplits:
+    def test_split_rank_reports_the_first_failing_member(self):
+        s = np.array([[1.0, 0.5, 1e-9], [1.0, 2e-7, 1e-8],
+                      [1.0, 5e-7, 1e-8]])
+        with pytest.raises(IllConditioned, match=r"= 20\.0 <"):
+            split_rank(s, np.full(3, 1e-7))
+        ranks, ratios = split_rank(s[[0, 0]], np.array([1e-7, 0.7]),
+                                   DEFAULT.with_(svd_gap_factor=2.0))
+        assert ranks.tolist() == [2, 1]
+        assert ratios.tolist() == [0.5 / 1e-9, 2.0]
+        assert (int(ranks[0]), float(ratios[0])) == split_rank(s[0], 1e-7)
+
+    def test_groups_by_rank(self):
+        stack = np.stack([np.diag(d).astype(complex) for d in
+                          ([1.0, 0.5, 0.0], [1.0, 0.0, 0.0],
+                           [1.0, 0.3, 0.0], [2.0, 1.0, 0.5])])
+        groups = null_splits(stack)
+        assert [(m.tolist(), split.rank) for m, split in groups] \
+            == [([1], 1), ([0, 2], 2), ([3], 3)]
+        members, split = groups[1]
+        assert split.kernel.shape == (2, 3, 1)
+        assert split.gap_ratio.shape == (2,)
+        for j, i in enumerate(members):
+            alone = null_split(stack[i])
+            assert np.array_equal(alone.kernel, split.kernel[j])
+            assert alone.gap_ratio == split.gap_ratio[j]
+
+    def test_band_members_split_alone(self, monkeypatch):
+        # two band members, one with a zero row, next to a dense member:
+        # the band ones take one band solve each, the dense one the SVD
+        n = 200
+        rng = rng_for(13)
+        band = random_square_band(n, 1, 1, rng)    # b = 3
+        holed = band.copy()
+        holed[70] = 0
+        dense = random_unitary(n, rng)
+        shapes = svd_shapes(monkeypatch)
+        bands = band_calls(monkeypatch)
+        groups = null_splits(np.stack([holed, dense, band]))
+        assert len(bands) == 2 and shapes == [(1, n, n)]
+        assert [(m.tolist(), split.rank) for m, split in groups] \
+            == [([0], n - 1), ([1, 2], n)]
+        assert_matches_dense_split(holed, NullSplit(
+            groups[0][1].rank, groups[0][1].kernel[0],
+            groups[0][1].cokernel[0], groups[0][1].singular_values[0],
+            float(groups[0][1].gap_ratio[0])))
+
+
+class TestBuildDirac:
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_potential_hermiticity_guard(self, factor):
+        # c_1 = d next to no c_{-1} has hermitian_defect d; the matrix
+        # guard is loosened so that only the potential guard can refuse
+        d = factor * DEFAULT.potential_hermitian
+        pot = SymbolFunction({0: np.array([[0.2]]), 1: np.array([[d]])},
+                             rank=1)
+        assert pot.hermitian_defect() == d
+        loose = DEFAULT.with_(hermitian_max=1e-6)
+        tr = FourierTruncation(4)
+        if factor < 1:
+            assert build_dirac(pot, tr, loose).tolerances is loose
+        else:
+            with pytest.raises(ValueError, match="Dirac potential"):
+                build_dirac(pot, tr, loose)
+            # the guard reads the tolerances it is given
+            wider = loose.with_(potential_hermitian=2 * d)
+            assert build_dirac(pot, tr, wider).tolerances is wider
+
+    def test_stacked_builders_match_one_by_one(self, rng):
+        tr = FourierTruncation(5, 2)
+        pots = [random_hermitian_symbol(2, b, rng) for b in (0, 1, 3)]
+        pots.append(SymbolFunction({}, rank=2))
+        stack = specflow.operators._dirac_matrices(pots, tr, DEFAULT)
+        for m, pot in zip(stack, pots):
+            assert np.array_equal(m, build_dirac(pot, tr).matrix)
+            assert np.array_equal(m, np.diag(tr.modes().astype(complex))
+                                  + build_multiplication(pot, tr))
+
+
 def random_square_band(n: int, kl: int, ku: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Random complex n x n matrix with lower and upper half-bandwidths kl
@@ -547,6 +627,27 @@ class TestBandNullSplit:
         assert shapes == [(n, n)] and len(bands) == 1
         assert split.rank == n - 1
         assert_matches_dense_split(t, split)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_frame_dtype_does_not_depend_on_the_rank(self, dtype,
+                                                     monkeypatch):
+        # a matrix whose entries are all real has real frames at rank 0,
+        # at an intermediate rank and at full rank, whatever its dtype;
+        # e^{0.3i} times it has complex frames at every nonzero rank
+        n = 200
+        full = random_square_band(n, 2, 1, rng_for(12)).real.astype(dtype)
+        middle = full.copy()
+        middle[[5, 90], :] = 0
+        ranks = []
+        for m in (np.zeros((n, n), dtype=dtype), middle, full):
+            split = self.split(m, monkeypatch)
+            ranks.append(split.rank)
+            assert split.kernel.dtype == split.cokernel.dtype == np.float64
+        assert ranks == [0, n - 2, n]
+        for m in (np.exp(0.3j) * middle, np.exp(0.3j) * full):
+            split = self.split(m, monkeypatch)
+            assert split.kernel.dtype == split.cokernel.dtype \
+                == np.complex128
 
     def test_wide_or_small_matrices_stay_dense(self, monkeypatch):
         for m in (random_square_band(159, 0, 0, rng_for(1)),   # too small

@@ -13,7 +13,8 @@ from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned, RoundingAmbiguous, UnstableIndex
 from specflow.models import bott_symbol_family, qwz_projector
-from specflow.toeplitz import toeplitz_small_subspaces
+from specflow.toeplitz import (_family_subspaces, _gather,
+                               toeplitz_small_subspaces)
 from conftest import (derivative_matrix, random_hermitian_symbol,
                       random_trig_unitary, random_unitary, rng_for,
                       svd_shapes)
@@ -266,6 +267,54 @@ class TestNullSplitRoute:
         assert t.matrix.shape == (2 * k + 2, 2 * k + 2)
         assert shapes.count(t.matrix.shape) == 1
         assert sub.kernel_dim + sub.edge_artifacts >= 1
+
+
+class TestFamilySubspaces:
+    """The compressions of a symbol family split as stacks: every member
+    must have the counts and frames of its own compression."""
+
+    @staticmethod
+    def alone(section, symbols, trunc):
+        return [toeplitz_small_subspaces(
+            toeplitz_compress(section, g, trunc)) for g in symbols]
+
+    def test_members_match_their_own_small_subspaces(self):
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        symbols = [fam[v] for v in base.vertices[:12]]
+        for k in (4, 8):
+            trunc = FourierTruncation(k, 2)
+            section = hardy_section(trunc)
+            sub = _family_subspaces(section, symbols, trunc, DEFAULT)
+            for i, alone in enumerate(self.alone(section, symbols, trunc)):
+                assert sub.kernel_dims[i] == alone.kernel_dim == 0
+                assert sub.cokernel_dims[i] == alone.cokernel_dim == 1
+                assert np.array_equal(sub.cokernel_interior[i],
+                                      alone.cokernel_interior)
+            assert sub.kernel_interior.shape == (12, trunc.dim, 0)
+
+    def test_mixed_windings_keep_per_member_counts(self):
+        # raw ranks and interior counts vary: one split per rank group
+        # (e^{ix} and e^{-ix} share a rank, with their null lines on
+        # opposite sides), counts per member, and no common frame stack
+        symbols = [SymbolFunction.exponential(n) for n in (1, -2, -1, 0)]
+        trunc = FourierTruncation(8, 1)
+        section = hardy_section(trunc)
+        sub = _family_subspaces(section, symbols, trunc, DEFAULT)
+        alone = self.alone(section, symbols, trunc)
+        assert sub.kernel_dims.tolist() == [a.kernel_dim for a in alone] \
+            == [0, 2, 1, 0]
+        assert sub.cokernel_dims.tolist() == [a.cokernel_dim for a in alone] \
+            == [1, 0, 0, 0]
+        assert sub.kernel_interior is None and sub.cokernel_interior is None
+
+    def test_gather_scatters_groups_in_member_order(self):
+        a, b = np.ones((2, 3, 1)), 2 * np.ones((1, 3, 1))
+        out = _gather([(np.array([0, 2]), a), (np.array([1]), b)], 3, 3)
+        assert out[:, 0, 0].tolist() == [1.0, 2.0, 1.0]
+        assert _gather([(np.array([0]), a[:1]),
+                        (np.array([1]), np.ones((1, 3, 2)))], 2, 3) is None
+        assert _gather([(np.array([0, 1]), None)], 2, 3) is None
 
 
 class TestWinding:
