@@ -31,7 +31,7 @@ from .errors import (InvalidSection, RankJump, RoundingAmbiguous,
                      SingularOverlap, UnstableIndex)
 from .flow import (Partition, SpectralSection, _brackets, _first_invalid,
                    _gram_defect, _kept_above, _sample_grid, _SpectrumCache,
-                   comparison_map, gap_partition)
+                   _top_section, comparison_map, gap_partition)
 from .operators import (FourierTruncation, TruncatedOperator, _dirac_matrices,
                         _require_hermitian, eigh, null_splits)
 from .toeplitz import _family_subspaces, hardy_section
@@ -372,12 +372,14 @@ class CurveOfFamilies:
 
     @classmethod
     def from_potentials(cls, base: BaseGrid, potential_fn, ts,
-                        trunc: FourierTruncation) -> "CurveOfFamilies":
-        """potential_fn(vertex, t) -> Hermitian SymbolFunction."""
+                        trunc: FourierTruncation,
+                        tolerances: Tolerances = DEFAULT) -> "CurveOfFamilies":
+        """potential_fn(vertex, t) -> Hermitian SymbolFunction, within
+        ``potential_hermitian`` (the ``build_dirac`` guard)."""
         ts = [float(t) for t in ts]
         pots = [[potential_fn(v, t) for t in ts] for v in base.vertices]
         matrices = _dirac_matrices([row[k] for k in range(len(ts))
-                                    for row in pots], trunc, DEFAULT)
+                                    for row in pots], trunc, tolerances)
         return cls(base, ts, matrices.reshape(len(ts), len(pots), trunc.dim,
                                               trunc.dim), trunc)
 
@@ -490,13 +492,9 @@ def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,
     """Pointwise positive-cutoff sections of an operator family: the
     ``aps_projection`` of every vertex operator, from one stacked
     ``eigh`` of the family."""
-    if policy not in ("strict", "inclusive", "exclusive"):
-        raise ValueError(f"unknown cutoff policy {policy!r}")
     vertices = family.base.vertices
     dec = eigh(np.stack([family[v].matrix for v in vertices]), tolerances)
     counts, windows = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
-    n = dec.eigenvalues.shape[-1]
-    return {v: SpectralSection(dec.eigenvectors[i, :, n - counts[i]:],
-                               float(windows[i]),
-                               provenance=f"aps cutoff {cutoff:g} ({policy})")
-            for i, v in enumerate(vertices)}
+    return {v: _top_section(vecs, rank, float(window), cutoff, policy)
+            for v, vecs, rank, window in zip(vertices, dec.eigenvectors,
+                                             counts, windows)}

@@ -150,7 +150,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         rank = payload["samples"][0]["symbol"].get("rank", 1) \
             if payload.get("samples") else 1
         trunc = FourierTruncation(args.k, rank)
-        curve = jsonio.curve_from_json(payload, trunc)
+        curve = jsonio.curve_from_json(payload, trunc, tolerances)
         config.update(curve=payload, cutoff0=args.cutoff0, cutoff1=args.cutoff1)
         res = spectral_flow_result(curve, args.cutoff0, args.cutoff1,
                                    tolerances)
@@ -190,7 +190,7 @@ def _run(args) -> tuple[dict, dict, dict]:
             curve = OperatorCurve.from_potentials(
                 [0.0, 0.5, 1.0],
                 [pot.scale(0.0), pot.scale(0.5), pot],
-                trunc)
+                trunc, tolerances)
             sf = spectral_flow(curve, tolerances=tolerances)
             outputs["sf"] = sf
             stability["index_equals_sf"] = (sf == idx)
@@ -231,7 +231,8 @@ def _run(args) -> tuple[dict, dict, dict]:
         trunc = FourierTruncation(args.k, rank)
         pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
         curve_fam = CurveOfFamilies.from_potentials(
-            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], trunc)
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], trunc,
+            tolerances)
         q0 = aps_section_family(curve_fam.family_at(0.0),
                                 tolerances=tolerances)
         q1 = aps_section_family(curve_fam.family_at(1.0),
@@ -250,7 +251,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         payload = _load_json(args.path)
         rank = payload["samples"][0]["symbol"].get("rank", 1)
         trunc = FourierTruncation(args.k, rank)
-        curve = jsonio.curve_from_json(payload, trunc)
+        curve = jsonio.curve_from_json(payload, trunc, tolerances)
         glue = None
         config.update(path=payload, mu=args.mu)
         if args.glue:
@@ -278,7 +279,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         payload = _load_json(args.curve)
         rank = payload["samples"][0]["symbol"].get("rank", 1)
         trunc = FourierTruncation(args.k, rank)
-        curve = jsonio.curve_from_json(payload, trunc)
+        curve = jsonio.curve_from_json(payload, trunc, tolerances)
         config.update(curve=payload, svg=args.svg, samples=args.samples)
         crossings = plot_spectrum(curve, args.svg, args.samples)
         if args.csv:

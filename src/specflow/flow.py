@@ -93,8 +93,6 @@ def aps_projection(operator: TruncatedOperator, cutoff: float,
     ``policy`` controls eigenvalues within ``cutoff_atol`` of the cutoff:
     "strict" raises, "inclusive" keeps them, "exclusive" drops them.
     """
-    if policy not in ("strict", "inclusive", "exclusive"):
-        raise ValueError(f"unknown cutoff policy {policy!r}")
     return _section_above(eigh(operator, tolerances), cutoff, policy,
                           tolerances)
 
@@ -110,8 +108,14 @@ def _section_above(dec: EigenDecomposition, cutoff: float, policy: str,
     if np.any(counts != rank):
         raise RankJump(f"section rank varies over the family: "
                        f"{sorted(set(np.ravel(counts).tolist()))}")
-    n = dec.eigenvalues.shape[-1]
-    return SpectralSection(dec.eigenvectors[..., n - rank:], window,
+    return _top_section(dec.eigenvectors, rank, window, cutoff, policy)
+
+
+def _top_section(vectors: np.ndarray, rank: int, window, cutoff: float,
+                 policy: str) -> SpectralSection:
+    """The ``aps_projection`` section framed by the last ``rank`` of the
+    ascending eigenvectors (..., n, n)."""
+    return SpectralSection(vectors[..., vectors.shape[-1] - rank:], window,
                            provenance=f"aps cutoff {cutoff:g} ({policy})")
 
 
@@ -122,6 +126,8 @@ def _kept_above(w: np.ndarray, cutoff: float, policy: str,
 
     The window covers the cutoff tolerance band plus, as slack, half the
     gap to the nearest eigenvalue beyond the band."""
+    if policy not in ("strict", "inclusive", "exclusive"):
+        raise ValueError(f"unknown cutoff policy {policy!r}")
     atol = tolerances.cutoff_atol
     at_cut = np.abs(w - cutoff) <= atol
     if policy == "strict":
@@ -266,9 +272,10 @@ class OperatorCurve:
 
     @classmethod
     def from_potentials(cls, ts, potentials: Sequence[SymbolFunction],
-                        trunc: FourierTruncation) -> "OperatorCurve":
+                        trunc: FourierTruncation,
+                        tolerances: Tolerances = DEFAULT) -> "OperatorCurve":
         ts = np.asarray(ts, dtype=float)
-        ops = [build_dirac(p, trunc) for p in potentials]
+        ops = [build_dirac(p, trunc, tolerances) for p in potentials]
         return cls(ts, ops, potentials=potentials)
 
     @property

@@ -18,6 +18,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .basegrid import BaseGrid
+from .config import DEFAULT, Tolerances
 from .errors import ConfigError
 from .operators import FourierTruncation, SymbolFunction
 
@@ -141,7 +142,8 @@ def curve_to_json(ts, potentials) -> dict:
                         for t, p in zip(ts, potentials)]}
 
 
-def curve_from_json(payload: dict, trunc: FourierTruncation):
+def curve_from_json(payload: dict, trunc: FourierTruncation,
+                    tolerances: Tolerances = DEFAULT):
     from .flow import OperatorCurve
     validate(payload, CURVE_SCHEMA, "curve")
     entries = sorted(payload["samples"], key=lambda e: e["t"])
@@ -150,7 +152,7 @@ def curve_from_json(payload: dict, trunc: FourierTruncation):
     if any(p.rank != trunc.bundle_rank for p in potentials):
         raise ConfigError("curve symbol rank does not match the requested "
                           "bundle rank")
-    return OperatorCurve.from_potentials(ts, potentials, trunc)
+    return OperatorCurve.from_potentials(ts, potentials, trunc, tolerances)
 
 
 def family_from_json(payload: dict):

@@ -227,6 +227,7 @@ def _with_doubled_truncation(op: MappingTorusOperator,
                              tolerances: Tolerances) -> MappingTorusOperator:
     trunc2 = op.truncation.doubled()
     path = op.spec.path
-    curve2 = OperatorCurve.from_potentials(path.ts, path.potentials, trunc2)
+    curve2 = OperatorCurve.from_potentials(path.ts, path.potentials, trunc2,
+                                           tolerances)
     spec2 = TwistedLoopSpec(curve2, op.spec.glue)
     return build_mapping_torus(spec2, op.m_u, tolerances)

@@ -63,8 +63,8 @@ def dirac_aps_section(potential: SymbolFunction, trunc: FourierTruncation,
                       tolerances: Tolerances = DEFAULT) -> SpectralSection:
     """Positive-cutoff projector of -i d/dx + V with a rebuild recipe, so
     Toeplitz indices over it can run the two-truncation stability check."""
-    section = aps_projection(build_dirac(potential, trunc), cutoff,
-                             policy=policy, tolerances=tolerances)
+    section = aps_projection(build_dirac(potential, trunc, tolerances),
+                             cutoff, policy=policy, tolerances=tolerances)
     return SpectralSection(
         section.basis, section.threshold_window, f"dirac-aps cutoff {cutoff:g}",
         rebuilder=lambda tr: dirac_aps_section(potential, tr, cutoff, policy,

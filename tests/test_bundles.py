@@ -584,6 +584,22 @@ class TestStackedFamilies:
                 assert np.array_equal(alone.eigenvectors,
                                       dec.eigenvectors[i, j])
 
+    @pytest.mark.parametrize("policy", ["inclusive", "exclusive"])
+    def test_section_family_is_aps_projection_per_vertex(self, policy):
+        # the t = 0 operators are diagonal with degenerate clusters, and
+        # zero modes at the cutoff, where the policies differ
+        fam = self.bott_curve().family_at(0.0)
+        sections = aps_section_family(fam, policy=policy)
+        for v in fam.base.vertices:
+            alone = aps_projection(fam[v], 0.0, policy=policy)
+            assert np.array_equal(sections[v].basis, alone.basis)
+            assert sections[v].threshold_window == alone.threshold_window
+            assert sections[v].provenance == alone.provenance
+        with pytest.raises(ValueError, match="unknown cutoff policy"):
+            aps_section_family(fam, policy="bogus")
+        with pytest.raises(ValueError, match="unknown cutoff policy"):
+            aps_projection(fam[fam.base.vertices[0]], 0.0, policy="bogus")
+
     def test_ragged_endpoint_sections_raise_rank_jump(self):
         # one vertex's q0 keeps fewer modes: a valid section of its own
         # operator, but the family of endpoint sections has no rank

@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from specflow import (BaseGrid, FourierTruncation, OperatorCurve,
-                      SymbolFunction, build_dirac, build_multiplication, eigh,
-                      eigvalsh, gauge_transformed_potential)
+from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
+                      OperatorCurve, SymbolFunction, build_dirac,
+                      build_multiplication, dirac_aps_section, eigh, eigvalsh,
+                      gauge_transformed_potential)
 from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
@@ -496,6 +497,27 @@ class TestBuildDirac:
             # the guard reads the tolerances it is given
             wider = loose.with_(potential_hermitian=2 * d)
             assert build_dirac(pot, tr, wider).tolerances is wider
+
+    def test_public_builders_pass_the_guard_through(self):
+        # a large c_0 widens the matrix guard (relative to ||M||_max) past
+        # d, so the potential guard alone decides, under default matrix
+        # tolerances, for every public path that builds a Dirac operator
+        d = 2 * DEFAULT.potential_hermitian
+        pot = SymbolFunction({0: np.array([[1e3]]), 1: np.array([[d]])},
+                             rank=1)
+        tr = FourierTruncation(4)
+        builders = [
+            lambda tol: build_dirac(pot, tr, tol),
+            lambda tol: dirac_aps_section(pot, tr, tolerances=tol),
+            lambda tol: OperatorCurve.from_potentials([0.0, 1.0], [pot, pot],
+                                                      tr, tol),
+            lambda tol: CurveOfFamilies.from_potentials(
+                BaseGrid.loop(3), lambda v, t: pot, [0.0, 1.0], tr, tol)]
+        wider = DEFAULT.with_(potential_hermitian=2 * d)
+        for build in builders:
+            with pytest.raises(ValueError, match="Dirac potential"):
+                build(DEFAULT)
+            build(wider)
 
     def test_stacked_builders_match_one_by_one(self, rng):
         tr = FourierTruncation(5, 2)
