@@ -19,7 +19,6 @@ pointwise kernel dimension varies must be perturbed by the caller.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -30,7 +29,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (InvalidSection, RankJump, RoundingAmbiguous,
                      SingularOverlap, UnstableIndex)
 from .flow import (Partition, SpectralSection, _brackets, _first_invalid,
-                   _gram_defect, _kept_above, _sample_grid, _SpectrumCache,
+                   _gram_defect, _kept_above, _SampledCurve, _SpectrumCache,
                    _top_section, comparison_map, gap_partition)
 from .operators import (FourierTruncation, TruncatedOperator, _dirac_matrices,
                         _require_hermitian, eigh, null_splits)
@@ -43,24 +42,23 @@ from .toeplitz import _family_subspaces, hardy_section
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Map from base vertices to truncated operators (shared truncation)."""
+    """Truncated operators over the base vertices, a view of one stack
+    ``matrices`` (vertices, dim, dim) in the order of ``base.vertices``;
+    ``family[v]`` is the operator at vertex v."""
 
     base: BaseGrid
-    operators: Mapping[tuple, TruncatedOperator]
+    matrices: np.ndarray
+    truncation: FourierTruncation
 
     def __post_init__(self):
-        ops = {v: self.operators[v] for v in self.base.vertices}
-        truncs = {op.truncation for op in ops.values()}
-        if len(truncs) != 1:
-            raise ValueError("family members must share one truncation")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def truncation(self) -> FourierTruncation:
-        return next(iter(self.operators.values())).truncation
+        shape = (len(self.base.vertices),) + (self.truncation.dim,) * 2
+        if np.shape(self.matrices) != shape:
+            raise ValueError(f"matrices have shape {np.shape(self.matrices)}, "
+                             f"expected {shape}")
 
     def __getitem__(self, vertex) -> TruncatedOperator:
-        return self.operators[vertex]
+        return TruncatedOperator(self.matrices[self.base.positions[vertex]],
+                                 self.truncation)
 
 
 def _constant_rank(base: BaseGrid, ranks, what: str) -> int:
@@ -84,7 +82,9 @@ class ProjectorFamily:
 
     Validation works on the frames: ``||F* F - I||_2`` is the idempotency
     defect of ``F F*``, and across an edge ``||P_a - P_b||_2`` is the sine
-    of the largest principal angle between the two ranges.
+    of the largest principal angle between the two ranges.  ``tolerances``
+    is the record the family was validated with, and its ``direct_sum``
+    is validated with it too.
     """
 
     def __init__(self, base: BaseGrid, frames,
@@ -104,6 +104,7 @@ class ProjectorFamily:
             stack = np.stack(per)
         self._frames = stack
         self.rank = stack.shape[2]
+        self.tolerances = tolerances
         if self.rank:
             self._validate(tolerances)
 
@@ -171,7 +172,7 @@ class ProjectorFamily:
                        dtype=complex)
         out[:, :self.dim, :self.rank] = a
         out[:, self.dim:, self.rank:] = b
-        return ProjectorFamily(self.base, out)
+        return ProjectorFamily(self.base, out, self.tolerances)
 
 
 def _projector_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,27 +349,23 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
 # higher spectral flow of a curve of families
 # ---------------------------------------------------------------------------
 
-class CurveOfFamilies:
+class CurveOfFamilies(_SampledCurve):
     """A curve u -> operator family over a common sample grid and
     truncation, stored as one read-only stack ``samples`` of shape
     (samples, vertices, dim, dim), vertices in the order of
-    ``base.vertices``.  The curve is affine in every member between
-    samples, and ``at(t)`` is the whole family at t as one stack."""
+    ``base.vertices``: an ``OperatorCurve`` with a vertex axis, whose
+    ``at(t)`` is the whole family at t as one stack."""
 
     def __init__(self, base: BaseGrid, ts, samples: np.ndarray,
                  truncation: FourierTruncation):
         self.base = base
-        self.truncation = truncation
         samples = np.array(samples, dtype=complex)
-        self.ts = _sample_grid(ts, len(samples))
-        shape = (len(self.ts), len(base.vertices), truncation.dim,
+        shape = (len(samples), len(base.vertices), truncation.dim,
                  truncation.dim)
         if samples.shape != shape:
             raise ValueError(f"samples have shape {samples.shape}, "
                              f"expected {shape}")
-        _require_hermitian(samples)
-        samples.setflags(write=False)
-        self.samples = samples
+        self._store(ts, samples, truncation, DEFAULT)
 
     @classmethod
     def from_potentials(cls, base: BaseGrid, potential_fn, ts,
@@ -380,28 +377,22 @@ class CurveOfFamilies:
         pots = [[potential_fn(v, t) for t in ts] for v in base.vertices]
         matrices = _dirac_matrices([row[k] for k in range(len(ts))
                                     for row in pots], trunc, tolerances)
-        return cls(base, ts, matrices.reshape(len(ts), len(pots), trunc.dim,
-                                              trunc.dim), trunc)
+        curve = cls.__new__(cls)
+        curve.base = base
+        curve._store(ts, matrices.reshape(len(ts), len(pots), trunc.dim,
+                                          trunc.dim), trunc, tolerances)
+        return curve
 
-    def at(self, t: float) -> np.ndarray:
-        """The family at t, (vertices, dim, dim): a sample itself at a
-        sample point, else ``(1 - lam) S_i + lam S_{i+1}`` on its segment,
-        the arithmetic of ``OperatorCurve.at``."""
-        t = float(t)
-        i = bisect.bisect_left(self.ts, t)
-        if i < len(self.ts) and self.ts[i] == t:
-            return self.samples[i]
-        i = min(max(bisect.bisect_right(self.ts, t) - 1, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        lam = (t - t0) / (t1 - t0)
-        stack = (1 - lam) * self.samples[i] + lam * self.samples[i + 1]
-        _require_hermitian(stack)
+    def at(self, t: float, tolerances: Tolerances = DEFAULT) -> np.ndarray:
+        """The family at t as a read-only stack (vertices, dim, dim),
+        checked Hermitian member by member at ``tolerances``."""
+        stack = self._matrices(t)
+        _require_hermitian(stack, tolerances)
+        stack.setflags(write=False)
         return stack
 
     def family_at(self, t: float) -> OperatorFamily:
-        return OperatorFamily(self.base, {
-            v: TruncatedOperator(m, self.truncation)
-            for v, m in zip(self.base.vertices, self.at(t))})
+        return OperatorFamily(self.base, self.at(t), self.truncation)
 
 
 def _common_partition(curve_fam: CurveOfFamilies, tolerances: Tolerances,
@@ -493,7 +484,7 @@ def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,
     ``aps_projection`` of every vertex operator, from one stacked
     ``eigh`` of the family."""
     vertices = family.base.vertices
-    dec = eigh(np.stack([family[v].matrix for v in vertices]), tolerances)
+    dec = eigh(family.matrices, tolerances)
     counts, windows = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
     return {v: _top_section(vecs, rank, float(window), cutoff, policy)
             for v, vecs, rank, window in zip(vertices, dec.eigenvectors,

@@ -162,7 +162,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         if args.debug_matrices:
             outputs["debug"] = {
                 "endpoint_matrices": [jsonio.matrix_to_json_debug(
-                    curve.at(t).matrix) for t in (0.0, 1.0)]}
+                    curve.at(t, tolerances).matrix) for t in (0.0, 1.0)]}
         return config, outputs, {}
 
     if args.command == "toeplitz":

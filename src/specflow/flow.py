@@ -29,8 +29,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (EigenvalueAtCutoff, InvalidSection, NoGapFound,
                      RankJump, ResolutionExceeded, UnstableIndex)
 from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
-                        TruncatedOperator, build_dirac, eigh, eigvalsh,
-                        numerical_rank)
+                        TruncatedOperator, _dirac_matrices, _require_hermitian,
+                        eigh, eigvalsh, numerical_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -245,71 +245,80 @@ def difference_element(p: SpectralSection, q: SpectralSection,
 # operator curves
 # ---------------------------------------------------------------------------
 
-class OperatorCurve:
-    """Sampled curve [0, 1] -> Hermitian truncated operators.
+class _SampledCurve:
+    """A curve [0, 1] -> Hermitian matrices, or stacks of them, held as one
+    read-only array ``samples`` (samples, ..., dim, dim) over ``ts``.  It
+    is affine on every sample segment [t_k, t_{k+1}], which is exactly
+    what the per-segment Lipschitz rate of the gap partition certifies.
+    A curve built from matrices is checked Hermitian at the default
+    tolerances, one built by ``from_potentials`` at the record it is
+    given."""
 
-    The curve is affine in its matrices on every sample segment
-    [t_k, t_{k+1}], which is exactly what the per-segment Lipschitz rate
-    of the gap partition certifies.  A curve built from potentials is the
-    same curve (``build_dirac`` is affine in the potential) and keeps
-    ``potentials`` for rebuilding at another truncation and for the
-    gluing check of a twisted loop.
+    def _store(self, ts, samples: np.ndarray, truncation: FourierTruncation,
+               tolerances: Tolerances):
+        """Hold ``samples``, a complex array no one else writes, without a
+        copy, once the grid runs strictly up from 0 to 1 and every member
+        is Hermitian at ``tolerances`` (checked one sample at a time, so
+        the check's temporaries stay one sample large)."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1 or len(ts) != len(samples) or len(ts) < 2:
+            raise ValueError("need matching ts/operators with at least 2 "
+                             "samples")
+        if np.any(np.diff(ts) <= 0):
+            raise ValueError("parameter samples must be strictly increasing")
+        if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
+            raise ValueError("curve must be sampled on [0, 1] with endpoints")
+        for sample in samples:
+            _require_hermitian(sample, tolerances)
+        samples.setflags(write=False)
+        self.ts, self.samples, self.truncation = ts, samples, truncation
+
+    def _matrices(self, t: float) -> np.ndarray:
+        """The sample itself at a sample point, else
+        ``(1 - lam) S_i + lam S_{i+1}`` on the segment of t."""
+        t = float(t)
+        i = bisect.bisect_left(self.ts, t)
+        if i < len(self.ts) and self.ts[i] == t:
+            return self.samples[i]
+        i = min(max(i - 1, 0), len(self.ts) - 2)
+        t0, t1 = self.ts[i], self.ts[i + 1]
+        lam = (t - t0) / (t1 - t0)
+        return (1 - lam) * self.samples[i] + lam * self.samples[i + 1]
+
+
+class OperatorCurve(_SampledCurve):
+    """Sampled curve [0, 1] -> Hermitian truncated operators, held as one
+    read-only stack ``samples`` (samples, dim, dim).
+
+    A curve built from potentials is the same curve (``build_dirac`` is
+    affine in the potential) and keeps ``potentials`` for rebuilding at
+    another truncation and for the gluing check of a twisted loop.
     """
 
     def __init__(self, ts: Sequence[float], operators: Sequence[TruncatedOperator],
                  potentials: Sequence[SymbolFunction] | None = None):
-        ts = _sample_grid(ts, len(operators))
-        trunc = operators[0].truncation
-        for op in operators:
-            if op.truncation != trunc:
-                raise ValueError("all operators must share one truncation")
-        self.ts = ts
-        self.operators = list(operators)
-        self.truncation = trunc
+        if len({op.truncation for op in operators}) > 1:
+            raise ValueError("all operators must share one truncation")
+        self._store(ts, np.stack([op.matrix for op in operators]),
+                    operators[0].truncation, DEFAULT)
         self.potentials = list(potentials) if potentials is not None else None
-        self._cache: dict[float, TruncatedOperator] = {
-            float(t): op for t, op in zip(ts, operators)}
 
     @classmethod
     def from_potentials(cls, ts, potentials: Sequence[SymbolFunction],
                         trunc: FourierTruncation,
                         tolerances: Tolerances = DEFAULT) -> "OperatorCurve":
-        ts = np.asarray(ts, dtype=float)
-        ops = [build_dirac(p, trunc, tolerances) for p in potentials]
-        return cls(ts, ops, potentials=potentials)
+        curve = cls.__new__(cls)
+        curve.potentials = list(potentials)
+        curve._store(ts, _dirac_matrices(curve.potentials, trunc, tolerances),
+                     trunc, tolerances)
+        return curve
 
-    @property
-    def samples(self) -> list[np.ndarray]:
-        """The sample matrices, in the order of ``ts``."""
-        return [op.matrix for op in self.operators]
-
-    def at(self, t: float) -> TruncatedOperator:
-        t = float(t)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        i = bisect.bisect_right(self.ts, t) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        lam = (t - t0) / (t1 - t0)
-        m = (1 - lam) * self.operators[i].matrix \
-            + lam * self.operators[i + 1].matrix
-        op = TruncatedOperator(m, self.truncation)
-        self._cache[t] = op
-        return op
-
-
-def _sample_grid(ts, samples: int) -> np.ndarray:
-    """The parameter samples of a curve with the given number of sample
-    operators: strictly increasing, at least two, from 0 to 1."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or len(ts) != samples or len(ts) < 2:
-        raise ValueError("need matching ts/operators with at least 2 samples")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("parameter samples must be strictly increasing")
-    if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
-        raise ValueError("curve must be sampled on [0, 1] with endpoints")
-    return ts
+    def at(self, t: float,
+           tolerances: Tolerances = DEFAULT) -> TruncatedOperator:
+        """The operator at t, built anew on every call and checked
+        Hermitian at ``tolerances``."""
+        return TruncatedOperator(self._matrices(t), self.truncation,
+                                 tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +422,12 @@ class _SpectrumCache:
     the gap partition, eigendecompositions for sections, and the rate of
     each segment for the Lipschitz bound.
 
-    The curve is an ``OperatorCurve`` or a ``bundles.CurveOfFamilies``:
-    anything with ``ts``, sample matrices ``samples`` and ``at(t)``.  For
-    a family every operator is a stack over the base, so the spectra are
-    (vertices, n), the decompositions and sections stacked, and each
-    factorization is one LAPACK call over the whole base.
+    The curve is an ``OperatorCurve`` or a ``bundles.CurveOfFamilies``,
+    which hold only their sample stack and build the operator at t anew
+    on every ``at(t, tolerances)``, called here with the call's
+    tolerances.  For a family every operator is a stack over the base, so
+    the spectra are (vertices, n), the decompositions and sections
+    stacked, and each factorization is one LAPACK call over the base.
     """
 
     def __init__(self, curve, tolerances: Tolerances = DEFAULT):
@@ -430,13 +440,14 @@ class _SpectrumCache:
     def __call__(self, t: float) -> np.ndarray:
         t = float(t)
         if t not in self._evals:
-            self._evals[t] = eigvalsh(self.curve.at(t))
+            self._evals[t] = eigvalsh(self.curve.at(t, self.tolerances))
         return self._evals[t]
 
     def decomposition(self, t: float) -> EigenDecomposition:
         t = float(t)
         if t not in self._decs:
-            self._decs[t] = eigh(self.curve.at(t), self.tolerances)
+            self._decs[t] = eigh(self.curve.at(t, self.tolerances),
+                                 self.tolerances)
         return self._decs[t]
 
     def section(self, t: float, cutoff: float) -> SpectralSection:

@@ -112,17 +112,17 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
 
     Slice j is the path at its midpoint u_j = (j + 1/2) / m_u, formed with
     the arithmetic of ``OperatorCurve.at`` but only on the nonzero pattern
-    of the path's samples (their union, made symmetric, plus the
-    diagonal), all slices in one ``(m_u, nnz)`` array.  Each slice must be
-    Hermitian by the ``TruncatedOperator`` test at the given
-    ``hermitian_max``.  Row j holds
+    of the sample stack ``path.samples`` (its union over the samples, made
+    symmetric, plus the diagonal), all slices in one ``(m_u, nnz)`` array.
+    Each slice must be Hermitian by the ``TruncatedOperator`` test at the
+    given ``hermitian_max``.  Row j holds
     ``-I/h + D_j/2`` on the diagonal block and ``I/h + D_j/2`` on block
     j + 1; the wrap row's second block is multiplied by the gluing matrix.
     Exact zeros are dropped, as a dense-to-sparse conversion would.
 
     The path is affine between its samples and ``||D(s)||_2`` is convex on
-    an affine segment, so the largest sample norm bounds every midpoint
-    slice in ``sigma_max_bound``.
+    an affine segment, so the largest sample norm, from one ``eigvalsh``
+    of the stack, bounds every midpoint slice in ``sigma_max_bound``.
     """
     if m_u < 8:
         raise ValueError("need at least 8 u-slices")
@@ -130,14 +130,12 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
     dim = trunc.dim
     h = 1.0 / m_u
     path = spec.path
-    pattern = np.eye(dim, dtype=bool)
-    for op in path.operators:
-        pattern |= op.matrix != 0
+    pattern = np.eye(dim, dtype=bool) | (path.samples != 0).any(axis=0)
     pattern |= pattern.T
     rows, cols = np.nonzero(pattern)
     # position of entry (c, r) for entry (r, c); np.nonzero is row-major
     transposed = np.searchsorted(rows * dim + cols, cols * dim + rows)
-    samples = np.stack([op.matrix[rows, cols] for op in path.operators])
+    samples = path.samples[:, rows, cols]
 
     u = (np.arange(m_u) + 0.5) * h
     seg = np.clip(np.searchsorted(path.ts, u, side="right") - 1,
@@ -171,8 +169,7 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
                            wrap[wrap_rows, wrap_cols]])
     a = sp.coo_matrix((data, (row_idx, col_idx)),
                       shape=(m_u * dim, m_u * dim)).tocsc()
-    dnorm = max(float(np.abs(eigvalsh(op)).max())
-                for op in path.operators)
+    dnorm = float(np.abs(eigvalsh(path.samples)).max())
     return MappingTorusOperator(a, spec, m_u, trunc,
                                 sigma_max_bound=2.0 / h + dnorm + 1.0)
 

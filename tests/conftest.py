@@ -63,6 +63,21 @@ def random_hermitian_symbol(rank: int, bandwidth: int,
     return SymbolFunction(coeffs, rank=rank)
 
 
+def skewed_shift_potential(shift: float, skew: float) -> SymbolFunction:
+    """The constant ``shift`` plus a coupling 0.1 of modes one apart whose
+    c_{-1} is c_1* + skew i, so its Hermitian defect is ``skew``."""
+    return SymbolFunction({0: np.array([[shift]]), 1: np.array([[0.1]]),
+                           -1: np.array([[0.1 + 1j * skew]])}, rank=1)
+
+
+def hermitian_guard_edge(stack: np.ndarray) -> float:
+    """The smallest ``hermitian_max`` that accepts every member M of a
+    stack: the largest ``||M - M*||_max / (1 + ||M||_max)``."""
+    defect = np.abs(stack - np.swapaxes(stack.conj(), -1, -2))
+    return float((defect.max(axis=(-2, -1))
+                  / (1 + np.abs(stack).max(axis=(-2, -1)))).max())
+
+
 def random_trig_unitary(rank: int, rng: np.random.Generator,
                         max_winding: int = 2,
                         product_factors: int = 1):
@@ -227,7 +242,7 @@ def reference_mapping_torus_matrix(spec, m_u: int):
         else:
             blocks[j][0] = right @ spec.glue_matrix()
     dnorm = max(float(np.abs(eigvalsh(op)).max())
-                for op in spec.path.operators)
+                for op in spec.path.samples)
     return sp.bmat(blocks, format="csc"), 2.0 / h + dnorm + 1.0
 
 

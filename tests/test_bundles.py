@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
-                      OperatorCurve, ProjectorFamily, SpectralSection,
-                      SymbolFunction, aps_projection, aps_section_family,
+                      OperatorCurve, OperatorFamily, ProjectorFamily,
+                      SpectralSection, SymbolFunction, aps_projection,
+                      aps_section_family,
                       chern_number,
                       difference_element, gap_partition,
                       gauge_transformed_potential,
@@ -19,7 +20,8 @@ from specflow.errors import (IllConditioned, InvalidSection, RankJump,
 from specflow.models import (bott_symbol_family, qwz_projector,
                              qwz_projector_family)
 from specflow.toeplitz import hardy_section, toeplitz_compress
-from conftest import berry_chern_oracle, random_unitary, rng_for
+from conftest import (berry_chern_oracle, hermitian_guard_edge,
+                      random_unitary, rng_for, skewed_shift_potential)
 
 
 def interior_compression(symbol, trunc):
@@ -204,6 +206,20 @@ class TestProjectorFamily:
         assert both.rank == 2
         assert both.dim == 4
 
+    def test_direct_sum_keeps_the_tolerances(self):
+        # a line in C^2 turning by 2 pi / 10 per step moves by 0.588 on
+        # every edge, inside a loosened continuity guard only
+        base = BaseGrid.loop(10)
+        angles = 2 * np.pi * np.arange(10) / 10
+        frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[..., None]
+        with pytest.raises(InvalidSection, match="moves by 0.588"):
+            ProjectorFamily(base, frames)
+        loose = DEFAULT.with_(neighbor_continuity=0.9)
+        fam = ProjectorFamily(base, frames, loose)
+        both = fam.direct_sum(fam)
+        assert (both.rank, both.dim) == (2, 4)
+        assert both.tolerances is loose
+
 
 class TestChernNumber:
     def test_constant_family(self):
@@ -384,6 +400,32 @@ class TestHigherSpectralFlow:
             cls = higher_spectral_flow(cf, sections, q1)
             assert (cls.ch0, cls.ch1) == (-1, -1)
 
+    def test_caller_tolerances_reach_every_family(self):
+        # c_{-1} = c_1* + 1e-8 i at every vertex: within a loosened
+        # potential guard, and Hermitian only at a loosened matrix guard;
+        # the eigenvalue -1 + shift crosses zero upward once
+        base = BaseGrid.loop(4)
+        loose = DEFAULT.with_(hermitian_max=1e-6, potential_hermitian=1e-6)
+        cf = CurveOfFamilies.from_potentials(
+            base, lambda v, t: skewed_shift_potential(
+                0.75 + 0.5 * t + 0.01 * v[0], 1e-8),
+            [0.0, 1.0], FourierTruncation(4), loose)
+        q0, q1 = (aps_section_family(OperatorFamily(
+            base, cf.at(t, loose), cf.truncation), tolerances=loose)
+            for t in (0.0, 1.0))
+        assert higher_spectral_flow(cf, q0, q1, loose).ch0 == 1
+        with pytest.raises(ValueError, match="defect 1.000e-08"):
+            higher_spectral_flow(cf, q0, q1)
+        # ||M||_max grows with the shift and the defect stays 1e-8, so
+        # the first sample holds the worst member on the curve
+        edge = hermitian_guard_edge(cf.samples[0])
+        assert hermitian_guard_edge(cf.samples) == edge
+        inside = loose.with_(hermitian_max=edge * (1 + 1e-6))
+        outside = loose.with_(hermitian_max=edge * (1 - 1e-6))
+        assert higher_spectral_flow(cf, q0, q1, inside).ch0 == 1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            higher_spectral_flow(cf, q0, q1, outside)
+
     def bott_curve(self, k=3):
         base = BaseGrid.torus(8)
         fam = bott_symbol_family(base)
@@ -521,6 +563,18 @@ class TestStackedFamilies:
             assert np.array_equal(cf.at(t)[11], curve.at(t).matrix)
         assert np.array_equal(cf.family_at(0.8)[cf.base.vertices[11]].matrix,
                               curve.at(0.8).matrix)
+
+    def test_family_at_is_a_view_of_the_stack(self):
+        cf = self.bott_curve()
+        for t in (0.0, 0.25, 0.5):
+            stack = cf.at(t)
+            fam = cf.family_at(t)
+            assert np.array_equal(fam.matrices, stack)
+            for i, v in enumerate(cf.base.vertices):
+                assert np.array_equal(fam[v].matrix, stack[i])
+        assert np.shares_memory(cf.family_at(0.5).matrices, cf.samples[1])
+        with pytest.raises(ValueError, match="shape"):
+            OperatorFamily(cf.base, cf.samples[0, 1:], cf.truncation)
 
     def test_non_hermitian_member_refused(self):
         cf = self.bott_curve()

@@ -12,8 +12,9 @@ from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
                              InvalidSection, NoGapFound)
 from specflow.flow import _SpectrumCache, certify_level
-from conftest import (count_eigh, random_hermitian_symbol, random_unitary,
-                      rng_for)
+from conftest import (count_eigh, hermitian_guard_edge,
+                      random_hermitian_symbol, random_unitary, rng_for,
+                      skewed_shift_potential)
 
 TR8 = FourierTruncation(8, 1)
 
@@ -209,12 +210,81 @@ class TestOperatorCurve:
         curve = OperatorCurve.from_potentials(ts, pots, tr)
         i = 0 if t < 0.4 else 1
         lam = (t - ts[i]) / (ts[i + 1] - ts[i])
-        a, b = curve.operators[i].matrix, curve.operators[i + 1].matrix
+        a, b = curve.samples[i], curve.samples[i + 1]
         assert np.array_equal(curve.at(t).matrix, (1 - lam) * a + lam * b)
         # build_dirac is affine in the potential: the same operator
         interpolated = pots[i].scale(1 - lam) + pots[i + 1].scale(lam)
         assert np.abs(curve.at(t).matrix
                       - build_dirac(interpolated, tr).matrix).max() <= 1e-12
+
+    def test_samples_are_one_read_only_stack(self, monkeypatch):
+        rng = rng_for(731)
+        tr = FourierTruncation(4, 2)
+        ts = [0.0, 0.4, 1.0]
+        pots = [random_hermitian_symbol(2, 2, rng, scale=0.5) for _ in ts]
+        built = []
+        original = specflow.flow._dirac_matrices
+
+        def recorded(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(specflow.flow, "_dirac_matrices", recorded)
+        curve = OperatorCurve.from_potentials(ts, pots, tr)
+        # one build of every sample, held as it was built
+        assert len(built) == 1 and curve.samples is built[0]
+        assert curve.samples.shape == (3, tr.dim, tr.dim)
+        assert not curve.samples.flags.writeable
+        assert not hasattr(curve, "operators")
+        assert not hasattr(curve, "_cache")
+        # between samples, test_affine_in_matrices checks the arithmetic
+        for i, t in enumerate(ts):
+            assert np.array_equal(curve.at(t).matrix, curve.samples[i])
+        # every call builds a fresh operator
+        assert curve.at(0.25) is not curve.at(0.25)
+        assert curve.at(0.4) is not curve.at(0.4)
+
+
+class TestCurveTolerances:
+    """A curve honours the caller's tolerances: c_{-1} = c_1* + 1e-8 i is
+    within a loosened potential guard and Hermitian only at a loosened
+    matrix guard."""
+
+    loose = DEFAULT.with_(hermitian_max=1e-6, potential_hermitian=1e-6)
+
+    def curve(self, tolerances):
+        # the eigenvalue -1 + shift crosses zero upward once
+        return OperatorCurve.from_potentials(
+            [0.0, 1.0],
+            [skewed_shift_potential(a, 1e-8) for a in (0.75, 1.25)],
+            FourierTruncation(4), tolerances)
+
+    def test_loose_record_reaches_every_operator(self):
+        curve = self.curve(self.loose)
+        assert curve.at(0.5, self.loose).tolerances is self.loose
+        assert spectral_flow(curve, tolerances=self.loose) == 1
+        with pytest.raises(ValueError, match="defect 1.000e-08"):
+            curve.at(0.5)
+        with pytest.raises(ValueError, match="defect 1.000e-08"):
+            spectral_flow(curve)
+        with pytest.raises(ValueError, match="defect 1.000e-08"):
+            self.curve(DEFAULT.with_(potential_hermitian=1e-6))
+
+    def test_just_inside_and_just_outside_the_guard(self):
+        curve = self.curve(self.loose)
+        # ||M||_max grows with the shift and the defect stays 1e-8, so
+        # the first sample is the worst operator on the curve
+        edge = hermitian_guard_edge(curve.samples[0])
+        assert hermitian_guard_edge(curve.samples) == edge
+        inside = self.loose.with_(hermitian_max=edge * (1 + 1e-6))
+        outside = self.loose.with_(hermitian_max=edge * (1 - 1e-6))
+        assert spectral_flow(curve, tolerances=inside) == 1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectral_flow(curve, tolerances=outside)
+        # from_potentials checks its samples with its own record
+        assert spectral_flow(self.curve(inside), tolerances=inside) == 1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            self.curve(outside)
 
 
 class TestSpectralFlow:
@@ -272,7 +342,8 @@ class TestSpectralFlow:
         pots = [SymbolFunction.constant(-0.4 + 0.8 * t + 0.05 * t * t)
                 for t in ts]
         curve = OperatorCurve.from_potentials(ts, pots, tr)
-        warped = OperatorCurve(ts ** 2, curve.operators,
+        warped = OperatorCurve(ts ** 2, [TruncatedOperator(m, tr)
+                                         for m in curve.samples],
                                potentials=curve.potentials)
         assert spectral_flow(curve) == spectral_flow(warped)
 

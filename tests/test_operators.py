@@ -251,7 +251,7 @@ class TestBandedEigvalsh:
         cache = _SpectrumCache(curve)
         calls = band_calls(monkeypatch)
         for k in range(2):
-            step = curve.operators[k + 1].matrix - curve.operators[k].matrix
+            step = curve.samples[k + 1] - curve.samples[k]
             dense = np.abs(np.linalg.eigvalsh(step)).max() \
                 / (ts[k + 1] - ts[k])
             assert abs(cache._segment_rate(k) - dense) <= 1e-12 * dense
