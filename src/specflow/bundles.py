@@ -20,7 +20,7 @@ pointwise kernel dimension varies must be perturbed by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -75,6 +75,44 @@ def _constant_rank(base: BaseGrid, ranks, what: str) -> int:
     return int(ranks[0])
 
 
+class _FrameMeasures(NamedTuple):
+    """What validating a stack of frames F measures: the Gram defect
+    ``||F_v* F_v - I||_2`` of every vertex, the step ``||P_a - P_b||_2``
+    of every edge a -> b, and the link determinants ``det F_a* F_b`` of
+    every edge, forward, then ``det F_b* F_a``, backward (2 * edges)."""
+
+    defects: np.ndarray
+    steps: np.ndarray
+    links: np.ndarray
+
+    @classmethod
+    def of(cls, base: BaseGrid, frames: np.ndarray) -> "_FrameMeasures":
+        """Measured on the frames: one overlap ``F_a* F_b`` per edge,
+        factored once in each direction, whose smallest singular value
+        gives the step: the sine of the largest principal angle between
+        the ranges, ``sqrt(1 - sigma_min^2)``."""
+        defects = _gram_defect(frames)
+        tails, heads = base.edge_index
+        if frames.shape[-1] == 0:
+            return cls(defects, np.zeros(len(tails)),
+                       np.ones(2 * len(tails), dtype=complex))
+        overlaps = np.swapaxes(frames[tails].conj(), -1, -2) @ frames[heads]
+        s_min = np.linalg.svd(overlaps, compute_uv=False)[..., -1]
+        links = np.concatenate([np.linalg.det(overlaps), np.linalg.det(
+            np.swapaxes(overlaps.conj(), -1, -2))])
+        return cls(defects, np.sqrt(np.maximum(1.0 - s_min * s_min, 0.0)),
+                   links)
+
+    def direct_sum(self, other: "_FrameMeasures") -> "_FrameMeasures":
+        """The measures of the block-diagonal sum of the frames: a
+        block-diagonal matrix has the largest of its blocks' 2-norms,
+        the smallest of their smallest singular values, and the product
+        of their determinants."""
+        return _FrameMeasures(np.maximum(self.defects, other.defects),
+                              np.maximum(self.steps, other.steps),
+                              self.links * other.links)
+
+
 class ProjectorFamily:
     """Constant-rank family of orthogonal projectors over a base grid, held
     as one stack of orthonormal frames (vertices, dim, rank) in the order
@@ -82,15 +120,20 @@ class ProjectorFamily:
 
     Validation works on the frames: ``||F* F - I||_2`` is the idempotency
     defect of ``F F*``, and across an edge ``||P_a - P_b||_2`` is the sine
-    of the largest principal angle between the two ranges.  ``tolerances``
-    is the record the family was validated with, and its ``direct_sum``
-    is validated with it too.
+    of the largest principal angle between the two ranges.  The family
+    keeps what validation measures (``_FrameMeasures``): with them
+    ``direct_sum`` validates the sum without measuring its frames again,
+    and ``chern_number`` reads the link determinants.  ``tolerances`` is
+    the record the family was validated with, and its ``direct_sum`` is
+    validated with it too.
     """
 
     def __init__(self, base: BaseGrid, frames,
-                 tolerances: Tolerances = DEFAULT):
+                 tolerances: Tolerances = DEFAULT,
+                 _measures: _FrameMeasures | None = None):
         """``frames`` maps each vertex to its dim x rank frame, or is
-        already the stack."""
+        already the stack; ``_measures``, when given, are the frames'
+        measures, which are then checked and not taken again."""
         self.base = base
         if isinstance(frames, np.ndarray):
             stack = frames.astype(complex, copy=False)
@@ -105,8 +148,9 @@ class ProjectorFamily:
         self._frames = stack
         self.rank = stack.shape[2]
         self.tolerances = tolerances
-        if self.rank:
-            self._validate(tolerances)
+        self._measures = _measures if _measures is not None \
+            else _FrameMeasures.of(base, stack)
+        self._validate(tolerances)
 
     @classmethod
     def from_projectors(cls, base: BaseGrid,
@@ -143,16 +187,16 @@ class ProjectorFamily:
         return self._frames.shape[1]
 
     def _validate(self, tolerances: Tolerances):
-        stack = self._frames
-        defects = _gram_defect(stack)
+        """Refuse frames that are not orthonormal at some vertex, then a
+        family that moves by ``neighbor_continuity`` or more across some
+        edge, each by the first offender."""
+        defects, steps, _ = self._measures
         bad = np.flatnonzero(defects > tolerances.projector_idempotent)
         if bad.size:
             raise InvalidSection(
                 f"frame at {self.base.vertices[bad[0]]} is not orthonormal "
                 f"(Gram defect {defects[bad[0]]:.2e}), so its projector is "
                 f"not idempotent")
-        tails, heads = self.base.edge_index
-        steps = _projector_steps(stack[tails], stack[heads])
         bad = np.flatnonzero(steps >= tolerances.neighbor_continuity)
         if bad.size:
             (a, b), step = self.base.edges[bad[0]], steps[bad[0]]
@@ -165,6 +209,9 @@ class ProjectorFamily:
         return self._frames[self.base.positions[vertex]]
 
     def direct_sum(self, other: "ProjectorFamily") -> "ProjectorFamily":
+        """The family of block-diagonal frames ``diag(F, G)``, validated
+        with this family's record on measures assembled from the parts'
+        (``_FrameMeasures.direct_sum``)."""
         if other.base != self.base:
             raise ValueError("direct sum needs a common base")
         a, b = self._frames, other._frames
@@ -172,16 +219,8 @@ class ProjectorFamily:
                        dtype=complex)
         out[:, :self.dim, :self.rank] = a
         out[:, self.dim:, self.rank:] = b
-        return ProjectorFamily(self.base, out, self.tolerances)
-
-
-def _projector_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``||A A* - B B*||_2`` for stacks of orthonormal frames of equal rank
-    (..., dim, rank): the sine of the largest principal angle,
-    ``sqrt(1 - sigma_min(A* B)^2)``."""
-    overlaps = np.swapaxes(a.conj(), -1, -2) @ b
-    s_min = np.linalg.svd(overlaps, compute_uv=False)[..., -1]
-    return np.sqrt(np.maximum(1.0 - s_min * s_min, 0.0))
+        return ProjectorFamily(self.base, out, self.tolerances,
+                               self._measures.direct_sum(other._measures))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +263,12 @@ def chern_number(family: ProjectorFamily,
     """Plaquette link-variable Chern number of a projector family on the
     torus: sum of overlap-determinant phases around plaquettes over 2 pi.
 
-    The link overlaps of every plaquette are factored by one stacked
-    ``det`` per position on the plaquette boundary and multiplied around
-    each plaquette in traversal order.  A total more than 1e-6 from an
-    integer raises RoundingAmbiguous.
+    The link determinants are the ones the family recorded when it was
+    validated, each edge factored once in each direction; they are
+    multiplied around each plaquette in traversal order.  A link
+    determinant below ``overlap_min_det`` in modulus raises
+    SingularOverlap, and a total more than 1e-6 from an integer raises
+    RoundingAmbiguous.
     """
     base = family.base
     if not base.is_torus:
@@ -236,16 +277,13 @@ def chern_number(family: ProjectorFamily,
         raise ValueError("plaquette method needs a grid of at least 8 x 8")
     if family.rank == 0:
         return 0
-    frames = family._frames
-    # traverse clockwise in (b1, b2) so the reference wrap lands on +1
-    corners = base.plaquette_index[:, ::-1]
-    dets = np.stack([np.linalg.det(
-        np.swapaxes(frames[corners[:, k]].conj(), -1, -2)
-        @ frames[corners[:, (k + 1) % 4]]) for k in range(4)], axis=1)
+    links = _clockwise_links(base)
+    dets = family._measures.links[links]
     small = np.flatnonzero(np.abs(dets) < tolerances.overlap_min_det)
     if small.size:
         p, k = divmod(int(small[0]), 4)
-        a, b = (base.vertices[corners[p, j % 4]] for j in (k, k + 1))
+        corners = base.plaquette_index[p, ::-1]
+        a, b = (base.vertices[corners[j % 4]] for j in (k, k + 1))
         raise SingularOverlap(
             f"overlap determinant {abs(dets[p, k]):.2e} across {a} -> {b}; "
             f"the base grid is too coarse")
@@ -256,6 +294,19 @@ def chern_number(family: ProjectorFamily,
     if abs(c - round(c)) > 1e-6:
         raise RoundingAmbiguous(f"plaquette sum {c} is not an integer")
     return int(round(c))
+
+
+def _clockwise_links(base: BaseGrid) -> np.ndarray:
+    """The links around every plaquette, traversed clockwise in (b1, b2)
+    so the reference wrap lands on +1, as positions in
+    ``_FrameMeasures.links``: edge e run forward is e, run backward
+    ``len(base.edges) + e`` (plaquettes x 4)."""
+    tails, heads = base.edge_index.tolist()
+    position = {}
+    for e, (a, b) in enumerate(zip(tails, heads)):
+        position[a, b], position[b, a] = e, len(tails) + e
+    return np.array([[position[c[k], c[(k + 1) % 4]] for k in range(4)]
+                     for c in base.plaquette_index[:, ::-1].tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +442,11 @@ class CurveOfFamilies(_SampledCurve):
         stack.setflags(write=False)
         return stack
 
-    def family_at(self, t: float) -> OperatorFamily:
-        return OperatorFamily(self.base, self.at(t), self.truncation)
+    def family_at(self, t: float,
+                  tolerances: Tolerances = DEFAULT) -> OperatorFamily:
+        """The family at t, checked Hermitian at ``tolerances``."""
+        return OperatorFamily(self.base, self.at(t, tolerances),
+                              self.truncation)
 
 
 def _common_partition(curve_fam: CurveOfFamilies, tolerances: Tolerances,
@@ -429,12 +483,15 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
     maps, and ch0 is checked to be the constant pointwise flow.  The
     endpoint sections must have one rank over the base (RankJump
     otherwise).  The family at each breakpoint is diagonalized once, as
-    one stack, and its eigendecomposition is dropped once the bracket
-    there is built; each bracket's comparison maps are split as one stack.
+    one stack: the partition reads its spectra off the eigendecompositions
+    that the brackets' sections need, and each is dropped once the
+    bracket there is built.  Each bracket's comparison maps are split as
+    one stack, and the brackets' bundles are summed from their recorded
+    measures (``ProjectorFamily.direct_sum``).
     """
     base = curve_fam.base
     q0, q1 = _endpoint_sections(base, q0), _endpoint_sections(base, q1)
-    cache = _SpectrumCache(curve_fam, tolerances)
+    cache = _SpectrumCache(curve_fam, tolerances, _spectra_from_eigh=True)
     # the first vertex whose q0 or q1 fails is reported, q0 first
     failures = [f for f in (_first_invalid(cache.decomposition(0.0), q0,
                                            tolerances),

@@ -233,9 +233,9 @@ def _run(args) -> tuple[dict, dict, dict]:
         curve_fam = CurveOfFamilies.from_potentials(
             base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], trunc,
             tolerances)
-        q0 = aps_section_family(curve_fam.family_at(0.0),
+        q0 = aps_section_family(curve_fam.family_at(0.0, tolerances),
                                 tolerances=tolerances)
-        q1 = aps_section_family(curve_fam.family_at(1.0),
+        q1 = aps_section_family(curve_fam.family_at(1.0, tolerances),
                                 tolerances=tolerances)
         cls = higher_spectral_flow(curve_fam, q0, q1, tolerances)
         outputs = {"ch0": cls.ch0}

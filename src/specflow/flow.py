@@ -428,11 +428,20 @@ class _SpectrumCache:
     tolerances.  For a family every operator is a stack over the base, so
     the spectra are (vertices, n), the decompositions and sections
     stacked, and each factorization is one LAPACK call over the base.
+
+    With ``_spectra_from_eigh`` the spectra are read off the
+    eigendecompositions, for a caller that needs a section at every
+    point where it asks for a spectrum (as ``higher_spectral_flow`` does
+    at every breakpoint): each operator is then factored once, and its
+    decomposition held until ``release``.  Otherwise the spectra come
+    from ``eigvalsh``.
     """
 
-    def __init__(self, curve, tolerances: Tolerances = DEFAULT):
+    def __init__(self, curve, tolerances: Tolerances = DEFAULT,
+                 _spectra_from_eigh: bool = False):
         self.curve = curve
         self.tolerances = tolerances
+        self._spectra_from_eigh = _spectra_from_eigh
         self._evals: dict[float, np.ndarray] = {}
         self._decs: dict[float, EigenDecomposition] = {}
         self._rates: dict[int, float] = {}
@@ -440,7 +449,9 @@ class _SpectrumCache:
     def __call__(self, t: float) -> np.ndarray:
         t = float(t)
         if t not in self._evals:
-            self._evals[t] = eigvalsh(self.curve.at(t, self.tolerances))
+            self._evals[t] = (
+                self.decomposition(t).eigenvalues if self._spectra_from_eigh
+                else eigvalsh(self.curve.at(t, self.tolerances)))
         return self._evals[t]
 
     def decomposition(self, t: float) -> EigenDecomposition:

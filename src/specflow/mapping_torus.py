@@ -53,7 +53,8 @@ class TwistedLoopSpec:
     nontrivial g is the twisted extension that produces nonzero flux
     examples.  Consistency D_1 = g D_0 g^{-1} is checked at the symbol
     level, where it is exact (the truncated matrices differ at the mode
-    edges by construction).
+    edges by construction).  The gluing symbol must be unitary within
+    the ``unitary`` guard of the record it was built with.
     """
 
     path: OperatorCurve
@@ -66,7 +67,7 @@ class TwistedLoopSpec:
         g = self.glue
         if g is not None:
             defect = g.unitarity_defect
-            if defect > DEFAULT.unitary:
+            if defect > g.tolerances.unitary:
                 raise ValueError(f"gluing symbol must be unitary "
                                  f"(defect {defect:.3e})")
             expected = gauge_transformed_potential(g, self.path.potentials[0])

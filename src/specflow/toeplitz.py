@@ -319,33 +319,46 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
     if not base.is_torus:
         raise ValueError("the degree-1 cochain needs a torus base")
 
+    # every array is rank-first, (rank, rank, m, m, fiber): each small
+    # product is an einsum over the rank axes of contiguous base x fiber
+    # blocks
     m = base.size
-    rank = next(iter(fam.values())).rank
+    symbols = [fam[v] for v in base.vertices]
+    rank = symbols[0].rank
+    modes = sorted({k for s in symbols for k in s.coefficients})
+    column = {k: col for col, k in enumerate(modes)}
+    coeffs = np.zeros((rank, rank, len(symbols), len(modes)), dtype=complex)
+    for p, s in enumerate(symbols):
+        for k, c in s.coefficients.items():
+            coeffs[:, :, p, column[k]] = c
+    # base.vertices run over (i, j) row by row
+    coeffs = coeffs.reshape(rank, rank, m, m, len(modes))
     xs = 2 * np.pi * np.arange(_FIBER_GRID) / _FIBER_GRID
-    g = np.empty((m, m, _FIBER_GRID, rank, rank), dtype=complex)
-    dxg = np.empty_like(g)
-    for (i, j) in base.vertices:
-        g[i, j] = fam[i, j].evaluate(xs)
-        dxg[i, j] = fam[i, j].derivative().evaluate(xs)
+    waves = np.exp(1j * np.multiply.outer(modes, xs))
+    g = coeffs @ waves
+    dxg = (coeffs * (1j * np.array(modes))) @ waves
 
     freq = 1j * np.fft.fftfreq(m, d=1.0 / m)
-    d1g = np.fft.ifft(freq[:, None, None, None, None] * np.fft.fft(g, axis=0),
-                      axis=0)
-    d2g = np.fft.ifft(freq[None, :, None, None, None] * np.fft.fft(g, axis=1),
-                      axis=1)
-    ginv = np.linalg.inv(g)
-    a = ginv @ dxg
-    b1 = ginv @ d1g
-    b2 = ginv @ d2g
-    density = np.trace(a @ (b1 @ b2 - b2 @ b1), axis1=-2, axis2=-1)
-    density = 0.5 * density.sum(axis=2).real * (2 * np.pi / _FIBER_GRID)
+    d1g = np.fft.ifft(freq[:, None, None] * np.fft.fft(g, axis=2), axis=2)
+    d2g = np.fft.ifft(freq[:, None] * np.fft.fft(g, axis=3), axis=3)
+    # einsum runs several times slower on the strided view of the inverse
+    ginv = np.ascontiguousarray(np.moveaxis(
+        np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1)))
+
+    def product(x, y):
+        return np.einsum("ab...,bc...->ac...", x, y)
+
+    a = product(ginv, dxg)
+    b1 = product(ginv, d1g)
+    b2 = product(ginv, d2g)
+    density = np.einsum("ab...,ba...->...", a,
+                        product(b1, b2) - product(b2, b1))
+    density = 0.5 * density.sum(axis=-1).real * (2 * np.pi / _FIBER_GRID)
 
     h = 2 * np.pi / m
-    values = {}
-    for p in base.plaquettes:
-        corners = base.plaquette_corners(p)
-        avg = np.mean([density[c] for c in corners])
-        values[p] = float(CH1_NORMALIZATION * avg * h * h)
+    plaquettes = density.reshape(-1)[base.plaquette_index].mean(axis=1)
+    values = dict(zip(base.plaquettes,
+                      (CH1_NORMALIZATION * plaquettes * h * h).tolist()))
     total = float(sum(values.values()))
     if abs(total - round(total)) > tolerances.chern_integer_guard:
         raise GridResolutionError(

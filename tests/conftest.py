@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import specflow.bundles
 import specflow.flow
 import specflow.mapping_torus
 import specflow.operators
@@ -356,6 +357,26 @@ def assert_same_split(a, b):
     assert a.gap_ratio == b.gap_ratio
 
 
+def kernels_now(*names):
+    """A context manager that puts back, for its body, the kernels the
+    (owner, name) pairs hold now, and then whatever they hold by then."""
+    kernels = [(owner, name, getattr(owner, name)) for owner, name in names]
+
+    @contextmanager
+    def pristine():
+        current = [(owner, name, getattr(owner, name))
+                   for owner, name, _ in kernels]
+        for owner, name, kernel in kernels:
+            setattr(owner, name, kernel)
+        try:
+            yield
+        finally:
+            for owner, name, kernel in current:
+                setattr(owner, name, kernel)
+
+    return pristine
+
+
 @pytest.fixture(autouse=True)
 def stacked_calls_match_members(monkeypatch):
     """Repeat every stacked ``eigh`` and ``null_splits`` of the suite
@@ -366,21 +387,8 @@ def stacked_calls_match_members(monkeypatch):
     test, so a test that counts factorizations does not count them."""
     eigh = specflow.operators.eigh
     null_splits = specflow.operators.null_splits
-    kernels = [(owner, name, getattr(owner, name)) for owner, name in (
-        (np.linalg, "eigh"), (np.linalg, "svd"),
-        (scipy.linalg, "eigvals_banded"))]
-
-    @contextmanager
-    def pristine_kernels():
-        current = [(owner, name, getattr(owner, name))
-                   for owner, name, _ in kernels]
-        for owner, name, kernel in kernels:
-            setattr(owner, name, kernel)
-        try:
-            yield
-        finally:
-            for owner, name, kernel in current:
-                setattr(owner, name, kernel)
+    pristine_kernels = kernels_now((np.linalg, "eigh"), (np.linalg, "svd"),
+                                   (scipy.linalg, "eigvals_banded"))
 
     def checked_eigh(operator, tolerances=DEFAULT):
         dec = eigh(operator, tolerances)
@@ -420,6 +428,68 @@ def stacked_calls_match_members(monkeypatch):
             monkeypatch.setattr(module, "eigh", checked_eigh)
         if vars(module).get("null_splits") is null_splits:
             monkeypatch.setattr(module, "null_splits", checked_null_splits)
+
+
+@pytest.fixture(autouse=True)
+def sums_match_their_frames(monkeypatch):
+    """Measure the frames of every ``ProjectorFamily.direct_sum`` of the
+    suite afresh: the Gram defects, steps and link determinants the sum
+    assembled from its parts must agree with them within 1e-12.  A step
+    is ``sqrt(1 - s^2)`` of a singular value s that is exact to roundoff,
+    so steps are compared by their squares: near s = 1 the square root
+    turns a roundoff of 1e-16 in s into one of 1e-8 in the step.  The
+    measures run on the numpy kernels in place before the test, so a
+    test that counts factorizations does not count them."""
+    family = specflow.bundles.ProjectorFamily
+    original = family.direct_sum
+    pristine_kernels = kernels_now((np.linalg, "det"), (np.linalg, "svd"),
+                                   (np.linalg, "norm"))
+
+    def checked(self, other):
+        out = original(self, other)
+        with pristine_kernels():
+            fresh = specflow.bundles._FrameMeasures.of(out.base, out._frames)
+        kept, measured = out._measures, fresh
+        for x, y in ((kept.defects, measured.defects),
+                     (kept.steps ** 2, measured.steps ** 2),
+                     (kept.links, measured.links)):
+            assert x.shape == y.shape
+            assert np.abs(x - y).max(initial=0.0) <= 1e-12
+        return out
+
+    monkeypatch.setattr(family, "direct_sum", checked)
+
+
+def reference_odd_chern_cochain(g_family, base):
+    """The degree-1 odd-Chern cochain vertex by vertex: each symbol and
+    its derivative evaluated on the fiber grid by ``evaluate``, spectral
+    base derivatives, and rank x rank ``matmul``s over the
+    (m, m, fiber) batch; returns the plaquette values and their total."""
+    from specflow.toeplitz import _FIBER_GRID, CH1_NORMALIZATION
+    fam = {v: g_family(v) if callable(g_family) else g_family[v]
+           for v in base.vertices}
+    m = base.size
+    rank = fam[base.vertices[0]].rank
+    xs = 2 * np.pi * np.arange(_FIBER_GRID) / _FIBER_GRID
+    g = np.empty((m, m, _FIBER_GRID, rank, rank), dtype=complex)
+    dxg = np.empty_like(g)
+    for (i, j) in base.vertices:
+        g[i, j] = fam[i, j].evaluate(xs)
+        dxg[i, j] = fam[i, j].derivative().evaluate(xs)
+    freq = 1j * np.fft.fftfreq(m, d=1.0 / m)
+    d1g = np.fft.ifft(freq[:, None, None, None, None] * np.fft.fft(g, axis=0),
+                      axis=0)
+    d2g = np.fft.ifft(freq[None, :, None, None, None] * np.fft.fft(g, axis=1),
+                      axis=1)
+    ginv = np.linalg.inv(g)
+    a, b1, b2 = ginv @ dxg, ginv @ d1g, ginv @ d2g
+    density = np.trace(a @ (b1 @ b2 - b2 @ b1), axis1=-2, axis2=-1)
+    density = 0.5 * density.sum(axis=2).real * (2 * np.pi / _FIBER_GRID)
+    h = 2 * np.pi / m
+    values = {p: float(CH1_NORMALIZATION * h * h * np.mean(
+        [density[c] for c in base.plaquette_corners(p)]))
+        for p in base.plaquettes}
+    return values, float(sum(values.values()))
 
 
 @pytest.fixture

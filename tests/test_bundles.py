@@ -13,7 +13,7 @@ from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       higher_spectral_flow, kernel_bundle, spectral_flow,
                       toeplitz_family_index)
 import specflow.bundles
-from specflow.bundles import _projector_steps
+from specflow.bundles import _FrameMeasures
 from specflow.config import DEFAULT
 from specflow.errors import (IllConditioned, InvalidSection, RankJump,
                              RoundingAmbiguous, SingularOverlap)
@@ -192,7 +192,9 @@ class TestProjectorFamily:
         a, b = frames[(0,)], frames[(1,)]
         dense = np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2)
         assert abs(dense - step) <= 1e-12
-        assert abs(_projector_steps(a, b) - dense) <= 1e-12
+        stack = np.stack([frames[v] for v in base.vertices])
+        assert base.edges[0] == ((0,), (1,))
+        assert abs(_FrameMeasures.of(base, stack).steps[0] - dense) <= 1e-12
         if step < DEFAULT.neighbor_continuity:
             assert ProjectorFamily(base, frames).rank == rank
         else:
@@ -219,6 +221,58 @@ class TestProjectorFamily:
         both = fam.direct_sum(fam)
         assert (both.rank, both.dim) == (2, 4)
         assert both.tolerances is loose
+
+
+    def test_direct_sum_measures_match_its_frames(self):
+        # Gram defects, steps and link determinants of a sum assembled
+        # from its parts' are those of its frames; the summed Chern number
+        # is the sum of the parts'
+        base = BaseGrid.torus(8)
+        fam = qwz_projector_family(base)
+        both = fam.direct_sum(fam.direct_sum(complement(fam)))
+        fresh = ProjectorFamily(base, both._frames)
+        assert both.rank == fresh.rank == 3
+        assert np.abs(both._measures.defects
+                      - fresh._measures.defects).max() <= 1e-12
+        assert np.abs(both._measures.steps ** 2
+                      - fresh._measures.steps ** 2).max() <= 1e-12
+        assert np.abs(both._measures.links
+                      - fresh._measures.links).max() <= 1e-12
+        assert chern_number(both) == chern_number(fresh) == 1
+
+    def test_direct_sum_applies_its_own_guards(self):
+        # a line turned by arcsin(0.6) at the odd vertices moves by 0.6 on
+        # every edge: accepted on its own under a loosened continuity
+        # guard, refused inside a sum validated at the default 0.5
+        base = BaseGrid.loop(4)
+        theta = np.arcsin(0.6)
+        frames = {v: np.array([[np.cos(theta)], [np.sin(theta)]])
+                  if v[0] % 2 else np.array([[1.0], [0.0]])
+                  for v in base.vertices}
+        part = ProjectorFamily(base, frames,
+                               DEFAULT.with_(neighbor_continuity=0.9))
+        still = constant_family(base, np.diag([1.0, 0.0]))
+        with pytest.raises(InvalidSection, match=r"^projector family moves "
+                           r"by 0\.600 across edge \(0,\) -> \(1,\); "
+                           r"refine the base grid$"):
+            still.direct_sum(part)
+        assert part.direct_sum(still).rank == 2
+
+    def test_direct_sum_applies_its_own_gram_guard(self):
+        # one frame of length sqrt(1 + 2e-9): Gram defect 2e-9, accepted
+        # on its own under a loosened idempotency guard, refused inside a
+        # sum validated at the default 1e-9
+        base = BaseGrid.loop(4)
+        frames = {v: np.eye(2)[:, :1] for v in base.vertices}
+        frames[(2,)] = np.sqrt(1.0 + 2e-9) * np.eye(2)[:, :1]
+        part = ProjectorFamily(base, frames,
+                               DEFAULT.with_(projector_idempotent=1e-8))
+        still = constant_family(base, np.diag([1.0, 0.0]))
+        with pytest.raises(InvalidSection, match=r"^frame at \(2,\) is not "
+                           r"orthonormal \(Gram defect 2\.00e-09\), so its "
+                           r"projector is not idempotent$"):
+            still.direct_sum(part)
+        assert part.direct_sum(still).rank == 2
 
 
 class TestChernNumber:
@@ -261,11 +315,12 @@ class TestChernNumber:
     def test_non_integer_total_is_refused(self, phase, monkeypatch):
         # every overlap determinant turned by one phase: the phases of the
         # two directions of a link no longer cancel, and the plaquette sum
-        # moves by 4 * 64 * phase / (2 pi), 4e-8 or 0.04
-        fam = qwz_projector_family(BaseGrid.torus(8))
+        # moves by 4 * 64 * phase / (2 pi), 4e-8 or 0.04; the links are
+        # factored when the family is validated, so the patch comes first
         det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det",
                             lambda a: det(a) * np.exp(1j * phase))
+        fam = qwz_projector_family(BaseGrid.torus(8))
         if phase < 1e-6:
             assert chern_number(fam) == 1
         else:
@@ -410,9 +465,8 @@ class TestHigherSpectralFlow:
             base, lambda v, t: skewed_shift_potential(
                 0.75 + 0.5 * t + 0.01 * v[0], 1e-8),
             [0.0, 1.0], FourierTruncation(4), loose)
-        q0, q1 = (aps_section_family(OperatorFamily(
-            base, cf.at(t, loose), cf.truncation), tolerances=loose)
-            for t in (0.0, 1.0))
+        q0, q1 = (aps_section_family(cf.family_at(t, loose),
+                                     tolerances=loose) for t in (0.0, 1.0))
         assert higher_spectral_flow(cf, q0, q1, loose).ch0 == 1
         with pytest.raises(ValueError, match="defect 1.000e-08"):
             higher_spectral_flow(cf, q0, q1)
@@ -458,6 +512,36 @@ class TestHigherSpectralFlow:
                                    for m in cf.at(t))
         assert calls == [(len(cf.base.vertices),) + (cf.truncation.dim,) * 2
                          ] * len(breaks)
+
+    def test_partition_reads_the_breakpoint_decompositions(self,
+                                                           monkeypatch):
+        # the partition's spectra are the eigenvalues of the one stacked
+        # eigh per breakpoint; eigvalsh sees the segment differences only
+        cf = self.bott_curve()
+        q0, q1 = self.qsections(cf)
+        solved, factored = [], []
+        eigvalsh, eigh = specflow.flow.eigvalsh, specflow.flow.eigh
+
+        def counted_eigvalsh(a):
+            solved.append(np.array(a))
+            return eigvalsh(a)
+
+        def counted_eigh(a, *args, **kwargs):
+            factored.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(specflow.flow, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(specflow.flow, "eigh", counted_eigh)
+        cls = higher_spectral_flow(cf, q0, q1)
+        assert (cls.ch0, cls.ch1) == (-1, -1)
+        steps = [cf.samples[k + 1] - cf.samples[k]
+                 for k in range(len(cf.ts) - 1)]
+        assert solved and all(any(np.array_equal(a, d) for d in steps)
+                              for a in solved)
+        breaks = gap_partition(cf).breakpoints
+        assert len(factored) == len(breaks)
+        for t in breaks:
+            assert sum(np.array_equal(a, cf.at(t)) for a in factored) == 1
 
     def test_one_null_split_per_vertex_and_bracket(self, monkeypatch):
         # counts split matrices, not calls: one stack of comparison maps

@@ -5,7 +5,8 @@ import specflow.mapping_torus
 import specflow.operators
 from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
                       TruncatedOperator, TwistedLoopSpec, build_mapping_torus,
-                      mapping_torus_index, spectral_flow)
+                      gauge_transformed_potential, mapping_torus_index,
+                      spectral_flow)
 from specflow.config import DEFAULT
 from specflow.errors import GluingInconsistent, IllConditioned
 from specflow.mapping_torus import (MappingTorusOperator, _interior_index,
@@ -74,6 +75,24 @@ class TestSpecValidation:
             tr)
         with pytest.raises(GluingInconsistent):
             TwistedLoopSpec(curve, SymbolFunction.exponential(2))
+
+    @pytest.mark.parametrize("loose", [True, False])
+    def test_gluing_unitarity_reads_the_symbol_record(self, loose):
+        # g = (1 + 1e-9) e^{ix} is unitary up to 2e-9, inside the guard
+        # of the record it is built with only when that record is loosened
+        record = DEFAULT.with_(unitary=1e-6) if loose else DEFAULT
+        g = SymbolFunction({1: [[1 + 1e-9]]}, rank=1, unitary=loose,
+                           tolerances=record)
+        assert abs(g.unitarity_defect - 2e-9) <= 1e-15
+        start = constant_shift_potential(0.0)
+        curve = OperatorCurve.from_potentials(
+            [0.0, 1.0], [start, gauge_transformed_potential(g, start)],
+            FourierTruncation(4, 1), record)
+        if loose:
+            assert TwistedLoopSpec(curve, g).glue is g
+        else:
+            with pytest.raises(ValueError, match="defect 2.000e-09"):
+                TwistedLoopSpec(curve, g)
 
     def test_requires_potentials(self):
         tr = FourierTruncation(4, 1)

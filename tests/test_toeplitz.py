@@ -16,8 +16,8 @@ from specflow.models import bott_symbol_family, qwz_projector
 from specflow.toeplitz import (_family_subspaces, _gather,
                                toeplitz_small_subspaces)
 from conftest import (derivative_matrix, random_hermitian_symbol,
-                      random_trig_unitary, random_unitary, rng_for,
-                      svd_shapes)
+                      random_trig_unitary, random_unitary,
+                      reference_odd_chern_cochain, rng_for, svd_shapes)
 
 
 def interior_compression(symbol, trunc):
@@ -402,6 +402,31 @@ class TestOddChernIntegral:
         base = BaseGrid.torus(12)
         c = odd_chern_integral(bott_symbol_family(base), base, n=1)
         assert abs(c.total - (-1.0)) <= 0.02
+
+    @pytest.mark.parametrize("kind", ["rank 1", "rank 2", "callable"])
+    def test_degree1_matches_the_per_vertex_reference(self, kind):
+        base = BaseGrid.torus(8 if kind == "rank 1" else 12)
+        if kind == "rank 1":
+            # |c_1| > |c_0|: invertible at every point; scalars commute,
+            # so every plaquette value vanishes
+            fam = {v: SymbolFunction(
+                {0: [[0.3 * np.exp(1j * base.coordinates(v)[0])]],
+                 1: [[np.exp(1j * base.coordinates(v)[1])]]}, rank=1)
+                for v in base.vertices}
+        elif kind == "rank 2":
+            fam = bott_symbol_family(base)
+        else:
+            bott = bott_symbol_family(base)
+            u = SymbolFunction.constant(random_unitary(2, rng_for(3)),
+                                        unitary=True)
+            fam = lambda v: u.product(bott[v], unitary=True)  # noqa: E731
+        values, total = reference_odd_chern_cochain(fam, base)
+        c = odd_chern_integral(fam, base, n=1)
+        assert c.values.keys() == values.keys()
+        assert max(abs(c.values[p] - values[p]) for p in values) <= 1e-12
+        assert abs(c.total - total) <= 1e-12
+        if kind != "rank 1":
+            assert round(c.total) == -1
 
     def test_normalization_constant_frozen(self):
         assert CH1_NORMALIZATION == 1.0 / (4.0 * np.pi ** 2)
