@@ -33,7 +33,7 @@ from .flow import (Partition, SpectralSection, _brackets, _first_invalid,
                    _top_section, comparison_map, gap_partition)
 from .operators import (FourierTruncation, TruncatedOperator, _dirac_matrices,
                         _require_hermitian, eigh, null_splits)
-from .toeplitz import _family_subspaces, hardy_section
+from .toeplitz import _compressions, _stable_subspaces, hardy_section
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,9 @@ class ProjectorFamily:
         return cls(base, vecs[..., vecs.shape[-1] - rank:], tolerances)
 
     @classmethod
-    def empty(cls, base: BaseGrid, dim: int) -> "ProjectorFamily":
-        return cls(base, np.zeros((len(base.vertices), dim, 0)))
+    def empty(cls, base: BaseGrid, dim: int,
+              tolerances: Tolerances = DEFAULT) -> "ProjectorFamily":
+        return cls(base, np.zeros((len(base.vertices), dim, 0)), tolerances)
 
     @property
     def dim(self) -> int:
@@ -362,38 +363,29 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
     positive part = kernel bundle, negative part = cokernel bundle of the
     compressed family (interior-localized null directions only); ch0 is
     the constant pointwise index and ch1 comes from the plaquette method
-    on torus bases.  Every vertex is re-checked at doubled truncation.
-    The compressions at each truncation are split as stacks over the base
-    (``toeplitz._family_subspaces``).
+    on torus bases.  The compressions are split as one stack over the
+    base and re-checked at doubled truncation, vertex by vertex, by the
+    split and check of ``fredholm_index`` (``toeplitz._stable_subspaces``).
     """
     symbols = [g_family(v) if callable(g_family) else g_family[v]
                for v in base.vertices]
-    trunc2 = trunc.doubled()
-    sub = _family_subspaces(hardy_section(trunc, tolerances), symbols, trunc,
-                            tolerances)
-    sub2 = _family_subspaces(hardy_section(trunc2, tolerances), symbols,
-                             trunc2, tolerances)
-    index = sub.kernel_dims - sub.cokernel_dims
-    index2 = sub2.kernel_dims - sub2.cokernel_dims
-    bad = np.flatnonzero(index != index2)
-    if bad.size:
-        raise UnstableIndex(
-            f"index {index[bad[0]]} at K={trunc.max_mode} but "
-            f"{index2[bad[0]]} at K={trunc2.max_mode}")
+    section = hardy_section(trunc, tolerances)
+    sub = _stable_subspaces(section, symbols,
+                            _compressions(section, symbols, trunc, tolerances),
+                            trunc, tolerances)
+    index = sub.kernel_dim - sub.cokernel_dim
     first = int(index[0])
     if np.any(index != first):
         raise RankJump(f"pointwise Toeplitz index is not constant: "
                        f"{sorted(set(index.tolist()))}")
 
     parts = []
-    for dims, frames in ((sub.kernel_dims, sub.kernel_interior),
-                         (sub.cokernel_dims, sub.cokernel_interior)):
+    for dims, frames in ((sub.kernel_dim, sub.kernel_interior),
+                         (sub.cokernel_dim, sub.cokernel_interior)):
         _constant_rank(base, dims, "frame rank")
         parts.append(ProjectorFamily(base, frames, tolerances))
-    out = _class_from_parts(base, *parts, tolerances,
-                            meta={"pointwise_index": first})
-    assert out.ch0 == first
-    return out
+    return _class_from_parts(base, *parts, tolerances,
+                             meta={"pointwise_index": first})
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +514,9 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
 
     dim = curve_fam.truncation.dim
     if positive is None:
-        positive = ProjectorFamily.empty(base, dim)
+        positive = ProjectorFamily.empty(base, dim, tolerances)
     if negative is None:
-        negative = ProjectorFamily.empty(base, dim)
+        negative = ProjectorFamily.empty(base, dim, tolerances)
     if positive.rank - negative.rank != flow:
         raise UnstableIndex(
             f"assembled class rank {positive.rank - negative.rank} disagrees "

@@ -217,7 +217,9 @@ class DifferenceElement:
     cokernel_dim: int
 
     def __post_init__(self):
-        assert self.value == self.kernel_dim - self.cokernel_dim
+        if self.value != self.kernel_dim - self.cokernel_dim:
+            raise ValueError(f"value {self.value} does not match dimensions "
+                             f"{self.kernel_dim} - {self.cokernel_dim}")
 
 
 def comparison_map(p: SpectralSection, q: SpectralSection) -> np.ndarray:

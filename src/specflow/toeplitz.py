@@ -12,6 +12,10 @@ singular subspaces of T and T* by mode localization (interior means
 recomputed at truncation 2K and must agree; that stability contract is the
 module's main correctness device.
 
+A single compression is a family over one point: one stacked split and
+localization count (``_small_subspaces``) and one doubling check
+(``_stable_subspaces``) serve ``fredholm_index`` and the family index.
+
 Degree-1 normalization.  The per-plaquette odd-Chern cochain carries the
 frozen constant 1/(2 pi)^2: one factor of 2 pi per cohomology degree.  It
 was fixed once by requiring the reference rank-1 twist family (Bott-type
@@ -31,8 +35,7 @@ from .config import DEFAULT, Tolerances
 from .errors import GridResolutionError, RoundingAmbiguous, UnstableIndex
 from .flow import SpectralSection, aps_projection
 from .operators import (FourierTruncation, SymbolFunction, _interior_split,
-                        _multiplications, build_dirac, interior_directions,
-                        null_split, null_splits)
+                        _multiplications, build_dirac, null_splits)
 
 #: Degree-1 cochain normalization, one (2 pi) per cohomology degree; see
 #: the module docstring for how the sign and power were frozen.
@@ -132,67 +135,62 @@ def _coordinate_rows(basis: np.ndarray) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class SmallSubspaces:
-    """Numerically-null data of a Toeplitz compression, split by
-    localization; ``gap_ratio`` is the rank split's smallest kept over
-    largest dropped singular value (inf when nothing is dropped)."""
+    """Numerically-null data of a stack of Toeplitz compressions, split by
+    localization, with a leading member axis on every field, as
+    ``NullSplit`` has for a group: interior kernel and cokernel counts,
+    edge artifacts, singular values and ``gap_ratio``, the rank split's
+    smallest kept over largest dropped singular value (inf when nothing
+    is dropped).  The lifted interior frames are stacks, or None where
+    the members' counts differ.  ``toeplitz_small_subspaces`` gives the
+    record of one compression, without the member axis."""
 
-    kernel_interior: np.ndarray      # lifted, dim x n_k
-    cokernel_interior: np.ndarray    # lifted, dim x n_c
-    kernel_dim: int
-    cokernel_dim: int
-    edge_artifacts: int
+    kernel_interior: np.ndarray | None     # lifted, members x dim x n_k
+    cokernel_interior: np.ndarray | None   # lifted, members x dim x n_c
+    kernel_dim: np.ndarray
+    cokernel_dim: np.ndarray
+    edge_artifacts: np.ndarray
     singular_values: np.ndarray
-    gap_ratio: float
+    gap_ratio: np.ndarray
 
 
 def toeplitz_small_subspaces(t: ToeplitzOperator,
                              tolerances: Tolerances = DEFAULT) -> SmallSubspaces:
-    split = null_split(t.matrix, tolerances)
-    basis, interior = t.section.basis, t.truncation.interior()
-    ker = interior_directions(basis @ split.kernel, interior, tolerances)
-    cok = interior_directions(basis @ split.cokernel, interior, tolerances)
-    nk, nc = ker.shape[1], cok.shape[1]
-    return SmallSubspaces(kernel_interior=ker, cokernel_interior=cok,
-                          kernel_dim=nk, cokernel_dim=nc,
-                          edge_artifacts=split.kernel.shape[1]
-                          + split.cokernel.shape[1] - nk - nc,
-                          singular_values=split.singular_values,
-                          gap_ratio=split.gap_ratio)
+    """The small subspaces of one compression: its stack of one, with
+    ints, floats and arrays in place of the member axis."""
+    sub = _small_subspaces(t.section, t.matrix[None], t.truncation,
+                           tolerances)
+    return SmallSubspaces(sub.kernel_interior[0], sub.cokernel_interior[0],
+                          int(sub.kernel_dim[0]), int(sub.cokernel_dim[0]),
+                          int(sub.edge_artifacts[0]), sub.singular_values[0],
+                          float(sub.gap_ratio[0]))
 
 
-@dataclass(frozen=True)
-class _FamilySubspaces:
-    """``toeplitz_small_subspaces`` of the compressions of a symbol family
-    (members in order): interior kernel and cokernel counts per member,
-    and their lifted frames as stacks (members, dim, count), or None where
-    the members' counts differ."""
-
-    kernel_dims: np.ndarray
-    cokernel_dims: np.ndarray
-    kernel_interior: np.ndarray | None
-    cokernel_interior: np.ndarray | None
-
-
-def _family_subspaces(section: SpectralSection, symbols,
-                      trunc: FourierTruncation,
-                      tolerances: Tolerances) -> _FamilySubspaces:
-    """The small subspaces of every symbol's compression, with one stacked
-    split per group of members of equal rank (``null_splits``) and one
-    stacked ``_interior_split`` of their kernels and of their cokernels;
-    every member's counts and frames equal its own
-    ``toeplitz_small_subspaces``."""
-    stack = _compressions(section, symbols, trunc, tolerances)
-    interior = trunc.interior()
-    dims = np.zeros((2, len(stack)), dtype=int)
+def _small_subspaces(section: SpectralSection, stack: np.ndarray,
+                     trunc: FourierTruncation,
+                     tolerances: Tolerances) -> SmallSubspaces:
+    """The small subspaces of every compression in a stack (members,
+    rank, rank) over ``section``: one split per group of members of equal
+    rank (``null_splits``) and one stacked ``_interior_split`` of their
+    lifted kernels and of their cokernels.  Every member's fields are
+    those of its own ``null_split`` and ``interior_directions``."""
+    count, interior = len(stack), trunc.interior()
+    dims = np.zeros((3, count), dtype=int)   # interior kernel, cokernel, raw
+    singular_values = np.empty((count, min(stack.shape[1:])))
+    gap_ratio = np.empty(count)
     frames: list = [[], []]
     for members, split in null_splits(stack, tolerances):
+        singular_values[members] = split.singular_values
+        gap_ratio[members] = split.gap_ratio
+        dims[2, members] = split.kernel.shape[-1] + split.cokernel.shape[-1]
         for side, null in enumerate((split.kernel, split.cokernel)):
             counts, lifted = _interior_split(section.basis @ null,
                                              interior, tolerances)
             dims[side, members] = counts
             frames[side].append((members, lifted))
-    return _FamilySubspaces(dims[0], dims[1], *(
-        _gather(parts, len(stack), section.dim) for parts in frames))
+    return SmallSubspaces(
+        *(_gather(parts, count, section.dim) for parts in frames),
+        dims[0], dims[1], dims[2] - dims[0] - dims[1], singular_values,
+        gap_ratio)
 
 
 def _gather(parts, count: int, dim: int) -> np.ndarray | None:
@@ -215,29 +213,36 @@ def fredholm_index(t: ToeplitzOperator,
     """dim ker - dim coker of the compression, counting only
     interior-localized null directions; recomputed at doubled truncation,
     over the section's rebuild recipe, and required to agree."""
-    if t.section.rebuilder is None:
+    sub = _stable_subspaces(t.section, [t.symbol], t.matrix[None],
+                            t.truncation, tolerances)
+    return int(sub.kernel_dim[0] - sub.cokernel_dim[0])
+
+
+def _stable_subspaces(section: SpectralSection, symbols, stack: np.ndarray,
+                      trunc: FourierTruncation,
+                      tolerances: Tolerances) -> SmallSubspaces:
+    """``_small_subspaces`` of the compressions ``stack`` of ``symbols``
+    over ``section`` at ``trunc``, once their compressions at doubled
+    truncation, over the section's rebuild recipe, have shown the same
+    index member by member (UnstableIndex at the first that differs)."""
+    if section.rebuilder is None:
         raise UnstableIndex(
             "section carries no rebuild recipe, so the two-truncation "
             "stability contract cannot run; use hardy_section or "
             "dirac_aps_section")
-    trunc2 = t.truncation.doubled()
-    t2 = toeplitz_compress(t.section.rebuilder(trunc2), t.symbol, trunc2,
-                           tolerances)
-    sub = _doubling_checked(t, t2, tolerances)
-    return sub.kernel_dim - sub.cokernel_dim
-
-
-def _doubling_checked(t: ToeplitzOperator, t2: ToeplitzOperator,
-                      tolerances: Tolerances) -> SmallSubspaces:
-    """Small subspaces of ``t``, once its compression ``t2`` at doubled
-    truncation has shown the same index (UnstableIndex otherwise)."""
-    sub = toeplitz_small_subspaces(t, tolerances)
-    sub2 = toeplitz_small_subspaces(t2, tolerances)
+    trunc2 = trunc.doubled()
+    section2 = section.rebuilder(trunc2)
+    sub = _small_subspaces(section, stack, trunc, tolerances)
+    del stack   # the compressions at K are not held through those at 2K
+    sub2 = _small_subspaces(
+        section2, _compressions(section2, symbols, trunc2, tolerances),
+        trunc2, tolerances)
     index, index2 = (s.kernel_dim - s.cokernel_dim for s in (sub, sub2))
-    if index2 != index:
+    bad = np.flatnonzero(index != index2)
+    if bad.size:
         raise UnstableIndex(
-            f"index {index} at K={t.truncation.max_mode} but {index2} "
-            f"at K={t2.truncation.max_mode}")
+            f"index {index[bad[0]]} at K={trunc.max_mode} but "
+            f"{index2[bad[0]]} at K={trunc2.max_mode}")
     return sub
 
 

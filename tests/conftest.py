@@ -5,6 +5,7 @@ Dirac spectrum, the Berry-curvature Riemann sum, and the random-object
 constructions are self-contained.
 """
 
+import dataclasses
 from collections import Counter
 from contextlib import contextmanager
 
@@ -22,7 +23,8 @@ import specflow.operators
 from specflow import SymbolFunction
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned
-from specflow.operators import NullSplit, eigvalsh
+from specflow.operators import NullSplit, eigvalsh, interior_directions
+from specflow.toeplitz import SmallSubspaces
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -355,6 +357,35 @@ def assert_same_split(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and np.array_equal(x, y), name
     assert a.gap_ratio == b.gap_ratio
+
+
+def reference_small_subspaces(t, tolerances=DEFAULT) -> SmallSubspaces:
+    """The small subspaces of one Toeplitz compression from its own
+    ``null_split`` and ``interior_directions``: the single-compression
+    route, against which the stacked split is compared bit for bit."""
+    split = specflow.operators.null_split(t.matrix, tolerances)
+    basis, interior = t.section.basis, t.truncation.interior()
+    ker = interior_directions(basis @ split.kernel, interior, tolerances)
+    cok = interior_directions(basis @ split.cokernel, interior, tolerances)
+    nk, nc = ker.shape[1], cok.shape[1]
+    return SmallSubspaces(kernel_interior=ker, cokernel_interior=cok,
+                          kernel_dim=nk, cokernel_dim=nc,
+                          edge_artifacts=split.kernel.shape[1]
+                          + split.cokernel.shape[1] - nk - nc,
+                          singular_values=split.singular_values,
+                          gap_ratio=split.gap_ratio)
+
+
+def assert_same_subspaces(a, b):
+    """Two ``SmallSubspaces`` records of one compression with equal
+    counts and ratio and bit-identical arrays of one dtype."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.dtype == y.dtype, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def kernels_now(*names):

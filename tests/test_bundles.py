@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,8 @@ import specflow.bundles
 from specflow.bundles import _FrameMeasures
 from specflow.config import DEFAULT
 from specflow.errors import (IllConditioned, InvalidSection, RankJump,
-                             RoundingAmbiguous, SingularOverlap)
+                             RoundingAmbiguous, SingularOverlap,
+                             UnstableIndex)
 from specflow.models import (bott_symbol_family, qwz_projector,
                              qwz_projector_family)
 from specflow.toeplitz import hardy_section, toeplitz_compress
@@ -405,6 +407,30 @@ class TestToeplitzFamilyIndex:
         assert (cls.ch0, cls.ch1) == (-1, -1)
         assert sorted(calls) == sorted(id(g) for g in fam.values())
 
+    @staticmethod
+    def loop_with_one_double_winding(n):
+        """e^{ix} over the loop of four vertices, but e^{inx} at (2,)."""
+        base = BaseGrid.loop(4)
+        return base, {v: SymbolFunction.exponential(n if v == (2,) else 1)
+                      for v in base.vertices}
+
+    def test_unstable_vertex_index_is_refused(self):
+        # at K = 2 the compression of e^{2ix} keeps one interior cokernel
+        # line; the doubling check sees its second at K = 4
+        base, fam = self.loop_with_one_double_winding(2)
+        with pytest.raises(UnstableIndex,
+                           match=re.escape("index -1 at K=2 but -2 at K=4")):
+            toeplitz_family_index(fam, base, FourierTruncation(2, 1))
+
+    def test_pointwise_index_must_be_constant(self):
+        base, fam = self.loop_with_one_double_winding(2)
+        with pytest.raises(RankJump, match=re.escape(
+                "pointwise Toeplitz index is not constant: [-2, -1]")):
+            toeplitz_family_index(fam, base, FourierTruncation(8, 1))
+        base, fam = self.loop_with_one_double_winding(1)
+        cls = toeplitz_family_index(fam, base, FourierTruncation(8, 1))
+        assert cls.ch0 == cls.meta["pointwise_index"] == -1
+
 
 class TestHigherSpectralFlow:
     def qsections(self, cf):
@@ -479,6 +505,22 @@ class TestHigherSpectralFlow:
         assert higher_spectral_flow(cf, q0, q1, inside).ch0 == 1
         with pytest.raises(ValueError, match="not Hermitian"):
             higher_spectral_flow(cf, q0, q1, outside)
+
+    def test_empty_parts_keep_the_caller_tolerances(self):
+        # a constant curve with no eigenvalue near zero has no crossing,
+        # so both parts of its class are empty families
+        base = BaseGrid.loop(4)
+        tr = FourierTruncation(1, 2)
+        loose = DEFAULT.with_(neighbor_continuity=0.9)
+        d = np.diag([-1.2, -1.1, -1.0, 1.0, 1.1, 1.2]).astype(complex)
+        cf = CurveOfFamilies(base, [0.0, 1.0],
+                             np.broadcast_to(d, (2, 4, 6, 6)), tr)
+        q0, q1 = (aps_section_family(cf.family_at(t), tolerances=loose)
+                  for t in (0.0, 1.0))
+        cls = higher_spectral_flow(cf, q0, q1, loose)
+        assert (cls.ch0, cls.positive.rank, cls.negative.rank) == (0, 0, 0)
+        assert cls.positive.tolerances is loose
+        assert cls.negative.tolerances is loose
 
     def bott_curve(self, k=3):
         base = BaseGrid.torus(8)

@@ -11,7 +11,7 @@ import specflow.flow
 from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
                              InvalidSection, NoGapFound)
-from specflow.flow import _SpectrumCache, certify_level
+from specflow.flow import DifferenceElement, _SpectrumCache, certify_level
 from conftest import (count_eigh, hermitian_guard_edge,
                       random_hermitian_symbol, random_unitary, rng_for,
                       skewed_shift_potential)
@@ -82,6 +82,11 @@ class TestDifferenceElement:
         q = SpectralSection(np.eye(4)[:, :1], 0.0, "explicit")
         d = difference_element(p, q)
         assert (d.value, d.kernel_dim, d.cokernel_dim) == (1, 1, 0)
+
+    def test_value_must_be_kernel_minus_cokernel(self):
+        assert DifferenceElement(1, 3, 2).value == 1
+        with pytest.raises(ValueError, match="does not match"):
+            DifferenceElement(1, 2, 2)
 
     def test_equal_projectors(self, rng):
         b = random_unitary(6, rng)[:, :3]

@@ -13,11 +13,12 @@ from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned, RoundingAmbiguous, UnstableIndex
 from specflow.models import bott_symbol_family, qwz_projector
-from specflow.toeplitz import (_family_subspaces, _gather,
-                               toeplitz_small_subspaces)
-from conftest import (derivative_matrix, random_hermitian_symbol,
-                      random_trig_unitary, random_unitary,
-                      reference_odd_chern_cochain, rng_for, svd_shapes)
+from specflow.toeplitz import (SmallSubspaces, _compressions, _gather,
+                               _small_subspaces, toeplitz_small_subspaces)
+from conftest import (assert_same_subspaces, derivative_matrix,
+                      random_hermitian_symbol, random_trig_unitary,
+                      random_unitary, reference_odd_chern_cochain,
+                      reference_small_subspaces, rng_for, svd_shapes)
 
 
 def interior_compression(symbol, trunc):
@@ -253,7 +254,7 @@ class TestNullSplitRoute:
         t = toeplitz_compress(hardy_section(tr), winding_one_symbol(seed), tr)
         shapes = svd_shapes(monkeypatch)
         assert fredholm_index(t) == -1
-        assert shapes and all(shape[1] <= 2 for shape in shapes)
+        assert shapes and all(shape[-1] <= 2 for shape in shapes)
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_family_sized_compression_stays_dense(self, k, monkeypatch):
@@ -265,18 +266,55 @@ class TestNullSplitRoute:
         shapes = svd_shapes(monkeypatch)
         sub = toeplitz_small_subspaces(t)
         assert t.matrix.shape == (2 * k + 2, 2 * k + 2)
-        assert shapes.count(t.matrix.shape) == 1
+        assert [shape[-2:] for shape in shapes].count(t.matrix.shape) == 1
         assert sub.kernel_dim + sub.edge_artifacts >= 1
 
 
 class TestFamilySubspaces:
-    """The compressions of a symbol family split as stacks: every member
-    must have the counts and frames of its own compression."""
+    """The compressions of a symbol family split as one stack: every
+    member, and the one-member view ``toeplitz_small_subspaces`` of its
+    own compression, must match the reference split of that compression
+    bit for bit."""
 
     @staticmethod
-    def alone(section, symbols, trunc):
-        return [toeplitz_small_subspaces(
-            toeplitz_compress(section, g, trunc)) for g in symbols]
+    def case(name):
+        if name == "hardy K=128":
+            # the band route, member by member
+            trunc = FourierTruncation(128, 2)
+            return (hardy_section(trunc),
+                    [winding_one_symbol(seed) for seed in range(3)], trunc)
+        if name == "dirac-aps":
+            # a section whose frame is not a coordinate selection
+            pot = SymbolFunction({1: np.array([[0.2]]),
+                                  -1: np.array([[0.2]])}, rank=1)
+            trunc = FourierTruncation(12, 1)
+            g = SymbolFunction.exponential(2)
+            return (dirac_aps_section(pot, trunc, 0.0),
+                    [g, g.scale(-1.0), g.scale(1j)], trunc)
+        # the dense route: the Bott family at K = 8 and 16
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        trunc = FourierTruncation(int(name.split("=")[1]), 2)
+        return (hardy_section(trunc), [fam[v] for v in base.vertices[:12]],
+                trunc)
+
+    @pytest.mark.parametrize("name", ["hardy K=128", "bott K=8", "bott K=16",
+                                      "dirac-aps"])
+    def test_members_match_the_reference_split(self, name):
+        section, symbols, trunc = self.case(name)
+        sub = _small_subspaces(
+            section, _compressions(section, symbols, trunc, DEFAULT), trunc,
+            DEFAULT)
+        for i, g in enumerate(symbols):
+            t = toeplitz_compress(section, g, trunc)
+            ref = reference_small_subspaces(t)
+            view = toeplitz_small_subspaces(t)
+            assert_same_subspaces(view, ref)
+            assert type(view.kernel_dim) is type(view.edge_artifacts) is int
+            assert type(view.gap_ratio) is float
+            assert_same_subspaces(SmallSubspaces(*(
+                getattr(sub, f.name)[i]
+                for f in dataclasses.fields(sub))), ref)
 
     def test_members_match_their_own_small_subspaces(self):
         base = BaseGrid.torus(8)
@@ -285,12 +323,16 @@ class TestFamilySubspaces:
         for k in (4, 8):
             trunc = FourierTruncation(k, 2)
             section = hardy_section(trunc)
-            sub = _family_subspaces(section, symbols, trunc, DEFAULT)
-            for i, alone in enumerate(self.alone(section, symbols, trunc)):
-                assert sub.kernel_dims[i] == alone.kernel_dim == 0
-                assert sub.cokernel_dims[i] == alone.cokernel_dim == 1
+            sub = _small_subspaces(
+                section, _compressions(section, symbols, trunc, DEFAULT),
+                trunc, DEFAULT)
+            for i, g in enumerate(symbols):
+                ref = reference_small_subspaces(
+                    toeplitz_compress(section, g, trunc))
+                assert sub.kernel_dim[i] == ref.kernel_dim == 0
+                assert sub.cokernel_dim[i] == ref.cokernel_dim == 1
                 assert np.array_equal(sub.cokernel_interior[i],
-                                      alone.cokernel_interior)
+                                      ref.cokernel_interior)
             assert sub.kernel_interior.shape == (12, trunc.dim, 0)
 
     def test_mixed_windings_keep_per_member_counts(self):
@@ -300,11 +342,14 @@ class TestFamilySubspaces:
         symbols = [SymbolFunction.exponential(n) for n in (1, -2, -1, 0)]
         trunc = FourierTruncation(8, 1)
         section = hardy_section(trunc)
-        sub = _family_subspaces(section, symbols, trunc, DEFAULT)
-        alone = self.alone(section, symbols, trunc)
-        assert sub.kernel_dims.tolist() == [a.kernel_dim for a in alone] \
+        sub = _small_subspaces(
+            section, _compressions(section, symbols, trunc, DEFAULT), trunc,
+            DEFAULT)
+        refs = [reference_small_subspaces(toeplitz_compress(section, g, trunc))
+                for g in symbols]
+        assert sub.kernel_dim.tolist() == [r.kernel_dim for r in refs] \
             == [0, 2, 1, 0]
-        assert sub.cokernel_dims.tolist() == [a.cokernel_dim for a in alone] \
+        assert sub.cokernel_dim.tolist() == [r.cokernel_dim for r in refs] \
             == [1, 0, 0, 0]
         assert sub.kernel_interior is None and sub.cokernel_interior is None
 
