@@ -31,8 +31,9 @@ from .errors import (InvalidSection, RankJump, RoundingAmbiguous,
 from .flow import (Partition, SpectralSection, _brackets, _first_invalid,
                    _gram_defect, _kept_above, _SampledCurve, _SpectrumCache,
                    _top_section, comparison_map, gap_partition)
-from .operators import (FourierTruncation, TruncatedOperator, _dirac_matrices,
-                        _require_hermitian, eigh, null_splits)
+from .operators import (FourierTruncation, TruncatedOperator, _band_of,
+                        _dense, _dirac_bands, _require_hermitian, eigh,
+                        null_splits)
 from .toeplitz import _compressions, _stable_subspaces, hardy_section
 
 
@@ -394,21 +395,23 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
 
 class CurveOfFamilies(_SampledCurve):
     """A curve u -> operator family over a common sample grid and
-    truncation, stored as one read-only stack ``samples`` of shape
-    (samples, vertices, dim, dim), vertices in the order of
+    truncation, stored as one read-only band stack ``samples`` of shape
+    (samples, vertices, 2b + 1, dim), vertices in the order of
     ``base.vertices``: an ``OperatorCurve`` with a vertex axis, whose
-    ``at(t)`` is the whole family at t as one stack."""
+    ``at(t)`` is the whole family at t as one dense stack."""
 
     def __init__(self, base: BaseGrid, ts, samples: np.ndarray,
                  truncation: FourierTruncation):
+        """``samples`` are the dense matrices (samples, vertices, dim,
+        dim); they are stored by their band."""
         self.base = base
-        samples = np.array(samples, dtype=complex)
+        samples = np.asarray(samples, dtype=complex)
         shape = (len(samples), len(base.vertices), truncation.dim,
                  truncation.dim)
         if samples.shape != shape:
             raise ValueError(f"samples have shape {samples.shape}, "
                              f"expected {shape}")
-        self._store(ts, samples, truncation, DEFAULT)
+        self._store(ts, _band_of(samples), truncation, DEFAULT)
 
     @classmethod
     def from_potentials(cls, base: BaseGrid, potential_fn, ts,
@@ -418,19 +421,21 @@ class CurveOfFamilies(_SampledCurve):
         ``potential_hermitian`` (the ``build_dirac`` guard)."""
         ts = [float(t) for t in ts]
         pots = [[potential_fn(v, t) for t in ts] for v in base.vertices]
-        matrices = _dirac_matrices([row[k] for k in range(len(ts))
-                                    for row in pots], trunc, tolerances)
+        bands = _dirac_bands([row[k] for k in range(len(ts))
+                              for row in pots], trunc, tolerances)
         curve = cls.__new__(cls)
         curve.base = base
-        curve._store(ts, matrices.reshape(len(ts), len(pots), trunc.dim,
-                                          trunc.dim), trunc, tolerances)
+        curve._store(ts, bands.reshape((len(ts), len(pots)) + bands.shape[1:]),
+                     trunc, tolerances)
         return curve
 
     def at(self, t: float, tolerances: Tolerances = DEFAULT) -> np.ndarray:
-        """The family at t as a read-only stack (vertices, dim, dim),
-        checked Hermitian member by member at ``tolerances``."""
-        stack = self._matrices(t)
-        _require_hermitian(stack, tolerances)
+        """The family at t as a read-only dense stack (vertices, dim, dim),
+        checked Hermitian member by member, on its band, at
+        ``tolerances``."""
+        band = self._band(t)
+        _require_hermitian(band, tolerances)
+        stack = _dense(band)
         stack.setflags(write=False)
         return stack
 

@@ -29,8 +29,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (EigenvalueAtCutoff, InvalidSection, NoGapFound,
                      RankJump, ResolutionExceeded, UnstableIndex)
 from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
-                        TruncatedOperator, _dirac_matrices, _require_hermitian,
-                        eigh, eigvalsh, numerical_rank)
+                        TruncatedOperator, _band_eigvalsh, _dirac_bands,
+                        _require_hermitian, eigh, eigvalsh, numerical_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,13 @@ class SpectralSection:
         field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex).copy()
-        b.setflags(write=False)
+        """Hold a copy of the basis, or the basis itself when it is a
+        read-only complex array that owns its data, which no one can
+        write."""
+        b = np.asarray(self.basis, dtype=complex)
+        if b.flags.writeable or b.base is not None:
+            b = b.copy()
+            b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
     @property
@@ -249,19 +254,20 @@ def difference_element(p: SpectralSection, q: SpectralSection,
 
 class _SampledCurve:
     """A curve [0, 1] -> Hermitian matrices, or stacks of them, held as one
-    read-only array ``samples`` (samples, ..., dim, dim) over ``ts``.  It
-    is affine on every sample segment [t_k, t_{k+1}], which is exactly
-    what the per-segment Lipschitz rate of the gap partition certifies.
-    A curve built from matrices is checked Hermitian at the default
-    tolerances, one built by ``from_potentials`` at the record it is
-    given."""
+    read-only band stack ``samples`` (samples, ..., 2b + 1, dim) over
+    ``ts``: every member as the diagonals of ``TruncatedOperator.band``,
+    b the exact half-bandwidth of the whole stack.  It is affine on every
+    sample segment [t_k, t_{k+1}], which is exactly what the per-segment
+    Lipschitz rate of the gap partition certifies.  A curve built from
+    matrices is checked Hermitian at the default tolerances, one built by
+    ``from_potentials`` at the record it is given."""
 
     def _store(self, ts, samples: np.ndarray, truncation: FourierTruncation,
                tolerances: Tolerances):
-        """Hold ``samples``, a complex array no one else writes, without a
-        copy, once the grid runs strictly up from 0 to 1 and every member
-        is Hermitian at ``tolerances`` (checked one sample at a time, so
-        the check's temporaries stay one sample large)."""
+        """Hold ``samples``, a complex band stack no one else writes,
+        without a copy, once the grid runs strictly up from 0 to 1 and
+        every member is Hermitian at ``tolerances`` (checked on the band,
+        one sample at a time)."""
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1 or len(ts) != len(samples) or len(ts) < 2:
             raise ValueError("need matching ts/operators with at least 2 "
@@ -275,9 +281,10 @@ class _SampledCurve:
         samples.setflags(write=False)
         self.ts, self.samples, self.truncation = ts, samples, truncation
 
-    def _matrices(self, t: float) -> np.ndarray:
-        """The sample itself at a sample point, else
-        ``(1 - lam) S_i + lam S_{i+1}`` on the segment of t."""
+    def _band(self, t: float) -> np.ndarray:
+        """The sample band itself at a sample point, else
+        ``(1 - lam) S_i + lam S_{i+1}`` on the segment of t, the dense
+        interpolation's arithmetic on every entry of the band."""
         t = float(t)
         i = bisect.bisect_left(self.ts, t)
         if i < len(self.ts) and self.ts[i] == t:
@@ -290,7 +297,7 @@ class _SampledCurve:
 
 class OperatorCurve(_SampledCurve):
     """Sampled curve [0, 1] -> Hermitian truncated operators, held as one
-    read-only stack ``samples`` (samples, dim, dim).
+    read-only band stack ``samples`` (samples, 2b + 1, dim).
 
     A curve built from potentials is the same curve (``build_dirac`` is
     affine in the potential) and keeps ``potentials`` for rebuilding at
@@ -301,8 +308,14 @@ class OperatorCurve(_SampledCurve):
                  potentials: Sequence[SymbolFunction] | None = None):
         if len({op.truncation for op in operators}) > 1:
             raise ValueError("all operators must share one truncation")
-        self._store(ts, np.stack([op.matrix for op in operators]),
-                    operators[0].truncation, DEFAULT)
+        # one band wide enough for every operator, zero beyond each one's
+        width = max(len(op.band) for op in operators) // 2
+        samples = np.zeros((len(operators), 2 * width + 1, operators[0].dim),
+                           dtype=complex)
+        for sample, op in zip(samples, operators):
+            own = len(op.band) // 2
+            sample[width - own:width + own + 1] = op.band
+        self._store(ts, samples, operators[0].truncation, DEFAULT)
         self.potentials = list(potentials) if potentials is not None else None
 
     @classmethod
@@ -311,16 +324,17 @@ class OperatorCurve(_SampledCurve):
                         tolerances: Tolerances = DEFAULT) -> "OperatorCurve":
         curve = cls.__new__(cls)
         curve.potentials = list(potentials)
-        curve._store(ts, _dirac_matrices(curve.potentials, trunc, tolerances),
+        curve._store(ts, _dirac_bands(curve.potentials, trunc, tolerances),
                      trunc, tolerances)
         return curve
 
     def at(self, t: float,
            tolerances: Tolerances = DEFAULT) -> TruncatedOperator:
-        """The operator at t, built anew on every call and checked
-        Hermitian at ``tolerances``."""
-        return TruncatedOperator(self._matrices(t), self.truncation,
-                                 tolerances)
+        """The operator at t, built anew on every call (on a view of the
+        sample band at a sample point) and checked Hermitian at
+        ``tolerances``."""
+        return TruncatedOperator._of_band(self._band(t), self.truncation,
+                                          tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +444,9 @@ class _SpectrumCache:
     tolerances.  For a family every operator is a stack over the base, so
     the spectra are (vertices, n), the decompositions and sections
     stacked, and each factorization is one LAPACK call over the base.
+    The band-backed operator at t of an ``OperatorCurve``, O(n b), is
+    built once and held for the call, so its spectrum and its
+    decomposition read one operator; a family's dense stack is not held.
 
     With ``_spectra_from_eigh`` the spectra are read off the
     eigendecompositions, for a caller that needs a section at every
@@ -444,6 +461,7 @@ class _SpectrumCache:
         self.curve = curve
         self.tolerances = tolerances
         self._spectra_from_eigh = _spectra_from_eigh
+        self._ops: dict[float, TruncatedOperator] = {}
         self._evals: dict[float, np.ndarray] = {}
         self._decs: dict[float, EigenDecomposition] = {}
         self._rates: dict[int, float] = {}
@@ -453,14 +471,21 @@ class _SpectrumCache:
         if t not in self._evals:
             self._evals[t] = (
                 self.decomposition(t).eigenvalues if self._spectra_from_eigh
-                else eigvalsh(self.curve.at(t, self.tolerances)))
+                else eigvalsh(self._operator(t)))
         return self._evals[t]
+
+    def _operator(self, t: float):
+        op = self._ops.get(t)
+        if op is None:
+            op = self.curve.at(t, self.tolerances)
+            if isinstance(op, TruncatedOperator):
+                self._ops[t] = op
+        return op
 
     def decomposition(self, t: float) -> EigenDecomposition:
         t = float(t)
         if t not in self._decs:
-            self._decs[t] = eigh(self.curve.at(t, self.tolerances),
-                                 self.tolerances)
+            self._decs[t] = eigh(self._operator(t), self.tolerances)
         return self._decs[t]
 
     def section(self, t: float, cutoff: float) -> SpectralSection:
@@ -492,7 +517,7 @@ class _SpectrumCache:
     def _segment_rate(self, k: int) -> float:
         if k not in self._rates:
             samples = self.curve.samples
-            step = eigvalsh(samples[k + 1] - samples[k])
+            step = _band_eigvalsh(samples[k + 1] - samples[k])
             rates = np.abs(step).max(axis=-1) \
                 / (self.curve.ts[k + 1] - self.curve.ts[k])
             self._rates[k] = float(np.max(rates))

@@ -8,8 +8,8 @@ stencil on midpoints, which couples only neighboring u-slices and has no
 spurious doubler modes; the twist enters once, on the wrap-around row,
 through the truncated multiplication matrix of g.  The stencil is
 assembled in one sparse pass: every slice is read on the nonzero pattern
-of the path's samples, so no slice is formed as a dense matrix except the
-wrap row's.
+of the path's sample bands, so no slice is formed as a dense matrix except
+the wrap row's.
 
 At finite mode truncation the square discretization forces raw kernel and
 cokernel counts to coincide, exactly as for Toeplitz compressions; genuine
@@ -36,10 +36,10 @@ import scipy.sparse as sp
 from .config import DEFAULT, Tolerances
 from .errors import DoublingDetected, GluingInconsistent
 from .flow import OperatorCurve
-from .operators import (FourierTruncation, SymbolFunction,
-                        build_multiplication, eigvalsh,
-                        gauge_transformed_potential, interior_directions,
-                        small_singular_vectors, split_rank)
+from .operators import (FourierTruncation, SymbolFunction, _band_eigvalsh,
+                        build_multiplication, gauge_transformed_potential,
+                        interior_directions, small_singular_vectors,
+                        split_rank)
 
 #: Largest coefficient of the endpoint potential minus the glued one.
 GLUING_ATOL = 1e-9
@@ -113,8 +113,9 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
 
     Slice j is the path at its midpoint u_j = (j + 1/2) / m_u, formed with
     the arithmetic of ``OperatorCurve.at`` but only on the nonzero pattern
-    of the sample stack ``path.samples`` (its union over the samples, made
-    symmetric, plus the diagonal), all slices in one ``(m_u, nnz)`` array.
+    of the sample bands ``path.samples`` (its union over the samples, made
+    symmetric, plus the diagonal, in row-major order), all slices in one
+    ``(m_u, nnz)`` array.
     Each slice must be Hermitian by the ``TruncatedOperator`` test at the
     given ``hermitian_max``.  Row j holds
     ``-I/h + D_j/2`` on the diagonal block and ``I/h + D_j/2`` on block
@@ -123,7 +124,7 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
 
     The path is affine between its samples and ``||D(s)||_2`` is convex on
     an affine segment, so the largest sample norm, from one ``eigvalsh``
-    of the stack, bounds every midpoint slice in ``sigma_max_bound``.
+    of the band stack, bounds every midpoint slice in ``sigma_max_bound``.
     """
     if m_u < 8:
         raise ValueError("need at least 8 u-slices")
@@ -131,12 +132,16 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
     dim = trunc.dim
     h = 1.0 / m_u
     path = spec.path
-    pattern = np.eye(dim, dtype=bool) | (path.samples != 0).any(axis=0)
-    pattern |= pattern.T
-    rows, cols = np.nonzero(pattern)
-    # position of entry (c, r) for entry (r, c); np.nonzero is row-major
-    transposed = np.searchsorted(rows * dim + cols, cols * dim + rows)
-    samples = path.samples[:, rows, cols]
+    width = path.samples.shape[-2] // 2
+    # band entry (width + d, j) is matrix entry (j + d, j)
+    offset, cols = np.nonzero((path.samples != 0).any(axis=0))
+    rows = cols + offset - width
+    keys = np.union1d(np.concatenate([rows * dim + cols, cols * dim + rows]),
+                      np.arange(dim) * (dim + 1))
+    rows, cols = np.divmod(keys, dim)
+    # position of entry (c, r) for entry (r, c); the keys are row-major
+    transposed = np.searchsorted(keys, cols * dim + rows)
+    samples = path.samples[:, width + rows - cols, cols]
 
     u = (np.arange(m_u) + 0.5) * h
     seg = np.clip(np.searchsorted(path.ts, u, side="right") - 1,
@@ -170,7 +175,7 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
                            wrap[wrap_rows, wrap_cols]])
     a = sp.coo_matrix((data, (row_idx, col_idx)),
                       shape=(m_u * dim, m_u * dim)).tocsc()
-    dnorm = float(np.abs(eigvalsh(path.samples)).max())
+    dnorm = float(np.abs(_band_eigvalsh(path.samples)).max())
     return MappingTorusOperator(a, spec, m_u, trunc,
                                 sigma_max_bound=2.0 / h + dnorm + 1.0)
 

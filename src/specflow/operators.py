@@ -230,33 +230,110 @@ def gauge_transformed_potential(g: SymbolFunction,
     return out.hermitized()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TruncatedOperator:
-    """Dense Hermitian matrix with its truncation metadata.
+    """Hermitian matrix with its truncation metadata, held as its band.
 
-    ``bandwidth`` is the exact half-bandwidth of the lower triangle (see
-    ``half_bandwidth``), read once at construction.
+    ``band`` (2b + 1, dim) holds both triangles of the matrix M as its
+    diagonals, ``band[b + d, j] = M[j + d, j]`` for d = -b..b (LAPACK's
+    general band layout with b sub- and b superdiagonals; the corners
+    beyond the matrix are zero), where b is the exact half-bandwidth of M,
+    the largest |i - j| over its nonzero entries.  ``matrix`` builds the
+    dense M on demand.  ``bandwidth`` is the exact half-bandwidth of the
+    lower triangle (see ``half_bandwidth``), read off the band.
+
+    A dense matrix given to the constructor is stored by its band; the
+    Hermiticity guard reads the band (``_non_hermitian_band``).
     """
 
-    matrix: np.ndarray
+    band: np.ndarray
     truncation: FourierTruncation
     tolerances: Tolerances = field(default=DEFAULT, repr=False, compare=False)
-    bandwidth: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.truncation.dim, self.truncation.dim):
+    def __init__(self, matrix, truncation: FourierTruncation,
+                 tolerances: Tolerances = DEFAULT):
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (truncation.dim, truncation.dim):
             raise ValueError(f"matrix shape {m.shape} does not match "
-                             f"truncation dim {self.truncation.dim}")
-        _require_hermitian(m, self.tolerances)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "bandwidth", half_bandwidth(m))
+                             f"truncation dim {truncation.dim}")
+        self._hold(_band_of(m), truncation, tolerances)
+
+    @classmethod
+    def _of_band(cls, band: np.ndarray, truncation: FourierTruncation,
+                 tolerances: Tolerances) -> "TruncatedOperator":
+        """The operator whose band, possibly padded with zero diagonals,
+        is ``band``; it is held without a copy, cut to its exact width."""
+        op = cls.__new__(cls)
+        op._hold(_exact_band(band), truncation, tolerances)
+        return op
+
+    def _hold(self, band: np.ndarray, truncation: FourierTruncation,
+              tolerances: Tolerances):
+        _require_hermitian(band, tolerances)
+        band.setflags(write=False)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "tolerances", tolerances)
 
     @property
     def dim(self) -> int:
         return self.truncation.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only and built anew on every call."""
+        m = _dense(self.band)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def bandwidth(self) -> int:
+        return int(_lower_width(self.band))
+
+
+def _band_of(m: np.ndarray) -> np.ndarray:
+    """The ``TruncatedOperator.band`` of a matrix, or of each member of a
+    stack (..., n, n), at the exact half-bandwidth of the whole stack."""
+    width = int(max(np.max(half_bandwidth(m)),
+                    np.max(half_bandwidth(np.swapaxes(m, -1, -2)))))
+    n = m.shape[-1]
+    band = np.zeros(m.shape[:-2] + (2 * width + 1, n), dtype=m.dtype)
+    for d in range(-width, width + 1):
+        band[..., width + d, max(-d, 0):n - max(d, 0)] = \
+            np.diagonal(m, -d, axis1=-2, axis2=-1)
+    return band
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The matrices (..., n, n) of a band or a stack of bands."""
+    width, n = band.shape[-2] // 2, band.shape[-1]
+    out = np.zeros(band.shape[:-2] + (n, n), dtype=band.dtype)
+    flat = out.reshape(band.shape[:-2] + (n * n,))
+    # diagonal d holds n - |d| entries from flat index d n (d >= 0) or
+    # -d, with stride n + 1
+    for d in range(-width, width + 1):
+        flat[..., d * n if d >= 0 else -d::n + 1][..., :n - abs(d)] = \
+            band[..., width + d, max(-d, 0):n - max(d, 0)]
+    return out
+
+
+def _exact_band(band: np.ndarray) -> np.ndarray:
+    """A band stack cut, as a view, to the largest |d| whose diagonal is
+    nonzero in some member."""
+    width = band.shape[-2] // 2
+    rows = (band != 0).any(axis=-1).reshape(-1, 2 * width + 1).any(axis=0)
+    exact = int(np.abs(np.flatnonzero(rows) - width).max(initial=0))
+    return band[..., width - exact:width + exact + 1, :]
+
+
+def _lower_width(band: np.ndarray):
+    """``half_bandwidth`` of the matrix of a band, or of each member of a
+    stack of bands: the largest d >= 0 whose diagonal ``band[b + d]`` is
+    nonzero, 0 for the zero matrix."""
+    width = band.shape[-2] // 2
+    nonzero = (band[..., width:, :] != 0).any(axis=-1)
+    return np.where(nonzero.any(axis=-1),
+                    width - np.argmax(nonzero[..., ::-1], axis=-1), 0)
 
 
 def _non_hermitian(m: np.ndarray,
@@ -267,16 +344,39 @@ def _non_hermitian(m: np.ndarray,
     one."""
     scale = 1.0 + np.abs(m).max(axis=(-2, -1))
     defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
+    return _first_defect(defect, scale, tolerances)
+
+
+def _non_hermitian_band(band: np.ndarray,
+                        tolerances: Tolerances = DEFAULT
+                        ) -> tuple[int, float] | None:
+    """``_non_hermitian`` of the matrices of a band stack (..., 2b + 1, n),
+    read on the band: diagonal d is compared with the conjugate of
+    diagonal -d, ``|M[j + d, j] - conj M[j, j + d]|``, which is also the
+    defect of the mirrored entry, so the defect and the scale are those
+    of the dense test to the last bit."""
+    width, n = band.shape[-2] // 2, band.shape[-1]
+    scale = 1.0 + np.abs(band).max(axis=(-2, -1))
+    diagonal = band[..., width, :]
+    defect = np.abs(diagonal - diagonal.conj()).max(axis=-1)
+    for d in range(1, width + 1):
+        mirrored = np.abs(band[..., width + d, :n - d]
+                          - band[..., width - d, d:].conj()).max(axis=-1)
+        defect = np.maximum(defect, mirrored)
+    return _first_defect(defect, scale, tolerances)
+
+
+def _first_defect(defect, scale, tolerances: Tolerances):
     bad = np.flatnonzero(defect > tolerances.hermitian_max * scale)
     if bad.size == 0:
         return None
     return int(bad[0]), float(np.ravel(defect)[bad[0]])
 
 
-def _require_hermitian(m: np.ndarray, tolerances: Tolerances = DEFAULT):
-    """ValueError for the first member of a stack that ``_non_hermitian``
-    finds, as ``TruncatedOperator`` reports it."""
-    bad = _non_hermitian(m, tolerances)
+def _require_hermitian(band: np.ndarray, tolerances: Tolerances = DEFAULT):
+    """ValueError for the first member of a band stack that
+    ``_non_hermitian_band`` finds, as ``TruncatedOperator`` reports it."""
+    bad = _non_hermitian_band(band, tolerances)
     if bad is not None:
         raise ValueError(f"matrix is not Hermitian: defect {bad[1]:.3e}")
 
@@ -317,9 +417,13 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
     every member comes out as it does on its own; a single matrix is a
     stack of one.
     """
-    m = operator.matrix if isinstance(operator, TruncatedOperator) \
-        else np.asarray(operator)
-    if _non_hermitian(m, tolerances) is not None:
+    if isinstance(operator, TruncatedOperator):
+        bad = _non_hermitian_band(operator.band, tolerances)
+        m = operator.matrix
+    else:
+        m = np.asarray(operator)
+        bad = _non_hermitian(m, tolerances)
+    if bad is not None:
         raise ValueError("eigh requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
     v = _canonical_phase(v)
@@ -377,36 +481,41 @@ def eigvalsh(operator) -> np.ndarray:
     stack (..., n, n), from the lower triangle.
 
     A matrix whose band of half-bandwidth b fills at most a sixteenth of
-    each column, 16 (b + 1) <= n, goes to LAPACK's Hermitian band solver
-    (O(n b^2) reduction); any other to the dense one.  Both see the same
-    entries.  The crossover was measured on random Hermitian band
-    matrices with one BLAS thread: the band solver costs about as much as
-    the dense one once b reaches n / 12 (n = 130 to 1026), and below
-    n = 24 the dense one wins for any b >= 1.  Members of a stack are
-    routed one by one: the band members are solved one at a time, the
-    dense ones by one LAPACK call.
+    each column, 16 (b + 1) <= n, goes to LAPACK's Hermitian band solver,
+    whose reduction to tridiagonal form (``?hbtrd``) costs O(n^2 b); any
+    other to the dense one.  Both see the same entries.  The crossover was
+    measured on random Hermitian band matrices with one BLAS thread: the
+    band solver costs about as much as the dense one once b reaches
+    n / 12 (n = 130 to 1026), and below n = 24 the dense one wins for any
+    b >= 1.  Members of a stack are routed one by one: the band members
+    are solved one at a time, the dense ones by one LAPACK call.  Every
+    matrix is read by its band (``_band_eigvalsh``): a band member hands
+    the solver the lower rows as they are, and only a dense member is
+    made dense.
     """
     if isinstance(operator, TruncatedOperator):
-        m, b = operator.matrix, operator.bandwidth
-    else:
-        m = np.asarray(operator)
-        b = half_bandwidth(m)
-    n = m.shape[-1]
-    flat = m.reshape(-1, n, n)
-    banded = np.ravel(16 * (b + 1) <= n)
+        return _band_eigvalsh(operator.band)
+    m = np.asarray(operator)
+    return _band_eigvalsh(_band_of(m.astype(np.result_type(m.dtype, float),
+                                            copy=False)))
+
+
+def _band_eigvalsh(band: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` of the matrices of a band stack (..., 2b + 1, n),
+    routed member by member on each member's exact lower
+    half-bandwidth."""
+    width, n = band.shape[-2] // 2, band.shape[-1]
+    lower = np.ravel(_lower_width(band))
+    flat = band.reshape(-1, 2 * width + 1, n)
+    banded = 16 * (lower + 1) <= n
     if not banded.any():
-        return np.linalg.eigvalsh(m)
-    out = np.empty(flat.shape[:-1], dtype=float)
+        return np.linalg.eigvalsh(_dense(band))
+    out = np.empty((len(flat), n), dtype=float)
     if not banded.all():
-        out[~banded] = np.linalg.eigvalsh(flat[~banded])
-    widths = np.ravel(b)
+        out[~banded] = np.linalg.eigvalsh(_dense(flat[~banded]))
     for i in np.flatnonzero(banded):
-        band = np.zeros((widths[i] + 1, n),
-                        dtype=np.result_type(m.dtype, float))
-        for d in range(widths[i] + 1):
-            band[d, :n - d] = np.diagonal(flat[i], -d)
-        out[i] = _banded_eigvals(band)
-    return out.reshape(m.shape[:-1])
+        out[i] = _banded_eigvals(flat[i, width:width + lower[i] + 1])
+    return out.reshape(band.shape[:-2] + (n,))
 
 
 def _banded_eigvals(band: np.ndarray) -> np.ndarray:
@@ -426,49 +535,82 @@ def build_multiplication(symbol: SymbolFunction,
     return _multiplications([symbol], trunc)[0]
 
 
-def _multiplications(symbols, trunc: FourierTruncation) -> np.ndarray:
-    """``build_multiplication`` of each symbol, as one stack
-    (len(symbols), dim, dim); one assignment per Fourier mode fills the
-    blocks of every symbol that carries it."""
+def _coefficient_table(symbols, trunc: FourierTruncation) -> np.ndarray:
+    """The coefficients of each symbol that couple truncated modes, as
+    one flat row per symbol: entry (a, c) of c_k at ``_coupling`` position
+    ((k + 2K) N + a) N + c, followed by one zero that stands for every
+    entry outside the window."""
     for symbol in symbols:
         if symbol.rank != trunc.bundle_rank:
             raise ValueError(f"symbol rank {symbol.rank} does not match "
                              f"bundle rank {trunc.bundle_rank}")
-    n, N = 2 * trunc.max_mode + 1, trunc.bundle_rank
-    out = np.zeros((len(symbols), trunc.dim, trunc.dim), dtype=complex)
-    # blocks[i, j, :, k, :] couples mode j to mode k for symbol i
-    blocks = out.reshape(len(symbols), n, N, n, N)
-    for d in sorted(set().union(*(s.coefficients for s in symbols))):
-        k = np.arange(max(0, -d), min(n, n - d))
-        if k.size == 0:
-            continue
-        members = [i for i, s in enumerate(symbols) if d in s.coefficients]
-        coeffs = np.stack([symbols[i].coefficients[d] for i in members])
-        blocks[np.array(members)[:, None], (k + d)[None, :], :,
-               k[None, :], :] = coeffs[:, None]
-    return out
+    span, N = 2 * trunc.max_mode, trunc.bundle_rank
+    table = np.zeros((len(symbols), 2 * span + 2, N, N), dtype=complex)
+    for i, symbol in enumerate(symbols):
+        for k, c in symbol.coefficients.items():
+            if abs(k) <= span:
+                table[i, k + span] = c
+    return table.reshape(len(symbols), -1)
+
+
+def _coupling(trunc: FourierTruncation, rows, cols) -> np.ndarray:
+    """Position in ``_coefficient_table`` of the multiplication entry
+    (rows, cols) (broadcast basis indices): entry (j N + a, k N + c)
+    is entry (a, c) of c_{j-k}."""
+    N = trunc.bundle_rank
+    (mode_r, comp_r), (mode_c, comp_c) = np.divmod(rows, N), np.divmod(cols, N)
+    return ((mode_r - mode_c + 2 * trunc.max_mode) * N + comp_r) * N + comp_c
+
+
+def _multiplications(symbols, trunc: FourierTruncation,
+                     rows: np.ndarray | None = None) -> np.ndarray:
+    """The ``build_multiplication`` matrix of each symbol restricted to
+    the basis indices ``rows`` (all of them by default), as one stack
+    (len(symbols), len(rows), len(rows)) read straight from the
+    coefficients, so a block is never cut out of a larger matrix."""
+    rows = np.arange(trunc.dim) if rows is None else np.asarray(rows)
+    return np.take(_coefficient_table(symbols, trunc),
+                   _coupling(trunc, rows[:, None], rows[None, :]), axis=1)
 
 
 def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
                 tolerances: Tolerances = DEFAULT) -> TruncatedOperator:
     """-i d/dx tensor I_N plus multiplication by a Hermitian potential."""
-    return TruncatedOperator(_dirac_matrices([potential], trunc, tolerances)[0],
-                             trunc, tolerances)
+    return TruncatedOperator._of_band(
+        _dirac_bands([potential], trunc, tolerances)[0], trunc, tolerances)
 
 
-def _dirac_matrices(potentials, trunc: FourierTruncation,
-                    tolerances: Tolerances) -> np.ndarray:
-    """The ``build_dirac`` matrix of each potential, as one stack.  A
-    potential whose ``hermitian_defect`` exceeds ``potential_hermitian``
-    is refused (the first one, in order)."""
+def _dirac_bands(potentials, trunc: FourierTruncation,
+                 tolerances: Tolerances) -> np.ndarray:
+    """The ``TruncatedOperator.band`` of the ``build_dirac`` matrix of each
+    potential, as one stack (len(potentials), 2b + 1, dim) written from
+    the coefficients, b the exact half-bandwidth of the whole stack: the
+    largest |k N + a - c| over the nonzero entries (a, c) of the
+    coefficients c_k with |k| <= 2K.  A potential whose
+    ``hermitian_defect`` exceeds ``potential_hermitian`` is refused (the
+    first one, in order)."""
     for potential in potentials:
         defect = potential.hermitian_defect()
         if defect > tolerances.potential_hermitian:
             raise ValueError("Dirac potential must be Hermitian-valued "
                              f"(defect {defect:.3e})")
-    out = _multiplications(potentials, trunc)
-    out += np.diag(trunc.modes().astype(complex))
-    return out
+    table = _coefficient_table(potentials, trunc)
+    n, N = trunc.dim, trunc.bundle_rank
+    # table position ((k + 2K) N + a) N + c sits on diagonal k N + a - c
+    mode, entry = np.divmod(np.flatnonzero(table.any(axis=0)), N * N)
+    width = int(np.abs((mode - 2 * trunc.max_mode) * N + entry // N
+                       - entry % N).max(initial=0))
+    cols = np.arange(n)
+    rows = cols + np.arange(-width, width + 1)[:, None]
+    inside = (rows >= 0) & (rows < n)
+    bands = np.take(table, np.where(inside, _coupling(trunc, rows, cols),
+                                    table.shape[1] - 1), axis=1)
+    # adding the mode diagonal as a full complex band, as the dense sum
+    # M_V + diag(modes) did, turns every -0.0 into 0.0 there too
+    modes = np.zeros((2 * width + 1, n), dtype=complex)
+    modes[width] = trunc.modes()
+    bands += modes
+    return bands
 
 
 @dataclass(frozen=True)

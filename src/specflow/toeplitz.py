@@ -52,10 +52,14 @@ def hardy_section(trunc: FourierTruncation,
 
     -i d/dx is diagonal with the integer mode numbers on the diagonal, so
     the section is the coordinate selection of the modes k >= 0, in basis
-    order.  Its window is the one ``aps_projection`` gives at cutoff 0:
-    the tolerance band plus half the distance to the modes +-1.
+    order: the last (K + 1) N basis vectors, written as one dim x rank
+    frame that the section holds without a copy.  Its window is the one
+    ``aps_projection`` gives at cutoff 0: the tolerance band plus half the
+    distance to the modes +-1.
     """
-    basis = np.eye(trunc.dim, dtype=complex)[:, trunc.modes() >= 0]
+    rank = (trunc.max_mode + 1) * trunc.bundle_rank
+    basis = np.eye(trunc.dim, rank, rank - trunc.dim, dtype=complex)
+    basis.setflags(write=False)
     atol = tolerances.cutoff_atol
     return SpectralSection(basis, atol + 0.5 * (1.0 - atol), "hardy",
                            rebuilder=lambda tr: hardy_section(tr, tolerances))
@@ -108,12 +112,13 @@ def _compressions(section: SpectralSection, symbols,
                              f"(defect {defect:.3e})")
     if section.dim != trunc.dim:
         raise ValueError("section dimension does not match truncation")
-    mg = _multiplications(symbols, trunc)
     rows = _coordinate_rows(section.basis)
     if rows is not None:
         # B* M B of a coordinate selection B only multiplies by 0 and 1,
-        # so the index block is the same matrix
-        return mg[:, rows[:, None], rows]
+        # so it is the block of M on those rows, written from the
+        # coefficients
+        return _multiplications(symbols, trunc, rows)
+    mg = _multiplications(symbols, trunc)
     return section.basis.conj().T @ mg @ section.basis
 
 

@@ -73,6 +73,56 @@ def skewed_shift_potential(shift: float, skew: float) -> SymbolFunction:
                            -1: np.array([[0.1 + 1j * skew]])}, rank=1)
 
 
+def dense_of_band(band: np.ndarray) -> np.ndarray:
+    """The dense matrices (..., n, n) of a band stack (..., 2b + 1, n) in
+    the layout of ``TruncatedOperator.band``, ``band[..., b + d, j] =
+    M[..., j + d, j]``, rebuilt one diagonal at a time."""
+    b, n = band.shape[-2] // 2, band.shape[-1]
+    out = np.zeros(band.shape[:-2] + (n, n), dtype=band.dtype)
+    for d in range(-b, b + 1):
+        j = np.arange(max(0, -d), min(n, n - d))
+        out[..., j + d, j] = band[..., b + d, j]
+    return out
+
+
+def reference_multiplications(symbols, trunc) -> np.ndarray:
+    """The dense multiplication matrices of the symbols, (len(symbols),
+    dim, dim), as the library built them before operators were stored by
+    their band: one block assignment per Fourier mode into a zero stack."""
+    n, N = 2 * trunc.max_mode + 1, trunc.bundle_rank
+    out = np.zeros((len(symbols), trunc.dim, trunc.dim), dtype=complex)
+    blocks = out.reshape(len(symbols), n, N, n, N)
+    for d in sorted(set().union(*(s.coefficients for s in symbols))):
+        k = np.arange(max(0, -d), min(n, n - d))
+        if k.size == 0:
+            continue
+        members = [i for i, s in enumerate(symbols) if d in s.coefficients]
+        coeffs = np.stack([symbols[i].coefficients[d] for i in members])
+        blocks[np.array(members)[:, None], (k + d)[None, :], :,
+               k[None, :], :] = coeffs[:, None]
+    return out
+
+
+def reference_dirac(potentials, trunc) -> np.ndarray:
+    """The dense Dirac matrices of the potentials, (len(potentials), dim,
+    dim): ``reference_multiplications`` plus the mode diagonal, added as a
+    full complex matrix."""
+    out = reference_multiplications(potentials, trunc)
+    out += np.diag(trunc.modes().astype(complex))
+    return out
+
+
+def reference_interpolation(ts, samples: np.ndarray, t: float) -> np.ndarray:
+    """The dense operator at t of a curve of dense samples: the sample at
+    a sample point, else ``(1 - lam) S_i + lam S_{i+1}``."""
+    ts = list(ts)
+    if t in ts:
+        return samples[ts.index(t)]
+    i = min(max(int(np.searchsorted(ts, t)) - 1, 0), len(ts) - 2)
+    lam = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return (1 - lam) * samples[i] + lam * samples[i + 1]
+
+
 def hermitian_guard_edge(stack: np.ndarray) -> float:
     """The smallest ``hermitian_max`` that accepts every member M of a
     stack: the largest ``||M - M*||_max / (1 + ||M||_max)``."""
@@ -227,30 +277,32 @@ def certify_level_matches_reference(monkeypatch):
     monkeypatch.setattr(specflow.flow, "certify_level", checked)
 
 
-def reference_mapping_torus_matrix(spec, m_u: int):
+def reference_mapping_torus_matrix(spec, m_u: int, samples=None):
     """The Cayley-stencil matrix and ``sigma_max_bound`` assembled block by
-    block: one dense midpoint operator ``spec.path.at(u_j)`` per slice, the
-    blocks ``-I/h + D/2`` and ``I/h + D/2`` (times the gluing matrix on the
-    wrap row), and ``sp.bmat`` over all of them."""
+    block: one dense midpoint operator per slice, interpolated from the
+    dense sample matrices (by default ``dense_of_band(spec.path.samples)``),
+    the blocks ``-I/h + D/2`` and ``I/h + D/2`` (times the gluing matrix
+    on the wrap row), and ``sp.bmat`` over all of them."""
+    if samples is None:
+        samples = dense_of_band(spec.path.samples)
     dim = spec.truncation.dim
     h = 1.0 / m_u
     eye = np.eye(dim)
     blocks = [[None] * m_u for _ in range(m_u)]
     for j in range(m_u):
-        d_mid = spec.path.at((j + 0.5) * h).matrix
+        d_mid = reference_interpolation(spec.path.ts, samples, (j + 0.5) * h)
         blocks[j][j] = -eye / h + 0.5 * d_mid
         right = eye / h + 0.5 * d_mid
         if j + 1 < m_u:
             blocks[j][j + 1] = right
         else:
             blocks[j][0] = right @ spec.glue_matrix()
-    dnorm = max(float(np.abs(eigvalsh(op)).max())
-                for op in spec.path.samples)
+    dnorm = max(float(np.abs(eigvalsh(op)).max()) for op in samples)
     return sp.bmat(blocks, format="csc"), 2.0 / h + dnorm + 1.0
 
 
-def assert_matches_reference_assembly(op):
-    matrix, bound = reference_mapping_torus_matrix(op.spec, op.m_u)
+def assert_matches_reference_assembly(op, samples=None):
+    matrix, bound = reference_mapping_torus_matrix(op.spec, op.m_u, samples)
     assert op.matrix.shape == matrix.shape
     assert op.matrix.dtype == matrix.dtype
     for name in ("indptr", "indices", "data"):

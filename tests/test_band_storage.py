@@ -1,0 +1,234 @@
+"""Band storage: every operator, curve sample and Hardy compression is
+written from coefficients and equals, bit for bit, the dense matrices the
+library built before (the conftest reference builders); the band keeps
+both triangles for the Hermiticity guard; and the peak memory of the
+flows and indices stays O(dim b)."""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import specflow.operators
+from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
+                      OperatorCurve, SymbolFunction, TruncatedOperator,
+                      TwistedLoopSpec, aps_projection, build_dirac,
+                      build_mapping_torus, eigh, eigvalsh,
+                      gauge_transformed_potential, hardy_section, sf_pairs)
+from specflow.config import DEFAULT
+from specflow.models import bott_symbol_family
+from specflow.operators import _band_eigvalsh, half_bandwidth
+from specflow.toeplitz import _compressions, dirac_aps_section
+from conftest import (assert_matches_reference_assembly, dense_of_band,
+                      random_hermitian_symbol, random_trig_unitary,
+                      reference_dirac, reference_interpolation,
+                      reference_multiplications, rng_for)
+
+
+def conjugation_path(rank: int, seed: int, ts=(0.0, 0.5, 1.0)):
+    """The potentials t (i g' g*) of an index_flow-style path from -i d/dx
+    to its conjugate by a seeded unitary symbol g: the one at t = 0 has no
+    coefficients at all."""
+    symbol, winding = random_trig_unitary(rank, rng_for(seed))
+    end = gauge_transformed_potential(symbol)
+    return symbol, winding, [end.scale(t) for t in ts]
+
+
+def assert_bit_identical(x, y):
+    assert x.shape == y.shape and x.dtype == y.dtype
+    assert np.array_equal(x, y)
+    # signed zeros too: LAPACK reads the sign of a zero
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(x)), np.signbit(part(y)))
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("width", [0, 1, 3])
+    def test_build_dirac(self, rank, width):
+        tr = FourierTruncation(6, rank)
+        pot = random_hermitian_symbol(rank, width, rng_for(40 + 10 * rank
+                                                           + width))
+        op = build_dirac(pot, tr)
+        dense = reference_dirac([pot], tr)[0]
+        assert_bit_identical(op.matrix, dense)
+        assert op.bandwidth == half_bandwidth(dense)
+        assert_bit_identical(eigvalsh(op), eigvalsh(dense))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("k", [4, 32, 128])
+    def test_curve_at(self, rank, k):
+        ts = (0.0, 0.5, 1.0)
+        _, _, pots = conjugation_path(rank, 50 + k + rank, ts)
+        tr = FourierTruncation(k, rank)
+        curve = OperatorCurve.from_potentials(ts, pots, tr)
+        dense = reference_dirac(pots, tr)
+        assert_bit_identical(dense_of_band(curve.samples), dense)
+        for t in (0.0, 0.5, 1.0, 0.25, 0.7):
+            op = curve.at(t)
+            expected = reference_interpolation(ts, dense, t)
+            assert_bit_identical(op.matrix, expected)
+            assert op.bandwidth == half_bandwidth(expected)
+            assert_bit_identical(eigvalsh(op), eigvalsh(expected))
+        for j in range(len(ts) - 1):
+            assert_bit_identical(
+                _band_eigvalsh(curve.samples[j + 1] - curve.samples[j]),
+                eigvalsh(dense[j + 1] - dense[j]))
+
+    def test_curve_of_families_at(self):
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        ts = (0.0, 0.5, 1.0)
+        tr = FourierTruncation(4, 2)
+        cf = CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), ts, tr)
+        dense = reference_dirac([pots[v].scale(t) for t in ts
+                                 for v in base.vertices], tr)
+        dense = dense.reshape(len(ts), len(base.vertices), tr.dim, tr.dim)
+        for t in (0.0, 0.5, 1.0, 0.3, 0.9):
+            assert_bit_identical(cf.at(t), reference_interpolation(ts, dense,
+                                                                   t))
+        assert_bit_identical(_band_eigvalsh(cf.samples[1] - cf.samples[0]),
+                             eigvalsh(dense[1] - dense[0]))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_hardy_compressions(self, rank):
+        symbols = [random_trig_unitary(rank, rng_for(60 + i + 5 * rank),
+                                       max_winding=3)[0] for i in range(4)]
+        for tr in (FourierTruncation(16, rank), FourierTruncation(32, rank)):
+            rows = np.flatnonzero(tr.modes() >= 0)
+            expected = reference_multiplications(symbols, tr)[
+                :, rows[:, None], rows]
+            assert_bit_identical(
+                _compressions(hardy_section(tr), symbols, tr, DEFAULT),
+                expected)
+
+    def test_non_coordinate_compressions(self):
+        tr = FourierTruncation(6, 1)
+        section = dirac_aps_section(SymbolFunction.constant(0.3), tr)
+        symbols = [SymbolFunction.exponential(n) for n in (-1, 2)]
+        basis = section.basis
+        expected = basis.conj().T @ reference_multiplications(symbols, tr) \
+            @ basis
+        assert_bit_identical(_compressions(section, symbols, tr, DEFAULT),
+                             expected)
+
+    @pytest.mark.parametrize("m_u", [8, 13])
+    def test_mapping_torus_csc(self, m_u):
+        symbol = SymbolFunction.exponential(2)
+        ts = (0.0, 0.5, 1.0)
+        pots = [gauge_transformed_potential(symbol).scale(t) for t in ts]
+        tr = FourierTruncation(6, 1)
+        spec = TwistedLoopSpec(OperatorCurve.from_potentials(ts, pots, tr),
+                               symbol)
+        op = build_mapping_torus(spec, m_u)
+        assert_matches_reference_assembly(op, reference_dirac(pots, tr))
+
+
+class TestBandGuard:
+    def test_upper_triangle_defect_is_refused(self):
+        # the lower triangle is diagonal, so only a band that keeps the
+        # upper triangle sees the defect
+        tr = FourierTruncation(4, 1)
+        m = np.diag(tr.modes().astype(complex))
+        m[0, 5] = 1e-3
+        with pytest.raises(ValueError,
+                           match="matrix is not Hermitian: defect 1.000e-03"):
+            TruncatedOperator(m, tr)
+
+    def test_eigh_checks_the_band_it_holds(self, monkeypatch):
+        tr = FourierTruncation(4, 1)
+        pot = SymbolFunction({0: np.array([[0.3]]), 1: np.array([[0.1]]),
+                              -1: np.array([[0.1 + 1e-8j]])}, rank=1)
+        loose = DEFAULT.with_(hermitian_max=1e-6, potential_hermitian=1e-6)
+        op = build_dirac(pot, tr, loose)
+        expected = eigh(op.matrix, loose).eigenvalues
+
+        def dense_check(*args):
+            raise AssertionError("dense Hermiticity scan of a band operator")
+
+        monkeypatch.setattr(specflow.operators, "_non_hermitian", dense_check)
+        assert np.array_equal(eigh(op, loose).eigenvalues, expected)
+        with pytest.raises(ValueError, match="eigh requires a Hermitian"):
+            eigh(op)
+
+
+class TestOneOperatorPerParameter:
+    def test_sf_pairs_builds_each_operator_once(self, monkeypatch):
+        _, winding, pots = conjugation_path(2, 70)
+        tr = FourierTruncation(8, 2)
+        curve = OperatorCurve.from_potentials((0.0, 0.5, 1.0), pots, tr)
+        q0, q1 = (aps_projection(curve.at(t), 0.0, policy="inclusive")
+                  for t in (0.0, 1.0))
+        built = Counter()
+        original = OperatorCurve.at
+
+        def counted(self, t, *args, **kwargs):
+            built[float(t)] += 1
+            return original(self, t, *args, **kwargs)
+
+        monkeypatch.setattr(OperatorCurve, "at", counted)
+        assert sf_pairs(curve, q0, q1) == -winding
+        assert built and set(built.values()) == {1}
+
+
+#: Run in a fresh interpreter, so the suite's autouse checks, which repeat
+#: every stacked split and decomposition, are not traced with the library.
+PEAK_SCRIPT = """
+import json, tracemalloc
+from conftest import random_trig_unitary, rng_for
+from specflow import (FourierTruncation, OperatorCurve, fredholm_index,
+                      gauge_transformed_potential, hardy_section,
+                      spectral_flow, toeplitz_compress)
+
+def traced(fn):
+    tracemalloc.start()
+    value = fn()
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    return value, peak
+
+symbol, winding = random_trig_unitary(2, rng_for(80))
+tr = FourierTruncation(128, 2)
+end = gauge_transformed_potential(symbol)
+curve = OperatorCurve.from_potentials(
+    [0.0, 0.5, 1.0], [end.scale(t) for t in (0.0, 0.5, 1.0)], tr)
+t = toeplitz_compress(hardy_section(tr), symbol, tr)
+sf, sf_peak = traced(lambda: spectral_flow(curve))
+index, index_peak = traced(lambda: fredholm_index(t))
+print(json.dumps(dict(winding=winding, sf=sf, sf_peak=sf_peak, index=index,
+                      index_peak=index_peak)))
+"""
+
+
+@pytest.fixture(scope="module")
+def peaks() -> dict:
+    """The integers and traced peaks (MB) of ``PEAK_SCRIPT``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(specflow.__file__).parents[1]), str(Path(__file__).parent)]))
+    done = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestPeakMemory:
+    """The index_flow solves at K = 128 on rank 2 (dim 514), traced by
+    tracemalloc from the call: the flow of the conjugation path reads
+    O(dim b) bands, and the Toeplitz index builds no dim x dim
+    multiplication or identity matrix, so its frames and compressions at
+    2K dominate."""
+
+    def test_spectral_flow(self, peaks):
+        assert peaks["sf"] == -peaks["winding"]
+        assert peaks["sf_peak"] <= 2.0
+
+    def test_fredholm_index(self, peaks):
+        assert peaks["index"] == -peaks["winding"]
+        assert peaks["index_peak"] <= 20.0

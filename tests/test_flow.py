@@ -12,7 +12,7 @@ from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
                              InvalidSection, NoGapFound)
 from specflow.flow import DifferenceElement, _SpectrumCache, certify_level
-from conftest import (count_eigh, hermitian_guard_edge,
+from conftest import (count_eigh, dense_of_band, hermitian_guard_edge,
                       random_hermitian_symbol, random_unitary, rng_for,
                       skewed_shift_potential)
 
@@ -215,7 +215,7 @@ class TestOperatorCurve:
         curve = OperatorCurve.from_potentials(ts, pots, tr)
         i = 0 if t < 0.4 else 1
         lam = (t - ts[i]) / (ts[i + 1] - ts[i])
-        a, b = curve.samples[i], curve.samples[i + 1]
+        a, b = dense_of_band(curve.samples[i:i + 2])
         assert np.array_equal(curve.at(t).matrix, (1 - lam) * a + lam * b)
         # build_dirac is affine in the potential: the same operator
         interpolated = pots[i].scale(1 - lam) + pots[i + 1].scale(lam)
@@ -228,23 +228,26 @@ class TestOperatorCurve:
         ts = [0.0, 0.4, 1.0]
         pots = [random_hermitian_symbol(2, 2, rng, scale=0.5) for _ in ts]
         built = []
-        original = specflow.flow._dirac_matrices
+        original = specflow.flow._dirac_bands
 
         def recorded(*args):
             built.append(original(*args))
             return built[-1]
 
-        monkeypatch.setattr(specflow.flow, "_dirac_matrices", recorded)
+        monkeypatch.setattr(specflow.flow, "_dirac_bands", recorded)
         curve = OperatorCurve.from_potentials(ts, pots, tr)
-        # one build of every sample, held as it was built
+        # one build of every sample, held as it was built: the band of
+        # the exact half-bandwidth (2 + 1) N - 1 of rank-2 potentials of
+        # Fourier bandwidth 2
         assert len(built) == 1 and curve.samples is built[0]
-        assert curve.samples.shape == (3, tr.dim, tr.dim)
+        assert curve.samples.shape == (3, 2 * 5 + 1, tr.dim)
         assert not curve.samples.flags.writeable
         assert not hasattr(curve, "operators")
         assert not hasattr(curve, "_cache")
         # between samples, test_affine_in_matrices checks the arithmetic
         for i, t in enumerate(ts):
-            assert np.array_equal(curve.at(t).matrix, curve.samples[i])
+            assert np.array_equal(curve.at(t).matrix,
+                                  dense_of_band(curve.samples[i]))
         # every call builds a fresh operator
         assert curve.at(0.25) is not curve.at(0.25)
         assert curve.at(0.4) is not curve.at(0.4)
@@ -279,8 +282,8 @@ class TestCurveTolerances:
         curve = self.curve(self.loose)
         # ||M||_max grows with the shift and the defect stays 1e-8, so
         # the first sample is the worst operator on the curve
-        edge = hermitian_guard_edge(curve.samples[0])
-        assert hermitian_guard_edge(curve.samples) == edge
+        edge = hermitian_guard_edge(dense_of_band(curve.samples[0]))
+        assert hermitian_guard_edge(dense_of_band(curve.samples)) == edge
         inside = self.loose.with_(hermitian_max=edge * (1 + 1e-6))
         outside = self.loose.with_(hermitian_max=edge * (1 - 1e-6))
         assert spectral_flow(curve, tolerances=inside) == 1
@@ -348,7 +351,8 @@ class TestSpectralFlow:
                 for t in ts]
         curve = OperatorCurve.from_potentials(ts, pots, tr)
         warped = OperatorCurve(ts ** 2, [TruncatedOperator(m, tr)
-                                         for m in curve.samples],
+                                         for m in dense_of_band(
+                                             curve.samples)],
                                potentials=curve.potentials)
         assert spectral_flow(curve) == spectral_flow(warped)
 

@@ -17,7 +17,7 @@ from specflow.operators import (NullSplit, _orthonormal_columns,
                                 null_split, null_splits, numerical_rank,
                                 small_singular_vectors, split_rank)
 from conftest import (assert_matches_dense_split, dense_null_split,
-                      derivative_matrix, fd_dirac_cos_spectrum,
+                      dense_of_band, derivative_matrix, fd_dirac_cos_spectrum,
                       random_hermitian, random_hermitian_symbol,
                       random_trig_unitary, random_unitary, rng_for,
                       sine_of_largest_angle, svd_shapes)
@@ -251,7 +251,7 @@ class TestBandedEigvalsh:
         cache = _SpectrumCache(curve)
         calls = band_calls(monkeypatch)
         for k in range(2):
-            step = curve.samples[k + 1] - curve.samples[k]
+            step = dense_of_band(curve.samples[k + 1] - curve.samples[k])
             dense = np.abs(np.linalg.eigvalsh(step)).max() \
                 / (ts[k + 1] - ts[k])
             assert abs(cache._segment_rate(k) - dense) <= 1e-12 * dense
@@ -523,7 +523,8 @@ class TestBuildDirac:
         tr = FourierTruncation(5, 2)
         pots = [random_hermitian_symbol(2, b, rng) for b in (0, 1, 3)]
         pots.append(SymbolFunction({}, rank=2))
-        stack = specflow.operators._dirac_matrices(pots, tr, DEFAULT)
+        stack = dense_of_band(
+            specflow.operators._dirac_bands(pots, tr, DEFAULT))
         for m, pot in zip(stack, pots):
             assert np.array_equal(m, build_dirac(pot, tr).matrix)
             assert np.array_equal(m, np.diag(tr.modes().astype(complex))
