@@ -32,8 +32,7 @@ from .flow import (Partition, SpectralSection, _brackets, _first_invalid,
                    _gram_defect, _kept_above, _SampledCurve, _SpectrumCache,
                    _top_section, comparison_map, gap_partition)
 from .operators import (FourierTruncation, TruncatedOperator, _band_of,
-                        _dense, _dirac_bands, _require_hermitian, eigh,
-                        null_splits)
+                        _dirac_bands, eigh, null_splits)
 from .toeplitz import _compressions, _stable_subspaces, hardy_section
 
 
@@ -43,23 +42,33 @@ from .toeplitz import _compressions, _stable_subspaces, hardy_section
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Truncated operators over the base vertices, a view of one stack
-    ``matrices`` (vertices, dim, dim) in the order of ``base.vertices``;
-    ``family[v]`` is the operator at vertex v."""
+    """Truncated operators over the base vertices, held as one
+    ``operator`` whose band is a stack (vertices, 2b + 1, dim) in the
+    order of ``base.vertices``; ``family[v]`` is the operator at vertex v,
+    a view of its member's band."""
 
     base: BaseGrid
-    matrices: np.ndarray
-    truncation: FourierTruncation
+    operator: TruncatedOperator
 
     def __post_init__(self):
-        shape = (len(self.base.vertices),) + (self.truncation.dim,) * 2
-        if np.shape(self.matrices) != shape:
-            raise ValueError(f"matrices have shape {np.shape(self.matrices)}, "
-                             f"expected {shape}")
+        shape = self.operator.band.shape
+        if shape[:-2] != (len(self.base.vertices),):
+            raise ValueError(f"operator band has shape {shape}, expected "
+                             f"one member per base vertex")
+
+    @property
+    def truncation(self) -> FourierTruncation:
+        return self.operator.truncation
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The dense members (vertices, dim, dim), built on every call."""
+        return self.operator.matrix
 
     def __getitem__(self, vertex) -> TruncatedOperator:
-        return TruncatedOperator(self.matrices[self.base.positions[vertex]],
-                                 self.truncation)
+        return TruncatedOperator._of_band(
+            self.operator.band[self.base.positions[vertex]], self.truncation,
+            self.operator.tolerances)
 
 
 def _constant_rank(base: BaseGrid, ranks, what: str) -> int:
@@ -398,7 +407,8 @@ class CurveOfFamilies(_SampledCurve):
     truncation, stored as one read-only band stack ``samples`` of shape
     (samples, vertices, 2b + 1, dim), vertices in the order of
     ``base.vertices``: an ``OperatorCurve`` with a vertex axis, whose
-    ``at(t)`` is the whole family at t as one dense stack."""
+    ``at(t)`` is the operator of the whole family at t, its band a stack
+    (vertices, 2b + 1, dim)."""
 
     def __init__(self, base: BaseGrid, ts, samples: np.ndarray,
                  truncation: FourierTruncation):
@@ -429,21 +439,10 @@ class CurveOfFamilies(_SampledCurve):
                      trunc, tolerances)
         return curve
 
-    def at(self, t: float, tolerances: Tolerances = DEFAULT) -> np.ndarray:
-        """The family at t as a read-only dense stack (vertices, dim, dim),
-        checked Hermitian member by member, on its band, at
-        ``tolerances``."""
-        band = self._band(t)
-        _require_hermitian(band, tolerances)
-        stack = _dense(band)
-        stack.setflags(write=False)
-        return stack
-
     def family_at(self, t: float,
                   tolerances: Tolerances = DEFAULT) -> OperatorFamily:
         """The family at t, checked Hermitian at ``tolerances``."""
-        return OperatorFamily(self.base, self.at(t, tolerances),
-                              self.truncation)
+        return OperatorFamily(self.base, self.at(t, tolerances))
 
 
 def _common_partition(curve_fam: CurveOfFamilies, tolerances: Tolerances,
@@ -536,9 +535,9 @@ def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,
                        tolerances: Tolerances = DEFAULT) -> dict:
     """Pointwise positive-cutoff sections of an operator family: the
     ``aps_projection`` of every vertex operator, from one stacked
-    ``eigh`` of the family."""
+    ``eigh`` of the family's operator."""
     vertices = family.base.vertices
-    dec = eigh(family.matrices, tolerances)
+    dec = eigh(family.operator, tolerances)
     counts, windows = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
     return {v: _top_section(vecs, rank, float(window), cutoff, policy)
             for v, vecs, rank, window in zip(vertices, dec.eigenvectors,

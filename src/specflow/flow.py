@@ -265,17 +265,10 @@ class _SampledCurve:
     def _store(self, ts, samples: np.ndarray, truncation: FourierTruncation,
                tolerances: Tolerances):
         """Hold ``samples``, a complex band stack no one else writes,
-        without a copy, once the grid runs strictly up from 0 to 1 and
-        every member is Hermitian at ``tolerances`` (checked on the band,
-        one sample at a time)."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1 or len(ts) != len(samples) or len(ts) < 2:
-            raise ValueError("need matching ts/operators with at least 2 "
-                             "samples")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("parameter samples must be strictly increasing")
-        if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
-            raise ValueError("curve must be sampled on [0, 1] with endpoints")
+        without a copy, once the grid runs strictly up from 0 to 1
+        (``_sample_grid``) and every member is Hermitian at ``tolerances``
+        (checked on the band, one sample at a time)."""
+        ts = _sample_grid(ts, len(samples))
         for sample in samples:
             _require_hermitian(sample, tolerances)
         samples.setflags(write=False)
@@ -294,6 +287,29 @@ class _SampledCurve:
         lam = (t - t0) / (t1 - t0)
         return (1 - lam) * self.samples[i] + lam * self.samples[i + 1]
 
+    def at(self, t: float,
+           tolerances: Tolerances = DEFAULT) -> TruncatedOperator:
+        """The operator at t, built anew on every call (on a view of the
+        sample band at a sample point) and checked Hermitian at
+        ``tolerances``; for a curve of families, the operator of the whole
+        family, whose band is a stack over the vertices."""
+        return TruncatedOperator._of_band(self._band(t), self.truncation,
+                                          tolerances)
+
+
+def _sample_grid(ts, count: int) -> np.ndarray:
+    """The parameter samples as floats, once there are at least 2, one
+    per sample of the curve, strictly increasing from 0 to 1."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or len(ts) != count or len(ts) < 2:
+        raise ValueError("need matching ts/operators with at least 2 "
+                         "samples")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("parameter samples must be strictly increasing")
+    if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
+        raise ValueError("curve must be sampled on [0, 1] with endpoints")
+    return ts
+
 
 class OperatorCurve(_SampledCurve):
     """Sampled curve [0, 1] -> Hermitian truncated operators, held as one
@@ -306,6 +322,7 @@ class OperatorCurve(_SampledCurve):
 
     def __init__(self, ts: Sequence[float], operators: Sequence[TruncatedOperator],
                  potentials: Sequence[SymbolFunction] | None = None):
+        ts = _sample_grid(ts, len(operators))
         if len({op.truncation for op in operators}) > 1:
             raise ValueError("all operators must share one truncation")
         # one band wide enough for every operator, zero beyond each one's
@@ -327,14 +344,6 @@ class OperatorCurve(_SampledCurve):
         curve._store(ts, _dirac_bands(curve.potentials, trunc, tolerances),
                      trunc, tolerances)
         return curve
-
-    def at(self, t: float,
-           tolerances: Tolerances = DEFAULT) -> TruncatedOperator:
-        """The operator at t, built anew on every call (on a view of the
-        sample band at a sample point) and checked Hermitian at
-        ``tolerances``."""
-        return TruncatedOperator._of_band(self._band(t), self.truncation,
-                                          tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +450,12 @@ class _SpectrumCache:
     The curve is an ``OperatorCurve`` or a ``bundles.CurveOfFamilies``,
     which hold only their sample stack and build the operator at t anew
     on every ``at(t, tolerances)``, called here with the call's
-    tolerances.  For a family every operator is a stack over the base, so
-    the spectra are (vertices, n), the decompositions and sections
-    stacked, and each factorization is one LAPACK call over the base.
-    The band-backed operator at t of an ``OperatorCurve``, O(n b), is
-    built once and held for the call, so its spectrum and its
-    decomposition read one operator; a family's dense stack is not held.
+    tolerances.  For a family the operator's band is a stack over the
+    base, so the spectra are (vertices, n), the decompositions and
+    sections stacked, and each factorization is one LAPACK call over the
+    base.  The band-backed operator at t, O(n b) per member, is built
+    once and held until ``release``, so its spectrum and its
+    decomposition read one operator.
 
     With ``_spectra_from_eigh`` the spectra are read off the
     eigendecompositions, for a caller that needs a section at every
@@ -474,13 +483,10 @@ class _SpectrumCache:
                 else eigvalsh(self._operator(t)))
         return self._evals[t]
 
-    def _operator(self, t: float):
-        op = self._ops.get(t)
-        if op is None:
-            op = self.curve.at(t, self.tolerances)
-            if isinstance(op, TruncatedOperator):
-                self._ops[t] = op
-        return op
+    def _operator(self, t: float) -> TruncatedOperator:
+        if t not in self._ops:
+            self._ops[t] = self.curve.at(t, self.tolerances)
+        return self._ops[t]
 
     def decomposition(self, t: float) -> EigenDecomposition:
         t = float(t)
@@ -494,7 +500,8 @@ class _SpectrumCache:
                               self.tolerances)
 
     def release(self, t: float):
-        """Drop the eigendecomposition at t."""
+        """Drop the operator at t and its eigendecomposition."""
+        self._ops.pop(float(t), None)
         self._decs.pop(float(t), None)
 
     def lipschitz(self, u: float, v: float, safety: float) -> float:

@@ -37,9 +37,9 @@ from .config import DEFAULT, Tolerances
 from .errors import DoublingDetected, GluingInconsistent
 from .flow import OperatorCurve
 from .operators import (FourierTruncation, SymbolFunction, _band_eigvalsh,
-                        build_multiplication, gauge_transformed_potential,
-                        interior_directions, small_singular_vectors,
-                        split_rank)
+                        _non_hermitian_band, build_multiplication,
+                        gauge_transformed_potential, interior_directions,
+                        small_singular_vectors, split_rank)
 
 #: Largest coefficient of the endpoint potential minus the glued one.
 GLUING_ATOL = 1e-9
@@ -111,13 +111,13 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
                         ) -> MappingTorusOperator:
     """Assemble the Cayley-stencil discretization on m_u slices.
 
-    Slice j is the path at its midpoint u_j = (j + 1/2) / m_u, formed with
-    the arithmetic of ``OperatorCurve.at`` but only on the nonzero pattern
+    Slice j is the path at its midpoint u_j = (j + 1/2) / m_u, formed as
+    its band with the arithmetic of ``OperatorCurve.at``, all slices in
+    one ``(m_u, 2b + 1, dim)`` stack.  Each slice must be Hermitian by the
+    ``TruncatedOperator`` test (``_non_hermitian_band``) at the given
+    ``hermitian_max``.  The slices are then read on the nonzero pattern
     of the sample bands ``path.samples`` (its union over the samples, made
-    symmetric, plus the diagonal, in row-major order), all slices in one
-    ``(m_u, nnz)`` array.
-    Each slice must be Hermitian by the ``TruncatedOperator`` test at the
-    given ``hermitian_max``.  Row j holds
+    symmetric, plus the diagonal, in row-major order).  Row j holds
     ``-I/h + D_j/2`` on the diagonal block and ``I/h + D_j/2`` on block
     j + 1; the wrap row's second block is multiplied by the gluing matrix.
     Exact zeros are dropped, as a dense-to-sparse conversion would.
@@ -139,21 +139,17 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
     keys = np.union1d(np.concatenate([rows * dim + cols, cols * dim + rows]),
                       np.arange(dim) * (dim + 1))
     rows, cols = np.divmod(keys, dim)
-    # position of entry (c, r) for entry (r, c); the keys are row-major
-    transposed = np.searchsorted(keys, cols * dim + rows)
-    samples = path.samples[:, width + rows - cols, cols]
 
     u = (np.arange(m_u) + 0.5) * h
     seg = np.clip(np.searchsorted(path.ts, u, side="right") - 1,
                   0, len(path.ts) - 2)
-    lam = ((u - path.ts[seg]) / (path.ts[seg + 1] - path.ts[seg]))[:, None]
-    d_mid = (1 - lam) * samples[seg] + lam * samples[seg + 1]
-    scale = 1.0 + np.abs(d_mid).max(axis=1)
-    defect = np.abs(d_mid - d_mid[:, transposed].conj()).max(axis=1)
-    bad = np.flatnonzero(defect > tolerances.hermitian_max * scale)
-    if bad.size:
+    lam = ((u - path.ts[seg]) / np.diff(path.ts)[seg])[:, None, None]
+    bands = (1 - lam) * path.samples[seg] + lam * path.samples[seg + 1]
+    bad = _non_hermitian_band(bands, tolerances)
+    if bad is not None:
         raise ValueError(f"u-slice {bad[0]} is not Hermitian: "
-                         f"defect {defect[bad[0]]:.3e}")
+                         f"defect {bad[1]:.3e}")
+    d_mid = bands[:, width + rows - cols, cols]
 
     eye = (rows == cols).astype(float)
     left = -eye / h + 0.5 * d_mid

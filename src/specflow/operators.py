@@ -13,6 +13,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -90,7 +91,11 @@ class SymbolFunction:
         clean = {}
         for k, c in self.coefficients.items():
             block = _as_block(c, self.rank)
-            if np.abs(block).max() > 0:
+            # a NaN propagates through the max, and fails every comparison
+            peak = np.abs(block).max()
+            if not math.isfinite(peak):
+                raise ValueError(f"coefficient of mode {k} is not finite")
+            if peak > 0:
                 clean[int(k)] = block
         object.__setattr__(self, "coefficients", clean)
         if self.unitary:
@@ -239,8 +244,11 @@ class TruncatedOperator:
     general band layout with b sub- and b superdiagonals; the corners
     beyond the matrix are zero), where b is the exact half-bandwidth of M,
     the largest |i - j| over its nonzero entries.  ``matrix`` builds the
-    dense M on demand.  ``bandwidth`` is the exact half-bandwidth of the
-    lower triangle (see ``half_bandwidth``), read off the band.
+    dense M on demand.
+
+    The operator of a family (``bundles.OperatorFamily``) holds a stack of
+    bands (vertices, 2b + 1, dim) at the exact half-bandwidth of the whole
+    stack, and its ``matrix`` is the stack of dense members.
 
     A dense matrix given to the constructor is stored by its band; the
     Hermiticity guard reads the band (``_non_hermitian_band``).
@@ -281,21 +289,17 @@ class TruncatedOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, read-only and built anew on every call."""
+        """The dense matrix or stack, read-only and built anew per call."""
         m = _dense(self.band)
         m.setflags(write=False)
         return m
-
-    @cached_property
-    def bandwidth(self) -> int:
-        return int(_lower_width(self.band))
 
 
 def _band_of(m: np.ndarray) -> np.ndarray:
     """The ``TruncatedOperator.band`` of a matrix, or of each member of a
     stack (..., n, n), at the exact half-bandwidth of the whole stack."""
-    width = int(max(np.max(half_bandwidth(m)),
-                    np.max(half_bandwidth(np.swapaxes(m, -1, -2)))))
+    width = int(max(np.max(half_bandwidth(m), initial=0),
+                    np.max(half_bandwidth(np.swapaxes(m, -1, -2)), initial=0)))
     n = m.shape[-1]
     band = np.zeros(m.shape[:-2] + (2 * width + 1, n), dtype=m.dtype)
     for d in range(-width, width + 1):
@@ -336,25 +340,19 @@ def _lower_width(band: np.ndarray):
                     width - np.argmax(nonzero[..., ::-1], axis=-1), 0)
 
 
-def _non_hermitian(m: np.ndarray,
-                  tolerances: Tolerances = DEFAULT) -> tuple[int, float] | None:
-    """The first member M of a stack (..., n, n), in C order, with
-    ``||M - M*||_max > hermitian_max (1 + ||M||_max)``, as (flat index,
-    defect); None when every member passes.  A matrix is a stack of
-    one."""
-    scale = 1.0 + np.abs(m).max(axis=(-2, -1))
-    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
-    return _first_defect(defect, scale, tolerances)
-
-
 def _non_hermitian_band(band: np.ndarray,
                         tolerances: Tolerances = DEFAULT
                         ) -> tuple[int, float] | None:
-    """``_non_hermitian`` of the matrices of a band stack (..., 2b + 1, n),
-    read on the band: diagonal d is compared with the conjugate of
-    diagonal -d, ``|M[j + d, j] - conj M[j, j + d]|``, which is also the
-    defect of the mirrored entry, so the defect and the scale are those
-    of the dense test to the last bit."""
+    """The first member M of a band stack (..., 2b + 1, n), in C order,
+    that fails ``||M - M*||_max <= hermitian_max (1 + ||M||_max)``, as
+    (flat index, defect); None when every member passes.  A NaN entry
+    fails every comparison, and an infinite one is refused by its scale,
+    which would pass any defect.
+
+    Diagonal d is compared with the conjugate of diagonal -d,
+    ``|M[j + d, j] - conj M[j, j + d]|``, which is also the defect of the
+    mirrored entry, so the defect and the scale are those of the dense
+    formula to the last bit."""
     width, n = band.shape[-2] // 2, band.shape[-1]
     scale = 1.0 + np.abs(band).max(axis=(-2, -1))
     diagonal = band[..., width, :]
@@ -363,11 +361,8 @@ def _non_hermitian_band(band: np.ndarray,
         mirrored = np.abs(band[..., width + d, :n - d]
                           - band[..., width - d, d:].conj()).max(axis=-1)
         defect = np.maximum(defect, mirrored)
-    return _first_defect(defect, scale, tolerances)
-
-
-def _first_defect(defect, scale, tolerances: Tolerances):
-    bad = np.flatnonzero(defect > tolerances.hermitian_max * scale)
+    passed = (defect <= tolerances.hermitian_max * scale) & np.isfinite(scale)
+    bad = np.flatnonzero(~passed)
     if bad.size == 0:
         return None
     return int(bad[0]), float(np.ravel(defect)[bad[0]])
@@ -412,18 +407,18 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
     entry real positive) and ordered by leading index, then
     lexicographically, so identical input always yields identical output.
 
-    A stack (..., n, n) is decomposed by one LAPACK call and its
-    tie-break by one sort whose most significant key is the member, so
-    every member comes out as it does on its own; a single matrix is a
-    stack of one.
+    A stack (..., n, n), or the operator of a family, is decomposed by
+    one LAPACK call and its tie-break by one sort whose most significant
+    key is the member, so every member comes out as it does on its own; a
+    single matrix is a stack of one.  The Hermiticity test reads the
+    operator's band, or the band of an array (``_non_hermitian_band``).
     """
     if isinstance(operator, TruncatedOperator):
-        bad = _non_hermitian_band(operator.band, tolerances)
-        m = operator.matrix
+        band, m = operator.band, operator.matrix
     else:
         m = np.asarray(operator)
-        bad = _non_hermitian(m, tolerances)
-    if bad is not None:
+        band = _band_of(m)
+    if _non_hermitian_band(band, tolerances) is not None:
         raise ValueError("eigh requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
     v = _canonical_phase(v)

@@ -20,7 +20,7 @@ import specflow.bundles
 import specflow.flow
 import specflow.mapping_torus
 import specflow.operators
-from specflow import SymbolFunction
+from specflow import SymbolFunction, TruncatedOperator
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned
 from specflow.operators import NullSplit, eigvalsh, interior_directions
@@ -465,9 +465,11 @@ def stacked_calls_match_members(monkeypatch):
     """Repeat every stacked ``eigh`` and ``null_splits`` of the suite
     member by member, wherever they were imported to: each member's
     eigenvalues, eigenvectors and split must be bit-identical to those of
-    its own call, and each member must sit in the group of its rank.
-    The repeats run on the numpy and scipy kernels in place before the
-    test, so a test that counts factorizations does not count them."""
+    its own call, and each member must sit in the group of its rank.  A
+    member of a family's operator is repeated as the operator of its own
+    band, a member of an array as a matrix.  The repeats run on the numpy
+    and scipy kernels in place before the test, so a test that counts
+    factorizations does not count them."""
     eigh = specflow.operators.eigh
     null_splits = specflow.operators.null_splits
     pristine_kernels = kernels_now((np.linalg, "eigh"), (np.linalg, "svd"),
@@ -475,13 +477,16 @@ def stacked_calls_match_members(monkeypatch):
 
     def checked_eigh(operator, tolerances=DEFAULT):
         dec = eigh(operator, tolerances)
-        m = np.asarray(operator) if not hasattr(operator, "matrix") \
-            else operator.matrix
-        if m.ndim > 2:
-            flat = m.reshape(-1, *m.shape[-2:])
-            w = dec.eigenvalues.reshape(-1, m.shape[-1])
-            v = dec.eigenvectors.reshape(flat.shape)
-            for i, member in enumerate(flat):
+        held = operator.band if isinstance(operator, TruncatedOperator) \
+            else np.asarray(operator)
+        if held.ndim > 2:
+            n = held.shape[-1]
+            w = dec.eigenvalues.reshape(-1, n)
+            v = dec.eigenvectors.reshape(-1, n, n)
+            for i, member in enumerate(held.reshape(-1, *held.shape[-2:])):
+                if isinstance(operator, TruncatedOperator):
+                    member = TruncatedOperator._of_band(
+                        member, operator.truncation, tolerances)
                 with pristine_kernels():
                     alone = eigh(member, tolerances)
                 assert np.array_equal(alone.eigenvalues, w[i])

@@ -14,20 +14,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specflow.bundles
+import specflow.flow
 import specflow.operators
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       OperatorCurve, SymbolFunction, TruncatedOperator,
-                      TwistedLoopSpec, aps_projection, build_dirac,
-                      build_mapping_torus, eigh, eigvalsh,
-                      gauge_transformed_potential, hardy_section, sf_pairs)
+                      TwistedLoopSpec, aps_projection, aps_section_family,
+                      build_dirac, build_mapping_torus, eigh, eigvalsh,
+                      gauge_transformed_potential, hardy_section,
+                      higher_spectral_flow, sf_pairs)
 from specflow.config import DEFAULT
 from specflow.models import bott_symbol_family
 from specflow.operators import _band_eigvalsh, half_bandwidth
 from specflow.toeplitz import _compressions, dirac_aps_section
 from conftest import (assert_matches_reference_assembly, dense_of_band,
-                      random_hermitian_symbol, random_trig_unitary,
-                      reference_dirac, reference_interpolation,
-                      reference_multiplications, rng_for)
+                      hermitian_guard_edge, random_hermitian_symbol,
+                      random_trig_unitary, reference_dirac,
+                      reference_interpolation, reference_multiplications,
+                      rng_for, skewed_shift_potential)
 
 
 def conjugation_path(rank: int, seed: int, ts=(0.0, 0.5, 1.0)):
@@ -57,7 +61,7 @@ class TestAgainstDenseReference:
         op = build_dirac(pot, tr)
         dense = reference_dirac([pot], tr)[0]
         assert_bit_identical(op.matrix, dense)
-        assert op.bandwidth == half_bandwidth(dense)
+        assert half_bandwidth(op.matrix) == half_bandwidth(dense)
         assert_bit_identical(eigvalsh(op), eigvalsh(dense))
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -73,7 +77,7 @@ class TestAgainstDenseReference:
             op = curve.at(t)
             expected = reference_interpolation(ts, dense, t)
             assert_bit_identical(op.matrix, expected)
-            assert op.bandwidth == half_bandwidth(expected)
+            assert half_bandwidth(op.matrix) == half_bandwidth(expected)
             assert_bit_identical(eigvalsh(op), eigvalsh(expected))
         for j in range(len(ts) - 1):
             assert_bit_identical(
@@ -92,8 +96,8 @@ class TestAgainstDenseReference:
                                  for v in base.vertices], tr)
         dense = dense.reshape(len(ts), len(base.vertices), tr.dim, tr.dim)
         for t in (0.0, 0.5, 1.0, 0.3, 0.9):
-            assert_bit_identical(cf.at(t), reference_interpolation(ts, dense,
-                                                                   t))
+            assert_bit_identical(cf.at(t).matrix,
+                                 reference_interpolation(ts, dense, t))
         assert_bit_identical(_band_eigvalsh(cf.samples[1] - cf.samples[0]),
                              eigvalsh(dense[1] - dense[0]))
 
@@ -151,12 +155,121 @@ class TestBandGuard:
         expected = eigh(op.matrix, loose).eigenvalues
 
         def dense_check(*args):
-            raise AssertionError("dense Hermiticity scan of a band operator")
+            raise AssertionError("band re-derived from a dense matrix")
 
-        monkeypatch.setattr(specflow.operators, "_non_hermitian", dense_check)
+        monkeypatch.setattr(specflow.operators, "_band_of", dense_check)
         assert np.array_equal(eigh(op, loose).eigenvalues, expected)
         with pytest.raises(ValueError, match="eigh requires a Hermitian"):
             eigh(op)
+
+    def test_family_solves_read_their_bands(self, monkeypatch):
+        # every operator the Bott curve's class and endpoint sections
+        # factor reaches eigh as the operator of its family, whose band
+        # carries its check: none is read back from a dense stack
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        cf = CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), (0.0, 0.5, 1.0),
+            FourierTruncation(3, 2))
+        solved = []
+
+        def recorded(original):
+            def eigh(operator, *args):
+                solved.append(operator)
+                return original(operator, *args)
+            return eigh
+
+        for module in (specflow.flow, specflow.bundles):
+            monkeypatch.setattr(module, "eigh", recorded(module.eigh))
+
+        def dense_read(*args):
+            raise AssertionError("band re-derived from a dense matrix")
+
+        monkeypatch.setattr(specflow.operators, "_band_of", dense_read)
+        q0, q1 = (aps_section_family(cf.family_at(t)) for t in (0.0, 1.0))
+        cls = higher_spectral_flow(cf, q0, q1)
+        assert (cls.ch0, cls.ch1) == (-1, -1)
+        assert len(solved) == cls.meta["partitions"] + 3
+        assert all(isinstance(op, TruncatedOperator)
+                   and op.band.shape[0] == len(base.vertices)
+                   for op in solved)
+
+    def test_family_operator_and_its_dense_stack_share_an_edge(self):
+        # the skewed family of test_caller_tolerances_reach_every_family,
+        # between its samples: its band and its dense stack are refused
+        # just outside one hermitian_max and factored alike just inside
+        loose = DEFAULT.with_(hermitian_max=1e-6, potential_hermitian=1e-6)
+        cf = CurveOfFamilies.from_potentials(
+            BaseGrid.loop(4), lambda v, t: skewed_shift_potential(
+                0.75 + 0.5 * t + 0.01 * v[0], 1e-8),
+            [0.0, 1.0], FourierTruncation(4), loose)
+        op = cf.at(0.3, loose)
+        stack = op.matrix
+        edge = hermitian_guard_edge(stack)
+        inside = loose.with_(hermitian_max=edge * (1 + 1e-6))
+        outside = loose.with_(hermitian_max=edge * (1 - 1e-6))
+        of_band, of_stack = eigh(op, inside), eigh(stack, inside)
+        assert_bit_identical(of_band.eigenvalues, of_stack.eigenvalues)
+        assert_bit_identical(of_band.eigenvectors, of_stack.eigenvectors)
+        for operator in (op, stack):
+            with pytest.raises(ValueError,
+                               match="^eigh requires a Hermitian matrix$"):
+                eigh(operator, outside)
+
+
+class TestNonFiniteEntries:
+    """A NaN or infinite entry fails the one Hermiticity test wherever it
+    is read, as a ValueError of that test rather than a failure of the
+    eigensolver later."""
+
+    tr = FourierTruncation(4, 1)
+
+    def matrix(self, entry=(3, 3), value=np.nan):
+        m = np.diag(self.tr.modes().astype(complex))
+        m[entry] = value
+        return m
+
+    def curve(self) -> OperatorCurve:
+        """A constant loop whose middle sample band is given a NaN after
+        construction: no constructor lets one through, so the curve's own
+        guards are reached only this way."""
+        curve = OperatorCurve.from_potentials(
+            [0.0, 0.5, 1.0], [SymbolFunction.constant(0.25)] * 3, self.tr)
+        samples = np.array(curve.samples)
+        samples[1, 0, 3] = np.nan
+        samples.setflags(write=False)
+        curve.samples = samples
+        return curve
+
+    @pytest.mark.parametrize("entry, value", [
+        ((3, 3), np.nan), ((3, 3), np.inf), ((0, 5), np.inf),
+        ((5, 0), complex(np.nan, 0))])
+    def test_truncated_operator(self, entry, value):
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            TruncatedOperator(self.matrix(entry, value), self.tr)
+
+    @pytest.mark.parametrize("t", [0.5, 0.25])
+    def test_operator_curve(self, t):
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            self.curve().at(t)
+
+    def test_curve_of_families(self):
+        samples = np.stack([self.matrix(value=0.0)] * 8).reshape(2, 4, 9, 9)
+        samples[1, 2] = self.matrix()
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            CurveOfFamilies(BaseGrid.loop(4), [0.0, 1.0], samples, self.tr)
+
+    def test_mapping_torus_slice(self):
+        with pytest.raises(ValueError, match="u-slice 0 is not Hermitian: "
+                                             "defect nan"):
+            build_mapping_torus(TwistedLoopSpec(self.curve()), 8)
+
+    def test_eigh_of_a_raw_array(self):
+        with pytest.raises(ValueError, match="eigh requires a Hermitian"):
+            eigh(self.matrix())
+        with pytest.raises(ValueError, match="eigh requires a Hermitian"):
+            eigh(np.stack([self.matrix(value=0.0), self.matrix()]))
 
 
 class TestOneOperatorPerParameter:

@@ -551,7 +551,7 @@ class TestHigherSpectralFlow:
         breaks = gap_partition(cf).breakpoints
         assert len(breaks) == cls.meta["partitions"] + 1
         assert factored == Counter(m.tobytes() for t in breaks
-                                   for m in cf.at(t))
+                                   for m in cf.at(t).matrix)
         assert calls == [(len(cf.base.vertices),) + (cf.truncation.dim,) * 2
                          ] * len(breaks)
 
@@ -569,7 +569,7 @@ class TestHigherSpectralFlow:
             return eigvalsh(a)
 
         def counted_eigh(a, *args, **kwargs):
-            factored.append(np.array(a))
+            factored.append(a.matrix)
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(specflow.flow, "_band_eigvalsh", counted_eigvalsh)
@@ -583,7 +583,8 @@ class TestHigherSpectralFlow:
         breaks = gap_partition(cf).breakpoints
         assert len(factored) == len(breaks)
         for t in breaks:
-            assert sum(np.array_equal(a, cf.at(t)) for a in factored) == 1
+            assert sum(np.array_equal(a, cf.at(t).matrix)
+                       for a in factored) == 1
 
     def test_one_null_split_per_vertex_and_bracket(self, monkeypatch):
         # counts split matrices, not calls: one stack of comparison maps
@@ -682,19 +683,19 @@ class TestStackedFamilies:
         assert not cf.samples.flags.writeable
         # at a sample point the family is the sample; between samples it
         # is each member's OperatorCurve interpolation, bit for bit
-        assert np.array_equal(cf.at(0.5), samples[1])
+        assert np.array_equal(cf.at(0.5).matrix, samples[1])
         curve = OperatorCurve([0.0, 0.5, 1.0], [
             specflow.bundles.TruncatedOperator(m, cf.truncation)
             for m in samples[:, 11]])
         for t in (0.25, 0.375, 0.8):
-            assert np.array_equal(cf.at(t)[11], curve.at(t).matrix)
+            assert np.array_equal(cf.at(t).matrix[11], curve.at(t).matrix)
         assert np.array_equal(cf.family_at(0.8)[cf.base.vertices[11]].matrix,
                               curve.at(0.8).matrix)
 
     def test_family_at_is_a_view_of_the_stack(self):
         cf = self.bott_curve()
         for t in (0.0, 0.25, 0.5):
-            stack = cf.at(t)
+            stack = cf.at(t).matrix
             fam = cf.family_at(t)
             assert np.array_equal(fam.matrices, stack)
             for i, v in enumerate(cf.base.vertices):
@@ -702,7 +703,9 @@ class TestStackedFamilies:
         assert np.array_equal(cf.family_at(0.5).matrices,
                               dense_of_band(cf.samples[1]))
         with pytest.raises(ValueError, match="shape"):
-            OperatorFamily(cf.base, cf.samples[0, 1:], cf.truncation)
+            OperatorFamily(cf.base, specflow.bundles.TruncatedOperator
+                           ._of_band(cf.samples[0, 1:], cf.truncation,
+                                     DEFAULT))
 
     def test_non_hermitian_member_refused(self):
         cf = self.bott_curve()
@@ -717,7 +720,7 @@ class TestStackedFamilies:
         # double, and the tie-break returns standard basis vectors in
         # index order for every member, from one dense LAPACK call
         cf = self.bott_curve(k=4)
-        stack = cf.at(0.0)
+        stack = cf.at(0.0).matrix
         dec = specflow.operators.eigh(stack)
         n = cf.truncation.dim
         assert np.array_equal(dec.eigenvalues,
@@ -738,7 +741,7 @@ class TestStackedFamilies:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: dense.append(np.shape(a))
                             or original(a))
-        wide = cf.at(0.5)[[9, 10]]
+        wide = cf.at(0.5).matrix[[9, 10]]
         assert np.all(16 * (specflow.operators.half_bandwidth(wide) + 1) > n)
         mixed = np.concatenate([stack[:3], wide])
         w = specflow.operators.eigvalsh(mixed)

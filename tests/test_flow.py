@@ -252,6 +252,12 @@ class TestOperatorCurve:
         assert curve.at(0.25) is not curve.at(0.25)
         assert curve.at(0.4) is not curve.at(0.4)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_too_few_operators(self, count):
+        op = build_dirac(SymbolFunction.constant(0.3), FourierTruncation(4))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            OperatorCurve([0.0, 1.0][:count], [op] * count)
+
 
 class TestCurveTolerances:
     """A curve honours the caller's tolerances: c_{-1} = c_1* + 1e-8 i is
