@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
-from scipy.special import erfc
 
 from .config import DEFAULT, Tolerances
 from .errors import AmbiguousJump, NonconvergentExtrapolation
@@ -56,6 +54,7 @@ def eta_shifted_derivative(a: float) -> EtaValue:
     if not 0.0 < a < 1.0:
         raise ValueError(f"shift must lie strictly in (0, 1), got {a}; "
                          "at the endpoints a kernel appears")
+    import mpmath   # loaded here, so importing specflow does not load it
     eta = float(mpmath.zeta(0, a) - mpmath.zeta(0, 1.0 - a))
     return EtaValue(eta=eta, kernel_dim=0, method="hurwitz",
                     meta={"shift": a})
@@ -126,6 +125,7 @@ def eta_heat(spectrum_or_operator, t_grid: Sequence[float] | None = None,
             f"t = {ts[-1]:.3e} is below the window floor {t_floor:.3e}; the "
             f"supplied spectrum (|lambda| <= {lam_max:.3g}) cannot resolve it")
     eps_ratio = float(np.sqrt(ratios[0]))
+    from scipy.special import erfc   # as mpmath in eta_shifted_derivative
 
     def eta_at(t: float) -> float:
         return float(np.sum(np.sign(nonzero) * erfc(np.abs(nonzero) * np.sqrt(t))))

@@ -37,38 +37,93 @@ from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
 # spectral sections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectralSection:
     """Orthogonal projector onto the span of an orthonormal frame
     (``basis``, dim x rank) that agrees with the positive spectral
     projector above a threshold window and vanishes below it.
 
     A family of sections of one rank is one section whose ``basis`` is a
-    stack (..., dim, rank) with one ``threshold_window`` per member."""
+    stack (..., dim, rank) with one ``threshold_window`` per member.
 
-    basis: np.ndarray
+    A coordinate section, whose frame is the standard basis vectors of
+    some ascending basis indices (``toeplitz.hardy_section``), holds those
+    indices as ``rows`` instead of a frame: its ``basis`` is built anew
+    on every read, as ``TruncatedOperator.matrix`` is, and ``lift``
+    scatters coordinates into those rows.  Every other section holds its
+    frame, and its ``rows`` is None."""
+
     threshold_window: float | np.ndarray
     provenance: str
+    rows: np.ndarray | None = field(default=None, repr=False)
     rebuilder: Callable[[FourierTruncation], "SpectralSection"] | None = \
         field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, basis, threshold_window: float | np.ndarray,
+                 provenance: str,
+                 rebuilder: Callable[[FourierTruncation], "SpectralSection"]
+                 | None = None):
         """Hold a copy of the basis, or the basis itself when it is a
         read-only complex array that owns its data, which no one can
         write."""
-        b = np.asarray(self.basis, dtype=complex)
+        b = np.asarray(basis, dtype=complex)
         if b.flags.writeable or b.base is not None:
             b = b.copy()
             b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        self._hold(b, None, b.shape[-2], threshold_window, provenance,
+                   rebuilder)
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, dim: int,
+                 threshold_window: float, provenance: str,
+                 rebuilder=None) -> "SpectralSection":
+        """The coordinate section of the ascending basis indices ``rows``
+        of a ``dim``-dimensional space; ``rows`` is held without a
+        copy."""
+        rows.setflags(write=False)
+        section = cls.__new__(cls)
+        section._hold(None, rows, dim, threshold_window, provenance,
+                      rebuilder)
+        return section
+
+    def _hold(self, frame, rows, dim, threshold_window, provenance,
+              rebuilder):
+        for name, value in (("_frame", frame), ("rows", rows), ("_dim", dim),
+                            ("threshold_window", threshold_window),
+                            ("provenance", provenance),
+                            ("rebuilder", rebuilder)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The frame, read-only; a coordinate section's is built anew on
+        every read."""
+        if self.rows is None:
+            return self._frame
+        frame = np.zeros((self._dim, len(self.rows)), dtype=complex)
+        frame[self.rows, np.arange(len(self.rows))] = 1
+        frame.setflags(write=False)
+        return frame
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[-1]
+        return len(self.rows) if self.rows is not None \
+            else self._frame.shape[-1]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[-2]
+        return self._dim
+
+    def lift(self, coords: np.ndarray) -> np.ndarray:
+        """The complex vectors ``basis @ coords`` of coordinates (...,
+        rank, k) in the frame; a coordinate section scatters them into
+        its rows, with no frame formed."""
+        if self.rows is None:
+            return self._frame @ coords
+        out = np.zeros(coords.shape[:-2] + (self._dim, coords.shape[-1]),
+                       dtype=complex)
+        out[..., self.rows, :] = coords
+        return out
 
     def validate(self, tolerances: Tolerances = DEFAULT):
         failure = _first_invalid(None, self, tolerances)
@@ -460,9 +515,9 @@ class _SpectrumCache:
     With ``_spectra_from_eigh`` the spectra are read off the
     eigendecompositions, for a caller that needs a section at every
     point where it asks for a spectrum (as ``higher_spectral_flow`` does
-    at every breakpoint): each operator is then factored once, and its
-    decomposition held until ``release``.  Otherwise the spectra come
-    from ``eigvalsh``.
+    at every breakpoint): each operator is then factored once and dropped
+    as soon as it is, and its decomposition held until ``release``.
+    Otherwise the spectra come from ``eigvalsh``.
     """
 
     def __init__(self, curve, tolerances: Tolerances = DEFAULT,
@@ -492,6 +547,10 @@ class _SpectrumCache:
         t = float(t)
         if t not in self._decs:
             self._decs[t] = eigh(self._operator(t), self.tolerances)
+            if self._spectra_from_eigh:
+                # the spectrum at t is read off the decomposition, so
+                # nothing reads the operator there again
+                del self._ops[t]
         return self._decs[t]
 
     def section(self, t: float, cutoff: float) -> SpectralSection:

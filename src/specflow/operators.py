@@ -128,7 +128,10 @@ class SymbolFunction:
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError("samples must be scalars or square matrices")
         m = arr.shape[0]
-        coeff = np.fft.fft(arr, axis=0) / m
+        # non-finite samples give non-finite coefficients, which the
+        # constructor refuses
+        with np.errstate(invalid="ignore", divide="ignore"):
+            coeff = np.fft.fft(arr, axis=0) / m
         freqs = np.fft.fftfreq(m, d=1.0 / m).astype(int)
         return cls({int(k): coeff[i] for i, k in enumerate(freqs)},
                    rank=arr.shape[1], native_grid=m, **kw)
@@ -356,11 +359,14 @@ def _non_hermitian_band(band: np.ndarray,
     width, n = band.shape[-2] // 2, band.shape[-1]
     scale = 1.0 + np.abs(band).max(axis=(-2, -1))
     diagonal = band[..., width, :]
-    defect = np.abs(diagonal - diagonal.conj()).max(axis=-1)
-    for d in range(1, width + 1):
-        mirrored = np.abs(band[..., width + d, :n - d]
-                          - band[..., width - d, d:].conj()).max(axis=-1)
-        defect = np.maximum(defect, mirrored)
+    # an infinite entry minus its mirror is NaN, and its member is
+    # refused by its scale
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(diagonal - diagonal.conj()).max(axis=-1)
+        for d in range(1, width + 1):
+            mirrored = np.abs(band[..., width + d, :n - d]
+                              - band[..., width - d, d:].conj()).max(axis=-1)
+            defect = np.maximum(defect, mirrored)
     passed = (defect <= tolerances.hermitian_max * scale) & np.isfinite(scale)
     bad = np.flatnonzero(~passed)
     if bad.size == 0:
@@ -527,7 +533,8 @@ def build_multiplication(symbol: SymbolFunction,
     B[j, k] = c_{j-k} over modes j, k in [-K, K].  Coefficients beyond
     mode 2K cannot couple truncated modes and are dropped.  The result is
     Hermitian exactly when the symbol is."""
-    return _multiplications([symbol], trunc)[0]
+    return _dense(_multiplication_bands([symbol], trunc,
+                                        np.arange(trunc.dim))[0])
 
 
 def _coefficient_table(symbols, trunc: FourierTruncation) -> np.ndarray:
@@ -557,15 +564,38 @@ def _coupling(trunc: FourierTruncation, rows, cols) -> np.ndarray:
     return ((mode_r - mode_c + 2 * trunc.max_mode) * N + comp_r) * N + comp_c
 
 
-def _multiplications(symbols, trunc: FourierTruncation,
-                     rows: np.ndarray | None = None) -> np.ndarray:
+def _table_bands(table: np.ndarray, trunc: FourierTruncation,
+                 rows: np.ndarray, width: int) -> np.ndarray:
+    """The bands (len(table), 2 width + 1, len(rows)), in the layout of
+    ``TruncatedOperator.band``, of the multiplication matrices whose
+    ``_coefficient_table`` is ``table``, restricted to the ascending basis
+    indices ``rows``: every entry on the diagonals -width..width is read
+    from the table, and every corner beyond the block is zero."""
+    size = len(rows)
+    cols = np.arange(size)
+    at = cols + np.arange(-width, width + 1)[:, None]
+    inside = (at >= 0) & (at < size)
+    coupling = _coupling(trunc, rows[np.clip(at, 0, size - 1)], rows)
+    return np.take(table, np.where(inside, coupling, table.shape[1] - 1),
+                   axis=1)
+
+
+def _multiplication_bands(symbols, trunc: FourierTruncation,
+                          rows: np.ndarray) -> np.ndarray:
     """The ``build_multiplication`` matrix of each symbol restricted to
-    the basis indices ``rows`` (all of them by default), as one stack
-    (len(symbols), len(rows), len(rows)) read straight from the
-    coefficients, so a block is never cut out of a larger matrix."""
-    rows = np.arange(trunc.dim) if rows is None else np.asarray(rows)
-    return np.take(_coefficient_table(symbols, trunc),
-                   _coupling(trunc, rows[:, None], rows[None, :]), axis=1)
+    the ascending basis indices ``rows``, as one band stack
+    (len(symbols), 2w + 1, len(rows)) written from the coefficients.
+
+    Entry (a, c) of c_k sits on diagonal k N + a - c of the full matrix,
+    and a block on ascending rows keeps each entry on a diagonal no
+    farther out, so w = (bandwidth + 1) N - 1 over the symbols, at most
+    len(rows) - 1, holds every coefficient entry, signed zeros too: the
+    dense matrix of the band is the block, bit for bit."""
+    rows = np.asarray(rows)
+    bandwidth = max(symbol.bandwidth for symbol in symbols)
+    width = min((bandwidth + 1) * trunc.bundle_rank - 1, len(rows) - 1)
+    return _table_bands(_coefficient_table(symbols, trunc), trunc, rows,
+                        width)
 
 
 def build_dirac(potential: SymbolFunction, trunc: FourierTruncation,
@@ -595,11 +625,7 @@ def _dirac_bands(potentials, trunc: FourierTruncation,
     mode, entry = np.divmod(np.flatnonzero(table.any(axis=0)), N * N)
     width = int(np.abs((mode - 2 * trunc.max_mode) * N + entry // N
                        - entry % N).max(initial=0))
-    cols = np.arange(n)
-    rows = cols + np.arange(-width, width + 1)[:, None]
-    inside = (rows >= 0) & (rows < n)
-    bands = np.take(table, np.where(inside, _coupling(trunc, rows, cols),
-                                    table.shape[1] - 1), axis=1)
+    bands = _table_bands(table, trunc, np.arange(n), width)
     # adding the mode diagonal as a full complex band, as the dense sum
     # M_V + diag(modes) did, turns every -0.0 into 0.0 there too
     modes = np.zeros((2 * width + 1, n), dtype=complex)
@@ -666,19 +692,20 @@ def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
     """Singular-value split at ``rank_rtol`` times the largest singular
     value; the zero and the empty matrix have rank 0.
 
-    A square matrix T whose band is narrow takes the band route.  Every
-    singular value is ``|lambda|`` of the Hermitian band matrix
-    ``[[0, T], [T*, 0]]`` (``_interleaved_band``) from one band eigenvalue
-    solve, and the rank decision reads them as the dense route reads its
-    SVD.  The n - rank kernel and cokernel directions come from
-    ``small_singular_vectors`` on the sparse T*T and T T*, counted at a
-    cut ``sqrt(svd_gap_factor)`` below the smallest kept value; both sides
-    must count n - rank (IllConditioned otherwise).  The frames span the
-    singular subspaces of the dropped values, but within the span they
-    are Ritz vectors, not the dense SVD's singular vectors.  T*T resolves
-    a kept value only well above ``sqrt(eps)`` times the largest, so a
-    split whose smallest kept value is below ``_BAND_FRAME_RTOL`` times
-    the largest takes its frames from the dense SVD.
+    A square matrix T whose band is narrow takes the band route, read off
+    its band (``_band_of``).  Every singular value is ``|lambda|`` of the
+    Hermitian band matrix ``[[0, T], [T*, 0]]`` (``_interleaved_band``)
+    from one band eigenvalue solve, and the rank decision reads them as
+    the dense route reads its SVD.  The n - rank kernel and cokernel
+    directions come from ``small_singular_vectors`` on the sparse T*T and
+    T T*, counted at a cut ``sqrt(svd_gap_factor)`` below the smallest
+    kept value; both sides must count n - rank (IllConditioned
+    otherwise).  The frames span the singular subspaces of the dropped
+    values, but within the span they are Ritz vectors, not the dense
+    SVD's singular vectors.  T*T resolves a kept value only well above
+    ``sqrt(eps)`` times the largest, so a split whose smallest kept value
+    is below ``_BAND_FRAME_RTOL`` times the largest takes its frames from
+    the dense SVD.
 
     The crossover was measured against a full dense SVD with one BLAS
     thread, on random complex band matrices (diagonally dominant, two
@@ -692,9 +719,8 @@ def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
     one, takes the dense SVD.
     """
     m = np.asarray(matrix)
-    band = _interleaved_band(m)
-    if band is not None:
-        split = _band_null_split(m, band, tolerances)
+    if m.ndim == 2 and m.shape[0] == m.shape[1] and _band_pays(1, len(m)):
+        split = _band_null_split(_band_of(m), tolerances)
         if split is not None:
             return split
     u, s, vh = np.linalg.svd(m)
@@ -703,32 +729,37 @@ def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
                      cokernel=u[:, rank:], singular_values=s, gap_ratio=ratio)
 
 
-def null_splits(stack, tolerances: Tolerances = DEFAULT
-                ) -> list[tuple[np.ndarray, NullSplit]]:
+def null_splits(stack, tolerances: Tolerances = DEFAULT,
+                banded: bool = False) -> list[tuple[np.ndarray, NullSplit]]:
     """``null_split`` of every member of a stack (members, m, n), grouped
     by rank: each entry holds the ascending indices of the members of one
     rank and their splits as one ``NullSplit`` whose array fields carry a
     leading member axis (``rank`` is the group's).  Every member's split
     equals its own ``null_split``.
 
-    Members that take the band route are split one by one, first; the
-    rest by one stacked SVD.  A refusal reports the first refused band
-    member, else the first refused member of the stacked SVD.
+    With ``banded`` the stack holds square matrices by their bands
+    (members, 2w + 1, n), in the layout of ``TruncatedOperator.band``, as
+    ``toeplitz._compressions`` writes them; a member of a dense stack of
+    square matrices large enough for the band route is read by its band
+    (``_band_of``).  Members that take the band route are split one by
+    one, first, with no dense matrix formed; the rest are made dense for
+    one stacked SVD.  A refusal reports the first refused band member,
+    else the first refused member of the stacked SVD.
     """
     stack = np.asarray(stack)
-    count, rows, cols = stack.shape
+    count, n = len(stack), stack.shape[-1]
     alone = {}
-    if rows == cols and _band_pays(1, cols):
+    if (banded or stack.shape[1] == n) and _band_pays(1, n):
         for i in range(count):
-            band = _interleaved_band(stack[i])
-            split = None if band is None else \
-                _band_null_split(stack[i], band, tolerances)
+            band = stack[i] if banded else _band_of(stack[i])
+            split = _band_null_split(band, tolerances)
             if split is not None:
                 alone[i] = split
     dense = np.array([i for i in range(count) if i not in alone], dtype=int)
     ranks = np.empty(count, dtype=int)
     if dense.size:
-        u, s, vh = np.linalg.svd(stack if not alone else stack[dense])
+        picked = stack if not alone else stack[dense]
+        u, s, vh = np.linalg.svd(_dense(picked) if banded else picked)
         ranks[dense], ratios = _relative_split(s, tolerances)
         at = np.full(count, -1)
         at[dense] = np.arange(dense.size)
@@ -774,43 +805,62 @@ def _band_pays(b: int, n: int) -> bool:
     return 16 * (b + 1) + 128 <= n
 
 
-def _interleaved_band(t: np.ndarray) -> np.ndarray | None:
+def _interleaved_band(band: np.ndarray) -> np.ndarray | None:
     """Lower band storage of ``[[0, T], [T*, 0]]`` with rows and columns
-    interleaved, when T is square and ``_band_pays``; otherwise None.
+    interleaved, written from the diagonals of the band (2w + 1, n) of a
+    square T when ``_band_pays``; otherwise None.
 
     T[i, j] sits at (2 i, 2 j + 1), so with lower and upper
-    half-bandwidths kl and ku the matrix has half-bandwidth
-    b = max(2 ku + 1, 2 kl - 1).  Upper diagonal d of T fills band row
-    2 d + 1 (as conj T[i, i + d] at column 2 i), lower diagonal d band row
-    2 d - 1 (as T[j + d, j] at column 2 j + 1).  A matrix too small for
-    the narrowest band is not scanned.
+    half-bandwidths kl and ku (the outermost nonzero diagonals of the
+    band) the matrix has half-bandwidth b = max(2 ku + 1, 2 kl - 1).
+    Upper diagonal d of T fills band row 2 d + 1 (as conj T[i, i + d] at
+    column 2 i), lower diagonal d band row 2 d - 1 (as T[j + d, j] at
+    column 2 j + 1).
     """
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or not _band_pays(1, len(t)):
-        return None
-    n = t.shape[0]
-    kl, ku = half_bandwidth(t), half_bandwidth(t.T)
+    width, n = band.shape[0] // 2, band.shape[1]
+    # reversing the rows of a band mirrors its diagonals
+    kl, ku = int(_lower_width(band)), int(_lower_width(band[::-1]))
     b = max(2 * ku + 1, 2 * kl - 1)
     if not _band_pays(b, n):
         return None
-    band = np.zeros((b + 1, 2 * n), dtype=np.result_type(t.dtype, float))
+    out = np.zeros((b + 1, 2 * n), dtype=np.result_type(band.dtype, float))
     for d in range(ku + 1):
-        band[2 * d + 1, 0:2 * (n - d):2] = np.diagonal(t, d).conj()
+        out[2 * d + 1, 0:2 * (n - d):2] = band[width - d, d:].conj()
     for d in range(1, kl + 1):
-        band[2 * d - 1, 1:2 * (n - d):2] = np.diagonal(t, -d)
-    return band
+        out[2 * d - 1, 1:2 * (n - d):2] = band[width + d, :n - d]
+    return out
 
 
-def _band_null_split(t: np.ndarray, band: np.ndarray,
+def _csc_of_band(band: np.ndarray) -> sp.csc_matrix:
+    """The square matrix of a band (2w + 1, n) in CSC form, its exact
+    zeros dropped and each column's rows ascending: entry for entry the
+    ``sp.csc_matrix`` of the dense matrix."""
+    width, n = band.shape[0] // 2, band.shape[1]
+    # column j of the matrix is row j of the transposed band, its rows
+    # j - w..j + w ascending
+    keep = band.T != 0
+    rows = np.arange(n)[:, None] + np.arange(-width, width + 1)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csc_matrix((band.T[keep], rows[keep].astype(np.int32), indptr),
+                         shape=(n, n))
+
+
+def _band_null_split(band: np.ndarray,
                      tolerances: Tolerances) -> NullSplit | None:
-    """``null_split`` of a square T from its interleaved band; None when
-    the smallest kept value is too small for T*T to resolve."""
-    n = t.shape[0]
+    """``null_split`` of the square T of a band (2w + 1, n) on the band
+    route; None when its interleaved band does not pay or the smallest
+    kept value is too small for T*T to resolve."""
+    interleaved = _interleaved_band(band)
+    if interleaved is None:
+        return None
+    n = band.shape[1]
     # the spectrum is +-s, so its top half holds each singular value once
-    s = np.sort(np.abs(_banded_eigvals(band)[n:]))[::-1]
+    s = np.sort(np.abs(_banded_eigvals(interleaved)[n:]))[::-1]
     rank, ratio = _relative_split(s, tolerances)
     # the iteration runs a matrix without imaginary parts in real
     # arithmetic, so the trivial frames take the dtype it would return
-    dtype = complex if np.iscomplexobj(t) and t.imag.any() else float
+    dtype = complex if np.iscomplexobj(band) and band.imag.any() else float
     if rank == n:
         kernel = cokernel = np.zeros((n, 0), dtype=dtype)
     elif rank == 0:
@@ -821,7 +871,7 @@ def _band_null_split(t: np.ndarray, band: np.ndarray,
     else:
         cut = s[rank - 1] / np.sqrt(tolerances.svd_gap_factor)
         kernel, cokernel, _, _ = small_singular_vectors(
-            sp.csc_matrix(t), cut, float(s[0]) ** 2, n - rank + 1,
+            _csc_of_band(band), cut, float(s[0]) ** 2, n - rank + 1,
             count=n - rank)
     return NullSplit(rank=rank, kernel=kernel, cokernel=cokernel,
                      singular_values=s, gap_ratio=ratio)

@@ -34,8 +34,9 @@ from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
 from .errors import GridResolutionError, RoundingAmbiguous, UnstableIndex
 from .flow import SpectralSection, aps_projection
-from .operators import (FourierTruncation, SymbolFunction, _interior_split,
-                        _multiplications, build_dirac, null_splits)
+from .operators import (FourierTruncation, SymbolFunction, _band_of, _dense,
+                        _interior_split, _multiplication_bands, build_dirac,
+                        null_splits)
 
 #: Degree-1 cochain normalization, one (2 pi) per cohomology degree; see
 #: the module docstring for how the sign and power were frozen.
@@ -43,6 +44,11 @@ CH1_NORMALIZATION = 1.0 / (4.0 * np.pi ** 2)
 
 #: Fiber sample points of the degree-1 cochain's x-integral.
 _FIBER_GRID = 256
+
+#: Fiber points evaluated together by ``odd_chern_integral``: each array
+#: of a block is (rank, rank, m, m, block), so the peak memory does not
+#: grow with the fiber grid.
+_FIBER_BLOCK = 32
 
 
 def hardy_section(trunc: FourierTruncation,
@@ -52,17 +58,18 @@ def hardy_section(trunc: FourierTruncation,
 
     -i d/dx is diagonal with the integer mode numbers on the diagonal, so
     the section is the coordinate selection of the modes k >= 0, in basis
-    order: the last (K + 1) N basis vectors, written as one dim x rank
-    frame that the section holds without a copy.  Its window is the one
+    order: the last (K + 1) N basis indices, which the section holds as
+    its index set (``SpectralSection.rows``), so no dim x rank frame is
+    formed unless ``basis`` is read.  Its window is the one
     ``aps_projection`` gives at cutoff 0: the tolerance band plus half the
     distance to the modes +-1.
     """
     rank = (trunc.max_mode + 1) * trunc.bundle_rank
-    basis = np.eye(trunc.dim, rank, rank - trunc.dim, dtype=complex)
-    basis.setflags(write=False)
     atol = tolerances.cutoff_atol
-    return SpectralSection(basis, atol + 0.5 * (1.0 - atol), "hardy",
-                           rebuilder=lambda tr: hardy_section(tr, tolerances))
+    return SpectralSection._of_rows(
+        np.arange(trunc.dim - rank, trunc.dim), trunc.dim,
+        atol + 0.5 * (1.0 - atol), "hardy",
+        rebuilder=lambda tr: hardy_section(tr, tolerances))
 
 
 def dirac_aps_section(potential: SymbolFunction, trunc: FourierTruncation,
@@ -80,31 +87,45 @@ def dirac_aps_section(potential: SymbolFunction, trunc: FourierTruncation,
 
 @dataclass(frozen=True)
 class ToeplitzOperator:
-    """Compression P M_g P written in an orthonormal basis of Im P."""
+    """Compression P M_g P written in an orthonormal basis of Im P, held
+    as its band (2w + 1, rank) in the layout of ``TruncatedOperator.band``
+    (``band[w + d, j] = T[j + d, j]``): written from the symbol's
+    coefficients over a coordinate section (``hardy_section``), the band
+    of the dense product B* M_g B over any other.  ``matrix`` builds the
+    dense compression on demand."""
 
-    matrix: np.ndarray
+    band: np.ndarray
     section: SpectralSection
     symbol: SymbolFunction
     truncation: FourierTruncation
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The dense compression, read-only and built anew per call."""
+        m = _dense(self.band)
+        m.setflags(write=False)
+        return m
+
+    @property
     def rank(self) -> int:
-        return self.matrix.shape[0]
+        return self.band.shape[-1]
 
 
 def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
                       trunc: FourierTruncation,
                       tolerances: Tolerances = DEFAULT) -> ToeplitzOperator:
-    """Matrix of P M_g P on Im P for a pointwise-unitary symbol."""
-    t = _compressions(section, [symbol], trunc, tolerances)[0]
-    return ToeplitzOperator(t, section, symbol, trunc)
+    """Band of P M_g P on Im P for a pointwise-unitary symbol."""
+    band = _compressions(section, [symbol], trunc, tolerances)[0]
+    band.setflags(write=False)
+    return ToeplitzOperator(band, section, symbol, trunc)
 
 
 def _compressions(section: SpectralSection, symbols,
                   trunc: FourierTruncation,
                   tolerances: Tolerances) -> np.ndarray:
-    """The ``toeplitz_compress`` matrix of each symbol, as one stack; the
-    first symbol whose unitarity defect exceeds ``unitary`` is refused."""
+    """The ``toeplitz_compress`` band of each symbol, as one stack
+    (len(symbols), 2w + 1, rank); the first symbol whose unitarity defect
+    exceeds ``unitary`` is refused."""
     for symbol in symbols:
         defect = symbol.unitarity_defect
         if defect > tolerances.unitary:
@@ -112,26 +133,13 @@ def _compressions(section: SpectralSection, symbols,
                              f"(defect {defect:.3e})")
     if section.dim != trunc.dim:
         raise ValueError("section dimension does not match truncation")
-    rows = _coordinate_rows(section.basis)
-    if rows is not None:
+    if section.rows is not None:
         # B* M B of a coordinate selection B only multiplies by 0 and 1,
         # so it is the block of M on those rows, written from the
         # coefficients
-        return _multiplications(symbols, trunc, rows)
-    mg = _multiplications(symbols, trunc)
-    return section.basis.conj().T @ mg @ section.basis
-
-
-def _coordinate_rows(basis: np.ndarray) -> np.ndarray | None:
-    """Row of each column when every column is a standard basis vector
-    (one entry exactly 1, the rest exactly 0), as in ``hardy_section``;
-    otherwise None."""
-    nonzero = basis != 0
-    rows = nonzero.argmax(axis=0)
-    if np.count_nonzero(nonzero) != basis.shape[1] \
-            or not np.all(basis[rows, np.arange(basis.shape[1])] == 1):
-        return None
-    return rows
+        return _multiplication_bands(symbols, trunc, section.rows)
+    mg = _dense(_multiplication_bands(symbols, trunc, np.arange(trunc.dim)))
+    return _band_of(section.basis.conj().T @ mg @ section.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +170,7 @@ def toeplitz_small_subspaces(t: ToeplitzOperator,
                              tolerances: Tolerances = DEFAULT) -> SmallSubspaces:
     """The small subspaces of one compression: its stack of one, with
     ints, floats and arrays in place of the member axis."""
-    sub = _small_subspaces(t.section, t.matrix[None], t.truncation,
+    sub = _small_subspaces(t.section, t.band[None], t.truncation,
                            tolerances)
     return SmallSubspaces(sub.kernel_interior[0], sub.cokernel_interior[0],
                           int(sub.kernel_dim[0]), int(sub.cokernel_dim[0]),
@@ -170,26 +178,26 @@ def toeplitz_small_subspaces(t: ToeplitzOperator,
                           float(sub.gap_ratio[0]))
 
 
-def _small_subspaces(section: SpectralSection, stack: np.ndarray,
+def _small_subspaces(section: SpectralSection, bands: np.ndarray,
                      trunc: FourierTruncation,
                      tolerances: Tolerances) -> SmallSubspaces:
-    """The small subspaces of every compression in a stack (members,
-    rank, rank) over ``section``: one split per group of members of equal
-    rank (``null_splits``) and one stacked ``_interior_split`` of their
-    lifted kernels and of their cokernels.  Every member's fields are
-    those of its own ``null_split`` and ``interior_directions``."""
-    count, interior = len(stack), trunc.interior()
+    """The small subspaces of every compression in a band stack (members,
+    2w + 1, rank) over ``section``: one split per group of members of
+    equal rank (``null_splits``) and one stacked ``_interior_split`` of
+    their lifted kernels and of their cokernels.  Every member's fields
+    are those of its own ``null_split`` and ``interior_directions``."""
+    count, interior = len(bands), trunc.interior()
     dims = np.zeros((3, count), dtype=int)   # interior kernel, cokernel, raw
-    singular_values = np.empty((count, min(stack.shape[1:])))
+    singular_values = np.empty((count, bands.shape[-1]))
     gap_ratio = np.empty(count)
     frames: list = [[], []]
-    for members, split in null_splits(stack, tolerances):
+    for members, split in null_splits(bands, tolerances, banded=True):
         singular_values[members] = split.singular_values
         gap_ratio[members] = split.gap_ratio
         dims[2, members] = split.kernel.shape[-1] + split.cokernel.shape[-1]
         for side, null in enumerate((split.kernel, split.cokernel)):
-            counts, lifted = _interior_split(section.basis @ null,
-                                             interior, tolerances)
+            counts, lifted = _interior_split(section.lift(null), interior,
+                                             tolerances)
             dims[side, members] = counts
             frames[side].append((members, lifted))
     return SmallSubspaces(
@@ -218,18 +226,19 @@ def fredholm_index(t: ToeplitzOperator,
     """dim ker - dim coker of the compression, counting only
     interior-localized null directions; recomputed at doubled truncation,
     over the section's rebuild recipe, and required to agree."""
-    sub = _stable_subspaces(t.section, [t.symbol], t.matrix[None],
+    sub = _stable_subspaces(t.section, [t.symbol], t.band[None],
                             t.truncation, tolerances)
     return int(sub.kernel_dim[0] - sub.cokernel_dim[0])
 
 
-def _stable_subspaces(section: SpectralSection, symbols, stack: np.ndarray,
+def _stable_subspaces(section: SpectralSection, symbols, bands: np.ndarray,
                       trunc: FourierTruncation,
                       tolerances: Tolerances) -> SmallSubspaces:
-    """``_small_subspaces`` of the compressions ``stack`` of ``symbols``
-    over ``section`` at ``trunc``, once their compressions at doubled
-    truncation, over the section's rebuild recipe, have shown the same
-    index member by member (UnstableIndex at the first that differs)."""
+    """``_small_subspaces`` of the compression bands ``bands`` of
+    ``symbols`` over ``section`` at ``trunc``, once their compressions at
+    doubled truncation, over the section's rebuild recipe, have shown the
+    same index member by member (UnstableIndex at the first that
+    differs)."""
     if section.rebuilder is None:
         raise UnstableIndex(
             "section carries no rebuild recipe, so the two-truncation "
@@ -237,8 +246,8 @@ def _stable_subspaces(section: SpectralSection, symbols, stack: np.ndarray,
             "dirac_aps_section")
     trunc2 = trunc.doubled()
     section2 = section.rebuilder(trunc2)
-    sub = _small_subspaces(section, stack, trunc, tolerances)
-    del stack   # the compressions at K are not held through those at 2K
+    sub = _small_subspaces(section, bands, trunc, tolerances)
+    del bands   # the compressions at K are not held through those at 2K
     sub2 = _small_subspaces(
         section2, _compressions(section2, symbols, trunc2, tolerances),
         trunc2, tolerances)
@@ -331,7 +340,7 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
 
     # every array is rank-first, (rank, rank, m, m, fiber): each small
     # product is an einsum over the rank axes of contiguous base x fiber
-    # blocks
+    # blocks, taken over ``_FIBER_BLOCK`` fiber points at a time
     m = base.size
     symbols = [fam[v] for v in base.vertices]
     rank = symbols[0].rank
@@ -344,26 +353,30 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
     # base.vertices run over (i, j) row by row
     coeffs = coeffs.reshape(rank, rank, m, m, len(modes))
     xs = 2 * np.pi * np.arange(_FIBER_GRID) / _FIBER_GRID
-    waves = np.exp(1j * np.multiply.outer(modes, xs))
-    g = coeffs @ waves
-    dxg = (coeffs * (1j * np.array(modes))) @ waves
-
     freq = 1j * np.fft.fftfreq(m, d=1.0 / m)
-    d1g = np.fft.ifft(freq[:, None, None] * np.fft.fft(g, axis=2), axis=2)
-    d2g = np.fft.ifft(freq[:, None] * np.fft.fft(g, axis=3), axis=3)
-    # einsum runs several times slower on the strided view of the inverse
-    ginv = np.ascontiguousarray(np.moveaxis(
-        np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1)))
 
     def product(x, y):
         return np.einsum("ab...,bc...->ac...", x, y)
 
-    a = product(ginv, dxg)
-    b1 = product(ginv, d1g)
-    b2 = product(ginv, d2g)
-    density = np.einsum("ab...,ba...->...", a,
-                        product(b1, b2) - product(b2, b1))
-    density = 0.5 * density.sum(axis=-1).real * (2 * np.pi / _FIBER_GRID)
+    density = np.zeros((m, m), dtype=complex)
+    for start in range(0, _FIBER_GRID, _FIBER_BLOCK):
+        waves = np.exp(1j * np.multiply.outer(
+            modes, xs[start:start + _FIBER_BLOCK]))
+        g = coeffs @ waves
+        dxg = (coeffs * (1j * np.array(modes))) @ waves
+        d1g = np.fft.ifft(freq[:, None, None] * np.fft.fft(g, axis=2),
+                          axis=2)
+        d2g = np.fft.ifft(freq[:, None] * np.fft.fft(g, axis=3), axis=3)
+        # einsum runs several times slower on the strided view of the
+        # inverse
+        ginv = np.ascontiguousarray(np.moveaxis(
+            np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1),
+            (0, 1)))
+        b1 = product(ginv, d1g)
+        b2 = product(ginv, d2g)
+        density += np.einsum("ab...,ba...->...", product(ginv, dxg),
+                             product(b1, b2) - product(b2, b1)).sum(axis=-1)
+    density = 0.5 * density.real * (2 * np.pi / _FIBER_GRID)
 
     h = 2 * np.pi / m
     plaquettes = density.reshape(-1)[base.plaquette_index].mean(axis=1)

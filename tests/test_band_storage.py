@@ -25,7 +25,8 @@ from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       higher_spectral_flow, sf_pairs)
 from specflow.config import DEFAULT
 from specflow.models import bott_symbol_family
-from specflow.operators import _band_eigvalsh, half_bandwidth
+from specflow.operators import (_band_eigvalsh, _band_of, _exact_band,
+                                half_bandwidth)
 from specflow.toeplitz import _compressions, dirac_aps_section
 from conftest import (assert_matches_reference_assembly, dense_of_band,
                       hermitian_guard_edge, random_hermitian_symbol,
@@ -109,9 +110,9 @@ class TestAgainstDenseReference:
             rows = np.flatnonzero(tr.modes() >= 0)
             expected = reference_multiplications(symbols, tr)[
                 :, rows[:, None], rows]
-            assert_bit_identical(
-                _compressions(hardy_section(tr), symbols, tr, DEFAULT),
-                expected)
+            bands = _compressions(hardy_section(tr), symbols, tr, DEFAULT)
+            assert_bit_identical(_exact_band(bands), _band_of(expected))
+            assert_bit_identical(dense_of_band(bands), expected)
 
     def test_non_coordinate_compressions(self):
         tr = FourierTruncation(6, 1)
@@ -121,7 +122,7 @@ class TestAgainstDenseReference:
         expected = basis.conj().T @ reference_multiplications(symbols, tr) \
             @ basis
         assert_bit_identical(_compressions(section, symbols, tr, DEFAULT),
-                             expected)
+                             _band_of(expected))
 
     @pytest.mark.parametrize("m_u", [8, 13])
     def test_mapping_torus_csc(self, m_u):
@@ -295,10 +296,11 @@ class TestOneOperatorPerParameter:
 #: every stacked split and decomposition, are not traced with the library.
 PEAK_SCRIPT = """
 import json, tracemalloc
-from conftest import random_trig_unitary, rng_for
-from specflow import (FourierTruncation, OperatorCurve, fredholm_index,
-                      gauge_transformed_potential, hardy_section,
-                      spectral_flow, toeplitz_compress)
+import numpy as np
+from conftest import random_trig_unitary, random_unitary, rng_for
+from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
+                      fredholm_index, gauge_transformed_potential,
+                      hardy_section, spectral_flow, toeplitz_compress)
 
 def traced(fn):
     tracemalloc.start()
@@ -315,8 +317,18 @@ curve = OperatorCurve.from_potentials(
 t = toeplitz_compress(hardy_section(tr), symbol, tr)
 sf, sf_peak = traced(lambda: spectral_flow(curve))
 index, index_peak = traced(lambda: fredholm_index(t))
+# U diag(e^{ix}, 1) V, the index_flow workload's first symbol: its
+# compression has half-bandwidths 3 and 1, so both truncations take the
+# band route
+u, v = random_unitary(2, rng_for(81)), random_unitary(2, rng_for(82))
+band_symbol = SymbolFunction({1: u @ np.diag([1.0, 0.0]) @ v,
+                              0: u @ np.diag([0.0, 1.0]) @ v},
+                             rank=2, unitary=True)
+t = toeplitz_compress(hardy_section(tr), band_symbol, tr)
+band_index, band_peak = traced(lambda: fredholm_index(t))
 print(json.dumps(dict(winding=winding, sf=sf, sf_peak=sf_peak, index=index,
-                      index_peak=index_peak)))
+                      index_peak=index_peak, band_index=band_index,
+                      band_peak=band_peak)))
 """
 
 
@@ -334,9 +346,13 @@ def peaks() -> dict:
 class TestPeakMemory:
     """The index_flow solves at K = 128 on rank 2 (dim 514), traced by
     tracemalloc from the call: the flow of the conjugation path reads
-    O(dim b) bands, and the Toeplitz index builds no dim x dim
-    multiplication or identity matrix, so its frames and compressions at
-    2K dominate."""
+    O(dim b) bands, and the Toeplitz index reads its compressions as
+    bands over the Hardy index set, at K and at 2K, with no dim x dim
+    matrix and no frame of the section.  A compression whose interleaved
+    band is too wide for the band route (``null_split``) is split by a
+    dense SVD: the symbol of ``test_fredholm_index`` (lower
+    half-bandwidth 5) takes it at K, where its 258 x 258 singular
+    vectors are the largest arrays."""
 
     def test_spectral_flow(self, peaks):
         assert peaks["sf"] == -peaks["winding"]
@@ -344,4 +360,8 @@ class TestPeakMemory:
 
     def test_fredholm_index(self, peaks):
         assert peaks["index"] == -peaks["winding"]
-        assert peaks["index_peak"] <= 20.0
+        assert peaks["index_peak"] <= 4.0
+
+    def test_fredholm_index_on_the_band_route(self, peaks):
+        assert peaks["band_index"] == -1
+        assert peaks["band_peak"] <= 2.0

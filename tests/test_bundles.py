@@ -586,6 +586,23 @@ class TestHigherSpectralFlow:
             assert sum(np.array_equal(a, cf.at(t).matrix)
                        for a in factored) == 1
 
+    def test_decomposed_operators_are_dropped(self):
+        # with its spectra read off the decompositions the cache holds no
+        # operator at a decomposed t, and the partition is the one the
+        # eigvalsh spectra give
+        cf = self.bott_curve()
+        cache = specflow.flow._SpectrumCache(cf, DEFAULT,
+                                             _spectra_from_eigh=True)
+        part = gap_partition(cf, _cache=cache)
+        assert cache._decs and not cache._ops
+        plain = gap_partition(cf)
+        assert part.breakpoints == plain.breakpoints
+        assert len(part.intervals) == len(plain.intervals)
+        q0, q1 = self.qsections(cf)
+        cls = higher_spectral_flow(cf, q0, q1)
+        assert (cls.ch0, cls.ch1) == (-1, -1)
+        assert cls.meta["partitions"] == len(plain.intervals)
+
     def test_one_null_split_per_vertex_and_bracket(self, monkeypatch):
         # counts split matrices, not calls: one stack of comparison maps
         # per bracket, one member per vertex

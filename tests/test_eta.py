@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specflow
 from specflow import (FiniteRankShift, FourierTruncation, OperatorCurve,
                       SymbolFunction, build_dirac, eta_form_degree0, eta_heat,
                       eta_shifted_derivative, sf_via_eta_result,
@@ -191,3 +197,15 @@ class TestReducedShiftedModel:
     def test_integer_point(self):
         assert reduced_eta_shifted_model(0.0) == 0.5
         assert reduced_eta_shifted_model(3.0) == 0.5
+
+
+def test_import_loads_no_eta_dependency():
+    # mpmath and scipy.special are loaded by the eta functions that use
+    # them, so importing the package, in a fresh interpreter, loads neither
+    code = ("import sys, specflow; print([m for m in ('mpmath', "
+            "'scipy.special') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(specflow.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.split() == ["[]"]

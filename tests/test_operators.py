@@ -457,18 +457,23 @@ class TestStackedSplits:
             assert np.array_equal(alone.kernel, split.kernel[j])
             assert alone.gap_ratio == split.gap_ratio[j]
 
-    def test_band_members_split_alone(self, monkeypatch):
-        # two band members, one with a zero row, next to a dense member:
-        # the band ones take one band solve each, the dense one the SVD
+    @staticmethod
+    def mixed_stack():
+        """Two band members, one with a zero row, next to a dense one."""
         n = 200
         rng = rng_for(13)
         band = random_square_band(n, 1, 1, rng)    # b = 3
         holed = band.copy()
         holed[70] = 0
-        dense = random_unitary(n, rng)
+        return np.stack([holed, random_unitary(n, rng), band])
+
+    def test_band_members_split_alone(self, monkeypatch):
+        # the band members take one band solve each, the dense one the SVD
+        stack = self.mixed_stack()
+        holed, n = stack[0], stack.shape[-1]
         shapes = svd_shapes(monkeypatch)
         bands = band_calls(monkeypatch)
-        groups = null_splits(np.stack([holed, dense, band]))
+        groups = null_splits(stack)
         assert len(bands) == 2 and shapes == [(1, n, n)]
         assert [(m.tolist(), split.rank) for m, split in groups] \
             == [([0], n - 1), ([1, 2], n)]
@@ -476,6 +481,24 @@ class TestStackedSplits:
             groups[0][1].rank, groups[0][1].kernel[0],
             groups[0][1].cokernel[0], groups[0][1].singular_values[0],
             float(groups[0][1].gap_ratio[0])))
+
+    def test_a_band_stack_splits_as_its_matrices(self, monkeypatch):
+        # the same members given by their bands take the same routes,
+        # with only the dense member made dense, and split bit for bit
+        stack = self.mixed_stack()
+        expected = null_splits(stack)
+        shapes = svd_shapes(monkeypatch)
+        bands = band_calls(monkeypatch)
+        groups = null_splits(specflow.operators._band_of(stack), banded=True)
+        assert len(bands) == 2 and shapes == [(1,) + stack.shape[1:]]
+        assert len(groups) == len(expected)
+        for (members, split), (members_d, split_d) in zip(groups, expected):
+            assert np.array_equal(members, members_d)
+            assert split.rank == split_d.rank
+            for name in ("kernel", "cokernel", "singular_values",
+                         "gap_ratio"):
+                x, y = getattr(split, name), getattr(split_d, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 class TestBuildDirac:
@@ -540,6 +563,31 @@ def random_square_band(n: int, kl: int, ku: int,
         k = n - abs(d)
         t += np.diag(rng.normal(size=k) + 1j * rng.normal(size=k), d)
     return t + 3 * (kl + ku + 1) * np.eye(n)
+
+
+class TestCscOfBand:
+    @pytest.mark.parametrize("kl, ku", [(0, 0), (1, 3), (3, 1), (2, 2)])
+    def test_equals_the_csc_of_the_dense_matrix(self, kl, ku):
+        # exact zeros inside the band (a zero row and a zero entry, both
+        # signs) are dropped, as the CSC of the dense matrix drops them,
+        # and a complex matrix with no imaginary part stays complex
+        rng = rng_for(30 + kl + 5 * ku)
+        n = 40
+        for t in (random_square_band(n, kl, ku, rng),
+                  random_square_band(n, kl, ku, rng).real + 0j):
+            t[7] = 0
+            t[12, 12] = -0.0
+            band = specflow.operators._band_of(t)
+            # a wider band, zero beyond T's diagonals, gives the same CSC
+            wide = np.zeros((len(band) + 4, n), dtype=complex)
+            wide[2:-2] = band
+            expected = sp.csc_matrix(t)
+            for b in (band, wide):
+                got = specflow.operators._csc_of_band(b)
+                assert got.shape == expected.shape
+                for name in ("indptr", "indices", "data"):
+                    x, y = getattr(got, name), getattr(expected, name)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 class TestBandNullSplit:

@@ -12,9 +12,12 @@ from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
                       winding)
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned, RoundingAmbiguous, UnstableIndex
+from specflow.operators import _band_of
 from specflow.models import bott_symbol_family, qwz_projector
-from specflow.toeplitz import (SmallSubspaces, _compressions, _gather,
-                               _small_subspaces, toeplitz_small_subspaces)
+import specflow.toeplitz
+from specflow.toeplitz import (_FIBER_GRID, SmallSubspaces, _compressions,
+                               _gather, _small_subspaces,
+                               toeplitz_small_subspaces)
 from conftest import (assert_same_subspaces, derivative_matrix,
                       random_hermitian_symbol, random_trig_unitary,
                       random_unitary, reference_odd_chern_cochain,
@@ -31,6 +34,25 @@ def interior_compression(symbol, trunc):
 class TestHardySection:
     def test_rank(self):
         assert hardy_section(FourierTruncation(2, 1)).rank == 3
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_holds_its_rows(self, rank):
+        # the index set of the modes k >= 0; the frame is built on each
+        # read, and lifting scatters coordinates into the rows
+        tr = FourierTruncation(5, rank)
+        h = hardy_section(tr)
+        assert np.array_equal(h.rows, np.flatnonzero(tr.modes() >= 0))
+        assert not h.rows.flags.writeable
+        assert (h.dim, h.rank) == (tr.dim, len(h.rows))
+        b = h.basis
+        assert not b.flags.writeable and b is not h.basis
+        assert b.dtype == complex
+        assert np.array_equal(b, np.eye(tr.dim)[:, h.rows])
+        coords = rng_for(5).normal(size=(3, h.rank, 2))
+        for c in (coords, coords * np.exp(0.4j)):
+            lifted = h.lift(c)
+            assert lifted.dtype == complex
+            assert np.array_equal(lifted, b @ c)
 
     def test_idempotent(self):
         b = hardy_section(FourierTruncation(4, 2)).basis
@@ -205,7 +227,7 @@ class TestFredholmIndex:
                               tr)
         s = np.ones(t.rank)
         s[-2:] = factor * DEFAULT.svd_gap_factor * 1e-7, 1e-7
-        t = dataclasses.replace(t, matrix=np.diag(s).astype(complex))
+        t = dataclasses.replace(t, band=_band_of(np.diag(s).astype(complex)))
         loose = DEFAULT.with_(rank_rtol=1e-6)
         if factor < 1:
             with pytest.raises(IllConditioned, match="cluster"):
@@ -221,8 +243,8 @@ class TestFredholmIndex:
                               tr)
         # the shift drops an exact zero, which bounds no ratio
         assert toeplitz_small_subspaces(t).gap_ratio == np.inf
-        t = dataclasses.replace(
-            t, matrix=np.diag([1.0, 1.0, 1.0, 0.5, 1e-7]).astype(complex))
+        t = dataclasses.replace(t, band=_band_of(
+            np.diag([1.0, 1.0, 1.0, 0.5, 1e-7]).astype(complex)))
         sub = toeplitz_small_subspaces(t, DEFAULT.with_(rank_rtol=1e-6))
         assert sub.gap_ratio == 0.5 / 1e-7
         # a band-route split keeps its ratio too
@@ -472,6 +494,21 @@ class TestOddChernIntegral:
         assert abs(c.total - total) <= 1e-12
         if kind != "rank 1":
             assert round(c.total) == -1
+
+    @pytest.mark.parametrize("block", [32, 48])
+    def test_fiber_blocks_match_one_block(self, block, monkeypatch):
+        # the fiber integral taken block by block, 48 leaving a short
+        # last block, against all fiber points at once
+        base = BaseGrid.torus(12)
+        fam = bott_symbol_family(base)
+        monkeypatch.setattr(specflow.toeplitz, "_FIBER_BLOCK", block)
+        blocked = odd_chern_integral(fam, base, n=1)
+        monkeypatch.setattr(specflow.toeplitz, "_FIBER_BLOCK", _FIBER_GRID)
+        whole = odd_chern_integral(fam, base, n=1)
+        assert blocked.values.keys() == whole.values.keys()
+        assert max(abs(blocked.values[p] - whole.values[p])
+                   for p in whole.values) <= 1e-12
+        assert abs(blocked.total - whole.total) <= 1e-12
 
     def test_normalization_constant_frozen(self):
         assert CH1_NORMALIZATION == 1.0 / (4.0 * np.pi ** 2)
