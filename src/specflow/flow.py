@@ -597,53 +597,68 @@ def gap_partition(curve: OperatorCurve, tolerances: Tolerances = DEFAULT,
     spectral-gap level.  Raises NoGapFound at the resolution floor and
     ResolutionExceeded past the subdivision budget."""
     cache = _cache if _cache is not None else _SpectrumCache(curve, tolerances)
-    breaks = list(initial_breaks) if initial_breaks is not None else list(curve.ts)
+    return Partition(tuple(_gap_intervals(cache, tolerances, initial_breaks)))
+
+
+def _gap_intervals(cache: _SpectrumCache, tolerances: Tolerances,
+                   initial_breaks: Sequence[float] | None = None):
+    """The certified intervals of ``gap_partition``, yielded left to right
+    as they are certified, on the spectra of the cache's curve; a refusal
+    is raised when the bisection reaches it."""
+    breaks = list(initial_breaks) if initial_breaks is not None \
+        else list(cache.curve.ts)
     stack = [(breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
     stack.reverse()
-    done: list[GapInterval] = []
+    # the leftmost pending interval is on top, and a bisected one puts
+    # its left half there
+    certified = 0
     while stack:
         u, v = stack.pop()
         lip = cache.lipschitz(u, v, tolerances.lipschitz_safety)
         cert = certify_level(cache(u), cache(v), lip, v - u, tolerances)
         if cert is not None:
-            a, margin = cert
-            done.append(GapInterval(u, v, a, margin))
+            certified += 1
+            yield GapInterval(u, v, *cert)
             continue
         if v - u < tolerances.min_interval_width:
             raise NoGapFound(
                 f"no certified spectral gap on [{u:.8f}, {v:.8f}] at the "
                 f"resolution floor {tolerances.min_interval_width:g} "
                 f"(Lipschitz bound {lip:.3g})")
-        if len(done) + len(stack) >= tolerances.max_partitions:
+        if certified + len(stack) >= tolerances.max_partitions:
             raise ResolutionExceeded(
                 f"partition exceeded {tolerances.max_partitions} subintervals; "
-                f"{len(done)} certified so far, current width {v - u:.3g}")
+                f"{certified} certified so far, current width {v - u:.3g}")
         mid = 0.5 * (u + v)
         stack.append((mid, v))
         stack.append((u, mid))
-    done.sort(key=lambda iv: iv.t_left)
-    return Partition(tuple(done))
 
 
 # ---------------------------------------------------------------------------
 # spectral flow
 # ---------------------------------------------------------------------------
 
-def _brackets(part: Partition, section_at, q0, q1):
-    """The brackets [X - Y] whose sum is the flow along a gap partition.
+def _brackets(intervals, section_at, q0, q1):
+    """The brackets [X - Y] whose sum is the flow along a gap partition,
+    given by its intervals in order (a sequence, or a stream such as
+    ``_gap_intervals``).
 
     Yields (t, X, Y) for [P_1(0) - q0], for [P_{j+1}(t_j) - P_j(t_j)] at
     each interior breakpoint t_j, and for [q1 - P_n(1)], where
     ``P_j(t) = section_at(t, a_j)`` is taken above the level of interval
-    j.  A breakpoint's sections are built before they are yielded, so the
-    caller may drop the spectral data at t in its loop body.
+    j.  A breakpoint's sections are built before they are yielded, and
+    the bracket at t_j as soon as interval j + 1 arrives, so the caller
+    may drop the spectral data at t in its loop body before the next
+    interval is asked for.
     """
-    ivs = part.intervals
-    yield ivs[0].t_left, section_at(ivs[0].t_left, ivs[0].level), q0
-    for prev, nxt in zip(ivs, ivs[1:]):
+    intervals = iter(intervals)
+    prev = next(intervals)
+    yield prev.t_left, section_at(prev.t_left, prev.level), q0
+    for nxt in intervals:
         t = prev.t_right
         yield t, section_at(t, nxt.level), section_at(t, prev.level)
-    yield ivs[-1].t_right, q1, section_at(ivs[-1].t_right, ivs[-1].level)
+        prev = nxt
+    yield prev.t_right, q1, section_at(prev.t_right, prev.level)
 
 
 @dataclass(frozen=True)
@@ -672,7 +687,7 @@ def spectral_flow_result(curve: OperatorCurve, cutoff0: float = 0.0,
         return int(np.count_nonzero(cache(t) >= level - atol))
 
     sf = sum(x - y for _, x, y in _brackets(
-        part, count, count(0.0, cutoff0), count(1.0, cutoff1)))
+        part.intervals, count, count(0.0, cutoff0), count(1.0, cutoff1)))
     return SpectralFlowResult(sf=sf, partitions=len(part.intervals),
                               min_gap=part.min_gap)
 
@@ -702,7 +717,8 @@ def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
 
     def run(part: Partition) -> int:
         return sum(difference_element(x, y, tolerances).value
-                   for _, x, y in _brackets(part, cache.section, q0, q1))
+                   for _, x, y in _brackets(part.intervals, cache.section,
+                                            q0, q1))
 
     part = gap_partition(curve, tolerances, _cache=cache)
     value = run(part)

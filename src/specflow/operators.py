@@ -13,6 +13,8 @@ threads.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,6 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 
 from .config import DEFAULT, Tolerances
 from .errors import IllConditioned
@@ -399,10 +402,11 @@ def _leading_index(v: np.ndarray) -> np.ndarray:
     return np.argmax(a > floor, axis=-2)
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Unit columns rotated so their leading entry is real positive."""
+def _canonical_phase(v: np.ndarray):
+    """Rotate unit columns, in place, so their leading entry is real
+    positive."""
     lead = np.take_along_axis(v, _leading_index(v)[..., None, :], axis=-2)
-    return v * (np.abs(lead) / lead)
+    v *= np.abs(lead) / lead
 
 
 def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
@@ -418,16 +422,23 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
     key is the member, so every member comes out as it does on its own; a
     single matrix is a stack of one.  The Hermiticity test reads the
     operator's band, or the band of an array (``_non_hermitian_band``).
+    A stack whose every member is diagonal (lower width 0) is decomposed
+    without LAPACK and without a dense matrix (``_diagonal_eigh``), with
+    the bytes LAPACK's route gives.  The dense matrix an operator builds
+    for LAPACK is dropped once LAPACK returns.
     """
     if isinstance(operator, TruncatedOperator):
-        band, m = operator.band, operator.matrix
+        band, m = operator.band, None
     else:
         m = np.asarray(operator)
         band = _band_of(m)
     if _non_hermitian_band(band, tolerances) is not None:
         raise ValueError("eigh requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    v = _canonical_phase(v)
+    if _diagonal_route(band):
+        w, v = _diagonal_eigh(band[..., band.shape[-2] // 2, :])
+    else:
+        w, v = np.linalg.eigh(operator.matrix if m is None else m)
+    _canonical_phase(v)
 
     n = w.shape[-1]
     flat_w, flat_v = w.reshape(-1, n), v.reshape(-1, n, n)
@@ -451,16 +462,70 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+#: ``?syevd`` and ``?heevd`` scale a matrix whose largest entry in modulus
+#: is nonzero and below 2^-485, or above 2^485 (the square roots of
+#: safmin / eps and of its inverse), before they solve, which can move the
+#: last bits of its eigenvalues.
+_LAPACK_UNSCALED = (2.0 ** -485, 2.0 ** 485)
+
+
+def _diagonal_route(band: np.ndarray) -> bool:
+    """Whether ``_diagonal_eigh`` gives LAPACK's bytes for the matrices of
+    a band stack.
+
+    Every member must be diagonal, of a dtype ``np.linalg.eigh`` solves in
+    as it is (float64 or complex128), and not scaled by LAPACK
+    (``_LAPACK_UNSCALED``).  LAPACK reads the real part of a Hermitian
+    diagonal, and its eigenvalues of a diagonal matrix are those entries,
+    except that the blocked reduction to tridiagonal form adds zero
+    updates to the trailing diagonal, which turns -0.0 into 0.0 there
+    (seen on random diagonals of size 40 and more); a diagonal that holds
+    -0.0 is left to LAPACK.
+    """
+    if band.dtype not in (np.float64, np.complex128) or np.any(
+            _lower_width(band)):
+        return False
+    d = band[..., band.shape[-2] // 2, :].real
+    peak = np.abs(d).max(axis=-1, initial=0.0)
+    low, high = _LAPACK_UNSCALED
+    return bool(np.all((peak == 0) | ((peak >= low) & (peak <= high)))
+                and not np.any(np.signbit(d) & (d == 0)))
+
+
+def _diagonal_eigh(diagonal: np.ndarray):
+    """``np.linalg.eigh`` of the diagonal matrices whose diagonals are the
+    rows of ``diagonal`` (..., n), for a stack that ``_diagonal_route``
+    admits: the eigenvalues are the real diagonal in ascending order, by a
+    stable sort, and the eigenvectors the unit columns in that order, of
+    the diagonal's dtype.
+
+    LAPACK's tridiagonal solvers (``?steqr``, ``?stedc``) see a matrix
+    that splits into 1 x 1 blocks and end with a selection sort, which
+    orders the values alike; it may order equal values differently, but
+    they have equal bytes, and the tie-break of ``eigh`` orders their
+    columns afterwards.
+    """
+    d, n = diagonal.real, diagonal.shape[-1]
+    order = np.argsort(d, axis=-1, kind="stable")
+    w = np.take_along_axis(d, order, axis=-1)
+    v = np.zeros(d.shape + (n,), dtype=diagonal.dtype)
+    # column j is the unit vector of row order[j]
+    np.put_along_axis(v, order[..., None, :], 1, axis=-2)
+    return w, v
+
+
 def _cluster_order(block: np.ndarray, cluster: np.ndarray) -> np.ndarray:
     """Column order that keeps each cluster label (nondecreasing) in place
     and sorts inside a cluster by leading index, then by the entries
     rounded to 9 decimals and read as (re, im) pairs row by row."""
-    entries = np.empty((2 * block.shape[0], block.shape[1]))
-    entries[0::2] = np.round(block.real, 9)
-    entries[1::2] = np.round(block.imag, 9)
-    # lexsort ranks by its last key first
-    keys = np.vstack([entries[::-1], _leading_index(block)[None, :],
-                      cluster[None, :]])
+    rows = block.shape[0]
+    # lexsort ranks by its last key first: the cluster, the leading
+    # index, then re and im of row 0, of row 1, and so on
+    keys = np.empty((2 * rows + 2, block.shape[1]))
+    np.round(block.real, 9, out=keys[2 * rows - 1::-2])
+    np.round(block.imag, 9, out=keys[2 * rows - 2::-2])
+    keys[-2] = _leading_index(block)
+    keys[-1] = cluster
     return np.lexsort(keys)
 
 
@@ -641,12 +706,14 @@ class NullSplit:
     orthonormal frames of the singular subspaces of the dropped values,
     and ``gap_ratio`` is the smallest kept over the largest dropped
     singular value (inf when nothing is dropped).  On the dense route the
-    frames are singular vectors; on the band route they span the same
-    subspaces (see ``null_split``).  Band-route frames are real for a
-    matrix whose entries are all real, whatever its dtype and rank, since
-    ``small_singular_vectors`` then runs in real arithmetic.  The splits
-    of a group of stacked members (``null_splits``) carry a leading
-    member axis on every array field and on ``gap_ratio``."""
+    values and frames come from one SVD; on the band route the values
+    come from the band's bidiagonal form and the frames span the same
+    subspaces as singular vectors do (see ``null_split``).  Band-route
+    frames are real for a matrix whose entries are all real, whatever its
+    dtype and rank, since ``small_singular_vectors`` then runs in real
+    arithmetic.  The splits of a group of stacked members
+    (``null_splits``) carry a leading member axis on every array field
+    and on ``gap_ratio``."""
 
     rank: int
     kernel: np.ndarray
@@ -693,9 +760,9 @@ def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
     value; the zero and the empty matrix have rank 0.
 
     A square matrix T whose band is narrow takes the band route, read off
-    its band (``_band_of``).  Every singular value is ``|lambda|`` of the
-    Hermitian band matrix ``[[0, T], [T*, 0]]`` (``_interleaved_band``)
-    from one band eigenvalue solve, and the rank decision reads them as
+    its band (``_band_of``).  Its singular values come from LAPACK's band
+    bidiagonal reduction and dqds (``_band_singular_values``), with no
+    dense matrix and no doubled one, and the rank decision reads them as
     the dense route reads its SVD.  The n - rank kernel and cokernel
     directions come from ``small_singular_vectors`` on the sparse T*T and
     T T*, counted at a cut ``sqrt(svd_gap_factor)`` below the smallest
@@ -707,16 +774,19 @@ def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
     is below ``_BAND_FRAME_RTOL`` times the largest takes its frames from
     the dense SVD.
 
-    The crossover was measured against a full dense SVD with one BLAS
-    thread, on random complex band matrices (diagonally dominant, two
-    rows zeroed) whose interleaved half-bandwidth b runs from 1 to 33:
-    the band route costs as much as the dense SVD at about b = 4 for
-    n = 192, b = 9 for n = 256 and 320, b = 14 for n = 384, b = 22 for
-    n = 514 and b = 35 for n = 768, and at n = 128 it is no faster even
-    for b = 1.  It is taken when 16 (b + 1) + 128 <= n, which keeps every
-    matrix up to n = 159 dense; at n = 514 and b = 5 it takes 0.41 of
-    the dense time.  Every other matrix, including each non-square
-    one, takes the dense SVD.
+    The route is taken when 16 (b + 1) + 128 <= n (``_band_pays``), b =
+    max(2 ku + 1, 2 kl - 1) the half-bandwidth of ``[[0, T], [T*, 0]]``
+    with rows and columns interleaved, for lower and upper half-bandwidths
+    kl and ku of T; every matrix up to n = 159 stays dense.  The rule was
+    measured when the singular values were the eigenvalues of that
+    doubled band matrix, against a full dense SVD with one BLAS thread, on
+    random complex band matrices (diagonally dominant, two rows zeroed)
+    with b from 1 to 33: the two cost as much at about b = 4 for n = 192,
+    b = 9 for n = 256 and 320, b = 14 for n = 384, b = 22 for n = 514 and
+    b = 35 for n = 768.  The bidiagonal route is faster still, so the
+    rule keeps every matrix it sends to the band route cheaper there.
+    Every other matrix, including each non-square one, takes the dense
+    SVD.
     """
     m = np.asarray(matrix)
     if m.ndim == 2 and m.shape[0] == m.shape[1] and _band_pays(1, len(m)):
@@ -800,35 +870,92 @@ _BAND_FRAME_RTOL = 1e-4
 
 
 def _band_pays(b: int, n: int) -> bool:
-    """Whether an n x n matrix whose interleaved half-bandwidth is b is
-    cheaper on the band route (see ``null_split``)."""
+    """Whether an n x n matrix whose interleaved half-bandwidth is b,
+    max(2 ku + 1, 2 kl - 1), takes the band route (see ``null_split``)."""
     return 16 * (b + 1) + 128 <= n
 
 
-def _interleaved_band(band: np.ndarray) -> np.ndarray | None:
-    """Lower band storage of ``[[0, T], [T*, 0]]`` with rows and columns
-    interleaved, written from the diagonals of the band (2w + 1, n) of a
-    square T when ``_band_pays``; otherwise None.
-
-    T[i, j] sits at (2 i, 2 j + 1), so with lower and upper
-    half-bandwidths kl and ku (the outermost nonzero diagonals of the
-    band) the matrix has half-bandwidth b = max(2 ku + 1, 2 kl - 1).
-    Upper diagonal d of T fills band row 2 d + 1 (as conj T[i, i + d] at
-    column 2 i), lower diagonal d band row 2 d - 1 (as T[j + d, j] at
-    column 2 j + 1).
-    """
-    width, n = band.shape[0] // 2, band.shape[1]
+def _band_widths(band: np.ndarray) -> tuple[int, int]:
+    """Exact lower and upper half-bandwidths kl and ku of the square
+    matrix of a band (2w + 1, n): its outermost nonzero diagonals."""
     # reversing the rows of a band mirrors its diagonals
-    kl, ku = int(_lower_width(band)), int(_lower_width(band[::-1]))
-    b = max(2 * ku + 1, 2 * kl - 1)
-    if not _band_pays(b, n):
-        return None
-    out = np.zeros((b + 1, 2 * n), dtype=np.result_type(band.dtype, float))
-    for d in range(ku + 1):
-        out[2 * d + 1, 0:2 * (n - d):2] = band[width - d, d:].conj()
-    for d in range(1, kl + 1):
-        out[2 * d - 1, 1:2 * (n - d):2] = band[width + d, :n - d]
-    return out
+    return int(_lower_width(band)), int(_lower_width(band[::-1]))
+
+
+@functools.cache
+def _lapack(name: str):
+    """The LAPACK routine ``name`` that ``scipy.linalg.cython_lapack``
+    exports, as a ctypes function, bound on its first call from the
+    module's C-API capsule.  The capsule's name is the C signature, and a
+    Fortran routine takes every argument by pointer, so each argument is
+    declared a ``c_void_p``."""
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = capsule_name(capsule)
+    arguments = [ctypes.c_void_p] * (signature.count(b",") + 1)
+    return ctypes.CFUNCTYPE(None, *arguments)(
+        capsule_pointer(capsule, signature))
+
+
+def _call_lapack(name: str, *args) -> int:
+    """Call ``_lapack(name)`` with ``args`` and a trailing ``info``; a
+    negative ``info`` (an illegal argument) raises ValueError, and a
+    positive one is returned."""
+    info = ctypes.c_int()
+    _lapack(name)(*args, ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"LAPACK {name}: argument {-info.value} is illegal")
+    return info.value
+
+
+def _band_singular_values(band: np.ndarray) -> np.ndarray:
+    """Descending singular values of the square matrix T of a band
+    (2w + 1, n), in the layout of ``TruncatedOperator.band``.
+
+    With kl and ku the exact half-bandwidths (``_band_widths``), the band
+    rows w - ku .. w + kl, in Fortran order, are LAPACK's general band
+    storage of T.  ``?gbbrd`` reduces T by Givens rotations to a real
+    upper bidiagonal B with the same singular values (Kaufman, ACM TOMS
+    26, 2000), and ``dlasq1`` takes those of B by the dqds algorithm, to
+    high relative accuracy in B (Fernando and Parlett, Numer. Math. 67,
+    1994); the reduction is backward stable, so each value is exact to
+    roundoff in the largest.  IllConditioned when dqds does not converge,
+    ValueError for an argument LAPACK refuses.
+
+    Measured on a 2-core host with one BLAS thread (random complex band,
+    kl = ku = 3, best of 7): n = 258, 514 and 1026 take 3.9, 14.3 and
+    58 ms, against 18.1, 71 and 267 ms for the Hermitian band eigenvalues
+    of the doubled matrix ``[[0, T], [T*, 0]]``.
+    """
+    kl, ku = _band_widths(band)
+    width, n = band.shape[0] // 2, band.shape[1]
+    dtype = np.result_type(band.dtype, float)
+    ab = np.array(band[width - ku:width + kl + 1], dtype=dtype, order="F")
+    d, e = np.empty(n), np.empty(n)
+    unused = np.zeros(1, dtype=dtype)
+
+    def at(a):
+        return a.ctypes.data_as(ctypes.c_void_p)
+
+    def by(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    args = [ctypes.c_char_p(b"N"), by(n), by(n), by(0), by(kl), by(ku),
+            at(ab), by(kl + ku + 1), at(d), at(e), at(unused), by(1),
+            at(unused), by(1), at(unused), by(1)]
+    if np.iscomplexobj(ab):
+        _call_lapack("zgbbrd", *args, at(np.empty(n, dtype=dtype)),
+                     at(np.empty(n)))
+    else:
+        _call_lapack("dgbbrd", *args, at(np.empty(2 * n)))
+    if _call_lapack("dlasq1", by(n), at(d), at(e), at(np.empty(4 * n))):
+        raise IllConditioned("dqds did not converge on the bidiagonal "
+                             "form of a band matrix")
+    return d
 
 
 def _csc_of_band(band: np.ndarray) -> sp.csc_matrix:
@@ -849,14 +976,15 @@ def _csc_of_band(band: np.ndarray) -> sp.csc_matrix:
 def _band_null_split(band: np.ndarray,
                      tolerances: Tolerances) -> NullSplit | None:
     """``null_split`` of the square T of a band (2w + 1, n) on the band
-    route; None when its interleaved band does not pay or the smallest
-    kept value is too small for T*T to resolve."""
-    interleaved = _interleaved_band(band)
-    if interleaved is None:
-        return None
+    route; None when its band does not pay (``_band_pays`` at the
+    half-bandwidth max(2 ku + 1, 2 kl - 1) of ``[[0, T], [T*, 0]]`` with
+    rows and columns interleaved, the width that the route was measured
+    at) or the smallest kept value is too small for T*T to resolve."""
+    kl, ku = _band_widths(band)
     n = band.shape[1]
-    # the spectrum is +-s, so its top half holds each singular value once
-    s = np.sort(np.abs(_banded_eigvals(interleaved)[n:]))[::-1]
+    if not _band_pays(max(2 * ku + 1, 2 * kl - 1), n):
+        return None
+    s = _band_singular_values(band)
     rank, ratio = _relative_split(s, tolerances)
     # the iteration runs a matrix without imaginary parts in real
     # arithmetic, so the trivial frames take the dtype it would return

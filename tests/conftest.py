@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 
 import specflow.bundles
@@ -326,6 +325,40 @@ def mapping_torus_matches_reference(monkeypatch):
             monkeypatch.setattr(module, "build_mapping_torus", checked)
 
 
+def lapack_eigh(m, tolerances=DEFAULT):
+    """``operators.eigh`` of a Hermitian matrix or stack on the LAPACK
+    route, written out on its own: ``np.linalg.eigh`` of the dense array,
+    each column's leading entry (the first above 1e-8 of its largest
+    modulus) made real positive, and each degenerate cluster's columns
+    sorted by leading index, then by the entries rounded to 9 decimals as
+    (re, im) pairs row by row.  Returns (eigenvalues, eigenvectors)."""
+    w, v = np.linalg.eigh(m)
+    a = np.abs(v)
+    floor = 1e-8 * np.maximum(a.max(axis=-2, keepdims=True), 1e-300)
+    lead = np.argmax(a > floor, axis=-2)
+    top = np.take_along_axis(v, lead[..., None, :], axis=-2)
+    v = v * (np.abs(top) / top)
+    n = w.shape[-1]
+    flat_w, flat_v, flat_lead = (w.reshape(-1, n), v.reshape(-1, n, n),
+                                 lead.reshape(-1, n))
+    for i in range(len(flat_w)):
+        tol = tolerances.degenerate_cluster \
+            * max(np.abs(flat_w[i]).max(initial=0.0), 1.0)
+        start = 0
+        for j in range(1, n + 1):
+            if j < n and flat_w[i, j] - flat_w[i, j - 1] <= tol:
+                continue
+            block = flat_v[i, :, start:j]
+            keys = [(int(flat_lead[i, start + c]),)
+                    + tuple(np.round(np.c_[block[:, c].real,
+                                           block[:, c].imag].ravel(), 9))
+                    for c in range(j - start)]
+            order = sorted(range(j - start), key=keys.__getitem__)
+            flat_v[i, :, start:j] = block[:, order]
+            start = j
+    return w, v
+
+
 def svd_shapes(monkeypatch) -> list:
     """Record the shape of every matrix that ``np.linalg.svd`` factors."""
     shapes = []
@@ -384,12 +417,17 @@ def band_null_split_matches_dense(monkeypatch):
     original = specflow.operators.null_split
     svd = np.linalg.svd
 
-    def checked(matrix, tolerances=DEFAULT):
-        m = np.asarray(matrix)
+    def band_route(m):
         ops = specflow.operators
         if not (m.ndim == 2 and m.shape[0] == m.shape[1]
-                and ops._band_pays(1, len(m))) \
-                or ops._interleaved_band(ops._band_of(m)) is None:
+                and ops._band_pays(1, len(m))):
+            return False
+        kl, ku = ops._band_widths(ops._band_of(m))
+        return ops._band_pays(max(2 * ku + 1, 2 * kl - 1), len(m))
+
+    def checked(matrix, tolerances=DEFAULT):
+        m = np.asarray(matrix)
+        if not band_route(m):
             return original(matrix, tolerances)
         try:
             split = original(matrix, tolerances)
@@ -476,8 +514,9 @@ def stacked_calls_match_members(monkeypatch):
     factorizations does not count them."""
     eigh = specflow.operators.eigh
     null_splits = specflow.operators.null_splits
-    pristine_kernels = kernels_now((np.linalg, "eigh"), (np.linalg, "svd"),
-                                   (scipy.linalg, "eigvals_banded"))
+    pristine_kernels = kernels_now(
+        (np.linalg, "eigh"), (np.linalg, "svd"),
+        (specflow.operators, "_band_singular_values"))
 
     def checked_eigh(operator, tolerances=DEFAULT):
         dec = eigh(operator, tolerances)

@@ -531,21 +531,22 @@ class TestHigherSpectralFlow:
             FourierTruncation(k, 2))
 
     def test_one_eigh_per_vertex_and_breakpoint(self, monkeypatch):
-        # counts factored matrices, not calls: the operators factored are
-        # exactly the family at each breakpoint, each member once, and
-        # each breakpoint's family in one LAPACK call
+        # counts decomposed matrices, not calls: the operators decomposed
+        # are exactly the family at each breakpoint, each member once, and
+        # each breakpoint's family in one decomposition (the diagonal
+        # family at t = 0 without LAPACK, the others by one LAPACK call)
         cf = self.bott_curve()
         q0, q1 = self.qsections(cf)
         factored, calls = Counter(), []
-        original = np.linalg.eigh
+        original = specflow.flow.eigh
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            factored.update(m.tobytes() for m in np.reshape(
-                a, (-1,) + np.shape(a)[-2:]))
-            return original(a, *args, **kwargs)
+        def counted(operator, *args, **kwargs):
+            stack = operator.matrix
+            calls.append(stack.shape)
+            factored.update(m.tobytes() for m in stack)
+            return original(operator, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(specflow.flow, "eigh", counted)
         cls = higher_spectral_flow(cf, q0, q1)
         assert (cls.ch0, cls.ch1) == (-1, -1)
         breaks = gap_partition(cf).breakpoints

@@ -4,9 +4,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
-                      OperatorCurve, SymbolFunction, build_dirac,
-                      build_multiplication, dirac_aps_section, eigh, eigvalsh,
-                      gauge_transformed_potential)
+                      OperatorCurve, SymbolFunction, TruncatedOperator,
+                      build_dirac, build_multiplication, dirac_aps_section,
+                      eigh, eigvalsh, gauge_transformed_potential)
 from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
@@ -18,9 +18,10 @@ from specflow.operators import (NullSplit, _orthonormal_columns,
                                 small_singular_vectors, split_rank)
 from conftest import (assert_matches_dense_split, dense_null_split,
                       dense_of_band, derivative_matrix, fd_dirac_cos_spectrum,
-                      random_hermitian, random_hermitian_symbol,
+                      lapack_eigh, random_hermitian, random_hermitian_symbol,
                       random_trig_unitary, random_unitary, rng_for,
                       sine_of_largest_angle, svd_shapes)
+from test_perfbench_workloads import load_workloads
 
 
 class TestTruncation:
@@ -181,6 +182,20 @@ def band_calls(monkeypatch) -> list:
         return original(band, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", counted)
+    return calls
+
+
+def band_svd_calls(monkeypatch) -> list:
+    """Record the band singular-value solves that the band route of
+    ``null_split`` makes."""
+    calls = []
+    original = specflow.operators._band_singular_values
+
+    def counted(band):
+        calls.append(band.shape)
+        return original(band)
+
+    monkeypatch.setattr(specflow.operators, "_band_singular_values", counted)
     return calls
 
 
@@ -356,6 +371,113 @@ class TestEigh:
         assert list(_cluster_order(block, np.array([0, 1, 1]))) == [0, 1, 2]
 
 
+class TestDiagonalEigh:
+    """A stack of diagonal matrices is decomposed without LAPACK, with the
+    bytes of the LAPACK route (``conftest.lapack_eigh``)."""
+
+    @staticmethod
+    def lapack_calls(monkeypatch) -> list:
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def assert_lapack_bytes(operator, dec):
+        m = operator.matrix if isinstance(operator, TruncatedOperator) \
+            else operator
+        w, v = lapack_eigh(m)
+        for got, want in ((dec.eigenvalues, w), (dec.eigenvectors, v)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def free_dirac(k):
+        # the t = 0 end of a scale path t -> t V
+        potential = random_hermitian_symbol(2, 1, rng_for(k))
+        return OperatorCurve.from_potentials(
+            [0.0, 1.0], [potential.scale(0.0), potential],
+            FourierTruncation(k, 2)).at(0.0)
+
+    @staticmethod
+    def bott_family_at_zero():
+        base = BaseGrid.torus(12)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        return CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0],
+            FourierTruncation(8, 2)).at(0.0)
+
+    @pytest.mark.parametrize("k", [32, 128])
+    def test_free_dirac_operator(self, k, monkeypatch):
+        op = self.free_dirac(k)
+        calls = self.lapack_calls(monkeypatch)
+        dec = eigh(op)
+        assert calls == []
+        self.assert_lapack_bytes(op, dec)
+
+    def test_bott_family_at_zero(self, monkeypatch):
+        op = self.bott_family_at_zero()
+        assert op.band.shape == (144, 1, 34)
+        calls = self.lapack_calls(monkeypatch)
+        dec = eigh(op)
+        assert calls == []
+        self.assert_lapack_bytes(op, dec)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_near_ties_inside_a_cluster(self, dtype, monkeypatch):
+        # values closer than degenerate_cluster join one cluster, whose
+        # columns the tie-break orders by leading index, apart from the
+        # order of their values; exact ties and 0.0 sit among them
+        d = np.array([2.0, 1e-12, 0.0, -1.0, 3e-12, 2.0 + 1e-10, -1.0,
+                      0.0, 5.0, 2.0 - 1e-10] * 5)
+        m = np.diag(d).astype(dtype)
+        calls = self.lapack_calls(monkeypatch)
+        dec = eigh(m)
+        assert calls == []
+        self.assert_lapack_bytes(m, dec)
+
+    def test_a_negative_zero_takes_lapack(self, monkeypatch):
+        # LAPACK's blocked tridiagonal reduction turns -0.0 into 0.0 on
+        # part of a large diagonal, so a diagonal holding -0.0 is left to
+        # LAPACK
+        d = np.repeat([1.0, -0.0, 0.0, -2.0], 12)
+        for m in (np.diag(d), np.diag(d).astype(complex)):
+            calls = self.lapack_calls(monkeypatch)
+            dec = eigh(m)
+            assert calls == [m.shape]
+            self.assert_lapack_bytes(m, dec)
+
+    def test_a_diagonal_lapack_scales_takes_lapack(self, monkeypatch):
+        # ?heevd scales a matrix whose largest entry lies below 2^-485 or
+        # above 2^485, which moves the last bits of the eigenvalues
+        d = rng_for(41).uniform(0.3, 1.0, size=6)
+        for peak, routed in ((2.0 ** -485, []),
+                             (np.nextafter(2.0 ** -485, 0), [(6, 6)]),
+                             (2.0 ** 485, []), (1e150, [(6, 6)])):
+            m = np.diag(np.r_[1.0, d[1:]] * peak).astype(complex)
+            calls = self.lapack_calls(monkeypatch)
+            dec = eigh(m)
+            assert calls == routed
+            self.assert_lapack_bytes(m, dec)
+
+    def test_one_off_diagonal_entry_sends_the_stack_to_lapack(self,
+                                                              monkeypatch):
+        op = self.bott_family_at_zero()
+        stack = op.matrix.copy()
+        stack[7, 3, 4] = stack[7, 4, 3] = 0.25
+        calls = self.lapack_calls(monkeypatch)
+        dec = eigh(stack)
+        assert calls == [stack.shape]
+        self.assert_lapack_bytes(stack, dec)
+        self.assert_lapack_bytes(op, eigh(op))
+
+
 class TestRank:
     def test_identity(self):
         split = null_split(np.eye(7))
@@ -472,7 +594,7 @@ class TestStackedSplits:
         stack = self.mixed_stack()
         holed, n = stack[0], stack.shape[-1]
         shapes = svd_shapes(monkeypatch)
-        bands = band_calls(monkeypatch)
+        bands = band_svd_calls(monkeypatch)
         groups = null_splits(stack)
         assert len(bands) == 2 and shapes == [(1, n, n)]
         assert [(m.tolist(), split.rank) for m, split in groups] \
@@ -488,7 +610,7 @@ class TestStackedSplits:
         stack = self.mixed_stack()
         expected = null_splits(stack)
         shapes = svd_shapes(monkeypatch)
-        bands = band_calls(monkeypatch)
+        bands = band_svd_calls(monkeypatch)
         groups = null_splits(specflow.operators._band_of(stack), banded=True)
         assert len(bands) == 2 and shapes == [(1,) + stack.shape[1:]]
         assert len(groups) == len(expected)
@@ -565,6 +687,68 @@ def random_square_band(n: int, kl: int, ku: int,
     return t + 3 * (kl + ku + 1) * np.eye(n)
 
 
+class TestBandSingularValues:
+    """``_band_singular_values`` (``?gbbrd`` and dqds) against the dense
+    SVD."""
+
+    @pytest.mark.parametrize("n", [160, 514])
+    @pytest.mark.parametrize("kl, ku", [(0, 0), (1, 3), (3, 1), (2, 0),
+                                        (0, 2), (5, 0)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_dense_svd(self, n, kl, ku, dtype):
+        # zero rows and a row scaled by 1e-9 give zero and small values
+        rng = rng_for(100 * kl + 10 * ku + n)
+        t = random_square_band(n, kl, ku, rng)
+        t = (t.real if dtype is float else t).astype(dtype)
+        t[[3, n // 2]] = 0
+        t[n - 5] *= 1e-9
+        band = specflow.operators._band_of(t)
+        assert specflow.operators._band_widths(band) == (kl, ku)
+        s = specflow.operators._band_singular_values(band)
+        dense = np.linalg.svd(t, compute_uv=False)
+        assert s.dtype == np.float64 and s.shape == (n,)
+        assert np.all(np.diff(s) <= 0)
+        assert np.abs(s - dense).max() <= 1e-13 * dense[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_index_flow_compressions(self, seed, monkeypatch):
+        # both symbols of the index_flow workload at K = 128 and at the
+        # doubled truncation of its Fredholm check
+        from specflow import hardy_section, toeplitz_compress
+        workloads = load_workloads(monkeypatch)
+        rng = np.random.default_rng(seed)
+        symbols = [workloads.index_flow_symbol(rng, windings)[0]
+                   for windings in workloads.INDEX_FLOW_WINDINGS]
+        for symbol in symbols:
+            for k in (128, 256):
+                tr = FourierTruncation(k, 2)
+                t = toeplitz_compress(hardy_section(tr), symbol, tr)
+                calls = band_svd_calls(monkeypatch)
+                split = null_split(t.matrix)
+                assert len(calls) == 1
+                rank, _, _, s = dense_null_split(t.matrix)
+                assert split.rank == rank
+                assert split.gap_ratio > DEFAULT.svd_gap_factor
+                assert np.abs(split.singular_values - s).max() \
+                    <= 1e-13 * s[0]
+
+    @pytest.mark.parametrize("info, error", [(2, IllConditioned),
+                                             (-3, ValueError)])
+    def test_a_failing_dqds_raises(self, info, error, monkeypatch):
+        lapack = specflow.operators._lapack
+
+        def failing(name):
+            if name != "dlasq1":
+                return lapack(name)
+            return lambda *args: setattr(args[-1]._obj, "value", info)
+
+        monkeypatch.setattr(specflow.operators, "_lapack", failing)
+        band = specflow.operators._band_of(
+            random_square_band(200, 1, 1, rng_for(4)))
+        with pytest.raises(error):
+            specflow.operators._band_singular_values(band)
+
+
 class TestCscOfBand:
     @pytest.mark.parametrize("kl, ku", [(0, 0), (1, 3), (3, 1), (2, 2)])
     def test_equals_the_csc_of_the_dense_matrix(self, kl, ku):
@@ -598,7 +782,7 @@ class TestBandNullSplit:
     @staticmethod
     def split(m, monkeypatch, tolerances=DEFAULT):
         shapes = svd_shapes(monkeypatch)
-        bands = band_calls(monkeypatch)
+        bands = band_svd_calls(monkeypatch)
         try:
             return null_split(m, tolerances)
         finally:
@@ -693,7 +877,7 @@ class TestBandNullSplit:
         t[:n - 2, :n - 2] = block
         t[n - 2, n - 2] = 1e-6 * np.linalg.svd(block, compute_uv=False)[0]
         shapes = svd_shapes(monkeypatch)
-        bands = band_calls(monkeypatch)
+        bands = band_svd_calls(monkeypatch)
         split = null_split(t)
         assert shapes == [(n, n)] and len(bands) == 1
         assert split.rank == n - 1
@@ -725,7 +909,7 @@ class TestBandNullSplit:
                   random_square_band(240, 3, 4, rng_for(2)),   # b = 9
                   random_square_band(300, 1, 1, rng_for(3))[:, :299]):
             shapes = svd_shapes(monkeypatch)
-            bands = band_calls(monkeypatch)
+            bands = band_svd_calls(monkeypatch)
             null_split(m)
             assert bands == [] and shapes == [m.shape]
 
