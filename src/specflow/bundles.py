@@ -34,8 +34,7 @@ from .flow import (GapInterval, Partition, SpectralSection, _brackets,
                    _first_invalid, _gap_intervals, _gram_defect, _kept_above,
                    _SampledCurve, _SpectrumCache, _top_section,
                    comparison_map, gap_partition)  # noqa: F401
-from .operators import (FourierTruncation, TruncatedOperator, _band_of,
-                        _dirac_bands, eigh, null_splits)
+from .operators import FourierTruncation, TruncatedOperator, eigh, null_splits
 from .toeplitz import _compressions, _stable_subspaces, hardy_section
 
 
@@ -407,24 +406,11 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
 
 class CurveOfFamilies(_SampledCurve):
     """A curve u -> operator family over a common sample grid and
-    truncation, stored as one read-only band stack ``samples`` of shape
-    (samples, vertices, 2b + 1, dim), vertices in the order of
-    ``base.vertices``: an ``OperatorCurve`` with a vertex axis, whose
-    ``at(t)`` is the operator of the whole family at t, its band a stack
-    (vertices, 2b + 1, dim)."""
-
-    def __init__(self, base: BaseGrid, ts, samples: np.ndarray,
-                 truncation: FourierTruncation):
-        """``samples`` are the dense matrices (samples, vertices, dim,
-        dim); they are stored by their band."""
-        self.base = base
-        samples = np.asarray(samples, dtype=complex)
-        shape = (len(samples), len(base.vertices), truncation.dim,
-                 truncation.dim)
-        if samples.shape != shape:
-            raise ValueError(f"samples have shape {samples.shape}, "
-                             f"expected {shape}")
-        self._store(ts, _band_of(samples), truncation, DEFAULT)
+    truncation, built from potentials only and stored as one read-only
+    band stack ``samples`` of shape (samples, vertices, 2b + 1, dim),
+    vertices in the order of ``base.vertices``: an ``OperatorCurve`` with
+    a vertex axis, whose ``at(t)`` is the operator of the whole family at
+    t, its band a stack (vertices, 2b + 1, dim)."""
 
     @classmethod
     def from_potentials(cls, base: BaseGrid, potential_fn, ts,
@@ -433,13 +419,10 @@ class CurveOfFamilies(_SampledCurve):
         """potential_fn(vertex, t) -> Hermitian SymbolFunction, within
         ``potential_hermitian`` (the ``build_dirac`` guard)."""
         ts = [float(t) for t in ts]
-        pots = [[potential_fn(v, t) for t in ts] for v in base.vertices]
-        bands = _dirac_bands([row[k] for k in range(len(ts))
-                              for row in pots], trunc, tolerances)
         curve = cls.__new__(cls)
         curve.base = base
-        curve._store(ts, bands.reshape((len(ts), len(pots)) + bands.shape[1:]),
-                     trunc, tolerances)
+        curve._build(ts, [[potential_fn(v, t) for v in base.vertices]
+                          for t in ts], trunc, tolerances)
         return curve
 
     def family_at(self, t: float,

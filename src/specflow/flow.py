@@ -20,6 +20,7 @@ nonnegative side, matching the inclusive-at-zero default of
 from __future__ import annotations
 
 import bisect
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -314,8 +315,13 @@ class _SampledCurve:
     b the exact half-bandwidth of the whole stack.  It is affine on every
     sample segment [t_k, t_{k+1}], which is exactly what the per-segment
     Lipschitz rate of the gap partition certifies.  A curve built from
-    matrices is checked Hermitian at the default tolerances, one built by
-    ``from_potentials`` at the record it is given."""
+    matrices is checked Hermitian at the default tolerances and has no
+    ``potentials``; one built by ``from_potentials`` is checked at the
+    record it is given and owns its read-only table of ``potentials``,
+    (samples,) or (samples, vertices), from which ``_doubled`` rebuilds
+    it."""
+
+    potentials: np.ndarray | None = None
 
     def _store(self, ts, samples: np.ndarray, truncation: FourierTruncation,
                tolerances: Tolerances):
@@ -329,27 +335,52 @@ class _SampledCurve:
         samples.setflags(write=False)
         self.ts, self.samples, self.truncation = ts, samples, truncation
 
-    def _band(self, t: float) -> np.ndarray:
-        """The sample band itself at a sample point, else
-        ``(1 - lam) S_i + lam S_{i+1}`` on the segment of t, the dense
-        interpolation's arithmetic on every entry of the band."""
-        t = float(t)
-        i = bisect.bisect_left(self.ts, t)
-        if i < len(self.ts) and self.ts[i] == t:
-            return self.samples[i]
-        i = min(max(i - 1, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        lam = (t - t0) / (t1 - t0)
+    def _build(self, ts, potentials, truncation: FourierTruncation,
+               tolerances: Tolerances):
+        """Hold the bands of a table of potentials, (samples,) or
+        (samples, vertices), written in one ``_dirac_bands`` call, and a
+        read-only copy of the table."""
+        table = np.array(potentials, dtype=object)
+        table.setflags(write=False)
+        bands = _dirac_bands(table.ravel(), truncation, tolerances)
+        if table.ndim > 1:
+            bands = bands.reshape(table.shape + bands.shape[1:])
+        self._store(ts, bands, truncation, tolerances)
+        self.potentials = table
+
+    def _doubled(self, tolerances: Tolerances) -> "_SampledCurve":
+        """This curve rebuilt from its potentials at
+        ``truncation.doubled()``, checked at ``tolerances``, on the same
+        ``ts`` (and base); ValueError for a curve built from matrices."""
+        if self.potentials is None:
+            raise ValueError("the curve has no potentials to rebuild from")
+        curve = copy.copy(self)
+        curve._build(self.ts, self.potentials, self.truncation.doubled(),
+                     tolerances)
+        return curve
+
+    def _bands(self, ts) -> np.ndarray:
+        """The bands at the parameters ``ts``, stacked on the axes of ``ts``
+        (none for one t, which reads views of its two samples):
+        ``(1 - lam) S_i + lam S_{i+1}`` on the segment [t_i, t_{i+1}) of
+        each t (the last one closed), the dense interpolation's arithmetic
+        on every entry of the band."""
+        ts = np.asarray(ts, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, ts, side="right") - 1,
+                    0, len(self.ts) - 2)
+        lam = (ts - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
+        lam = lam.reshape(lam.shape + (1,) * (self.samples.ndim - 1))
         return (1 - lam) * self.samples[i] + lam * self.samples[i + 1]
 
     def at(self, t: float,
            tolerances: Tolerances = DEFAULT) -> TruncatedOperator:
         """The operator at t, built anew on every call (on a view of the
-        sample band at a sample point) and checked Hermitian at
-        ``tolerances``; for a curve of families, the operator of the whole
-        family, whose band is a stack over the vertices."""
-        return TruncatedOperator._of_band(self._band(t), self.truncation,
-                                          tolerances)
+        sample band at a sample point, else of ``_bands``) and checked
+        Hermitian at ``tolerances``; for a curve of families, the operator
+        of the whole family, whose band is a stack over the vertices."""
+        k = np.flatnonzero(self.ts == float(t))
+        band = self.samples[k[0]] if k.size else self._bands(float(t))
+        return TruncatedOperator._of_band(band, self.truncation, tolerances)
 
 
 def _sample_grid(ts, count: int) -> np.ndarray:
@@ -375,8 +406,8 @@ class OperatorCurve(_SampledCurve):
     another truncation and for the gluing check of a twisted loop.
     """
 
-    def __init__(self, ts: Sequence[float], operators: Sequence[TruncatedOperator],
-                 potentials: Sequence[SymbolFunction] | None = None):
+    def __init__(self, ts: Sequence[float],
+                 operators: Sequence[TruncatedOperator]):
         ts = _sample_grid(ts, len(operators))
         if len({op.truncation for op in operators}) > 1:
             raise ValueError("all operators must share one truncation")
@@ -388,16 +419,13 @@ class OperatorCurve(_SampledCurve):
             own = len(op.band) // 2
             sample[width - own:width + own + 1] = op.band
         self._store(ts, samples, operators[0].truncation, DEFAULT)
-        self.potentials = list(potentials) if potentials is not None else None
 
     @classmethod
     def from_potentials(cls, ts, potentials: Sequence[SymbolFunction],
                         trunc: FourierTruncation,
                         tolerances: Tolerances = DEFAULT) -> "OperatorCurve":
         curve = cls.__new__(cls)
-        curve.potentials = list(potentials)
-        curve._store(ts, _dirac_bands(curve.potentials, trunc, tolerances),
-                     trunc, tolerances)
+        curve._build(ts, list(potentials), trunc, tolerances)
         return curve
 
 
@@ -503,14 +531,14 @@ class _SpectrumCache:
     each segment for the Lipschitz bound.
 
     The curve is an ``OperatorCurve`` or a ``bundles.CurveOfFamilies``,
-    which hold only their sample stack and build the operator at t anew
-    on every ``at(t, tolerances)``, called here with the call's
-    tolerances.  For a family the operator's band is a stack over the
-    base, so the spectra are (vertices, n), the decompositions and
-    sections stacked, and each factorization is one LAPACK call over the
-    base.  The band-backed operator at t, O(n b) per member, is built
-    once and held until ``release``, so its spectrum and its
-    decomposition read one operator.
+    which hold their sample stack (and potentials, never read here) and
+    build the operator at t anew on every ``at(t, tolerances)``, called
+    here with the call's tolerances.  For a family the operator's band is
+    a stack over the base, so the spectra are (vertices, n), the
+    decompositions and sections stacked, and each factorization is one
+    LAPACK call over the base.  The band-backed operator at t, O(n b) per
+    member, is built once and held until ``release``, so its spectrum and
+    its decomposition read one operator.
 
     With ``_spectra_from_eigh`` the spectra are read off the
     eigendecompositions, for a caller that needs a section at every
@@ -696,7 +724,9 @@ def spectral_flow(curve: OperatorCurve, cutoff0: float = 0.0,
                   cutoff1: float = 0.0,
                   tolerances: Tolerances = DEFAULT) -> int:
     """Net number of eigenvalues crossing zero, upward crossings +1,
-    measured against endpoint cutoff levels."""
+    measured against endpoint cutoff levels.  The certificate covers the
+    truncated curve only, with no check at another truncation: a curve
+    built from matrices has the flow of the given matrices."""
     return spectral_flow_result(curve, cutoff0, cutoff1, tolerances).sf
 
 

@@ -53,8 +53,9 @@ class TwistedLoopSpec:
     nontrivial g is the twisted extension that produces nonzero flux
     examples.  Consistency D_1 = g D_0 g^{-1} is checked at the symbol
     level, where it is exact (the truncated matrices differ at the mode
-    edges by construction).  The gluing symbol must be unitary within
-    the ``unitary`` guard of the record it was built with.
+    edges by construction), so a path built from matrices is refused.
+    The gluing symbol must be unitary within the ``unitary`` guard of the
+    record it was built with.
     """
 
     path: OperatorCurve
@@ -112,8 +113,9 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
     """Assemble the Cayley-stencil discretization on m_u slices.
 
     Slice j is the path at its midpoint u_j = (j + 1/2) / m_u, formed as
-    its band with the arithmetic of ``OperatorCurve.at``, all slices in
-    one ``(m_u, 2b + 1, dim)`` stack.  Each slice must be Hermitian by the
+    its band by the path's own interpolation (``_bands``, the rule of
+    ``OperatorCurve.at`` between samples), all slices in one
+    ``(m_u, 2b + 1, dim)`` stack.  Each slice must be Hermitian by the
     ``TruncatedOperator`` test (``_non_hermitian_band``) at the given
     ``hermitian_max``.  The slices are then read on the nonzero pattern
     of the sample bands ``path.samples`` (its union over the samples, made
@@ -140,11 +142,7 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
                       np.arange(dim) * (dim + 1))
     rows, cols = np.divmod(keys, dim)
 
-    u = (np.arange(m_u) + 0.5) * h
-    seg = np.clip(np.searchsorted(path.ts, u, side="right") - 1,
-                  0, len(path.ts) - 2)
-    lam = ((u - path.ts[seg]) / np.diff(path.ts)[seg])[:, None, None]
-    bands = (1 - lam) * path.samples[seg] + lam * path.samples[seg + 1]
+    bands = path._bands((np.arange(m_u) + 0.5) * h)
     bad = _non_hermitian_band(bands, tolerances)
     if bad is not None:
         raise ValueError(f"u-slice {bad[0]} is not Hermitian: "
@@ -188,14 +186,17 @@ def index(op: MappingTorusOperator,
     """dim ker A - dim ker A* restricted to interior-localized directions.
 
     Requires a clean gap (configured factor) between the numerically-zero
-    singular values and the rest; the count is recomputed at doubled m_u
-    and at doubled truncation and must not change.  Both doubled operators
-    are built with the given tolerances.
+    singular values and the rest; the count is recomputed, with the given
+    tolerances, at doubled m_u and at doubled truncation, on the path
+    rebuilt from its potentials (``_doubled``), and must not change.
     """
     value = _interior_index(op, tolerances)
-    for label, finer in (("m_u", _with_doubled_mu(op, tolerances)),
-                         ("truncation",
-                          _with_doubled_truncation(op, tolerances))):
+    spec = op.spec
+    for label, finer in (
+            ("m_u", build_mapping_torus(spec, 2 * op.m_u, tolerances)),
+            ("truncation", build_mapping_torus(
+                TwistedLoopSpec(spec.path._doubled(tolerances), spec.glue),
+                op.m_u, tolerances))):
         other = _interior_index(finer, tolerances)
         if other != value:
             raise DoublingDetected(
@@ -215,18 +216,3 @@ def _interior_index(op: MappingTorusOperator, tolerances: Tolerances) -> int:
     gk = interior_directions(right, interior, tolerances).shape[1]
     gc = interior_directions(left, interior, tolerances).shape[1]
     return gk - gc
-
-
-def _with_doubled_mu(op: MappingTorusOperator,
-                     tolerances: Tolerances) -> MappingTorusOperator:
-    return build_mapping_torus(op.spec, 2 * op.m_u, tolerances)
-
-
-def _with_doubled_truncation(op: MappingTorusOperator,
-                             tolerances: Tolerances) -> MappingTorusOperator:
-    trunc2 = op.truncation.doubled()
-    path = op.spec.path
-    curve2 = OperatorCurve.from_potentials(path.ts, path.potentials, trunc2,
-                                           tolerances)
-    spec2 = TwistedLoopSpec(curve2, op.spec.glue)
-    return build_mapping_torus(spec2, op.m_u, tolerances)

@@ -219,6 +219,57 @@ class TestBandGuard:
                 eigh(operator, outside)
 
 
+class TestDoubled:
+    """``_doubled`` is the curve's own ``from_potentials`` at doubled
+    truncation, bit for bit, on the same grid, base and potential objects,
+    checked at the record it is given; a curve built from matrices has no
+    potentials to rebuild it from."""
+
+    loose = DEFAULT.with_(hermitian_max=1e-6, potential_hermitian=1e-6)
+
+    def test_operator_curve(self):
+        tr = FourierTruncation(4)
+        pots = [skewed_shift_potential(a, 1e-8) for a in (0.75, 1.0, 1.25)]
+        curve = OperatorCurve.from_potentials([0.0, 0.4, 1.0], pots, tr,
+                                              self.loose)
+        doubled = curve._doubled(self.loose)
+        assert type(doubled) is OperatorCurve
+        assert doubled.truncation == tr.doubled() != curve.truncation
+        assert_bit_identical(doubled.samples, OperatorCurve.from_potentials(
+            curve.ts, pots, tr.doubled(), self.loose).samples)
+        assert doubled.ts is curve.ts
+        assert all(a is b for a, b in zip(doubled.potentials, pots))
+        with pytest.raises(ValueError, match="defect 1.000e-08"):
+            curve._doubled(DEFAULT)
+
+    def test_curve_of_families(self):
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        ts, tr = (0.0, 0.5, 1.0), FourierTruncation(3, 2)
+
+        def potential(v, t):
+            return pots[v].scale(t)
+
+        cf = CurveOfFamilies.from_potentials(base, potential, ts, tr)
+        doubled = cf._doubled(DEFAULT)
+        assert type(doubled) is CurveOfFamilies
+        assert doubled.truncation == tr.doubled()
+        assert_bit_identical(doubled.samples, CurveOfFamilies.from_potentials(
+            base, potential, ts, tr.doubled()).samples)
+        assert doubled.base is base and doubled.ts is cf.ts
+        assert doubled.potentials.shape == (len(ts), len(base.vertices))
+        assert all(a is b for a, b in zip(doubled.potentials.ravel(),
+                                          cf.potentials.ravel()))
+
+    def test_matrix_built_curve_refused(self):
+        op = build_dirac(SymbolFunction.constant(0.25), FourierTruncation(4))
+        curve = OperatorCurve([0.0, 1.0], [op, op])
+        assert curve.potentials is None
+        with pytest.raises(ValueError, match="no potentials"):
+            curve._doubled(DEFAULT)
+
+
 class TestNonFiniteEntries:
     """A NaN or infinite entry fails the one Hermiticity test wherever it
     is read, as a ValueError of that test rather than a failure of the
@@ -254,12 +305,6 @@ class TestNonFiniteEntries:
     def test_operator_curve(self, t):
         with pytest.raises(ValueError, match="matrix is not Hermitian"):
             self.curve().at(t)
-
-    def test_curve_of_families(self):
-        samples = np.stack([self.matrix(value=0.0)] * 8).reshape(2, 4, 9, 9)
-        samples[1, 2] = self.matrix()
-        with pytest.raises(ValueError, match="matrix is not Hermitian"):
-            CurveOfFamilies(BaseGrid.loop(4), [0.0, 1.0], samples, self.tr)
 
     def test_mapping_torus_slice(self):
         with pytest.raises(ValueError, match="u-slice 0 is not Hermitian: "

@@ -507,15 +507,18 @@ class TestHigherSpectralFlow:
             higher_spectral_flow(cf, q0, q1, outside)
 
     def test_empty_parts_keep_the_caller_tolerances(self):
-        # a constant curve with no eigenvalue near zero has no crossing,
-        # so both parts of its class are empty families
+        # a constant curve has no crossing, so between endpoint sections
+        # at the level of its partition both parts of its class are empty
+        # families; -i d/dx + diag(0.4, 0.6) on modes -1..1 has the
+        # eigenvalues -0.6, -0.4, 0.4, 0.6, 1.4, 1.6, and the level 1.0
+        # in the widest gap of their moduli
         base = BaseGrid.loop(4)
         tr = FourierTruncation(1, 2)
         loose = DEFAULT.with_(neighbor_continuity=0.9)
-        d = np.diag([-1.2, -1.1, -1.0, 1.0, 1.1, 1.2]).astype(complex)
-        cf = CurveOfFamilies(base, [0.0, 1.0],
-                             np.broadcast_to(d, (2, 4, 6, 6)), tr)
-        q0, q1 = (aps_section_family(cf.family_at(t), tolerances=loose)
+        v = SymbolFunction.constant(np.diag([0.4, 0.6]))
+        cf = CurveOfFamilies.from_potentials(base, lambda b, t: v,
+                                             [0.0, 1.0], tr)
+        q0, q1 = (aps_section_family(cf.family_at(t), 1.0, tolerances=loose)
                   for t in (0.0, 1.0))
         cls = higher_spectral_flow(cf, q0, q1, loose)
         assert (cls.ch0, cls.positive.rank, cls.negative.rank) == (0, 0, 0)
@@ -726,12 +729,24 @@ class TestStackedFamilies:
                                      DEFAULT))
 
     def test_non_hermitian_member_refused(self):
-        cf = self.bott_curve()
-        samples = dense_of_band(cf.samples)
-        samples[1, 5, 0, 1] += 1e-6
-        samples[1, 9, 0, 1] += 1e-3
+        # entry (0, 1) of the potentials of vertices 5 and 9 at t = 1/2 is
+        # pushed off by 1e-6 and 1e-3, inside a loosened potential guard:
+        # the band test of the samples names the first one, vertex 5
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        push = {base.vertices[5]: 1e-6, base.vertices[9]: 1e-3}
+
+        def potential(v, t):
+            if t != 0.5 or v not in push:
+                return pots[v].scale(t)
+            return pots[v].scale(t) + SymbolFunction.constant(
+                [[0.0, push[v]], [0.0, 0.0]])
+
         with pytest.raises(ValueError, match="defect 1.000e-06"):
-            CurveOfFamilies(cf.base, cf.ts, samples, cf.truncation)
+            CurveOfFamilies.from_potentials(
+                base, potential, [0.0, 0.5, 1.0], FourierTruncation(3, 2),
+                DEFAULT.with_(potential_hermitian=1e-2))
 
     def test_degenerate_clusters_of_the_free_operator(self, monkeypatch):
         # at t = 0 every member is -i d/dx on C^2: each eigenvalue is

@@ -358,8 +358,7 @@ class TestSpectralFlow:
         curve = OperatorCurve.from_potentials(ts, pots, tr)
         warped = OperatorCurve(ts ** 2, [TruncatedOperator(m, tr)
                                          for m in dense_of_band(
-                                             curve.samples)],
-                               potentials=curve.potentials)
+                                             curve.samples)])
         assert spectral_flow(curve) == spectral_flow(warped)
 
     def test_refinement_stability(self):

@@ -4,16 +4,16 @@ import pytest
 import specflow.mapping_torus
 import specflow.operators
 from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
-                      TruncatedOperator, TwistedLoopSpec, build_mapping_torus,
+                      TwistedLoopSpec, build_dirac, build_mapping_torus,
                       gauge_transformed_potential, mapping_torus_index,
                       spectral_flow)
 from specflow.config import DEFAULT
 from specflow.errors import GluingInconsistent, IllConditioned
 from specflow.mapping_torus import (MappingTorusOperator, _interior_index,
-                                    _small_singular_vectors,
-                                    _with_doubled_truncation)
+                                    _small_singular_vectors)
 from specflow.models import constant_shift_potential
-from conftest import (assert_matches_reference_assembly, random_hermitian,
+from conftest import (assert_matches_reference_assembly, dense_of_band,
+                      hermitian_guard_edge, random_hermitian,
                       random_hermitian_symbol, rng_for,
                       sine_of_largest_angle)
 
@@ -94,9 +94,18 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="defect 2.000e-09"):
                 TwistedLoopSpec(curve, g)
 
+    def test_potentials_are_not_a_constructor_argument(self):
+        # a path D(0) -> D(-1/2) that claimed the potentials [V0, V0]
+        # would pass the gluing check while its operators do not close
+        tr = FourierTruncation(4, 1)
+        ops = [build_dirac(constant_shift_potential(a), tr)
+               for a in (0.0, -0.5)]
+        with pytest.raises(TypeError, match="potentials"):
+            OperatorCurve([0.0, 1.0], ops,
+                          potentials=[constant_shift_potential(0.0)] * 2)
+
     def test_requires_potentials(self):
         tr = FourierTruncation(4, 1)
-        from specflow import build_dirac
         op = build_dirac(constant_shift_potential(0.3), tr)
         curve = OperatorCurve([0.0, 1.0], [op, op])
         with pytest.raises(ValueError, match="potential"):
@@ -145,39 +154,50 @@ class TestReferenceAssembly:
     def test_matches_block_assembly(self, spec, m_u):
         op = build_mapping_torus(spec, m_u)
         assert_matches_reference_assembly(op)
-        assert_matches_reference_assembly(
-            _with_doubled_truncation(op, DEFAULT))
+        doubled = TwistedLoopSpec(spec.path._doubled(DEFAULT), spec.glue)
+        assert_matches_reference_assembly(build_mapping_torus(doubled, m_u))
 
     @staticmethod
     def _guard_spec(delta: float) -> TwistedLoopSpec:
-        # samples X + E and -X + E with E = i delta I: both pass the
-        # Hermiticity test at the scale of X, the middle slices of the path
-        # are (1 - 2u) X + E, where the allowed defect shrinks with |X|
-        tr = FourierTruncation(4, 1)
-        x = random_hermitian(tr.dim, rng_for(11))
+        # the constant rank-3 potentials X + E, -X + E, X + E at u = 0,
+        # 1/2, 1 with E = i delta I, a loop under the identity gluing: the
+        # samples pass the Hermiticity test at the scale of X, ||X||_max =
+        # 1e4, and the slices between them are +-(3/4) X + E (slices 0, 3,
+        # 4, 7) and +-(1/4) X + E (slices 1, 2, 5, 6), where the allowed
+        # defect shrinks with the scale
+        tr = FourierTruncation(1, 3)
+        x = random_hermitian(3, rng_for(11))
         x *= 1e4 / np.abs(x).max()
-        e = 1j * delta * np.eye(tr.dim)
-        curve = OperatorCurve(
-            [0.0, 1.0], [TruncatedOperator(x + e, tr),
-                         TruncatedOperator(-x + e, tr)],
-            potentials=[constant_shift_potential(0.0)] * 2)
+        e = 1j * delta * np.eye(3)
+        record = DEFAULT.with_(potential_hermitian=1e-6)
+        curve = OperatorCurve.from_potentials(
+            [0.0, 0.5, 1.0], [SymbolFunction.constant(m)
+                              for m in (x + e, -x + e, x + e)], tr, record)
         return TwistedLoopSpec(curve)
 
     def test_every_slice_is_checked_hermitian(self):
-        # defect 2e-9: allowed 1e-8 at the samples, 3.75e-9 at u = 5/16
-        # and 1.25e-9 at u = 7/16 (slice 3)
-        with pytest.raises(ValueError, match="u-slice 3 is not Hermitian"):
-            build_mapping_torus(self._guard_spec(1e-9), 8)
+        # defect 2 delta on the diagonal: allowed 1e-12 (1 + ||M||_max),
+        # about 1e-8 at the samples, 7.5e-9 at slice 0 and 2.5e-9 at
+        # slice 1, so delta = 1.3e-9 fails there first and 1.2e-9 passes
+        with pytest.raises(ValueError, match="u-slice 1 is not Hermitian"):
+            build_mapping_torus(self._guard_spec(1.3e-9), 8)
+        build_mapping_torus(self._guard_spec(1.2e-9), 8)
         build_mapping_torus(self._guard_spec(0.0), 8)
 
     def test_hermiticity_test_reads_the_given_tolerances(self):
-        # defect 2e-11: allowed 1.25e-9 at slice 3 by default, and at most
-        # 1.25e-12 anywhere with hermitian_max = 1e-15
+        # defect 2e-11, inside the default guard everywhere; the slices at
+        # the scale 2500 are the worst, and a guard just below their edge
+        # refuses slice 1
         spec = self._guard_spec(1e-11)
         build_mapping_torus(spec, 8)
-        tight = DEFAULT.with_(hermitian_max=1e-15)
-        with pytest.raises(ValueError, match="is not Hermitian"):
-            build_mapping_torus(spec, 8, tight)
+        slices = dense_of_band(spec.path._bands((np.arange(8) + 0.5) / 8))
+        edge = hermitian_guard_edge(slices)
+        assert edge == hermitian_guard_edge(slices[1])
+        build_mapping_torus(spec, 8, DEFAULT.with_(hermitian_max=edge
+                                                   * (1 + 1e-6)))
+        with pytest.raises(ValueError, match="u-slice 1 is not Hermitian"):
+            build_mapping_torus(spec, 8, DEFAULT.with_(hermitian_max=edge
+                                                       * (1 - 1e-6)))
 
 
 class TestSmallSingularVectors:
