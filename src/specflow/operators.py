@@ -61,6 +61,20 @@ class FourierTruncation:
         return np.abs(self.modes()) <= self.max_mode // 2
 
 
+def _gamma(m: int) -> float:
+    """Higham's ``gamma_m = m u / (1 - m u)``, u the unit roundoff of
+    float64."""
+    mu = m * np.finfo(float).eps / 2
+    return mu / (1 - mu)
+
+
+def _block_norms(blocks: Mapping[int, np.ndarray]) -> dict[int, float]:
+    """Frobenius norm of each block, inf where it passes the float range
+    (without a warning)."""
+    with np.errstate(over="ignore"):
+        return {k: float(np.linalg.norm(c)) for k, c in blocks.items()}
+
+
 def _as_block(value, rank: int) -> np.ndarray:
     block = np.asarray(value, dtype=complex)
     if block.ndim == 0:
@@ -202,15 +216,55 @@ class SymbolFunction:
 
     def product(self, other: "SymbolFunction", unitary: bool = False) -> "SymbolFunction":
         """Pointwise product gh via coefficient convolution (exact for
-        trigonometric polynomials)."""
+        trigonometric polynomials), without the blocks that are roundoff.
+
+        Output block k, the sum over its ``terms`` pairs k1 + k2 = k of
+        c1 c2, is dropped when its Frobenius norm is at most
+        ``gamma_m sum ||c1||_F ||c2||_F`` with ``m = 5 N + terms``,
+        ``gamma_m = m u / (1 - m u)`` and u the unit roundoff (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
+        A computed sum of products of N x N blocks is off from the exact
+        one by at most ``gamma_{N + terms - 1}`` times that sum of norms
+        (its section 3.5, with ``|| |A| |B| ||_F <= ||A||_F ||B||_F``), so a
+        block at that size cannot be told from a sum that cancels.  Each
+        operand is charged ``gamma_2N`` of its norm besides, as for a
+        block that is itself a rounded product of two N x N factors, such
+        as ``U E V``; the pair charge ``2 gamma_2N + gamma_2N^2`` and the
+        sum's are at most ``gamma_{5N + terms}`` together (Higham's lemma
+        3.3).  Without that charge, 8 of the 80 cancelled blocks of the
+        potentials ``i g' g*`` of ``U diag(e^{i n_j x}) V`` (windings
+        (1, 0) and (0, -1), 40 Haar seeds) are kept, at up to 5.7 u; with
+        it, none of those is, nor any of the 144 cancelled blocks of the
+        12x12 Bott family.
+
+        Dropping moves the multiplication operator, and every eigenvalue
+        of a Hermitian operator built on it, by at most the summed 2-norm
+        of the dropped blocks (Weyl's inequality), which is at most the
+        summed bound: about 1e-15 for operands of unit norm.  Each
+        operand block's norm is taken once.  A block whose bound is not
+        finite (an operand norm past the float range) is kept, so an
+        overflowing sum is refused by the constructor.  Coefficients given
+        to the constructor keep its rule: only exact zeros go.
+        """
         self._check_rank(other)
+        norms1 = _block_norms(self.coefficients)
+        norms2 = _block_norms(other.coefficients)
         out: dict[int, np.ndarray] = {}
+        scale: dict[int, float] = {}
+        terms: dict[int, int] = {}
         for k1, c1 in self.coefficients.items():
             for k2, c2 in other.coefficients.items():
                 k = k1 + k2
-                blk = c1 @ c2
-                out[k] = out.get(k, 0) + blk
-        return SymbolFunction(out, rank=self.rank, unitary=unitary)
+                out[k] = out.get(k, 0) + c1 @ c2
+                scale[k] = scale.get(k, 0.0) + norms1[k1] * norms2[k2]
+                terms[k] = terms.get(k, 0) + 1
+        norms = _block_norms(out)
+        # a bound past the float range keeps its block, whose finiteness
+        # the constructor then checks
+        kept = {k: c for k, c in out.items()
+                if not norms[k]
+                <= _gamma(5 * self.rank + terms[k]) * scale[k] < math.inf}
+        return SymbolFunction(kept, rank=self.rank, unitary=unitary)
 
     def hermitized(self) -> "SymbolFunction":
         """Project onto pointwise-Hermitian symbols (kills roundoff skew)."""
@@ -232,7 +286,14 @@ def gauge_transformed_potential(g: SymbolFunction,
     """Potential of g (-i d/dx + V) g^{-1}, namely i g' g* + g V g*.
 
     Requires a pointwise-unitary g; the result is Hermitian up to roundoff
-    and is re-symmetrized exactly.
+    and is re-symmetrized exactly.  The products drop every block that
+    lies within their roundoff bound (``SymbolFunction.product``), so the
+    blocks that cancel in exact arithmetic are absent: for
+    g = U diag(e^{i n_j x}) V, or the Bott symbol e^{ix} q + (1 - q), the
+    potential i g' g* is the constant it is exactly, and its Dirac operator
+    keeps the half-bandwidth N - 1 of a constant potential.  Every
+    eigenvalue of that operator moves by at most the summed norm of the
+    dropped blocks (Weyl), about 1e-15 for unit operands.
     """
     gstar = g.adjoint()
     out = g.derivative().product(gstar).scale(1j)
@@ -774,19 +835,21 @@ def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
     is below ``_BAND_FRAME_RTOL`` times the largest takes its frames from
     the dense SVD.
 
-    The route is taken when 16 (b + 1) + 128 <= n (``_band_pays``), b =
-    max(2 ku + 1, 2 kl - 1) the half-bandwidth of ``[[0, T], [T*, 0]]``
-    with rows and columns interleaved, for lower and upper half-bandwidths
-    kl and ku of T; every matrix up to n = 159 stays dense.  The rule was
-    measured when the singular values were the eigenvalues of that
-    doubled band matrix, against a full dense SVD with one BLAS thread, on
-    random complex band matrices (diagonally dominant, two rows zeroed)
-    with b from 1 to 33: the two cost as much at about b = 4 for n = 192,
-    b = 9 for n = 256 and 320, b = 14 for n = 384, b = 22 for n = 514 and
-    b = 35 for n = 768.  The bidiagonal route is faster still, so the
-    rule keeps every matrix it sends to the band route cheaper there.
-    Every other matrix, including each non-square one, takes the dense
-    SVD.
+    The route is taken when n >= 160 and 8 (b + 3) <= n (``_band_pays``),
+    b = max(2 ku + 1, 2 kl - 1) the half-bandwidth of
+    ``[[0, T], [T*, 0]]`` with rows and columns interleaved, for lower and
+    upper half-bandwidths kl and ku of T.  The whole band route (band
+    singular values and the two frames of ``small_singular_vectors``) was
+    timed against a full dense SVD with one BLAS thread on a 2-core host,
+    on random complex band matrices with kl = ku (diagonally dominant, two
+    rows zeroed, so both frames have two columns): the two cost as much at
+    about b = 18
+    for n = 160, b = 24 for n = 194, b = 32 for n = 258 and beyond b = 33
+    from n = 322 on, and the band route takes 0.13 of the dense time at
+    b = 1 and n = 258, and 0.10 at b = 3 and n = 514.  The floor n >= 160
+    keeps every matrix up to n = 159 dense, so the compressions of a
+    small family stay on one stacked SVD (``null_splits``).  Every other
+    matrix, including each non-square one, takes the dense SVD.
     """
     m = np.asarray(matrix)
     if m.ndim == 2 and m.shape[0] == m.shape[1] and _band_pays(1, len(m)):
@@ -872,7 +935,7 @@ _BAND_FRAME_RTOL = 1e-4
 def _band_pays(b: int, n: int) -> bool:
     """Whether an n x n matrix whose interleaved half-bandwidth is b,
     max(2 ku + 1, 2 kl - 1), takes the band route (see ``null_split``)."""
-    return 16 * (b + 1) + 128 <= n
+    return n >= 160 and 8 * (b + 3) <= n
 
 
 def _band_widths(band: np.ndarray) -> tuple[int, int]:

@@ -154,6 +154,30 @@ def random_trig_unitary(rank: int, rng: np.random.Generator,
     return symbol, total
 
 
+#: Windings (n_1, n_2) of the two symbols of the index_flow benchmark.
+FLOW_WINDINGS = ((1, 0), (0, -1))
+
+
+def flow_symbols(seed: int) -> list:
+    """(windings, g, U) of the two symbols g = U diag(e^{i n_1 x},
+    e^{i n_2 x}) V of the index_flow benchmark at a seed, drawn as the
+    benchmark draws them: Haar U, then V, from one ``default_rng(seed)``,
+    symbol by symbol over ``FLOW_WINDINGS``.  The potential i g' g* of g
+    is the constant -U diag(n_1, n_2) U*."""
+    rng = rng_for(seed)
+    symbols = []
+    for windings in FLOW_WINDINGS:
+        u, v = random_unitary(2, rng), random_unitary(2, rng)
+        coefficients = {}
+        for j, n in enumerate(windings):
+            e = np.zeros((2, 2), dtype=complex)
+            e[j, j] = 1.0
+            coefficients[n] = coefficients.get(n, 0) + u @ e @ v
+        symbols.append((windings, SymbolFunction(coefficients, rank=2,
+                                                 unitary=True), u))
+    return symbols
+
+
 def count_eigh(monkeypatch):
     """Route specflow.flow.eigh through a counter keyed by the operator
     object; the list keeps every operator alive so ids stay unique."""

@@ -12,9 +12,9 @@ from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
                              InvalidSection, NoGapFound)
 from specflow.flow import DifferenceElement, _SpectrumCache, certify_level
-from conftest import (count_eigh, dense_of_band, hermitian_guard_edge,
-                      random_hermitian_symbol, random_unitary, rng_for,
-                      skewed_shift_potential)
+from conftest import (count_eigh, dense_of_band, flow_symbols,
+                      hermitian_guard_edge, random_hermitian_symbol,
+                      random_unitary, rng_for, skewed_shift_potential)
 
 TR8 = FourierTruncation(8, 1)
 
@@ -319,6 +319,25 @@ class TestSpectralFlow:
         curve = OperatorCurve.from_potentials(
             [0.0, 1.0], [pot.scale(0.0), pot], tr)
         assert spectral_flow(curve) == -3
+
+    def test_index_flow_paths_at_k_4096(self, monkeypatch):
+        # the seed-0 paths of the index_flow benchmark run through the
+        # constant potentials -t U diag(n_1, n_2) U*, a band of b = 1.
+        # The reference loop that checks every certified level is
+        # quadratic in the dimension (20 s at 16386), so this test takes
+        # the library's levels, and checks the flow, the interval count
+        # and the smallest margin against their exact values instead
+        monkeypatch.setattr(specflow.flow, "certify_level", certify_level)
+        tr = FourierTruncation(4096, 2)
+        ts = [0.0, 0.5, 1.0]
+        for windings, g, _ in flow_symbols(0):
+            end = gauge_transformed_potential(g)
+            curve = OperatorCurve.from_potentials(
+                ts, [end.scale(t) for t in ts], tr)
+            assert curve.samples.shape == (3, 3, tr.dim)
+            res = spectral_flow_result(curve)
+            assert res.sf == -sum(windings) and res.partitions == 5
+            assert abs(res.min_gap - 0.125) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rank_difference_oracle(self, seed):

@@ -18,9 +18,10 @@ from specflow.operators import (NullSplit, _orthonormal_columns,
                                 small_singular_vectors, split_rank)
 from conftest import (assert_matches_dense_split, dense_null_split,
                       dense_of_band, derivative_matrix, fd_dirac_cos_spectrum,
-                      lapack_eigh, random_hermitian, random_hermitian_symbol,
-                      random_trig_unitary, random_unitary, rng_for,
-                      sine_of_largest_angle, svd_shapes)
+                      flow_symbols, lapack_eigh, random_hermitian,
+                      random_hermitian_symbol, random_trig_unitary,
+                      random_unitary, rng_for, sine_of_largest_angle,
+                      svd_shapes)
 from test_perfbench_workloads import load_workloads
 
 
@@ -776,7 +777,7 @@ class TestCscOfBand:
 
 class TestBandNullSplit:
     """The band route of ``null_split`` against the dense SVD.  Every
-    matrix here has n >= 16 (b + 1) + 128 for its interleaved
+    matrix here has n >= 160 and n >= 8 (b + 3) for its interleaved
     half-bandwidth b, and each test checks that no n x n SVD ran."""
 
     @staticmethod
@@ -906,12 +907,22 @@ class TestBandNullSplit:
 
     def test_wide_or_small_matrices_stay_dense(self, monkeypatch):
         for m in (random_square_band(159, 0, 0, rng_for(1)),   # too small
-                  random_square_band(240, 3, 4, rng_for(2)),   # b = 9
+                  random_square_band(240, 14, 14, rng_for(2)),  # b = 29
                   random_square_band(300, 1, 1, rng_for(3))[:, :299]):
             shapes = svd_shapes(monkeypatch)
             bands = band_svd_calls(monkeypatch)
             null_split(m)
             assert bands == [] and shapes == [m.shape]
+
+    @pytest.mark.parametrize("n, kl, ku", [(160, 8, 8), (240, 13, 13),
+                                           (240, 3, 4)])
+    def test_the_widest_band_that_pays(self, n, kl, ku, monkeypatch):
+        # b = 17 at n = 160 and b = 27 at n = 240 sit on the edge
+        # 8 (b + 3) = n, b = 9 at n = 240 is well inside it, and b = 29
+        # at n = 240 is past it (above)
+        m = random_square_band(n, kl, ku, rng_for(n + kl))
+        split = self.split(m, monkeypatch)
+        assert split.rank == n
 
 
 class TestSmallSingularVectors:
@@ -1096,3 +1107,65 @@ class TestSymbolAlgebra:
         manual = sum(np.exp(1j * k * xs)[:, None, None] * c[None]
                      for k, c in s.coefficients.items())
         assert np.abs(vals - manual).max() < 1e-12
+
+
+class TestRoundoffBlocks:
+    """``SymbolFunction.product`` drops every output block within the
+    roundoff bound of its convolution sum, so a gauge-transformed
+    potential that is constant in exact arithmetic is constant."""
+
+    def test_unitary_diagonal_potentials_are_constant(self):
+        # i g' g* = -U diag(n_1, n_2) U*; its blocks at n_1 - n_2 and
+        # n_2 - n_1 cancel, to up to 5.7 u at seeds 0 to 39
+        for seed in range(40):
+            for windings, g, u in flow_symbols(seed):
+                potential = gauge_transformed_potential(g)
+                exact = -u @ np.diag(windings) @ u.conj().T
+                assert potential.bandwidth == 0
+                assert np.abs(potential.coefficients[0] - exact).max() \
+                    <= 1e-15
+
+    def test_bott_potentials_are_constant(self):
+        family = bott_symbol_family(BaseGrid.torus(12))
+        assert {gauge_transformed_potential(g).bandwidth
+                for g in family.values()} == {0}
+
+    @pytest.mark.parametrize("delta, kept", [(1e-12, True), (2e-15, True),
+                                             (1e-15, False)])
+    def test_the_bound_of_a_two_term_sum(self, delta, kept):
+        # over unit operands, mode 1 sums 1 * (-1 + delta) and 1 * 1
+        # exactly to delta (rounded to a multiple of 2^-53), and its bound
+        # is gamma_m (1 - delta + 1) with m = 5 N + terms = 7, about
+        # 1.55e-15: a genuine block of 1e-12 is kept
+        f = SymbolFunction({0: [[1.0]], 1: [[1.0]]}, rank=1)
+        g = SymbolFunction({0: [[1.0]], 1: [[-1.0 + delta]]}, rank=1)
+        fg = f.product(g)
+        assert (1 in fg.coefficients) == kept
+        if kept:
+            assert abs(fg.coefficients[1][0, 0] - delta) <= 2.0 ** -53
+        assert fg.coefficients[0][0, 0] == 1.0 and fg.bandwidth <= 2
+
+    def test_a_bound_past_the_float_range_keeps_the_block(self):
+        # ||1e155||^2 overflows, so the bound of the sum at mode 1, which
+        # cancels to 2.4e139, is not finite and the block is kept; with
+        # the norms in range its bound would be 1.6e140
+        f = SymbolFunction({0: [[1e155]], 1: [[1e155]]}, rank=1)
+        g = SymbolFunction({0: [[1.0]], 1: [[-1.0 + 2.0 ** -52]]}, rank=1)
+        assert 1 in f.product(g).coefficients
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_conjugation_operator_spectrum_at_k_4096(self, seed):
+        # the exact spectrum of the operator at t is {k - t n_j}; with
+        # the roundoff blocks at modes +-1 kept, the band is b = 3 and its
+        # solve is off by about 3e-9 here
+        tr = FourierTruncation(4096, 2)
+        ts = [0.0, 0.5, 1.0]
+        for windings, g, _ in flow_symbols(seed):
+            end = gauge_transformed_potential(g)
+            curve = OperatorCurve.from_potentials(
+                ts, [end.scale(t) for t in ts], tr)
+            op = curve.at(0.25)
+            assert op.band.shape == (3, tr.dim)
+            exact = np.sort((np.arange(-4096, 4097)[:, None]
+                             - 0.25 * np.array(windings)).ravel())
+            assert np.abs(eigvalsh(op) - exact).max() <= 1e-12
