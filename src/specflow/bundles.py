@@ -35,7 +35,8 @@ from .flow import (GapInterval, Partition, SpectralSection, _brackets,
                    _SampledCurve, _SpectrumCache, _top_section,
                    comparison_map, gap_partition)  # noqa: F401
 from .operators import FourierTruncation, TruncatedOperator, eigh, null_splits
-from .toeplitz import _compressions, _stable_subspaces, hardy_section
+from .toeplitz import (_compressions, _family_values, _stable_subspaces,
+                       hardy_section)
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +141,16 @@ class ProjectorFamily:
     validated with it too.
     """
 
-    def __init__(self, base: BaseGrid, frames,
+    def __init__(self, base: BaseGrid, frames: np.ndarray,
                  tolerances: Tolerances = DEFAULT,
                  _measures: _FrameMeasures | None = None):
-        """``frames`` maps each vertex to its dim x rank frame, or is
-        already the stack; ``_measures``, when given, are the frames'
-        measures, which are then checked and not taken again."""
+        """``frames`` is the (vertices, dim, rank) stack of orthonormal
+        frames in ``base.vertices`` order; ``_measures``, when given, are
+        their measures, which are then checked and not taken again."""
         self.base = base
-        if isinstance(frames, np.ndarray):
-            stack = frames.astype(complex, copy=False)
-            if stack.ndim != 3 or len(stack) != len(base.vertices):
-                raise ValueError("a frame stack must be vertices x dim x rank")
-        else:
-            per = [np.asarray(frames[v], dtype=complex) for v in base.vertices]
-            if any(f.ndim != 2 for f in per):
-                raise ValueError("a frame must be a dim x rank matrix")
-            _constant_rank(base, [f.shape[1] for f in per], "frame rank")
-            stack = np.stack(per)
+        stack = np.asarray(frames, dtype=complex)
+        if stack.ndim != 3 or len(stack) != len(base.vertices):
+            raise ValueError("a frame stack must be vertices x dim x rank")
         self._frames = stack
         self.rank = stack.shape[2]
         self.tolerances = tolerances
@@ -379,8 +373,7 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
     base and re-checked at doubled truncation, vertex by vertex, by the
     split and check of ``fredholm_index`` (``toeplitz._stable_subspaces``).
     """
-    symbols = [g_family(v) if callable(g_family) else g_family[v]
-               for v in base.vertices]
+    symbols = _family_values(g_family, base)
     section = hardy_section(trunc, tolerances)
     sub = _stable_subspaces(section, symbols,
                             _compressions(section, symbols, trunc, tolerances),
@@ -442,42 +435,33 @@ def _common_partition(curve_fam: CurveOfFamilies, tolerances: Tolerances,
     return _gap_intervals(cache, tolerances)
 
 
-def _endpoint_sections(base: BaseGrid,
-                       sections: Mapping[tuple, SpectralSection]
-                       ) -> SpectralSection:
-    """Per-vertex endpoint sections as one stacked section; their ranks
-    must not vary over the base (RankJump otherwise)."""
-    per = [sections[v] for v in base.vertices]
-    _constant_rank(base, [q.rank for q in per], "endpoint section rank")
-    return SpectralSection(np.stack([q.basis for q in per]),
-                           np.array([q.threshold_window for q in per]),
-                           provenance="endpoint sections")
-
-
-def higher_spectral_flow(curve_fam: CurveOfFamilies,
-                         q0: Mapping[tuple, SpectralSection],
-                         q1: Mapping[tuple, SpectralSection],
+def higher_spectral_flow(curve_fam: CurveOfFamilies, q0: SpectralSection,
+                         q1: SpectralSection,
                          tolerances: Tolerances = DEFAULT) -> KClassNumeric:
     """K-class of a curve of operator families between endpoint section
     families.
 
-    A single partition with per-interval levels is certified across the
-    whole base; the class is the sum over the brackets of ``flow`` of the
-    kernel bundle minus the cokernel bundle of each bracket's comparison
-    maps, and ch0 is checked to be the constant pointwise flow.  The
-    endpoint sections must have one rank over the base (RankJump
-    otherwise).  The family at each breakpoint is diagonalized once, as
-    one stack: the partition reads its spectra off the eigendecompositions
-    that the brackets' sections need.  The partition is streamed: the
-    bracket at a breakpoint is built as soon as the interval to its right
-    is certified, and the decomposition there is dropped at once, so a
-    refusal of a bracket can come before a refusal of the partition
-    farther right.  Each bracket's comparison maps are split as one
-    stack, and the brackets' bundles are summed from their recorded
-    measures (``ProjectorFamily.direct_sum``).
+    ``q0`` and ``q1`` are the section families of the families at t = 0
+    and t = 1, each one stacked section with a member per base vertex in
+    the order of ``base.vertices`` (``aps_section_family``); any other
+    stack is refused with ValueError.  A single partition with
+    per-interval levels is certified across the whole base; the class is
+    the sum over the brackets of ``flow`` of the kernel bundle minus the
+    cokernel bundle of each bracket's comparison maps, and ch0 is checked
+    to be the constant pointwise flow.  The family at each breakpoint is
+    diagonalized once, as one stack: the partition reads its spectra off
+    the eigendecompositions that the brackets' sections need.  The
+    partition is streamed: the bracket at a breakpoint is built as soon
+    as the interval to its right is certified, and the decomposition
+    there is dropped at once, so a refusal of a bracket can come before a
+    refusal of the partition farther right.  Each bracket's comparison
+    maps are split as one stack, and the brackets' bundles are summed
+    from their recorded measures (``ProjectorFamily.direct_sum``).
     """
     base = curve_fam.base
-    q0, q1 = _endpoint_sections(base, q0), _endpoint_sections(base, q1)
+    if any(q.basis.shape[:-2] != (len(base.vertices),) for q in (q0, q1)):
+        raise ValueError("an endpoint section family needs one member per "
+                         "base vertex")
     cache = _SpectrumCache(curve_fam, tolerances, _spectra_from_eigh=True)
     # the first vertex whose q0 or q1 fails is reported, q0 first
     failures = [f for f in (_first_invalid(cache.decomposition(0.0), q0,
@@ -529,13 +513,13 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies,
 
 def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,
                        policy: str = "inclusive",
-                       tolerances: Tolerances = DEFAULT) -> dict:
-    """Pointwise positive-cutoff sections of an operator family: the
-    ``aps_projection`` of every vertex operator, from one stacked
-    ``eigh`` of the family's operator."""
-    vertices = family.base.vertices
+                       tolerances: Tolerances = DEFAULT) -> SpectralSection:
+    """The family of positive-cutoff sections of an operator family, as
+    one stacked section: member i is the ``aps_projection`` of the
+    operator at ``base.vertices[i]``, read off one stacked ``eigh`` of
+    the family's operator.  The members keep one rank, or RankJump names
+    the vertices whose rank differs."""
     dec = eigh(family.operator, tolerances)
     counts, windows = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
-    return {v: _top_section(vecs, rank, float(window), cutoff, policy)
-            for v, vecs, rank, window in zip(vertices, dec.eigenvectors,
-                                             counts, windows)}
+    rank = _constant_rank(family.base, counts, "section rank")
+    return _top_section(dec.eigenvectors, rank, windows, cutoff, policy)

@@ -123,6 +123,18 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_curve(path: str, k: int, tolerances):
+    """The payload of the curve file at ``path`` and its curve, at
+    truncation K and the rank of its symbols; the payload is checked
+    against the curve schema before the rank is read from it."""
+    from . import jsonio
+    from .operators import FourierTruncation
+    payload = _load_json(path)
+    jsonio.validate(payload, jsonio.CURVE_SCHEMA, "curve")
+    trunc = FourierTruncation(k, payload["samples"][0]["symbol"]["rank"])
+    return payload, jsonio.curve_from_json(payload, trunc, tolerances)
+
+
 def _base_config(args) -> dict:
     """The flags every subcommand echoes; ``tol`` only when given."""
     config = {"command": args.command, "k": args.k}
@@ -146,11 +158,7 @@ def _run(args) -> tuple[dict, dict, dict]:
 
     if args.command == "sf":
         from .flow import spectral_flow_result
-        payload = _load_json(args.curve)
-        rank = payload["samples"][0]["symbol"].get("rank", 1) \
-            if payload.get("samples") else 1
-        trunc = FourierTruncation(args.k, rank)
-        curve = jsonio.curve_from_json(payload, trunc, tolerances)
+        payload, curve = _load_curve(args.curve, args.k, tolerances)
         config.update(curve=payload, cutoff0=args.cutoff0, cutoff1=args.cutoff1)
         res = spectral_flow_result(curve, args.cutoff0, args.cutoff1,
                                    tolerances)
@@ -248,10 +256,7 @@ def _run(args) -> tuple[dict, dict, dict]:
         from .flow import spectral_flow
         from .mapping_torus import (TwistedLoopSpec, build_mapping_torus,
                                     index)
-        payload = _load_json(args.path)
-        rank = payload["samples"][0]["symbol"].get("rank", 1)
-        trunc = FourierTruncation(args.k, rank)
-        curve = jsonio.curve_from_json(payload, trunc, tolerances)
+        payload, curve = _load_curve(args.path, args.k, tolerances)
         glue = None
         config.update(path=payload, mu=args.mu)
         if args.glue:
@@ -276,10 +281,7 @@ def _run(args) -> tuple[dict, dict, dict]:
 
     if args.command == "plot":
         from .plotting import plot_spectrum, spectra_csv
-        payload = _load_json(args.curve)
-        rank = payload["samples"][0]["symbol"].get("rank", 1)
-        trunc = FourierTruncation(args.k, rank)
-        curve = jsonio.curve_from_json(payload, trunc, tolerances)
+        payload, curve = _load_curve(args.curve, args.k, tolerances)
         config.update(curve=payload, svg=args.svg, samples=args.samples)
         crossings = plot_spectrum(curve, args.svg, args.samples)
         if args.csv:

@@ -132,6 +132,13 @@ class SpectralSection:
             raise failure[1]
 
 
+def _single(what: str, *sections: SpectralSection):
+    """Refuse a family of sections where ``what`` takes single ones; a
+    coordinate section is always single."""
+    if any(s.rows is None and s.basis.ndim > 2 for s in sections):
+        raise ValueError(f"{what} takes single sections, not a family")
+
+
 def _gram_defect(frames: np.ndarray) -> np.ndarray:
     """``||B* B - I||_2`` of each frame B in a stack (..., dim, rank).
 
@@ -299,6 +306,7 @@ def difference_element(p: SpectralSection, q: SpectralSection,
     ``rank_rtol``, which raises IllConditioned when the singular spectrum
     does not split cleanly.
     """
+    _single("difference_element", p, q)
     rank = numerical_rank(comparison_map(p, q), tolerances)
     return DifferenceElement(value=p.rank - q.rank, kernel_dim=p.rank - rank,
                              cokernel_dim=q.rank - rank)
@@ -741,6 +749,7 @@ def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
     and must agree.  Each operator on the curve is diagonalized at most
     once.
     """
+    _single("sf_pairs", q0, q1)
     cache = _SpectrumCache(curve, tolerances)
     _validate_section(cache.decomposition(0.0), q0, tolerances)
     _validate_section(cache.decomposition(1.0), q1, tolerances)

@@ -37,8 +37,8 @@ from .config import DEFAULT, Tolerances
 from .errors import DoublingDetected, GluingInconsistent
 from .flow import OperatorCurve
 from .operators import (FourierTruncation, SymbolFunction, _band_eigvalsh,
-                        _non_hermitian_band, build_multiplication,
-                        gauge_transformed_potential, interior_directions,
+                        _interior_split, _non_hermitian_band,
+                        build_multiplication, gauge_transformed_potential,
                         small_singular_vectors, split_rank)
 
 #: Largest coefficient of the endpoint potential minus the glued one.
@@ -213,6 +213,6 @@ def _interior_index(op: MappingTorusOperator, tolerances: Tolerances) -> int:
     split_rank(np.concatenate([[s_next], s_small[::-1]]), threshold,
                tolerances)
     interior = np.tile(op.truncation.interior(), op.m_u)
-    gk = interior_directions(right, interior, tolerances).shape[1]
-    gc = interior_directions(left, interior, tolerances).shape[1]
+    gk, gc = (int(_interior_split(frame, interior, tolerances)[0])
+              for frame in (right, left))
     return gk - gc

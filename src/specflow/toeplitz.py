@@ -33,7 +33,7 @@ import numpy as np
 from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
 from .errors import GridResolutionError, RoundingAmbiguous, UnstableIndex
-from .flow import SpectralSection, aps_projection
+from .flow import SpectralSection, _single, aps_projection
 from .operators import (FourierTruncation, SymbolFunction, _band_of, _dense,
                         _interior_split, _multiplication_bands, build_dirac,
                         null_splits)
@@ -115,6 +115,7 @@ def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
                       trunc: FourierTruncation,
                       tolerances: Tolerances = DEFAULT) -> ToeplitzOperator:
     """Band of P M_g P on Im P for a pointwise-unitary symbol."""
+    _single("toeplitz_compress", section)
     band = _compressions(section, [symbol], trunc, tolerances)[0]
     band.setflags(write=False)
     return ToeplitzOperator(band, section, symbol, trunc)
@@ -307,10 +308,12 @@ class OddChernCochain:
     total: float
 
 
-def _family_values(g_family, base: BaseGrid):
+def _family_values(g_family, base: BaseGrid) -> list:
+    """The symbols of a family, a map or a callable from vertex to
+    symbol, in the order of ``base.vertices``."""
     if callable(g_family):
-        return {v: g_family(v) for v in base.vertices}
-    return dict(g_family)
+        return [g_family(v) for v in base.vertices]
+    return [g_family[v] for v in base.vertices]
 
 
 def odd_chern_integral(g_family, base: BaseGrid, n: int,
@@ -324,10 +327,10 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
     periodic grid, normalized by the frozen constant so the total over the
     closed base is the first Chern number of the index bundle.
     """
-    fam = _family_values(g_family, base)
+    symbols = _family_values(g_family, base)
     if n == 0:
-        values = {v: float(-winding(fam[v], tolerances=tolerances).winding)
-                  for v in base.vertices}
+        values = {v: float(-winding(s, tolerances=tolerances).winding)
+                  for v, s in zip(base.vertices, symbols)}
         for a, b in base.edges:
             if abs(values[a] - values[b]) > tolerances.closedness:
                 raise GridResolutionError(
@@ -342,7 +345,6 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
     # product is an einsum over the rank axes of contiguous base x fiber
     # blocks, taken over ``_FIBER_BLOCK`` fiber points at a time
     m = base.size
-    symbols = [fam[v] for v in base.vertices]
     rank = symbols[0].rank
     modes = sorted({k for s in symbols for k in s.coefficients})
     column = {k: col for col, k in enumerate(modes)}

@@ -19,7 +19,7 @@ import specflow.bundles
 import specflow.flow
 import specflow.mapping_torus
 import specflow.operators
-from specflow import SymbolFunction, TruncatedOperator
+from specflow import SpectralSection, SymbolFunction, TruncatedOperator
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned
 from specflow.operators import NullSplit, eigvalsh, interior_directions
@@ -39,6 +39,14 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def section_family_of(section, members: int) -> SpectralSection:
+    """The family of ``members`` copies of a single section, as one
+    stacked section."""
+    return SpectralSection(np.stack([section.basis] * members),
+                           np.full(members, section.threshold_window),
+                           "explicit")
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -137,9 +137,9 @@ class TestProjectorFamily:
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_frame_gram_defect_guard(self, factor):
         base = BaseGrid.loop(4)
-        frames = {v: np.eye(3)[:, :1] for v in base.vertices}
-        frames[(2,)] = np.sqrt(1.0 + factor * DEFAULT.projector_idempotent) \
-            * np.eye(3)[:, :1]
+        frames = np.stack([np.eye(3)[:, :1]] * 4)
+        frames[base.positions[(2,)]] *= np.sqrt(
+            1.0 + factor * DEFAULT.projector_idempotent)
         if factor < 1:
             assert ProjectorFamily(base, frames).rank == 1
         else:
@@ -190,13 +190,13 @@ class TestProjectorFamily:
                 f[rank + j, j] = twist * np.sin(a)
             return f
 
-        frames = {v: frame(theta if v[0] % 2 else 0.0) for v in base.vertices}
-        a, b = frames[(0,)], frames[(1,)]
+        frames = np.stack([frame(theta if v[0] % 2 else 0.0)
+                           for v in base.vertices])
+        a, b = frames[base.positions[(0,)]], frames[base.positions[(1,)]]
         dense = np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2)
         assert abs(dense - step) <= 1e-12
-        stack = np.stack([frames[v] for v in base.vertices])
         assert base.edges[0] == ((0,), (1,))
-        assert abs(_FrameMeasures.of(base, stack).steps[0] - dense) <= 1e-12
+        assert abs(_FrameMeasures.of(base, frames).steps[0] - dense) <= 1e-12
         if step < DEFAULT.neighbor_continuity:
             assert ProjectorFamily(base, frames).rank == rank
         else:
@@ -248,9 +248,9 @@ class TestProjectorFamily:
         # guard, refused inside a sum validated at the default 0.5
         base = BaseGrid.loop(4)
         theta = np.arcsin(0.6)
-        frames = {v: np.array([[np.cos(theta)], [np.sin(theta)]])
-                  if v[0] % 2 else np.array([[1.0], [0.0]])
-                  for v in base.vertices}
+        frames = np.stack([np.array([[np.cos(theta)], [np.sin(theta)]])
+                           if v[0] % 2 else np.array([[1.0], [0.0]])
+                           for v in base.vertices])
         part = ProjectorFamily(base, frames,
                                DEFAULT.with_(neighbor_continuity=0.9))
         still = constant_family(base, np.diag([1.0, 0.0]))
@@ -265,8 +265,8 @@ class TestProjectorFamily:
         # on its own under a loosened idempotency guard, refused inside a
         # sum validated at the default 1e-9
         base = BaseGrid.loop(4)
-        frames = {v: np.eye(2)[:, :1] for v in base.vertices}
-        frames[(2,)] = np.sqrt(1.0 + 2e-9) * np.eye(2)[:, :1]
+        frames = np.stack([np.eye(2)[:, :1]] * 4)
+        frames[base.positions[(2,)]] *= np.sqrt(1.0 + 2e-9)
         part = ProjectorFamily(base, frames,
                                DEFAULT.with_(projector_idempotent=1e-8))
         still = constant_family(base, np.diag([1.0, 0.0]))
@@ -464,8 +464,9 @@ class TestHigherSpectralFlow:
         assert (cls.ch0, cls.ch1) == (-1, -1)
 
     def test_rotated_endpoint_frames_give_the_same_class(self):
-        # each q0 frame times a random unitary spans the same range, so the
-        # projectors, and with them the class, do not change
+        # each member of the q0 stack times a random unitary spans the
+        # same range, so the projectors, and with them the class, do not
+        # change
         base = BaseGrid.torus(8)
         tr = FourierTruncation(4, 2)
         fam = bott_symbol_family(base)
@@ -474,9 +475,9 @@ class TestHigherSpectralFlow:
             base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], tr)
         q0, q1 = self.qsections(cf)
         rng = rng_for(390)
-        rotated = {v: SpectralSection(s.basis @ random_unitary(s.rank, rng),
-                                      s.threshold_window, s.provenance)
-                   for v, s in q0.items()}
+        rotated = SpectralSection(
+            np.stack([b @ random_unitary(q0.rank, rng) for b in q0.basis]),
+            q0.threshold_window, q0.provenance)
         for sections in (q0, rotated):
             cls = higher_spectral_flow(cf, sections, q1)
             assert (cls.ch0, cls.ch1) == (-1, -1)
@@ -808,28 +809,55 @@ class TestStackedFamilies:
         # zero modes at the cutoff, where the policies differ
         fam = self.bott_curve().family_at(0.0)
         sections = aps_section_family(fam, policy=policy)
-        for v in fam.base.vertices:
+        assert sections.basis.shape[:-2] == (len(fam.base.vertices),)
+        for i, v in enumerate(fam.base.vertices):
             alone = aps_projection(fam[v], 0.0, policy=policy)
-            assert np.array_equal(sections[v].basis, alone.basis)
-            assert sections[v].threshold_window == alone.threshold_window
-            assert sections[v].provenance == alone.provenance
+            assert np.array_equal(sections.basis[i], alone.basis)
+            assert sections.threshold_window[i] == alone.threshold_window
+            assert sections.provenance == alone.provenance
         with pytest.raises(ValueError, match="unknown cutoff policy"):
             aps_section_family(fam, policy="bogus")
         with pytest.raises(ValueError, match="unknown cutoff policy"):
             aps_projection(fam[fam.base.vertices[0]], 0.0, policy="bogus")
 
-    def test_ragged_endpoint_sections_raise_rank_jump(self):
-        # one vertex's q0 keeps fewer modes: a valid section of its own
-        # operator, but the family of endpoint sections has no rank
+    def test_ragged_section_family_raises_rank_jump(self):
+        # the spectrum k + a_v of -i d/dx + a_v: shifting a from 0.25 to
+        # -0.25 at (2,) moves the eigenvalue 0.25 below the cutoff 0, so
+        # (2,) keeps one mode fewer; above the cutoff 0.5 every vertex
+        # keeps the modes k >= 1, and the family has a rank
+        base, trunc = BaseGrid.loop(6), FourierTruncation(4)
+        cf = CurveOfFamilies.from_potentials(
+            base, lambda v, t: SymbolFunction.constant(
+                -0.25 if v == (2,) else 0.25), [0.0, 1.0], trunc)
+        fam = cf.family_at(0.0)
+        with pytest.raises(RankJump, match=r"section rank varies over the "
+                           r"base: e\.g\. at \[\(2,\)\] \(got \[4, 5\]\); "
+                           r"perturb the family"):
+            aps_section_family(fam)
+        sections = aps_section_family(fam, cutoff=0.5)
+        assert sections.rank == trunc.max_mode
+        for i, v in enumerate(base.vertices):
+            alone = aps_projection(fam[v], 0.5, policy="inclusive")
+            assert np.array_equal(sections.basis[i], alone.basis)
+
+    def test_endpoint_stack_needs_one_member_per_vertex(self):
+        # a stack that drops the last vertex's member, and a single
+        # section, are refused; the full stacks give the class
         cf = self.bott_curve()
         q0 = aps_section_family(cf.family_at(0.0))
         q1 = aps_section_family(cf.family_at(1.0))
-        ragged = dict(q0)
-        ragged[(2, 5)] = aps_projection(cf.family_at(0.0)[(2, 5)], 0.5,
-                                        policy="inclusive")
-        assert ragged[(2, 5)].rank < q0[(0, 0)].rank
-        with pytest.raises(RankJump, match=r"\[\(2, 5\)\].*perturb"):
-            higher_spectral_flow(cf, ragged, q1)
+        short = SpectralSection(q0.basis[:-1], q0.threshold_window[:-1],
+                                q0.provenance)
+        single = aps_projection(cf.family_at(0.0)[(0, 0)], 0.0,
+                                policy="inclusive")
+        for bad in (short, single):
+            with pytest.raises(ValueError, match="one member per base "
+                               "vertex"):
+                higher_spectral_flow(cf, bad, q1)
+            with pytest.raises(ValueError, match="one member per base "
+                               "vertex"):
+                higher_spectral_flow(cf, q0, bad)
+        assert higher_spectral_flow(cf, q0, q1).ch0 == -1
 
     def test_first_failing_vertex_in_order_is_reported(self):
         # q0 fails at (5, 1), q1 at (2, 3): (2, 3) comes first in
@@ -838,12 +866,13 @@ class TestStackedFamilies:
         q0 = aps_section_family(cf.family_at(0.0))
         q1 = aps_section_family(cf.family_at(1.0))
 
-        def scaled(s, factor):
-            return SpectralSection(s.basis * factor, s.threshold_window,
-                                   "explicit")
+        def scaled(s, vertex, factor):
+            basis = np.array(s.basis)
+            basis[cf.base.positions[vertex]] *= factor
+            return SpectralSection(basis, s.threshold_window, "explicit")
 
-        q0[(5, 1)] = scaled(q0[(5, 1)], 1 + 4e-9)
-        q1[(2, 3)] = scaled(q1[(2, 3)], 1 + 2e-9)
+        q0 = scaled(q0, (5, 1), 1 + 4e-9)
+        q1 = scaled(q1, (2, 3), 1 + 2e-9)
         with pytest.raises(InvalidSection, match="Gram defect 4.00e-09"):
             higher_spectral_flow(cf, q0, q1)
 

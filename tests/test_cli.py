@@ -150,11 +150,30 @@ class TestSubcommands:
 
 class TestContracts:
     def test_schema_violation_exits_2(self, files, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"interpolation": "linear-in-symbol",
-                                   "samples": [], "unknown": 1}))
-        code = main(["sf", "--curve", str(bad), "--k", "4"])
-        assert code == 2
+        # every curve subcommand checks the schema before it reads the
+        # rank of the first sample: no samples, no sample, and a sample
+        # without a symbol all exit 2, with no traceback
+        sample = {"t": 0.0, "symbol": {"rank": 1, "modes": []}}
+        payloads = {
+            "unknown key": {"samples": [], "unknown": 1},
+            "no samples": {},
+            "empty samples": {"samples": []},
+            "no symbol": {"samples": [{"t": 0.0}, sample]},
+        }
+        commands = {"sf": ["sf", "--curve"],
+                    "plot": ["plot", "--svg", str(tmp_path / "p.svg"),
+                             "--curve"],
+                    "mapping-torus": ["mapping-torus", "--path"]}
+        for name, payload in payloads.items():
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(
+                dict({"interpolation": "linear-in-symbol"}, **payload)))
+            for command, argv in commands.items():
+                code = main(argv + [str(bad), "--k", "4"])
+                err = capsys.readouterr().err
+                assert (code, command, name) == (2, command, name)
+                assert "invalid curve" in err
+        assert not (tmp_path / "p.svg").exists()
 
     def test_unreadable_file_exits_2(self, capsys, tmp_path):
         code = main(["sf", "--curve", str(tmp_path / "missing.json")])

@@ -14,7 +14,8 @@ from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
 from specflow.flow import DifferenceElement, _SpectrumCache, certify_level
 from conftest import (count_eigh, dense_of_band, flow_symbols,
                       hermitian_guard_edge, random_hermitian_symbol,
-                      random_unitary, rng_for, skewed_shift_potential)
+                      random_unitary, rng_for, section_family_of,
+                      skewed_shift_potential)
 
 TR8 = FourierTruncation(8, 1)
 
@@ -80,6 +81,20 @@ class TestDifferenceElement:
     def test_nested_spans(self):
         p = SpectralSection(np.eye(4)[:, :2], 0.0, "explicit")
         q = SpectralSection(np.eye(4)[:, :1], 0.0, "explicit")
+        d = difference_element(p, q)
+        assert (d.value, d.kernel_dim, d.cokernel_dim) == (1, 1, 0)
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_a_family_of_sections_is_refused(self, members):
+        # a stack of copies of one frame is a family of sections, on
+        # either side; the single sections keep their element
+        p = SpectralSection(np.eye(4)[:, :2], 0.0, "explicit")
+        q = SpectralSection(np.eye(4)[:, :1], 0.0, "explicit")
+        for args in ((section_family_of(p, members), q),
+                     (p, section_family_of(q, members))):
+            with pytest.raises(ValueError, match="^difference_element takes "
+                               "single sections, not a family$"):
+                difference_element(*args)
         d = difference_element(p, q)
         assert (d.value, d.kernel_dim, d.cokernel_dim) == (1, 1, 0)
 
@@ -588,6 +603,20 @@ class TestSfPairs:
         curve = shift_curve(0.25, 0.25)
         q = aps_projection(curve.at(0.0), 0.0)
         assert sf_pairs(curve, q, q) == 0
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_a_family_of_sections_is_refused(self, members):
+        # each member is the valid endpoint section, yet a family is not
+        # an endpoint section of one operator
+        curve = shift_curve(-0.25, 0.25)
+        q0 = aps_projection(curve.at(0.0), 0.0)
+        q1 = aps_projection(curve.at(1.0), 0.0)
+        for args in ((section_family_of(q0, members), q1),
+                     (q0, section_family_of(q1, members))):
+            with pytest.raises(ValueError, match="^sf_pairs takes single "
+                               "sections, not a family$"):
+                sf_pairs(curve, *args)
+        assert sf_pairs(curve, q0, q1) == spectral_flow(curve) == 1
 
     def test_invalid_section_rejected(self):
         curve = shift_curve(-0.25, 0.25)

@@ -21,7 +21,8 @@ from specflow.toeplitz import (_FIBER_GRID, SmallSubspaces, _compressions,
 from conftest import (assert_same_subspaces, derivative_matrix,
                       random_hermitian_symbol, random_trig_unitary,
                       random_unitary, reference_odd_chern_cochain,
-                      reference_small_subspaces, rng_for, svd_shapes)
+                      reference_small_subspaces, rng_for,
+                      section_family_of, svd_shapes)
 
 
 def interior_compression(symbol, trunc):
@@ -136,6 +137,19 @@ class TestCompression:
         mg = build_multiplication(symbol, tr)
         t = toeplitz_compress(section, symbol, tr)
         assert np.array_equal(t.matrix,
+                              section.basis.conj().T @ mg @ section.basis)
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_a_family_of_sections_is_refused(self, members):
+        tr = FourierTruncation(4, 1)
+        symbol = SymbolFunction.exponential(1)
+        section = dirac_aps_section(SymbolFunction.constant(0.25), tr)
+        with pytest.raises(ValueError, match="^toeplitz_compress takes "
+                           "single sections, not a family$"):
+            toeplitz_compress(section_family_of(section, members), symbol,
+                              tr)
+        mg = build_multiplication(symbol, tr)
+        assert np.array_equal(toeplitz_compress(section, symbol, tr).matrix,
                               section.basis.conj().T @ mg @ section.basis)
 
 
