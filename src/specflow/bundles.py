@@ -31,9 +31,9 @@ from .errors import (InvalidSection, RankJump, RoundingAmbiguous,
 # ``gap_partition`` is not called here, but the benchmark's tracer wraps
 # it under every name a specflow module holds it by, this one included
 from .flow import (GapInterval, Partition, SpectralSection, _brackets,
-                   _first_invalid, _gap_intervals, _gram_defect, _kept_above,
-                   _SampledCurve, _SpectrumCache, _top_section,
-                   comparison_map, gap_partition)  # noqa: F401
+                   _constant_rank, _first_invalid, _gap_intervals,
+                   _gram_defect, _kept_above, _SampledCurve, _SpectrumCache,
+                   _top_section, comparison_map, gap_partition)  # noqa: F401
 from .operators import FourierTruncation, TruncatedOperator, eigh, null_splits
 from .toeplitz import (_compressions, _family_values, _stable_subspaces,
                        hardy_section)
@@ -72,20 +72,6 @@ class OperatorFamily:
         return TruncatedOperator._of_band(
             self.operator.band[self.base.positions[vertex]], self.truncation,
             self.operator.tolerances)
-
-
-def _constant_rank(base: BaseGrid, ranks, what: str) -> int:
-    """The rank every vertex has (``ranks`` in the order of
-    ``base.vertices``); RankJump naming the vertices whose rank differs
-    from the first vertex's otherwise."""
-    ranks = np.asarray(ranks)
-    bad = np.flatnonzero(ranks != ranks[0])
-    if bad.size:
-        vertices = base.vertices
-        raise RankJump(f"{what} varies over the base: e.g. at "
-                       f"{[vertices[i] for i in bad[:4]]} (got "
-                       f"{sorted(set(ranks.tolist()))}); perturb the family")
-    return int(ranks[0])
 
 
 class _FrameMeasures(NamedTuple):
@@ -179,8 +165,8 @@ class ProjectorFamily:
             if not_hermitian[bad[0]]:
                 raise InvalidSection(f"family member at {v} is not Hermitian")
             raise InvalidSection(f"family member at {v} is not a projector")
-        rank = _constant_rank(base, np.count_nonzero(w > 0.5, axis=-1),
-                              "frame rank")
+        rank = _constant_rank(np.count_nonzero(w > 0.5, axis=-1),
+                              "frame rank", base.vertices)
         # ascending eigenvalues: the ones above 1/2 are the last columns
         return cls(base, vecs[..., vecs.shape[-1] - rank:], tolerances)
 
@@ -244,7 +230,7 @@ def _null_frames(base: BaseGrid, stack: np.ndarray,
     nullity = np.empty(len(stack), dtype=int)
     for members, split in groups:
         nullity[members] = split.kernel.shape[-1]
-    _constant_rank(base, nullity, "frame rank")
+    _constant_rank(nullity, "frame rank", base.vertices)
     (_, split), = groups
     return split.kernel, split.cokernel
 
@@ -387,7 +373,7 @@ def toeplitz_family_index(g_family, base: BaseGrid, trunc: FourierTruncation,
     parts = []
     for dims, frames in ((sub.kernel_dim, sub.kernel_interior),
                          (sub.cokernel_dim, sub.cokernel_interior)):
-        _constant_rank(base, dims, "frame rank")
+        _constant_rank(dims, "frame rank", base.vertices)
         parts.append(ProjectorFamily(base, frames, tolerances))
     return _class_from_parts(base, *parts, tolerances,
                              meta={"pointwise_index": first})
@@ -521,5 +507,5 @@ def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,
     the vertices whose rank differs."""
     dec = eigh(family.operator, tolerances)
     counts, windows = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
-    rank = _constant_rank(family.base, counts, "section rank")
+    rank = _constant_rank(counts, "section rank", family.base.vertices)
     return _top_section(dec.eigenvectors, rank, windows, cutoff, policy)

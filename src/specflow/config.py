@@ -5,6 +5,10 @@ Every operation in the package reads its thresholds from a single
 The defaults below are the contract values; override by passing a modified
 record into the operation that needs it.  No operation takes a threshold
 or a guard switch of its own.
+
+No field groups eigenvalues into degenerate clusters: ``operators.eigh``
+returns the eigenbasis its solver gives, and every consumer reads the
+span of a cluster (a section, a rank, a projector), never a frame of it.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +19,6 @@ class Tolerances:
     # matrix-level invariants
     hermitian_max: float = 1e-12        # ||M - M*||_max <= tol * (1 + ||M||_max)
     unitary: float = 1e-10              # ||U U* - I||_2
-    degenerate_cluster: float = 1e-10   # relative gap defining a degenerate cluster
     potential_hermitian: float = 1e-10  # max_k ||c_{-k} - c_k*|| of a Dirac potential
 
     # projectors and spectral sections

@@ -170,13 +170,27 @@ def _section_above(dec: EigenDecomposition, cutoff: float, policy: str,
     """The ``aps_projection`` section of an operator, read off its
     eigendecomposition; the decomposition of a stack gives the stacked
     section, whose members must keep equal numbers of eigenvectors
-    (RankJump otherwise)."""
+    (RankJump naming the members otherwise, ``_constant_rank``)."""
     counts, window = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
-    rank = int(np.ravel(counts)[0])
-    if np.any(counts != rank):
-        raise RankJump(f"section rank varies over the family: "
-                       f"{sorted(set(np.ravel(counts).tolist()))}")
-    return _top_section(dec.eigenvectors, rank, window, cutoff, policy)
+    return _top_section(dec.eigenvectors,
+                        _constant_rank(counts, "section rank"), window,
+                        cutoff, policy)
+
+
+def _constant_rank(ranks, what: str, vertices=None) -> int:
+    """The rank every member of a stack has (``ranks`` over its leading
+    axes); RankJump naming the members whose rank differs from the first
+    member's otherwise, by their base vertices when ``vertices`` lists
+    them in stack order, else by their indices in the stack."""
+    ranks = np.asarray(ranks)
+    bad = np.argwhere(ranks != ranks.flat[0])[:4].tolist()
+    if bad:
+        where, members = ("family", [tuple(i) for i in bad]) \
+            if vertices is None else ("base", [vertices[i] for i, in bad])
+        raise RankJump(f"{what} varies over the {where}: e.g. at {members} "
+                       f"(got {sorted(set(ranks.ravel().tolist()))}); "
+                       f"perturb the family")
+    return int(ranks.flat[0])
 
 
 def _top_section(vectors: np.ndarray, rank: int, window, cutoff: float,

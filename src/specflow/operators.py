@@ -448,45 +448,26 @@ def _require_hermitian(band: np.ndarray, tolerances: Tolerances = DEFAULT):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues with a deterministic orthonormal eigenbasis;
-    the decomposition of a stack carries its leading axes on both."""
+    """Ascending eigenvalues with an orthonormal eigenbasis; the
+    decomposition of a stack carries its leading axes on both."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _leading_index(v: np.ndarray) -> np.ndarray:
-    """Row of the first entry of each column above 1e-8 of the column's
-    largest modulus (columns of every member of a stack)."""
-    a = np.abs(v)
-    floor = 1e-8 * np.maximum(a.max(axis=-2, keepdims=True), 1e-300)
-    return np.argmax(a > floor, axis=-2)
-
-
-def _canonical_phase(v: np.ndarray):
-    """Rotate unit columns, in place, so their leading entry is real
-    positive."""
-    lead = np.take_along_axis(v, _leading_index(v)[..., None, :], axis=-2)
-    v *= np.abs(lead) / lead
-
-
 def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Hermitian eigendecomposition with a fixed degeneracy tie-break.
+    """Hermitian eigendecomposition of a matrix or a stack (..., n, n),
+    or of the operator of a family, from the lower triangle.
 
-    Within a degenerate cluster (relative gap below the configured
-    threshold) the eigenvectors are phase-normalized (leading nonzero
-    entry real positive) and ordered by leading index, then
-    lexicographically, so identical input always yields identical output.
-
-    A stack (..., n, n), or the operator of a family, is decomposed by
-    one LAPACK call and its tie-break by one sort whose most significant
-    key is the member, so every member comes out as it does on its own; a
-    single matrix is a stack of one.  The Hermiticity test reads the
-    operator's band, or the band of an array (``_non_hermitian_band``).
-    A stack whose every member is diagonal (lower width 0) is decomposed
-    without LAPACK and without a dense matrix (``_diagonal_eigh``), with
-    the bytes LAPACK's route gives.  The dense matrix an operator builds
-    for LAPACK is dropped once LAPACK returns.
+    The Hermiticity test reads the operator's band, or the band of an
+    array (``_non_hermitian_band``).  A band that splits into diagonal
+    blocks (``_split_starts``) is solved block by block (``_split_eigh``);
+    any other goes to ``np.linalg.eigh``, whose ``w, v`` are returned as
+    they are.  Inside a degenerate cluster the basis is the solver's:
+    consumers read a cluster's span, not its frame.  A fixed input and
+    thread count give a deterministic result, and the members of a stack
+    agree with lone calls to within roundoff, bit for bit where both
+    split alike.
     """
     if isinstance(operator, TruncatedOperator):
         band, m = operator.band, None
@@ -495,99 +476,93 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
         band = _band_of(m)
     if _non_hermitian_band(band, tolerances) is not None:
         raise ValueError("eigh requires a Hermitian matrix")
-    if _diagonal_route(band):
-        w, v = _diagonal_eigh(band[..., band.shape[-2] // 2, :])
+    starts = _split_starts(band)
+    if len(starts) > 1:
+        w, v = _split_eigh(band, starts)
     else:
         w, v = np.linalg.eigh(operator.matrix if m is None else m)
-    _canonical_phase(v)
-
-    n = w.shape[-1]
-    flat_w, flat_v = w.reshape(-1, n), v.reshape(-1, n, n)
-    cluster_tol = tolerances.degenerate_cluster \
-        * np.maximum(np.abs(flat_w).max(axis=-1, initial=0.0), 1.0)
-    breaks = np.diff(flat_w, axis=-1) > cluster_tol[:, None]
-    cluster = np.concatenate([np.zeros((len(flat_w), 1), dtype=int),
-                              np.cumsum(breaks, axis=-1)], axis=-1)
-    # a column shares its cluster when it is joined to either neighbour
-    shared = np.zeros(flat_w.shape, dtype=bool)
-    shared[:, 1:] |= ~breaks
-    shared[:, :-1] |= ~breaks
-    members, cols = np.nonzero(shared)
-    if cols.size:
-        # member-major labels keep every member's clusters apart
-        order = _cluster_order(flat_v[members, :, cols].T,
-                               members * n + cluster[members, cols])
-        flat_v[members, :, cols] = flat_v[members[order], :, cols[order]]
     v.setflags(write=False)
     w.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-#: ``?syevd`` and ``?heevd`` scale a matrix whose largest entry in modulus
-#: is nonzero and below 2^-485, or above 2^485 (the square roots of
-#: safmin / eps and of its inverse), before they solve, which can move the
-#: last bits of its eigenvalues.
-_LAPACK_UNSCALED = (2.0 ** -485, 2.0 ** 485)
+def _split_starts(band: np.ndarray) -> np.ndarray:
+    """The first index of each diagonal block of the matrices of a band
+    stack (..., 2b + 1, n), ascending from 0: p > 0 starts a block when
+    no lower entry (j + d, j) with j < p <= j + d is nonzero in any
+    member, that is when max_{j < p} (j + reach_j) < p, reach_j the
+    largest such d at column j (0 if none).  It reads the lower triangle,
+    as the Hermitian solvers do, exactly and in O(n b): the deflation
+    test of LAPACK's tridiagonal solvers (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 7) read off the band."""
+    width, n = band.shape[-2] // 2, band.shape[-1]
+    coupled = np.any(band[..., width + 1:, :] != 0,
+                     axis=tuple(range(band.ndim - 2)))
+    reach = np.where(coupled, np.arange(1, width + 1)[:, None], 0).max(
+        axis=0, initial=0)
+    bridged = np.maximum.accumulate(np.arange(n) + reach)
+    p = np.arange(1, n)
+    return np.r_[0, p[bridged[:-1] < p]]
 
 
-def _diagonal_route(band: np.ndarray) -> bool:
-    """Whether ``_diagonal_eigh`` gives LAPACK's bytes for the matrices of
-    a band stack.
-
-    Every member must be diagonal, of a dtype ``np.linalg.eigh`` solves in
-    as it is (float64 or complex128), and not scaled by LAPACK
-    (``_LAPACK_UNSCALED``).  LAPACK reads the real part of a Hermitian
-    diagonal, and its eigenvalues of a diagonal matrix are those entries,
-    except that the blocked reduction to tridiagonal form adds zero
-    updates to the trailing diagonal, which turns -0.0 into 0.0 there
-    (seen on random diagonals of size 40 and more); a diagonal that holds
-    -0.0 is left to LAPACK.
-    """
-    if band.dtype not in (np.float64, np.complex128) or np.any(
-            _lower_width(band)):
-        return False
-    d = band[..., band.shape[-2] // 2, :].real
-    peak = np.abs(d).max(axis=-1, initial=0.0)
-    low, high = _LAPACK_UNSCALED
-    return bool(np.all((peak == 0) | ((peak >= low) & (peak <= high)))
-                and not np.any(np.signbit(d) & (d == 0)))
-
-
-def _diagonal_eigh(diagonal: np.ndarray):
-    """``np.linalg.eigh`` of the diagonal matrices whose diagonals are the
-    rows of ``diagonal`` (..., n), for a stack that ``_diagonal_route``
-    admits: the eigenvalues are the real diagonal in ascending order, by a
-    stable sort, and the eigenvectors the unit columns in that order, of
-    the diagonal's dtype.
-
-    LAPACK's tridiagonal solvers (``?steqr``, ``?stedc``) see a matrix
-    that splits into 1 x 1 blocks and end with a selection sort, which
-    orders the values alike; it may order equal values differently, but
-    they have equal bytes, and the tie-break of ``eigh`` orders their
-    columns afterwards.
-    """
-    d, n = diagonal.real, diagonal.shape[-1]
-    order = np.argsort(d, axis=-1, kind="stable")
-    w = np.take_along_axis(d, order, axis=-1)
-    v = np.zeros(d.shape + (n,), dtype=diagonal.dtype)
-    # column j is the unit vector of row order[j]
-    np.put_along_axis(v, order[..., None, :], 1, axis=-2)
-    return w, v
+def _block_groups(band: np.ndarray, starts: np.ndarray):
+    """The diagonal blocks of a band stack (..., 2b + 1, n) that splits
+    at ``starts``, by size s: yields the indices (k, s) of the k blocks
+    of each size, the blocks and their shift.  A 1 x 1 block is its real
+    diagonal entry (..., k, 1), shift None.  Larger blocks are bands
+    (..., k, 2w + 1, s), w = min(b, s - 1), centred on the mean of their
+    real diagonal, which is the shift (..., k, 1) to add back to their
+    eigenvalues: the roundoff of a block k + c_0 at mode k = 4096 is then
+    relative to c_0, not to 4096."""
+    width, n = band.shape[-2] // 2, band.shape[-1]
+    band = band.astype(np.result_type(band.dtype, 1.0), copy=False)
+    sizes = np.diff(np.r_[starts, n])
+    for s in np.unique(sizes):
+        rows = starts[sizes == s][:, None] + np.arange(s)
+        if s == 1:
+            yield rows, band[..., width, rows].real, None
+            continue
+        w = min(width, s - 1)
+        # (..., 2w + 1, k, s) -> (..., k, 2w + 1, s), a copy
+        blocks = np.moveaxis(band[..., width - w:width + w + 1, rows], -3, -2)
+        at = np.arange(s) + np.arange(-w, w + 1)[:, None]
+        blocks[..., (at < 0) | (at >= s)] = 0
+        shift = blocks[..., w, :].real.mean(axis=-1, keepdims=True)
+        blocks[..., w, :] -= shift
+        yield rows, blocks, shift
 
 
-def _cluster_order(block: np.ndarray, cluster: np.ndarray) -> np.ndarray:
-    """Column order that keeps each cluster label (nondecreasing) in place
-    and sorts inside a cluster by leading index, then by the entries
-    rounded to 9 decimals and read as (re, im) pairs row by row."""
-    rows = block.shape[0]
-    # lexsort ranks by its last key first: the cluster, the leading
-    # index, then re and im of row 0, of row 1, and so on
-    keys = np.empty((2 * rows + 2, block.shape[1]))
-    np.round(block.real, 9, out=keys[2 * rows - 1::-2])
-    np.round(block.imag, 9, out=keys[2 * rows - 2::-2])
-    keys[-2] = _leading_index(block)
-    keys[-1] = cluster
-    return np.lexsort(keys)
+def _split_eigh(band: np.ndarray, starts: np.ndarray):
+    """``w, v`` of a band stack that splits at ``starts``: one stacked
+    ``np.linalg.eigh`` per block size (``_block_groups``), and a unit
+    vector for a 1 x 1 block.  A stable argsort over the block positions
+    merges the eigenvalues, and each block's eigenvectors are written
+    straight to their sorted columns."""
+    n, lead = band.shape[-1], band.shape[:-2]
+    dtype = np.result_type(band.dtype, 1.0)
+    slots = np.empty(lead + (n,), dtype=np.finfo(dtype).dtype)
+    solved = []
+    for rows, blocks, shift in _block_groups(band, starts):
+        if shift is None:
+            slots[..., rows] = blocks
+            solved.append((rows, 1))
+            continue
+        w, v = np.linalg.eigh(_dense(blocks))
+        slots[..., rows] = w + shift
+        solved.append((rows, v.reshape((-1,) + v.shape[-3:])))
+    order = np.argsort(slots, axis=-1, kind="stable")
+    # the column of each slot in the ascending order
+    column = np.empty_like(order)
+    np.put_along_axis(column, order, np.arange(n), axis=-1)
+    v = np.zeros(lead + (n, n), dtype=dtype)
+    flat_v, flat_column = v.reshape(-1, n, n), column.reshape(-1, n)
+    member = np.arange(len(flat_v))[:, None, None, None]
+    for rows, vectors in solved:
+        # component r of eigenvector c of block i sits in row rows[i, r]
+        # and in the column of slot rows[i, c]
+        flat_v[member, rows[:, :, None],
+               flat_column[:, rows][:, :, None, :]] = vectors
+    return np.take_along_axis(slots, order, axis=-1), v
 
 
 def half_bandwidth(m: np.ndarray):
@@ -607,6 +582,8 @@ def eigvalsh(operator) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each member of a
     stack (..., n, n), from the lower triangle.
 
+    A band that splits into diagonal blocks (``_split_starts``) is solved
+    block by block (``_block_groups``), each block routed as a matrix is.
     A matrix whose band of half-bandwidth b fills at most a sixteenth of
     each column, 16 (b + 1) <= n, goes to LAPACK's Hermitian band solver,
     whose reduction to tridiagonal form (``?hbtrd``) costs O(n^2 b); any
@@ -628,10 +605,17 @@ def eigvalsh(operator) -> np.ndarray:
 
 
 def _band_eigvalsh(band: np.ndarray) -> np.ndarray:
-    """``eigvalsh`` of the matrices of a band stack (..., 2b + 1, n),
-    routed member by member on each member's exact lower
-    half-bandwidth."""
+    """``eigvalsh`` of the matrices of a band stack (..., 2b + 1, n): a
+    split band block by block, and any other routed member by member on
+    each member's exact lower half-bandwidth."""
     width, n = band.shape[-2] // 2, band.shape[-1]
+    starts = _split_starts(band)
+    if len(starts) > 1:
+        w = np.empty(band.shape[:-2] + (n,))
+        for rows, blocks, shift in _block_groups(band, starts):
+            w[..., rows] = blocks if shift is None \
+                else _band_eigvalsh(blocks) + shift
+        return np.sort(w, axis=-1)
     lower = np.ravel(_lower_width(band))
     flat = band.reshape(-1, 2 * width + 1, n)
     banded = 16 * (lower + 1) <= n

@@ -751,8 +751,8 @@ class TestStackedFamilies:
 
     def test_degenerate_clusters_of_the_free_operator(self, monkeypatch):
         # at t = 0 every member is -i d/dx on C^2: each eigenvalue is
-        # double, and the tie-break returns standard basis vectors in
-        # index order for every member, from one dense LAPACK call
+        # double, and the 1 x 1 blocks give the standard basis vectors in
+        # index order for every member, with no LAPACK call
         cf = self.bott_curve(k=4)
         stack = cf.at(0.0).matrix
         dec = specflow.operators.eigh(stack)
@@ -765,8 +765,8 @@ class TestStackedFamilies:
         for i in (0, 17, len(stack) - 1):
             alone = specflow.operators.eigh(stack[i])
             assert np.array_equal(alone.eigenvectors, dec.eigenvectors[i])
-        # eigvalsh keeps the band route for each diagonal member and
-        # takes one dense call for the dense ones
+        # at t = 0.5 the members are 2 x 2 blocks k + c_0, so the mixed
+        # stack splits into them and takes one dense call over the blocks
         bands, dense = [], []
         monkeypatch.setattr(specflow.operators, "_banded_eigvals",
                             lambda band: bands.append(band.shape)
@@ -779,8 +779,8 @@ class TestStackedFamilies:
         assert np.all(16 * (specflow.operators.half_bandwidth(wide) + 1) > n)
         mixed = np.concatenate([stack[:3], wide])
         w = specflow.operators.eigvalsh(mixed)
-        assert bands == [(1, n)] * 3
-        assert dense == [(2, n, n)]
+        assert bands == []
+        assert dense == [(5, n // 2, 2, 2)]
         for i, m in enumerate(mixed):
             assert np.array_equal(w[i], specflow.operators.eigvalsh(m))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from specflow import (FourierTruncation, OperatorCurve, SpectralSection,
 import specflow.flow
 from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
-                             InvalidSection, NoGapFound)
+                             InvalidSection, NoGapFound, RankJump)
 from specflow.flow import DifferenceElement, _SpectrumCache, certify_level
 from conftest import (count_eigh, dense_of_band, flow_symbols,
                       hermitian_guard_edge, random_hermitian_symbol,
@@ -61,6 +63,20 @@ class TestApsProjection:
         with pytest.raises(InvalidSection):
             validate_section_for(d, bad)
 
+
+    def test_a_ragged_stack_names_its_first_bad_members(self):
+        # k + 0.25 over k = -2..2 keeps 3 modes above the cutoff 0, and
+        # k - 0.25 keeps 2: the members (1, 0) and (1, 2) of the (2, 3)
+        # stack keep one fewer
+        shifts = np.full((2, 3), 0.25)
+        shifts[1, 0] = shifts[1, 2] = -0.25
+        stack = np.diag(np.arange(-2.0, 3.0))[None, None] \
+            + shifts[..., None, None] * np.eye(5)
+        with pytest.raises(RankJump, match=re.escape(
+                "section rank varies over the family: e.g. at [(1, 0), "
+                "(1, 2)] (got [2, 3]); perturb the family")):
+            aps_projection(stack, 0.0)
+        assert aps_projection(stack, 0.5).basis.shape == (2, 3, 5, 2)
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_basis_gram_defect_guard(self, factor):
@@ -335,14 +351,12 @@ class TestSpectralFlow:
             [0.0, 1.0], [pot.scale(0.0), pot], tr)
         assert spectral_flow(curve) == -3
 
-    def test_index_flow_paths_at_k_4096(self, monkeypatch):
+    def test_index_flow_paths_at_k_4096(self):
         # the seed-0 paths of the index_flow benchmark run through the
-        # constant potentials -t U diag(n_1, n_2) U*, a band of b = 1.
-        # The reference loop that checks every certified level is
-        # quadratic in the dimension (20 s at 16386), so this test takes
-        # the library's levels, and checks the flow, the interval count
-        # and the smallest margin against their exact values instead
-        monkeypatch.setattr(specflow.flow, "certify_level", certify_level)
+        # constant potentials -t U diag(n_1, n_2) U*, a band of b = 1
+        # that splits into its 2 x 2 mode blocks; every certified level
+        # is checked against the reference, and the flow, the interval
+        # count and the smallest margin against their exact values
         tr = FourierTruncation(4096, 2)
         ts = [0.0, 0.5, 1.0]
         for windings, g, _ in flow_symbols(0):

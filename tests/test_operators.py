@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       OperatorCurve, SymbolFunction, TruncatedOperator,
                       build_dirac, build_multiplication, dirac_aps_section,
-                      eigh, eigvalsh, gauge_transformed_potential)
+                      eigh, eigvalsh, gauge_transformed_potential,
+                      spectral_flow)
 from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
@@ -16,9 +17,10 @@ from specflow.operators import (NullSplit, _orthonormal_columns,
                                 half_bandwidth, interior_directions,
                                 null_split, null_splits, numerical_rank,
                                 small_singular_vectors, split_rank)
-from conftest import (assert_matches_dense_split, dense_null_split,
+from conftest import (assert_matches_dense_split,
+                      assert_same_eigenspaces, dense_null_split,
                       dense_of_band, derivative_matrix, fd_dirac_cos_spectrum,
-                      flow_symbols, lapack_eigh, random_hermitian,
+                      flow_symbols, random_hermitian,
                       random_hermitian_symbol, random_trig_unitary,
                       random_unitary, rng_for, sine_of_largest_angle,
                       svd_shapes)
@@ -209,7 +211,8 @@ class TestBandedEigvalsh:
         w = eigvalsh(m)
         dense = np.linalg.eigvalsh(m)
         assert half_bandwidth(m) == min(b, n - 1)
-        assert len(calls) == (16 * (min(b, n - 1) + 1) <= n)
+        # a diagonal splits into 1 x 1 blocks, which need no solver
+        assert len(calls) == (b > 0 and 16 * (min(b, n - 1) + 1) <= n)
         assert np.abs(w - dense).max() <= 1e-10 * np.abs(dense).max()
 
     def test_wide_matrix_takes_the_dense_path(self, rng, monkeypatch):
@@ -223,9 +226,9 @@ class TestBandedEigvalsh:
         assert half_bandwidth(np.zeros((40, 40))) == 0
         assert np.array_equal(eigvalsh(np.zeros((40, 40))), np.zeros(40))
         d = rng.normal(size=40)
-        assert np.allclose(eigvalsh(np.diag(d)), np.sort(d),
-                           rtol=0, atol=1e-15)
-        assert calls == [(1, 40), (1, 40)]
+        assert np.array_equal(eigvalsh(np.diag(d)), np.sort(d))
+        # both split into 1 x 1 blocks, whose eigenvalues are their entries
+        assert calls == []
 
     def test_band_reads_the_lower_triangle(self):
         # the Hermitian solvers read only the lower triangle, so an upper
@@ -315,66 +318,30 @@ class TestEigh:
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @staticmethod
-    def reference_tiebreak(m, cluster_rtol=1e-10):
-        """Column-by-column phase normalization and cluster sort: leading
-        entry above 1e-8 of the column maximum made real positive, then
-        clusters ordered by leading index and by the entries rounded to 9
-        decimals as (re, im) pairs."""
-        w, v = np.linalg.eigh(m)
-        cols = []
-        for i in range(v.shape[1]):
-            col = v[:, i]
-            idx = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
-            cols.append(col * (abs(col[idx[0]]) / col[idx[0]]))
-        v = np.stack(cols, axis=1)
-
-        def key(col):
-            a = np.abs(col)
-            lead = int(np.argmax(a > 1e-8 * a.max()))
-            return (lead,) + tuple(np.round(np.c_[col.real, col.imag].ravel(), 9))
-
-        tol = cluster_rtol * max(np.abs(w).max(), 1.0)
-        start = 0
-        for i in range(1, len(w) + 1):
-            if i == len(w) or w[i] - w[i - 1] > tol:
-                block = v[:, start:i]
-                order = sorted(range(i - start), key=lambda j: key(block[:, j]))
-                v[:, start:i] = block[:, order]
-                start = i
-        return w, v
-
     @pytest.mark.parametrize("seed", range(4))
     def test_degenerate_clusters_match_reference(self, seed):
-        rng = rng_for(seed + 300)
-        dim = 12
-        u = random_unitary(dim, rng)
-        # clusters of sizes 3, 1, 4, 2, 2; dense eigenvectors all lead at
-        # row 0, so the entries decide the order inside each cluster
+        # clusters of sizes 3, 1, 4, 2, 2 of a dense matrix: inside a
+        # cluster the basis is LAPACK's, and its span is the reference's
         values = np.repeat([-2.0, -0.5, 0.0, 1.0, 3.0], [3, 1, 4, 2, 2])
+        u = random_unitary(12, rng_for(seed + 300))
         m = (u * values[None, :]) @ u.conj().T
         m = 0.5 * (m + m.conj().T)
-        w_ref, v_ref = self.reference_tiebreak(m)
         dec = eigh(m)
-        assert np.array_equal(dec.eigenvalues, w_ref)
-        assert np.abs(dec.eigenvectors - v_ref).max() < 1e-13
-
-    def test_cluster_sort_breaks_leading_index_ties_lexicographically(self):
-        from specflow.operators import _cluster_order
-        s = 1 / np.sqrt(2)
-        block = np.array([[s, s, 0.0], [0.4j, -0.4j, 0.0], [0.0, 0.0, 1.0],
-                          [np.sqrt(0.5 - 0.16), np.sqrt(0.5 - 0.16), 0.0]],
-                         dtype=complex)
-        # same leading row 0 and equal first entries: the imaginary part of
-        # row 1 decides (-0.4 before 0.4); the column led by row 2 is last
-        assert list(_cluster_order(block, np.zeros(3, dtype=int))) == [1, 0, 2]
-        # a lower cluster label outranks the entries
-        assert list(_cluster_order(block, np.array([0, 1, 1]))) == [0, 1, 2]
+        w, v = dec.eigenvalues, dec.eigenvectors
+        assert np.abs(w - values).max() <= 1e-14
+        assert np.abs(v.conj().T @ v - np.eye(12)).max() <= 1e-14
+        for value in np.unique(values):
+            cluster = values == value
+            p = v[:, cluster] @ v[:, cluster].conj().T
+            p_ref = u[:, cluster] @ u[:, cluster].conj().T
+            assert np.abs(p - p_ref).max() <= 1e-13
 
 
 class TestDiagonalEigh:
-    """A stack of diagonal matrices is decomposed without LAPACK, with the
-    bytes of the LAPACK route (``conftest.lapack_eigh``)."""
+    """A stack of diagonal matrices splits into 1 x 1 blocks, which are
+    decomposed without LAPACK: the eigenvalues are the stable sort of the
+    real diagonal, bit for bit, and the eigenvectors the unit vectors in
+    that order."""
 
     @staticmethod
     def lapack_calls(monkeypatch) -> list:
@@ -389,10 +356,15 @@ class TestDiagonalEigh:
         return calls
 
     @staticmethod
-    def assert_lapack_bytes(operator, dec):
+    def assert_stable_sort(operator, dec):
         m = operator.matrix if isinstance(operator, TruncatedOperator) \
             else operator
-        w, v = lapack_eigh(m)
+        d = np.diagonal(m, axis1=-2, axis2=-1).real
+        order = np.argsort(d, axis=-1, kind="stable")
+        w = np.take_along_axis(d, order, axis=-1)
+        v = np.eye(m.shape[-1], dtype=m.dtype)[:, order]
+        if m.ndim == 3:
+            v = np.moveaxis(v, 0, 1)
         for got, want in ((dec.eigenvalues, w), (dec.eigenvectors, v)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -420,7 +392,7 @@ class TestDiagonalEigh:
         calls = self.lapack_calls(monkeypatch)
         dec = eigh(op)
         assert calls == []
-        self.assert_lapack_bytes(op, dec)
+        self.assert_stable_sort(op, dec)
 
     def test_bott_family_at_zero(self, monkeypatch):
         op = self.bott_family_at_zero()
@@ -428,55 +400,176 @@ class TestDiagonalEigh:
         calls = self.lapack_calls(monkeypatch)
         dec = eigh(op)
         assert calls == []
-        self.assert_lapack_bytes(op, dec)
+        self.assert_stable_sort(op, dec)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_near_ties_inside_a_cluster(self, dtype, monkeypatch):
-        # values closer than degenerate_cluster join one cluster, whose
-        # columns the tie-break orders by leading index, apart from the
-        # order of their values; exact ties and 0.0 sit among them
+        # near and exact ties, both zeros, and peaks at and past the
+        # scales where LAPACK would rescale (2^-485 and 2^485): the route
+        # keeps every entry's bits, -0.0 included
         d = np.array([2.0, 1e-12, 0.0, -1.0, 3e-12, 2.0 + 1e-10, -1.0,
-                      0.0, 5.0, 2.0 - 1e-10] * 5)
-        m = np.diag(d).astype(dtype)
+                      -0.0, 5.0, 2.0 - 1e-10] * 5)
+        peaks = [1.0, 2.0 ** -485, np.nextafter(2.0 ** -485, 0),
+                 2.0 ** 485, 1e150]
+        stack = np.stack([np.diag(d * peak) for peak in peaks]).astype(dtype)
         calls = self.lapack_calls(monkeypatch)
-        dec = eigh(m)
+        for m in (*stack, stack):
+            self.assert_stable_sort(m, eigh(m))
         assert calls == []
-        self.assert_lapack_bytes(m, dec)
 
-    def test_a_negative_zero_takes_lapack(self, monkeypatch):
-        # LAPACK's blocked tridiagonal reduction turns -0.0 into 0.0 on
-        # part of a large diagonal, so a diagonal holding -0.0 is left to
-        # LAPACK
-        d = np.repeat([1.0, -0.0, 0.0, -2.0], 12)
-        for m in (np.diag(d), np.diag(d).astype(complex)):
-            calls = self.lapack_calls(monkeypatch)
-            dec = eigh(m)
-            assert calls == [m.shape]
-            self.assert_lapack_bytes(m, dec)
-
-    def test_a_diagonal_lapack_scales_takes_lapack(self, monkeypatch):
-        # ?heevd scales a matrix whose largest entry lies below 2^-485 or
-        # above 2^485, which moves the last bits of the eigenvalues
-        d = rng_for(41).uniform(0.3, 1.0, size=6)
-        for peak, routed in ((2.0 ** -485, []),
-                             (np.nextafter(2.0 ** -485, 0), [(6, 6)]),
-                             (2.0 ** 485, []), (1e150, [(6, 6)])):
-            m = np.diag(np.r_[1.0, d[1:]] * peak).astype(complex)
-            calls = self.lapack_calls(monkeypatch)
-            dec = eigh(m)
-            assert calls == routed
-            self.assert_lapack_bytes(m, dec)
-
-    def test_one_off_diagonal_entry_sends_the_stack_to_lapack(self,
-                                                              monkeypatch):
+    def test_one_off_diagonal_entry_joins_a_pair_in_every_member(
+            self, monkeypatch):
+        # the entry couples indices 3 and 4 of one member, so every
+        # member is solved as 1 x 1 blocks and one 2 x 2 block
         op = self.bott_family_at_zero()
         stack = op.matrix.copy()
         stack[7, 3, 4] = stack[7, 4, 3] = 0.25
+        starts = specflow.operators._split_starts(op.band)
+        joined = specflow.operators._split_starts(
+            specflow.operators._band_of(stack))
+        assert np.array_equal(starts, np.arange(34))
+        assert np.array_equal(joined, np.delete(np.arange(34), 4))
+        w, v = np.linalg.eigh(stack)
         calls = self.lapack_calls(monkeypatch)
         dec = eigh(stack)
-        assert calls == [stack.shape]
-        self.assert_lapack_bytes(stack, dec)
-        self.assert_lapack_bytes(op, eigh(op))
+        assert calls == [(144, 1, 2, 2)]
+        for i in range(len(stack)):
+            assert_same_eigenspaces(dec.eigenvalues[i], dec.eigenvectors[i],
+                                    w[i], v[i])
+        self.assert_stable_sort(op, eigh(op))
+        assert calls == [(144, 1, 2, 2)]
+
+
+def block_diagonal(blocks) -> np.ndarray:
+    """The matrix, or stack, with the given diagonal blocks in order."""
+    n = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        s = b.shape[-1]
+        out[..., at:at + s, at:at + s] = b
+        at += s
+    return out
+
+
+def dense_calls(monkeypatch) -> list:
+    """Record the shape of every dense ``np.linalg.eigh`` and
+    ``np.linalg.eigvalsh`` call, by name."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestSplitBands:
+    """A band that splits into diagonal blocks is solved block by block,
+    one stacked LAPACK call per block size."""
+
+    def mixed_blocks(self, members=()):
+        # blocks of sizes 2, 3, 1, 2 with the eigenvalue 1 in three of
+        # them, so one cluster spans three blocks
+        rng = rng_for(500)
+        spectra = [np.array(values) for values in
+                   ([1.0, -0.5], [2.0, 1.0, -3.0], [1.0], [0.25, 4.0])]
+        blocks, frames = [], []
+        for values in spectra:
+            u = random_unitary(len(values), rng)
+            u = np.broadcast_to(u, members + u.shape)
+            blocks.append((u * values) @ np.swapaxes(u.conj(), -1, -2))
+            frames.append(u)
+        return block_diagonal(blocks), block_diagonal(frames), \
+            np.concatenate(spectra)
+
+    @pytest.mark.parametrize("members", [(), (3,)], ids=["single", "stack"])
+    def test_mixed_block_sizes_match_dense(self, members, monkeypatch):
+        m, frame, values = self.mixed_blocks(members)
+        m = 0.5 * (m + np.swapaxes(m.conj(), -1, -2))
+        band = specflow.operators._band_of(m)
+        assert np.array_equal(specflow.operators._split_starts(band),
+                              [0, 2, 5, 6])
+        w_ref, v_ref = np.linalg.eigh(m)
+        calls = dense_calls(monkeypatch)
+        dec = eigh(m)
+        w = eigvalsh(m)
+        assert calls == [("eigh", members + (2, 2, 2)),
+                         ("eigh", members + (1, 3, 3)),
+                         ("eigvalsh", members + (2, 2, 2)),
+                         ("eigvalsh", members + (1, 3, 3))]
+        exact = frame[..., values == 1.0]
+        exact = exact @ np.swapaxes(exact.conj(), -1, -2)
+        for i in np.ndindex(members):
+            got_w, got_v = dec.eigenvalues[i], dec.eigenvectors[i]
+            assert_same_eigenspaces(got_w, got_v, w_ref[i], v_ref[i])
+            assert np.abs(w[i] - np.sort(values)).max() <= 1e-14
+            # the cluster at 1 spans columns of three blocks; its
+            # projector is the exact one
+            kept = got_v[:, np.abs(got_w - 1.0) < 1e-8]
+            assert np.abs(kept @ kept.conj().T - exact[i]).max() <= 1e-14
+
+    def test_a_far_diagonal_bridges_every_point_it_spans(self):
+        # the entry (7, 2) couples indices 2 to 7, which form one block
+        m = np.diag(np.arange(10.0)).astype(complex)
+        m[7, 2] = m[2, 7] = 0.5
+        band = specflow.operators._band_of(m)
+        assert band.shape == (11, 10)
+        assert np.array_equal(specflow.operators._split_starts(band),
+                              [0, 1, 2, 8, 9])
+        dec = eigh(m)
+        w, v = np.linalg.eigh(m)
+        assert_same_eigenspaces(dec.eigenvalues, dec.eigenvectors, w, v)
+        assert np.abs(eigvalsh(m) - w).max() <= 1e-14
+
+    def test_members_that_split_differently_split_at_the_union(self):
+        # member 0 couples indices 0 and 1, member 1 couples 1 and 2:
+        # alone each splits in two places, and the stack only at 3
+        m = np.stack([np.diag([0.0, 1.0, 2.0, 3.0]),
+                      np.diag([0.5, 1.5, 2.5, 3.5])]).astype(complex)
+        m[0, 1, 0] = m[0, 0, 1] = 0.3
+        m[1, 2, 1] = m[1, 1, 2] = 0.2
+        starts = specflow.operators._split_starts
+        band_of = specflow.operators._band_of
+        assert np.array_equal(starts(band_of(m[0])), [0, 2, 3])
+        assert np.array_equal(starts(band_of(m[1])), [0, 1, 3])
+        assert np.array_equal(starts(band_of(m)), [0, 3])
+        dec = eigh(m)
+        w = eigvalsh(m)
+        for i in range(2):
+            alone = eigh(m[i])
+            assert_same_eigenspaces(dec.eigenvalues[i], dec.eigenvectors[i],
+                                    alone.eigenvalues, alone.eigenvectors)
+            assert np.abs(w[i] - eigvalsh(m[i])).max() <= 1e-15
+
+    def test_a_real_bandwidth_curve_keeps_its_band_solves(self, monkeypatch):
+        # the conjugation path of a product of three index_flow symbols
+        # (seed 5, windings (1, 0), (0, -2), (1, 1)) has a potential of
+        # modes -1..1 and a Dirac band of b = 3 that never splits: each
+        # of its band solves hands LAPACK the full lower band, as before
+        # the split test; only the free operator at t = 0 splits
+        rng = rng_for(5)
+        g = None
+        for windings in ((1, 0), (0, -2), (1, 1)):
+            u, v = random_unitary(2, rng), random_unitary(2, rng)
+            coefficients = {}
+            for j, n in enumerate(windings):
+                e = np.zeros((2, 2), dtype=complex)
+                e[j, j] = 1.0
+                coefficients[n] = coefficients.get(n, 0) + u @ e @ v
+            factor = SymbolFunction(coefficients, rank=2, unitary=True)
+            g = factor if g is None else g.product(factor, unitary=True)
+        end = gauge_transformed_potential(g)
+        tr, ts = FourierTruncation(16, 2), [0.0, 0.5, 1.0]
+        curve = OperatorCurve.from_potentials(
+            ts, [end.scale(t) for t in ts], tr)
+        assert curve.samples.shape == (3, 7, tr.dim)
+        calls = band_calls(monkeypatch)
+        assert spectral_flow(curve) == -1
+        assert calls == [(4, tr.dim)] * 11
 
 
 class TestRank:
