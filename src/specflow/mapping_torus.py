@@ -18,12 +18,16 @@ while the gluing artifacts live at the mode edges, so the index counts
 only interior-localized small singular directions of A and A*.  Those
 directions come from one path at every size, which the band route of
 ``operators.null_split`` shares: seeded block inverse iteration on the
-sparse A*A and A A*.  The small singular values are the
-residual norms ||A v|| and ||A* u|| of its Ritz vectors.  A loop whose
-samples and gluing matrix are real (every constant-shift path with an
-``e^{inx}`` gluing, for one) has a real A, and it is iterated in real
-arithmetic.  Doubling both grid parameters must leave the counts
-unchanged (mandatory check).
+sparse A*A and A A*.  The small singular values are the residual norms
+||A v|| and ||A* u|| of its Ritz vectors.  The first singular value at or
+above the threshold is not computed but bounded from below, by a
+residual bound on the next eigenvalue of A*A: the iteration stops once
+that bound clears the threshold, and the gap test reads the bound in
+place of the value (``operators.small_singular_vectors`` states the
+bound and the unchecked assumption it rests on).  A loop whose samples and gluing
+matrix are real (every constant-shift path with an ``e^{inx}`` gluing,
+for one) has a real A, and it is iterated in real arithmetic.  Doubling
+both grid parameters must leave the counts unchanged (mandatory check).
 """
 
 from __future__ import annotations
@@ -207,7 +211,15 @@ def index(op: MappingTorusOperator,
 
 def _interior_index(op: MappingTorusOperator, tolerances: Tolerances) -> int:
     """The count of ``index`` at the operator's own grid, with the gap
-    check at ``mapping_torus_rank_rtol`` times the norm bound."""
+    check at ``mapping_torus_rank_rtol`` times the norm bound.
+
+    The check's smallest kept value is ``s_next``, a lower bound on the
+    first singular value at or above the threshold.  The bound holds when
+    the iteration's block spans the low singular subspace to within its
+    residuals, which nothing checks (``operators._smallest_block``).
+    Where it holds, the ratio the check tests is at most the true one:
+    the check can refuse a split whose true ratio passes, never pass one
+    whose true ratio fails."""
     threshold = tolerances.mapping_torus_rank_rtol * op.sigma_max_bound
     right, left, s_small, s_next = _small_singular_vectors(op, threshold)
     split_rank(np.concatenate([[s_next], s_small[::-1]]), threshold,

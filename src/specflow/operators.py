@@ -1071,26 +1071,45 @@ def _relative_split(s: np.ndarray, tolerances: Tolerances):
 def small_singular_vectors(a, threshold: float, scale: float, k: int,
                            count: int | None = None):
     """Right and left singular vectors of the square sparse matrix ``a``
-    with singular value below the threshold, plus the first retained
-    singular value; ``scale`` bounds ``||a||^2``.
+    with singular value below the threshold, their singular values, and
+    ``s_next``, a lower bound on the first singular value at or above the
+    threshold; ``scale`` bounds ``||a||^2``.
 
     Block inverse iteration (``_smallest_block``) on ``a*a`` starts with
-    ``k`` vectors and doubles the block, up to 64, until its largest
-    value reaches the threshold; ``a a*`` is then searched with two more
-    vectors than the count found, and both sides must count the same
-    (IllConditioned otherwise).  A caller that knows from an exact
-    spectrum that ``count`` values lie below the threshold and the next
-    one far above it passes ``count``: the iteration then judges
-    convergence on those values alone, since the next Ritz value bounds
-    its eigenvalue from above and so cannot fall below the threshold, and
-    both sides must count exactly that many.  The singular values are the
-    residual norms ``||a v||`` and ``||a* u||`` of the Ritz vectors, in
-    ascending order.  Only the count below the threshold and the spans
-    are exact to working precision: the Rayleigh-Ritz matrix
-    ``x* (a*a) x`` carries roundoff of about ``eps ||a||^2``, so values
-    below about ``sqrt(eps) ||a||`` are not resolved one by one, and the
-    Ritz vectors of a cluster of such values are mixtures whose residual
-    norms mix the cluster's values.
+    ``k`` vectors and doubles the block, up to 64, until the bound clears
+    the threshold; ``a a*`` is then searched with two more vectors than
+    the count found, and both sides must count the same (IllConditioned
+    otherwise).  The singular values are the residual norms ``||a v||``
+    and ``||a* u||`` of the Ritz vectors, in ascending order, and the
+    count they give must equal the count of Ritz values below
+    ``threshold ** 2`` (IllConditioned otherwise: the two differ only
+    for a value within roundoff of the threshold).  Only the count below
+    the threshold and the spans are exact to working precision: the
+    Rayleigh-Ritz matrix ``x* (a*a) x`` carries roundoff of about
+    ``eps ||a||^2``, so values below about ``sqrt(eps) ||a||`` are not
+    resolved one by one, and the Ritz vectors of a cluster of such values
+    are mixtures whose residual norms mix the cluster's values.
+
+    ``s_next`` is the square root of ``_smallest_block``'s bound on the
+    eigenvalue of ``a*a`` that follows the ns values below the threshold.
+    It clears the threshold, and ``s_next <= sigma_{ns+1}`` to roundoff
+    in ``||a||^2`` under the assumption ``_smallest_block`` states: the
+    block spans the low invariant subspace to within its residuals, which
+    nothing checks.  Its square falls short of ``sigma_{ns+1}^2`` by at
+    most the residual norm of the Ritz vector it was read from; the
+    iteration stops as soon as it clears the threshold, not when it is
+    tight.  Where the assumption holds, a rank decision that reads
+    ``s_next`` as the smallest kept value (``split_rank``) can only
+    refuse more often than one that reads ``sigma_{ns+1}``.
+
+    A caller that knows from an exact spectrum that ``count`` values lie
+    below the threshold and the next one far above it passes ``count``:
+    the iteration then judges convergence on those values alone, since
+    the next Ritz value bounds its eigenvalue from above and so cannot
+    fall below the threshold, and both sides must count exactly that
+    many.  No bound is computed on that route, and ``s_next`` is nan
+    (its one caller, ``null_split``, reads the rank from the exact
+    spectrum instead).
 
     A complex ``a`` whose entries have no nonzero imaginary part (an exact
     test, not a tolerance) is iterated as its real part: ``a*a`` and
@@ -1101,31 +1120,36 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int,
     if np.iscomplexobj(a.data) and not a.data.imag.any():
         a = a.real
     a_h = a.getH()
+    cut = threshold ** 2
 
     def smallest(gram, factor, k):
-        vecs = _smallest_block(gram.tocsc(), k, scale, threshold ** 2, count)
+        vecs, below, bound = _smallest_block(gram.tocsc(), k, scale, cut,
+                                             count)
         s = np.linalg.norm(factor @ vecs, axis=0)
         order = np.argsort(s, kind="stable")
-        return s[order], vecs[:, order]
+        return s[order], vecs[:, order], below, bound
 
     while True:
-        s_r, v_r = smallest(a_h @ a, a, k)
-        if s_r[-1] >= threshold or k >= 64:
+        s_r, v_r, below, bound = smallest(a_h @ a, a, k)
+        if count is not None or below < k or k >= 64:
             break
         k *= 2
     ns = int(np.count_nonzero(s_r < threshold))
     if ns >= k:
         raise IllConditioned("could not isolate the small singular "
                              "spectrum within the search budget")
-    s_l, v_l = smallest(a @ a_h, a_h, max(ns + 2, 4))
+    if ns != below:
+        raise IllConditioned(
+            f"{ns} singular values lie below the threshold {threshold:.3e} "
+            f"by their residual norms and {below} by their Ritz values"
+            if count is None else f"{ns} small singular values found "
+            f"where the spectrum has {count}")
+    s_l, v_l, _, _ = smallest(a @ a_h, a_h, max(ns + 2, 4))
     nl = int(np.count_nonzero(s_l < threshold))
     if nl != ns:
         raise IllConditioned(f"two-sided small-singular counts differ "
                              f"({ns} vs {nl}); threshold sits in the spectrum")
-    if count is not None and ns != count:
-        raise IllConditioned(f"{ns} small singular values found where the "
-                             f"spectrum has {count}")
-    return v_r[:, :ns], v_l[:, :ns], s_r[:ns], s_r[ns] if ns < len(s_r) else np.inf
+    return v_r[:, :ns], v_l[:, :ns], s_r[:ns], float(np.sqrt(bound))
 
 
 def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
@@ -1147,13 +1171,39 @@ def _smallest_block(mat, k: int, scale: float, cut: float,
     """Ritz vectors of the smallest k eigenvalues of a sparse PSD matrix,
     in ascending order of Ritz value, by seeded block inverse iteration
     (block methods resolve degenerate clusters, which single-vector
-    Lanczos misses with a fixed start).
+    Lanczos misses with a fixed start); with them, the number r of Ritz
+    values below ``cut`` (``count`` when it is given) and a lower bound on
+    the eigenvalue lambda_{r+1} that follows them (nan when ``count`` is
+    given: that route computes no bound).
 
-    Convergence is judged on the Ritz values a rank decision at ``cut``
-    reads: every value below it and the first one above it, or only the
-    ``count`` smallest when the count below the cut is known.  The values
-    above those are never read, and in inverse iteration they are the
-    slowest to settle.
+    The iteration stops once the r values below the cut have settled, to
+    ``1e-10 (scale + |value|)`` between two steps, and the bound on
+    lambda_{r+1} clears the cut; with a known ``count`` it stops once the
+    ``count`` smallest values have settled.  When all
+    k Ritz values lie below the cut it stops at once, with r = k and the
+    bound -inf: each Ritz value bounds its eigenvalue from above, so at
+    least k eigenvalues lie below the cut and only a larger block can
+    split them.  The values above lambda_{r+1} are never read, and in
+    inverse iteration they are the slowest to settle; a Ritz value in a
+    cluster settles slowly too, which is why lambda_{r+1} is bounded
+    rather than waited for.
+
+    The bound (Parlett, The Symmetric Eigenvalue Problem, ch. 10) reads
+    the Ritz pair (theta, y) of lambda_{r+1} and its residual norm
+    ``rho = ||mat y - theta y||``.  Weinstein's interval
+    ``[theta - rho, theta + rho]`` holds an eigenvalue; where the next
+    Ritz pair's own interval starts above theta at beta (the block shows
+    a gap), Kato and Temple's ``theta - rho^2 / (beta - theta)`` bounds
+    that eigenvalue from below too, and the larger of the two is taken.
+    Both bound lambda_{r+1} under one assumption: the eigenvalue each
+    interval holds is the one its Ritz value approximates, lambda_{r+1}
+    and lambda_{r+2}.  That holds when the block spans the invariant
+    subspace of the r + 1 smallest eigenvalues to within the residuals.
+    Nothing checks it, and a stop after as few as two solves does not
+    guarantee it: a block that has not yet taken in an eigenvector just
+    above the cut can return a bound above lambda_{r+1}.  Under the
+    assumption the bound lies at most rho below lambda_{r+1} <= theta,
+    and carries roundoff of about ``eps scale``.
 
     The shifted matrix ``mat + 1e-12 scale I`` is Hermitian positive
     definite, so SuperLU factors it with a symmetric ordering of
@@ -1162,7 +1212,8 @@ def _smallest_block(mat, k: int, scale: float, cut: float,
     QR (``_orthonormal_columns``) at the start and after every solve.
     The arithmetic follows ``mat.dtype``: a complex matrix is iterated
     from a seeded complex start, and a real one in real arithmetic from
-    the real part of that start.
+    the real part of that start.  IllConditioned after 60 steps, naming
+    the last bound and the cut.
     """
     n = mat.shape[0]
     shift = 1e-12 * scale + 1e-300
@@ -1176,20 +1227,47 @@ def _smallest_block(mat, k: int, scale: float, cut: float,
         x = x + 1j * rng.standard_normal((n, k))
     x = _orthonormal_columns(x)
     previous = None
+    bound = -np.inf
     for _ in range(60):
         x = _orthonormal_columns(lu.solve(x))
         small = x.conj().T @ (mat @ x)
         vals, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
         read = count if count is not None else \
-            min(int(np.count_nonzero(vals < cut)) + 1, len(vals))
-        if previous is not None and np.all(
-                np.abs(vals[:read] - previous[:read])
-                <= 1e-10 * scale + 1e-10 * np.abs(vals[:read])):
-            break
+            int(np.count_nonzero(vals < cut))
+        if read == k and count is None:
+            return x @ rot, read, -np.inf
+        settled = previous is not None and np.all(
+            np.abs(vals[:read] - previous[:read])
+            <= 1e-10 * scale + 1e-10 * np.abs(vals[:read]))
         previous = vals
-    else:
-        raise IllConditioned("block inverse iteration did not converge")
-    return x @ rot
+        if settled and count is not None:
+            return x @ rot, count, np.nan
+        if settled:
+            vectors = x @ rot
+            bound = _next_eigenvalue_bound(mat, vectors[:, read:read + 2],
+                                           vals[read:read + 2])
+            if bound > cut:
+                return vectors, read, bound
+    raise IllConditioned(f"block inverse iteration did not converge in 60 "
+                         f"steps: last lower bound {bound:.6e} on the first "
+                         f"eigenvalue above the cut {cut:.6e}")
+
+
+def _next_eigenvalue_bound(mat, y: np.ndarray, theta: np.ndarray) -> float:
+    """Lower bound on the eigenvalue that the first of one or two
+    ascending Ritz pairs (theta, y) of ``mat`` approximates: Weinstein's
+    ``theta - rho``, or Kato and Temple's ``theta - rho^2 / (beta -
+    theta)`` where the second pair's Weinstein bound beta lies above
+    theta, whichever is larger (see ``_smallest_block``); -inf when no
+    pair is given."""
+    if not len(theta):
+        return -np.inf
+    rho = np.linalg.norm(mat @ y - y * theta, axis=0)
+    weinstein = theta - rho
+    if len(theta) < 2 or weinstein[1] <= theta[0]:
+        return float(weinstein[0])
+    return float(max(weinstein[0],
+                     theta[0] - rho[0] ** 2 / (weinstein[1] - theta[0])))
 
 
 def interior_directions(vectors: np.ndarray, mask: np.ndarray,

@@ -201,6 +201,62 @@ def count_eigh(monkeypatch):
     return calls
 
 
+def lu_solve_counts(monkeypatch) -> list:
+    """Route every ``splu`` factorization of ``specflow.operators``
+    through a wrapper whose ``solve`` is counted: one entry per
+    factorization, in order, holding its number of solves."""
+    counts = []
+    original = specflow.operators.spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu, self.at = lu, len(counts)
+            counts.append(0)
+
+        def solve(self, rhs):
+            counts[self.at] += 1
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(specflow.operators.spla, "splu",
+                        lambda *args, **kwargs: Counted(original(*args,
+                                                                 **kwargs)))
+    return counts
+
+
+def next_bound_residuals(monkeypatch) -> dict:
+    """Record the residual norm ``||mat y - theta y||`` of the Ritz pair
+    behind each positive bound that ``_next_eigenvalue_bound`` of
+    ``specflow.operators`` returns, keyed by the bound's square root: the
+    ``s_next`` that ``small_singular_vectors`` reports from it."""
+    residuals = {}
+    original = specflow.operators._next_eigenvalue_bound
+
+    def recorded(mat, y, theta):
+        bound = original(mat, y, theta)
+        if bound > 0:
+            residuals[float(np.sqrt(bound))] = float(
+                np.linalg.norm(mat @ y[:, 0] - theta[0] * y[:, 0]))
+        return bound
+
+    monkeypatch.setattr(specflow.operators, "_next_eigenvalue_bound",
+                        recorded)
+    return residuals
+
+
+def clustered_band_matrix(seed: int, n: int = 200) -> np.ndarray:
+    """A complex n x n band matrix, kl = ku = 2, with complex normal
+    diagonals plus 10 I and rows 50 and 120 zeroed: two null directions
+    on each side under kept singular values that cluster (5.1 to 6.2 for
+    seeds 0 to 19; 6.009 and 6.012 at seed 17)."""
+    rng = rng_for(seed)
+    t = 10.0 * np.eye(n, dtype=complex)
+    for d in range(-2, 3):
+        size = n - abs(d)
+        t += np.diag(rng.normal(size=size) + 1j * rng.normal(size=size), d)
+    t[[50, 120]] = 0
+    return t
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from specflow.mapping_torus import (MappingTorusOperator, _interior_index,
                                     _small_singular_vectors)
 from specflow.models import constant_shift_potential
 from conftest import (assert_matches_reference_assembly, dense_of_band,
-                      hermitian_guard_edge, random_hermitian,
+                      hermitian_guard_edge, lu_solve_counts,
+                      next_bound_residuals, random_hermitian,
                       random_hermitian_symbol, rng_for,
                       sine_of_largest_angle)
 
@@ -208,7 +209,8 @@ class TestSmallSingularVectors:
         # the doubled-truncation operator of flux_spec(1, k=10) at m_u = 12,
         # n = 492, where the unread top of the block converges slowest
         (flux_spec(1, k=20), 12)])
-    def test_matches_dense_svd(self, spec, m_u):
+    def test_matches_dense_svd(self, spec, m_u, monkeypatch):
+        residuals = next_bound_residuals(monkeypatch)
         op = build_mapping_torus(spec, m_u)
         threshold = DEFAULT.mapping_torus_rank_rtol * op.sigma_max_bound
         right, left, s_small, s_next = _small_singular_vectors(op, threshold)
@@ -217,7 +219,12 @@ class TestSmallSingularVectors:
         n = len(s)
         ns = int(np.count_nonzero(s < threshold))
         assert len(s_small) == right.shape[1] == left.shape[1] == ns
-        assert abs(s_next - s[n - ns - 1]) <= 1e-8 * s[n - ns - 1]
+        # s_next is a lower bound on the first retained value that clears
+        # the threshold, not an estimate of it; its square falls short by
+        # at most the residual norm of the Ritz pair it was read from
+        assert threshold <= s_next <= s[n - ns - 1]
+        assert s[n - ns - 1] ** 2 - s_next ** 2 \
+            <= residuals[s_next] + 1e-12 * op.sigma_max_bound ** 2
         # residual norms read the small values to roundoff in ||A||
         assert np.all(np.abs(s_small - s[n - ns:][::-1])
                       <= 1e-12 * op.sigma_max_bound)
@@ -263,6 +270,15 @@ class TestIndex:
         monkeypatch.setattr(specflow.operators.spla, "splu", counted)
         assert mapping_torus_index(build_mapping_torus(flux_spec(1), 16)) == -1
         assert len(calls) == 6
+
+    def test_each_block_takes_at_most_two_solves(self, monkeypatch):
+        # each of the six blocks takes at most two solves: the values
+        # below the cut settle after two, and by then the bound on the
+        # next one, which sits in a cluster and settles slowly, clears the
+        # cut
+        solves = lu_solve_counts(monkeypatch)
+        assert mapping_torus_index(build_mapping_torus(flux_spec(1), 16)) == -1
+        assert max(solves) <= 2
 
     def test_doubled_operators_get_the_given_tolerances(self, monkeypatch):
         seen = []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +8,9 @@ import scipy.sparse as sp
 from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
                       OperatorCurve, SymbolFunction, TruncatedOperator,
                       build_dirac, build_multiplication, dirac_aps_section,
-                      eigh, eigvalsh, gauge_transformed_potential,
-                      spectral_flow)
+                      eigh, eigvalsh, fredholm_index,
+                      gauge_transformed_potential, hardy_section,
+                      spectral_flow, toeplitz_compress)
 from specflow.config import DEFAULT, Tolerances
 from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
@@ -18,9 +21,11 @@ from specflow.operators import (NullSplit, _orthonormal_columns,
                                 null_split, null_splits, numerical_rank,
                                 small_singular_vectors, split_rank)
 from conftest import (assert_matches_dense_split,
-                      assert_same_eigenspaces, dense_null_split,
-                      dense_of_band, derivative_matrix, fd_dirac_cos_spectrum,
-                      flow_symbols, random_hermitian,
+                      assert_same_eigenspaces, clustered_band_matrix,
+                      dense_null_split, dense_of_band, derivative_matrix,
+                      fd_dirac_cos_spectrum, flow_symbols,
+                      lu_solve_counts, next_bound_residuals,
+                      random_hermitian,
                       random_hermitian_symbol, random_trig_unitary,
                       random_unitary, rng_for, sine_of_largest_angle,
                       svd_shapes)
@@ -1040,7 +1045,7 @@ class TestSmallSingularVectors:
         assert np.abs(q.conj().T @ q - np.eye(k)).max() <= 1e-13
         assert sine_of_largest_angle(q, np.linalg.qr(x)[0]) <= 1e-12
 
-    def test_real_and_complex_routes_agree(self):
+    def test_real_and_complex_routes_agree(self, monkeypatch):
         # a real band matrix stored as complex is iterated in real
         # arithmetic; e^{0.3i} times it has the same right singular
         # vectors, its left ones turned by the phase, and takes the
@@ -1055,6 +1060,7 @@ class TestSmallSingularVectors:
         t[230] *= 1e-5
         scale = np.linalg.norm(t, 2) ** 2
         threshold = 1e-4 * np.sqrt(scale)
+        residuals = next_bound_residuals(monkeypatch)
         real = small_singular_vectors(sp.csc_matrix(t.astype(complex)),
                                       threshold, scale, 8)
         turned = small_singular_vectors(sp.csc_matrix(np.exp(0.3j) * t),
@@ -1063,10 +1069,91 @@ class TestSmallSingularVectors:
         assert turned[0].dtype == turned[1].dtype == np.complex128
         assert len(real[2]) == len(turned[2]) == 3
         assert np.abs(real[2] - turned[2]).max() <= 1e-12 * np.sqrt(scale)
-        # the first retained value settles only with the Ritz values
-        assert abs(real[3] - turned[3]) <= 1e-8 * real[3]
+        # each route bounds the first retained value from below, its
+        # square short by at most its Ritz residual, and the bound clears
+        # the threshold; so the two routes agree within the larger slack
+        s = np.linalg.svd(t, compute_uv=False)
+        for s_next in real[3], turned[3]:
+            assert threshold <= s_next <= s[-4]
+            assert s[-4] ** 2 - s_next ** 2 \
+                <= residuals[s_next] + 1e-12 * scale
+        assert abs(real[3] ** 2 - turned[3] ** 2) \
+            <= max(residuals[real[3]], residuals[turned[3]]) + 1e-12 * scale
         assert sine_of_largest_angle(real[0], turned[0]) <= 1e-8
         assert sine_of_largest_angle(real[1], turned[1]) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_clustered_kept_values_split(self, seed, monkeypatch):
+        # the first value above the cut sits in a cluster, where its Ritz
+        # value settles slowly; its lower bound clears the cut at once
+        residuals = next_bound_residuals(monkeypatch)
+        t = clustered_band_matrix(seed)
+        u, s, vh = np.linalg.svd(t)
+        threshold = 1e-4 * s[0]
+        right, left, small, s_next = small_singular_vectors(
+            sp.csc_matrix(t), threshold, s[0] ** 2, 8)
+        assert right.shape == left.shape == (200, 2)
+        assert np.all(small <= 1e-12 * s[0])
+        assert threshold <= s_next <= s[-3]
+        assert s[-3] ** 2 - s_next ** 2 \
+            <= residuals[s_next] + 1e-12 * s[0] ** 2
+        assert sine_of_largest_angle(right, vh[-2:].conj().T) <= 1e-8
+        assert sine_of_largest_angle(left, u[:, -2:]) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_next_value_at_the_cut_is_refused(self, seed):
+        # the threshold between sigma_3 and sigma_4, so the next value
+        # sits at the cut: no split there is clean, and the rank decision
+        # (the bound read as the smallest kept value) refuses, in the
+        # iteration or in split_rank, rather than count 2 or pass 3
+        t = clustered_band_matrix(seed)
+        s = np.linalg.svd(t, compute_uv=False)
+        threshold = np.sqrt(s[-3] * s[-4])
+        with pytest.raises(IllConditioned):
+            _, _, small, s_next = small_singular_vectors(
+                sp.csc_matrix(t), threshold, s[0] ** 2, 8)
+            split_rank(np.concatenate([[s_next], small[::-1]]), threshold)
+
+    def test_stalled_iteration_names_its_bound_and_the_cut(self):
+        # seed 1 with the cut between sigma_3 and sigma_4: the Ritz value
+        # of sigma_4 sits in the cluster above it, and after 60 steps its
+        # bound is still below the cut
+        t = clustered_band_matrix(1)
+        s = np.linalg.svd(t, compute_uv=False)
+        threshold = np.sqrt(s[-3] * s[-4])
+        with pytest.raises(IllConditioned,
+                           match="did not converge in 60 steps") as raised:
+            small_singular_vectors(sp.csc_matrix(t), threshold, s[0] ** 2, 8)
+        bound, cut = (float(value) for value in re.findall(
+            r"[-+]?\d\.\d{6}e[-+]\d+", str(raised.value)))
+        assert cut == float(f"{threshold ** 2:.6e}")
+        assert bound < cut < s[-4] ** 2
+
+    def test_band_route_takes_two_solves_per_block(self, monkeypatch):
+        # the known count of the band route judges convergence on the
+        # null values alone, which settle after two solves, and computes
+        # no bound on the next value (the suite's checks repeat the
+        # Toeplitz splits, so their factorizations are counted by value,
+        # not by number)
+        solves = lu_solve_counts(monkeypatch)
+
+        def no_bound(*args):
+            raise AssertionError("the known-count route computed a bound")
+
+        monkeypatch.setattr(specflow.operators, "_next_eigenvalue_bound",
+                            no_bound)
+        assert null_split(clustered_band_matrix(0, n=300)).rank == 298
+        assert solves == [2, 2]
+        t = clustered_band_matrix(0)
+        s = np.linalg.svd(t, compute_uv=False)
+        assert np.isnan(small_singular_vectors(
+            sp.csc_matrix(t), 1e-4 * s[0], s[0] ** 2, 8, count=2)[3])
+        solves.clear()
+        tr = FourierTruncation(128, 2)
+        g, winding = random_trig_unitary(2, rng_for(0), max_winding=2)
+        t = toeplitz_compress(hardy_section(tr), g, tr)
+        assert fredholm_index(t) == -winding == -3
+        assert solves and set(solves) == {2}
 
 
 class TestInteriorDirections:
