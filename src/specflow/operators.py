@@ -461,9 +461,10 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
 
     The Hermiticity test reads the operator's band, or the band of an
     array (``_non_hermitian_band``).  A band that splits into diagonal
-    blocks (``_split_starts``) is solved block by block (``_split_eigh``);
-    any other goes to ``np.linalg.eigh``, whose ``w, v`` are returned as
-    they are.  Inside a degenerate cluster the basis is the solver's:
+    blocks (``_split_starts``) is solved block by block (``_split_eigh``),
+    its 1 x 1 and 2 x 2 blocks in closed form with no LAPACK call; any
+    other goes to ``np.linalg.eigh``, whose ``w, v`` are returned as they
+    are.  Inside a degenerate cluster the basis is the solver's:
     consumers read a cluster's span, not its frame.  A fixed input and
     thread count give a deterministic result, and the members of a stack
     agree with lone calls to within roundoff, bit for bit where both
@@ -532,12 +533,44 @@ def _block_groups(band: np.ndarray, starts: np.ndarray):
         yield rows, blocks, shift
 
 
+def _eigh_2x2(blocks: np.ndarray):
+    """Ascending eigenvalues (..., 2) and an orthonormal eigenbasis
+    (..., 2, 2) of each 2 x 2 Hermitian matrix of a band stack (..., 3, 2),
+    read from its real diagonal a, c and lower entry z, in closed form:
+    one complex Jacobi rotation per matrix, the 2 x 2 symmetric Schur
+    decomposition of Golub and Van Loan, Matrix Computations, sec. 8.5
+    (LAPACK's ``zlaev2``).
+
+    With p = (a + c) / 2, q = (a - c) / 2 and r = hypot(q, |z|) the
+    eigenvalues are p - r and p + r.  An eigenvector (x, y) of p + r is
+    (q + r, z) for q >= 0 and (conj z, r - q) otherwise, so neither entry
+    cancels; (conj y, -conj x) is then one of p - r.  A multiple of the
+    identity (r = 0) gets the identity, with no division by zero."""
+    a, c = blocks[..., 1, 0].real, blocks[..., 1, 1].real
+    z = blocks[..., 2, 0]
+    p, q = 0.5 * (a + c), 0.5 * (a - c)
+    r = np.hypot(q, np.abs(z))
+    upper = q >= 0
+    x = np.where(upper, q + r, z.conj())
+    y = np.where(upper, z, r - q)
+    norm = np.hypot(np.abs(x), np.abs(y))
+    # r = 0 leaves (x, y) = (0, 0), for which (0, 1) gives the identity
+    flat = norm == 0
+    y, norm = np.where(flat, 1.0, y), np.where(flat, 1.0, norm)
+    x, y = x / norm, y / norm
+    v = np.empty(x.shape + (2, 2), dtype=np.result_type(x, y))
+    v[..., 0, 0], v[..., 1, 0] = y.conj(), -x.conj()
+    v[..., 0, 1], v[..., 1, 1] = x, y
+    return np.stack([p - r, p + r], axis=-1), v
+
+
 def _split_eigh(band: np.ndarray, starts: np.ndarray):
-    """``w, v`` of a band stack that splits at ``starts``: one stacked
-    ``np.linalg.eigh`` per block size (``_block_groups``), and a unit
-    vector for a 1 x 1 block.  A stable argsort over the block positions
-    merges the eigenvalues, and each block's eigenvectors are written
-    straight to their sorted columns."""
+    """``w, v`` of a band stack that splits at ``starts``, block size by
+    block size (``_block_groups``): a unit vector for a 1 x 1 block, the
+    closed form ``_eigh_2x2`` for 2 x 2 blocks, and one stacked
+    ``np.linalg.eigh`` for each larger size.  A stable argsort over the
+    block positions merges the eigenvalues, and each block's eigenvectors
+    are written straight to their sorted columns."""
     n, lead = band.shape[-1], band.shape[:-2]
     dtype = np.result_type(band.dtype, 1.0)
     slots = np.empty(lead + (n,), dtype=np.finfo(dtype).dtype)
@@ -547,7 +580,8 @@ def _split_eigh(band: np.ndarray, starts: np.ndarray):
             slots[..., rows] = blocks
             solved.append((rows, 1))
             continue
-        w, v = np.linalg.eigh(_dense(blocks))
+        w, v = _eigh_2x2(blocks) if rows.shape[1] == 2 \
+            else np.linalg.eigh(_dense(blocks))
         slots[..., rows] = w + shift
         solved.append((rows, v.reshape((-1,) + v.shape[-3:])))
     order = np.argsort(slots, axis=-1, kind="stable")
@@ -583,7 +617,10 @@ def eigvalsh(operator) -> np.ndarray:
     stack (..., n, n), from the lower triangle.
 
     A band that splits into diagonal blocks (``_split_starts``) is solved
-    block by block (``_block_groups``), each block routed as a matrix is.
+    block by block (``_block_groups``): a 1 x 1 block is its diagonal
+    entry, 2 x 2 blocks take the closed form ``_eigh_2x2``, so their
+    eigenvalues are bit-identical to those of ``eigh``, and each larger
+    block is routed as a matrix is.
     A matrix whose band of half-bandwidth b fills at most a sixteenth of
     each column, 16 (b + 1) <= n, goes to LAPACK's Hermitian band solver,
     whose reduction to tridiagonal form (``?hbtrd``) costs O(n^2 b); any
@@ -606,15 +643,20 @@ def eigvalsh(operator) -> np.ndarray:
 
 def _band_eigvalsh(band: np.ndarray) -> np.ndarray:
     """``eigvalsh`` of the matrices of a band stack (..., 2b + 1, n): a
-    split band block by block, and any other routed member by member on
-    each member's exact lower half-bandwidth."""
+    split band block by block (2 x 2 blocks by ``_eigh_2x2``, as in
+    ``_split_eigh``), and any other routed member by member on each
+    member's exact lower half-bandwidth."""
     width, n = band.shape[-2] // 2, band.shape[-1]
     starts = _split_starts(band)
     if len(starts) > 1:
         w = np.empty(band.shape[:-2] + (n,))
         for rows, blocks, shift in _block_groups(band, starts):
-            w[..., rows] = blocks if shift is None \
-                else _band_eigvalsh(blocks) + shift
+            if shift is None:
+                w[..., rows] = blocks
+            elif rows.shape[1] == 2:
+                w[..., rows] = _eigh_2x2(blocks)[0] + shift
+            else:
+                w[..., rows] = _band_eigvalsh(blocks) + shift
         return np.sort(w, axis=-1)
     lower = np.ravel(_lower_width(band))
     flat = band.reshape(-1, 2 * width + 1, n)

@@ -121,6 +121,15 @@ def toeplitz_compress(section: SpectralSection, symbol: SymbolFunction,
     return ToeplitzOperator(band, section, symbol, trunc)
 
 
+def _require_unitary(symbol: SymbolFunction, tolerances: Tolerances):
+    """ValueError for a symbol whose unitarity defect exceeds
+    ``unitary``."""
+    defect = symbol.unitarity_defect
+    if defect > tolerances.unitary:
+        raise ValueError(f"symbol must be unitary-valued "
+                         f"(defect {defect:.3e})")
+
+
 def _compressions(section: SpectralSection, symbols,
                   trunc: FourierTruncation,
                   tolerances: Tolerances) -> np.ndarray:
@@ -128,10 +137,7 @@ def _compressions(section: SpectralSection, symbols,
     (len(symbols), 2w + 1, rank); the first symbol whose unitarity defect
     exceeds ``unitary`` is refused."""
     for symbol in symbols:
-        defect = symbol.unitarity_defect
-        if defect > tolerances.unitary:
-            raise ValueError(f"Toeplitz symbol must be unitary-valued "
-                             f"(defect {defect:.3e})")
+        _require_unitary(symbol, tolerances)
     if section.dim != trunc.dim:
         raise ValueError("section dimension does not match truncation")
     if section.rows is not None:
@@ -279,10 +285,7 @@ def winding(symbol: SymbolFunction,
     grid = tolerances.winding_grid
     if grid < 64:
         raise ValueError("winding needs at least 64 sample points")
-    defect = symbol.unitarity_defect
-    if defect > tolerances.unitary:
-        raise ValueError(f"winding expects a unitary symbol "
-                         f"(defect {defect:.3e})")
+    _require_unitary(symbol, tolerances)
     xs = 2 * np.pi * np.arange(grid) / grid
     g = symbol.evaluate(xs)
     dg = symbol.derivative().evaluate(xs)
@@ -316,6 +319,25 @@ def _family_values(g_family, base: BaseGrid) -> list:
     return [g_family[v] for v in base.vertices]
 
 
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """The inverse of each value of a rank-first batch (rank, rank, ...),
+    contiguous.  Rank 2 is inverted as adj(g) / det g over the whole
+    batch; a value that passed the ``unitary`` guard has |det g| close to
+    1, so the division is well conditioned.  Other ranks go to
+    ``np.linalg.inv``."""
+    if g.shape[0] != 2:
+        # einsum runs several times slower on the strided view of the
+        # inverse
+        return np.ascontiguousarray(np.moveaxis(
+            np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1),
+            (0, 1)))
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    out = np.empty_like(g)
+    out[0, 0], out[1, 1] = g[1, 1] / det, g[0, 0] / det
+    out[0, 1], out[1, 0] = -g[0, 1] / det, -g[1, 0] / det
+    return out
+
+
 def odd_chern_integral(g_family, base: BaseGrid, n: int,
                        tolerances: Tolerances = DEFAULT) -> OddChernCochain:
     """Discrete Chern-character cochain of the Toeplitz index bundle of a
@@ -325,7 +347,9 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
     n = 1 (torus base): per-plaquette numbers built from the degree-three
     trace form of g^{-1} dg, base derivatives taken spectrally over the
     periodic grid, normalized by the frozen constant so the total over the
-    closed base is the first Chern number of the index bundle.
+    closed base is the first Chern number of the index bundle.  Every
+    symbol must pass the ``unitary`` guard, as in ``winding``; the values
+    g are inverted by ``_inverse``.
     """
     symbols = _family_values(g_family, base)
     if n == 0:
@@ -340,6 +364,8 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
         raise ValueError("only degrees 0 and 1 are implemented")
     if not base.is_torus:
         raise ValueError("the degree-1 cochain needs a torus base")
+    for symbol in symbols:
+        _require_unitary(symbol, tolerances)
 
     # every array is rank-first, (rank, rank, m, m, fiber): each small
     # product is an einsum over the rank axes of contiguous base x fiber
@@ -369,11 +395,7 @@ def odd_chern_integral(g_family, base: BaseGrid, n: int,
         d1g = np.fft.ifft(freq[:, None, None] * np.fft.fft(g, axis=2),
                           axis=2)
         d2g = np.fft.ifft(freq[:, None] * np.fft.fft(g, axis=3), axis=3)
-        # einsum runs several times slower on the strided view of the
-        # inverse
-        ginv = np.ascontiguousarray(np.moveaxis(
-            np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1),
-            (0, 1)))
+        ginv = _inverse(g)
         b1 = product(ginv, d1g)
         b2 = product(ginv, d2g)
         density += np.einsum("ab...,ba...->...", product(ginv, dxg),

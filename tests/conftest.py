@@ -426,21 +426,36 @@ def mapping_torus_matches_reference(monkeypatch):
 
 
 def assert_same_eigenspaces(w, v, w_ref, v_ref, rtol=1e-12):
-    """Two eigendecompositions of one Hermitian matrix agree: ascending
-    eigenvalues within ``rtol`` of the spectrum's scale (at least 1),
-    orthonormal columns, and, for every cluster of the reference spectrum
-    (values closer than 1e-8 of that scale), equal spectral projectors to
-    within 1e-9.  Inside a cluster the two frames may differ."""
-    scale = max(np.abs(w_ref).max(initial=0.0), 1.0)
+    """Two eigendecompositions of one Hermitian matrix, or of each member
+    of a stack (..., n, n), agree: ascending eigenvalues within ``rtol``
+    of the spectrum's scale (at least 1), orthonormal columns, and, for
+    every cluster of the reference spectrum (values closer than 1e-8 of
+    that scale), equal spectral projectors to within 1e-9.  Inside a
+    cluster the two frames may differ."""
     assert w.shape == w_ref.shape and v.shape == v_ref.shape
-    assert np.abs(w - w_ref).max(initial=0.0) <= rtol * scale
-    n = len(w_ref)
-    assert np.abs(v.conj().T @ v - np.eye(n)).max(initial=0.0) <= 1e-12
-    cuts = np.flatnonzero(np.diff(w_ref) > 1e-8 * scale) + 1
-    for cluster in np.split(np.arange(n), cuts):
-        p, p_ref = (x[:, cluster] @ x[:, cluster].conj().T
-                    for x in (v, v_ref))
-        assert np.abs(p - p_ref).max() <= 1e-9
+    n = w_ref.shape[-1]
+    w, w_ref = w.reshape(-1, n), w_ref.reshape(-1, n)
+    v, v_ref = v.reshape(-1, n, n), v_ref.reshape(-1, n, n)
+    scale = np.maximum(np.abs(w_ref).max(axis=-1, initial=0.0), 1.0)
+    assert np.all(np.abs(w - w_ref).max(axis=-1, initial=0.0) <= rtol * scale)
+    gram = np.swapaxes(v.conj(), -1, -2) @ v - np.eye(n)
+    assert np.abs(gram).max(initial=0.0) <= 1e-12
+    # every cluster as (member, first column, size), the clusters of one
+    # size projected together, a few MB at a time
+    first = np.ones(w_ref.shape, dtype=bool)
+    first[:, 1:] = np.diff(w_ref, axis=-1) > 1e-8 * scale[:, None]
+    member, start = np.nonzero(first)
+    size = np.diff(np.r_[np.flatnonzero(first.ravel()), first.size])
+    chunk = max(1, 2 ** 18 // max(n * n, 1))
+    for s in np.unique(size):
+        picked = np.flatnonzero(size == s)
+        for at in range(0, len(picked), chunk):
+            i = picked[at:at + chunk]
+            columns = start[i][:, None] + np.arange(s)
+            p, p_ref = (y @ np.swapaxes(y.conj(), -1, -2) for y in (
+                np.swapaxes(x[member[i][:, None], :, columns], -1, -2)
+                for x in (v, v_ref)))
+            assert np.abs(p - p_ref).max() <= 1e-9
 
 
 def svd_shapes(monkeypatch) -> list:
@@ -604,7 +619,8 @@ def stacked_calls_match_members(monkeypatch):
     null_splits = specflow.operators.null_splits
     pristine_kernels = kernels_now(
         (np.linalg, "eigh"), (np.linalg, "svd"),
-        (specflow.operators, "_band_singular_values"))
+        (specflow.operators, "_band_singular_values"),
+        (specflow.operators, "_split_eigh"))
 
     def checked_eigh(operator, tolerances=DEFAULT):
         dec = eigh(operator, tolerances)
@@ -658,6 +674,28 @@ def stacked_calls_match_members(monkeypatch):
             monkeypatch.setattr(module, "eigh", checked_eigh)
         if vars(module).get("null_splits") is null_splits:
             monkeypatch.setattr(module, "null_splits", checked_null_splits)
+
+
+@pytest.fixture(autouse=True)
+def split_eigh_matches_dense(monkeypatch, stacked_calls_match_members):
+    """Repeat every split-band solve of the suite (``_split_eigh``, which
+    ``eigh`` calls for a band that splits into blocks) with the dense
+    ``np.linalg.eigh`` of the same matrices: each member's eigenvalues and
+    cluster projectors must agree (``assert_same_eigenspaces``).  The
+    dense solver is the one in place before the test runs, so a test that
+    counts LAPACK calls does not count these.  It is set up after
+    ``stacked_calls_match_members``, whose member-by-member repeats run on
+    the unchecked solver."""
+    ops = specflow.operators
+    original = ops._split_eigh
+    dense_eigh = np.linalg.eigh
+
+    def checked(band, starts):
+        w, v = original(band, starts)
+        assert_same_eigenspaces(w, v, *dense_eigh(ops._dense(band)))
+        return w, v
+
+    monkeypatch.setattr(ops, "_split_eigh", checked)
 
 
 @pytest.fixture(autouse=True)

@@ -425,7 +425,8 @@ class TestDiagonalEigh:
     def test_one_off_diagonal_entry_joins_a_pair_in_every_member(
             self, monkeypatch):
         # the entry couples indices 3 and 4 of one member, so every
-        # member is solved as 1 x 1 blocks and one 2 x 2 block
+        # member is solved as 1 x 1 blocks and one 2 x 2 block, the latter
+        # in closed form: no call reaches LAPACK
         op = self.bott_family_at_zero()
         stack = op.matrix.copy()
         stack[7, 3, 4] = stack[7, 4, 3] = 0.25
@@ -437,12 +438,11 @@ class TestDiagonalEigh:
         w, v = np.linalg.eigh(stack)
         calls = self.lapack_calls(monkeypatch)
         dec = eigh(stack)
-        assert calls == [(144, 1, 2, 2)]
         for i in range(len(stack)):
             assert_same_eigenspaces(dec.eigenvalues[i], dec.eigenvectors[i],
                                     w[i], v[i])
         self.assert_stable_sort(op, eigh(op))
-        assert calls == [(144, 1, 2, 2)]
+        assert calls == []
 
 
 def block_diagonal(blocks) -> np.ndarray:
@@ -473,8 +473,9 @@ def dense_calls(monkeypatch) -> list:
 
 
 class TestSplitBands:
-    """A band that splits into diagonal blocks is solved block by block,
-    one stacked LAPACK call per block size."""
+    """A band that splits into diagonal blocks is solved block by block:
+    1 x 1 and 2 x 2 blocks in closed form, and one stacked LAPACK call for
+    each larger block size."""
 
     def mixed_blocks(self, members=()):
         # blocks of sizes 2, 3, 1, 2 with the eigenvalue 1 in three of
@@ -502,9 +503,8 @@ class TestSplitBands:
         calls = dense_calls(monkeypatch)
         dec = eigh(m)
         w = eigvalsh(m)
-        assert calls == [("eigh", members + (2, 2, 2)),
-                         ("eigh", members + (1, 3, 3)),
-                         ("eigvalsh", members + (2, 2, 2)),
+        # the two 2 x 2 blocks make no call, the 3 x 3 block one each
+        assert calls == [("eigh", members + (1, 3, 3)),
                          ("eigvalsh", members + (1, 3, 3))]
         exact = frame[..., values == 1.0]
         exact = exact @ np.swapaxes(exact.conj(), -1, -2)
@@ -575,6 +575,77 @@ class TestSplitBands:
         calls = band_calls(monkeypatch)
         assert spectral_flow(curve) == -1
         assert calls == [(4, tr.dim)] * 11
+
+
+class TestClosedFormPairs:
+    """``_eigh_2x2``: the eigendecomposition of 2 x 2 Hermitian blocks by
+    one complex Jacobi rotation, within a few units of roundoff of the
+    block's norm."""
+
+    @staticmethod
+    def adversarial_blocks(dtype, count=20000):
+        # random, diagonal, equal-diagonal and zero blocks, and blocks whose
+        # off-diagonal entry is 1e-12 to 1e-6 of the diagonal, at
+        # magnitudes from 1e-8 to 1e3
+        rng = rng_for(28)
+        a, c = rng.normal(size=(2, count))
+        z = rng.normal(size=count)
+        if dtype is complex:
+            z = z + 1j * rng.normal(size=count)
+        kind = np.arange(count) % 5
+        z[kind == 1] = 0
+        c[kind == 2] = a[kind == 2]
+        a[kind == 3] = c[kind == 3] = z[kind == 3] = 0
+        z[kind == 4] *= 10.0 ** rng.uniform(-12, -6, np.sum(kind == 4))
+        scale = 10.0 ** rng.uniform(-8, 3, count)
+        m = np.zeros((count, 2, 2), dtype=dtype)
+        m[:, 0, 0], m[:, 1, 1] = a * scale, c * scale
+        m[:, 1, 0], m[:, 0, 1] = z * scale, np.conj(z) * scale
+        return m, kind
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_adversarial_blocks_are_exact_to_roundoff(self, dtype):
+        m, kind = self.adversarial_blocks(dtype)
+        band = np.zeros((len(m), 3, 2), dtype=dtype)
+        band[:, 1] = np.diagonal(m, axis1=-2, axis2=-1)
+        band[:, 2, 0], band[:, 0, 1] = m[:, 1, 0], m[:, 0, 1]
+        w, v = specflow.operators._eigh_2x2(band)
+        assert w.dtype == float and v.dtype == dtype
+        eps = np.finfo(float).eps
+        norm = np.linalg.norm(m, 2, axis=(-2, -1))
+        residual = np.linalg.norm(m @ v - v * w[:, None, :], 2, axis=(-2, -1))
+        assert np.all(residual <= 8 * eps * norm)
+        gram = np.swapaxes(v.conj(), -1, -2) @ v - np.eye(2)
+        assert np.abs(gram).max() <= 8 * eps
+        assert np.all(np.abs(w - np.linalg.eigvalsh(m)).max(axis=-1)
+                      <= 8 * eps * norm)
+        # the zero block gets the identity, and eigenvalues ascend
+        assert np.array_equal(v[kind == 3], np.broadcast_to(
+            np.eye(2), (np.sum(kind == 3), 2, 2)))
+        assert np.all(w[:, 0] <= w[:, 1])
+
+    @pytest.mark.parametrize("members", [(), (3,)], ids=["single", "stack"])
+    def test_eigh_and_eigvalsh_agree_on_a_band_of_pairs(self, members):
+        # both read the eigenvalues of the 2 x 2 blocks from _eigh_2x2
+        rng = rng_for(29)
+        blocks = [random_hermitian(2, rng) + 3.0 * j * np.eye(2)
+                  for j in range(6)]
+        m = block_diagonal([np.broadcast_to(b, members + b.shape)
+                            for b in blocks])
+        band = specflow.operators._band_of(m)
+        assert np.array_equal(specflow.operators._split_starts(band),
+                              np.arange(0, 12, 2))
+        assert np.array_equal(eigh(m).eigenvalues, eigvalsh(m))
+        # the Bott family at t = 0.5: 2 x 2 blocks k + c_0 in every member
+        base = BaseGrid.torus(4)
+        fam = bott_symbol_family(base)
+        pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+        op = CurveOfFamilies.from_potentials(
+            base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0],
+            FourierTruncation(4, 2)).at(0.5)
+        assert np.array_equal(specflow.operators._split_starts(op.band),
+                              np.arange(0, 18, 2))
+        assert np.array_equal(eigh(op).eigenvalues, eigvalsh(op))
 
 
 class TestRank:

@@ -484,18 +484,27 @@ class TestOddChernIntegral:
         c = odd_chern_integral(bott_symbol_family(base), base, n=1)
         assert abs(c.total - (-1.0)) <= 0.02
 
-    @pytest.mark.parametrize("kind", ["rank 1", "rank 2", "callable"])
+    @pytest.mark.parametrize("kind", ["rank 1", "rank 2", "rank 3",
+                                      "callable"])
     def test_degree1_matches_the_per_vertex_reference(self, kind):
+        # rank 2 is inverted by adjugate, ranks 1 and 3 by np.linalg.inv
         base = BaseGrid.torus(8 if kind == "rank 1" else 12)
         if kind == "rank 1":
-            # |c_1| > |c_0|: invertible at every point; scalars commute,
-            # so every plaquette value vanishes
+            # a phase e^{i(b_1 + 2 b_2)} e^{ix} of the base point: scalars
+            # commute, so every plaquette value vanishes
             fam = {v: SymbolFunction(
-                {0: [[0.3 * np.exp(1j * base.coordinates(v)[0])]],
-                 1: [[np.exp(1j * base.coordinates(v)[1])]]}, rank=1)
+                {1: [[np.exp(1j * (base.coordinates(v)[0]
+                                   + 2 * base.coordinates(v)[1]))]]},
+                rank=1, unitary=True)
                 for v in base.vertices}
         elif kind == "rank 2":
             fam = bott_symbol_family(base)
+        elif kind == "rank 3":
+            # the Bott symbol plus a trivial line: the same class
+            fam = {v: SymbolFunction(
+                {k: np.pad(c, (0, 1)) + np.diag([0.0, 0.0, k == 0])
+                 for k, c in g.coefficients.items()}, rank=3, unitary=True)
+                for v, g in bott_symbol_family(base).items()}
         else:
             bott = bott_symbol_family(base)
             u = SymbolFunction.constant(random_unitary(2, rng_for(3)),
@@ -508,6 +517,34 @@ class TestOddChernIntegral:
         assert abs(c.total - total) <= 1e-12
         if kind != "rank 1":
             assert round(c.total) == -1
+
+    @pytest.mark.parametrize("stretch, refused", [
+        (1 + 4e-11, False), (1 + 6e-11, True), (0.5, True)],
+        ids=["inside", "outside", "far outside"])
+    def test_degree1_refuses_a_non_unitary_symbol(self, stretch, refused):
+        # (1 + d) g of a unitary g has defect (1 + d)^2 - 1, about 2d,
+        # against the guard's 1e-10; refused like winding, before any
+        # inverse is taken
+        base = BaseGrid.torus(8)
+        fam = bott_symbol_family(base)
+        fam[3, 5] = fam[3, 5].scale(stretch)
+        assert abs(fam[3, 5].unitarity_defect
+                   - abs(stretch ** 2 - 1)) <= 1e-15
+        if refused:
+            with pytest.raises(ValueError, match="unitary-valued"):
+                odd_chern_integral(fam, base, n=1)
+        else:
+            assert round(odd_chern_integral(fam, base, n=1).total) == -1
+
+    def test_degree1_refuses_a_singular_symbol(self):
+        # diag((1 + e^{ix}) / 2, 1) is singular at x = pi, a fiber grid
+        # point: a ValueError from the guard, not LinAlgError from inv
+        base = BaseGrid.torus(8)
+        g = SymbolFunction({0: np.diag([0.5, 1.0]), 1: np.diag([0.5, 0.0])},
+                           rank=2)
+        fam = {v: g for v in base.vertices}
+        with pytest.raises(ValueError, match="unitary-valued"):
+            odd_chern_integral(fam, base, n=1)
 
     @pytest.mark.parametrize("block", [32, 48])
     def test_fiber_blocks_match_one_block(self, block, monkeypatch):
