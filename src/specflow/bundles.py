@@ -237,8 +237,8 @@ def _null_frames(base: BaseGrid, stack: np.ndarray,
 
 def kernel_bundle(base: BaseGrid, matrices: Mapping[tuple, np.ndarray],
                   tolerances: Tolerances = DEFAULT) -> ProjectorFamily:
-    """Orthogonal projector onto the numerical kernel (``null_split`` at
-    ``rank_rtol``) at each vertex.
+    """Orthogonal projector onto the numerical kernel (the ``null_splits``
+    kernel at ``rank_rtol``) at each vertex.
 
     The kernel dimension must be constant (RankJump otherwise) and the
     singular spectrum must split by the configured gap factor at every

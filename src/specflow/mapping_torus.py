@@ -17,14 +17,15 @@ null states of the flux problem concentrate on interior Fourier modes
 while the gluing artifacts live at the mode edges, so the index counts
 only interior-localized small singular directions of A and A*.  Those
 directions come from one path at every size, which the band route of
-``operators.null_split`` shares: seeded block inverse iteration on the
-sparse A*A and A A*.  The small singular values are the residual norms
-||A v|| and ||A* u|| of its Ritz vectors.  The first singular value at or
-above the threshold is not computed but bounded from below, by a
-residual bound on the next eigenvalue of A*A: the iteration stops once
-that bound clears the threshold, and the gap test reads the bound in
-place of the value (``operators.small_singular_vectors`` states the
-bound and the unchecked assumption it rests on).  A loop whose samples and gluing
+``operators.null_splits`` shares, stopping rule included: seeded block
+inverse iteration on the sparse A*A and A A*.  The small singular values
+are the residual norms ||A v|| and ||A* u|| of its Ritz vectors.  The
+first singular value at or above the threshold is not computed but
+bounded from below, by a residual bound on the next eigenvalue of A*A:
+the iteration stops once that bound clears the threshold, and the gap
+test reads the bound in place of the value
+(``operators.small_singular_vectors`` states the bound and the
+unchecked assumption it rests on).  A loop whose samples and gluing
 matrix are real (every constant-shift path with an ``e^{inx}`` gluing,
 for one) has a real A, and it is iterated in real arithmetic.  Doubling
 both grid parameters must leave the counts unchanged (mandatory check).

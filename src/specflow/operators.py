@@ -795,10 +795,10 @@ class NullSplit:
     singular value (inf when nothing is dropped).  On the dense route the
     values and frames come from one SVD; on the band route the values
     come from the band's bidiagonal form and the frames span the same
-    subspaces as singular vectors do (see ``null_split``).  Band-route
-    frames are real for a matrix whose entries are all real, whatever its
-    dtype and rank, since ``small_singular_vectors`` then runs in real
-    arithmetic.  The splits of a group of stacked members
+    subspaces as singular vectors do (see ``_band_null_split``).
+    Band-route frames are real for a matrix whose entries are all real,
+    whatever its dtype and rank, since ``small_singular_vectors`` then
+    runs in real arithmetic.  The splits of a group of stacked members
     (``null_splits``) carry a leading member axis on every array field
     and on ``gap_ratio``."""
 
@@ -842,68 +842,26 @@ def split_rank(s, threshold, tolerances: Tolerances = DEFAULT):
     return rank, ratio
 
 
-def null_split(matrix, tolerances: Tolerances = DEFAULT) -> NullSplit:
-    """Singular-value split at ``rank_rtol`` times the largest singular
-    value; the zero and the empty matrix have rank 0.
-
-    A square matrix T whose band is narrow takes the band route, read off
-    its band (``_band_of``).  Its singular values come from LAPACK's band
-    bidiagonal reduction and dqds (``_band_singular_values``), with no
-    dense matrix and no doubled one, and the rank decision reads them as
-    the dense route reads its SVD.  The n - rank kernel and cokernel
-    directions come from ``small_singular_vectors`` on the sparse T*T and
-    T T*, counted at a cut ``sqrt(svd_gap_factor)`` below the smallest
-    kept value; both sides must count n - rank (IllConditioned
-    otherwise).  The frames span the singular subspaces of the dropped
-    values, but within the span they are Ritz vectors, not the dense
-    SVD's singular vectors.  T*T resolves a kept value only well above
-    ``sqrt(eps)`` times the largest, so a split whose smallest kept value
-    is below ``_BAND_FRAME_RTOL`` times the largest takes its frames from
-    the dense SVD.
-
-    The route is taken when n >= 160 and 8 (b + 3) <= n (``_band_pays``),
-    b = max(2 ku + 1, 2 kl - 1) the half-bandwidth of
-    ``[[0, T], [T*, 0]]`` with rows and columns interleaved, for lower and
-    upper half-bandwidths kl and ku of T.  The whole band route (band
-    singular values and the two frames of ``small_singular_vectors``) was
-    timed against a full dense SVD with one BLAS thread on a 2-core host,
-    on random complex band matrices with kl = ku (diagonally dominant, two
-    rows zeroed, so both frames have two columns): the two cost as much at
-    about b = 18
-    for n = 160, b = 24 for n = 194, b = 32 for n = 258 and beyond b = 33
-    from n = 322 on, and the band route takes 0.13 of the dense time at
-    b = 1 and n = 258, and 0.10 at b = 3 and n = 514.  The floor n >= 160
-    keeps every matrix up to n = 159 dense, so the compressions of a
-    small family stay on one stacked SVD (``null_splits``).  Every other
-    matrix, including each non-square one, takes the dense SVD.
-    """
-    m = np.asarray(matrix)
-    if m.ndim == 2 and m.shape[0] == m.shape[1] and _band_pays(1, len(m)):
-        split = _band_null_split(_band_of(m), tolerances)
-        if split is not None:
-            return split
-    u, s, vh = np.linalg.svd(m)
-    rank, ratio = _relative_split(s, tolerances)
-    return NullSplit(rank=rank, kernel=vh[rank:].conj().T,
-                     cokernel=u[:, rank:], singular_values=s, gap_ratio=ratio)
-
-
 def null_splits(stack, tolerances: Tolerances = DEFAULT,
                 banded: bool = False) -> list[tuple[np.ndarray, NullSplit]]:
-    """``null_split`` of every member of a stack (members, m, n), grouped
+    """Singular-value split of every member of a stack (members, m, n)
+    at ``rank_rtol`` times the member's largest singular value, grouped
     by rank: each entry holds the ascending indices of the members of one
     rank and their splits as one ``NullSplit`` whose array fields carry a
-    leading member axis (``rank`` is the group's).  Every member's split
-    equals its own ``null_split``.
+    leading member axis (``rank`` is the group's).  The zero and the
+    empty matrix have rank 0.  A single matrix is split as a stack of
+    one, and every member's split equals that of the stack of it alone.
 
     With ``banded`` the stack holds square matrices by their bands
     (members, 2w + 1, n), in the layout of ``TruncatedOperator.band``, as
     ``toeplitz._compressions`` writes them; a member of a dense stack of
     square matrices large enough for the band route is read by its band
-    (``_band_of``).  Members that take the band route are split one by
-    one, first, with no dense matrix formed; the rest are made dense for
-    one stacked SVD.  A refusal reports the first refused band member,
-    else the first refused member of the stacked SVD.
+    (``_band_of``).  A square member whose band is narrow takes the band
+    route (``_band_null_split``), one by one, first, with no dense matrix
+    formed.  The rest are made dense for one stacked SVD: every
+    non-square member, and each member that the band route hands back.
+    A refusal reports the first refused band member, else the first
+    refused member of the stacked SVD.
     """
     stack = np.asarray(stack)
     count, n = len(stack), stack.shape[-1]
@@ -960,7 +918,8 @@ _BAND_FRAME_RTOL = 1e-4
 
 def _band_pays(b: int, n: int) -> bool:
     """Whether an n x n matrix whose interleaved half-bandwidth is b,
-    max(2 ku + 1, 2 kl - 1), takes the band route (see ``null_split``)."""
+    max(2 ku + 1, 2 kl - 1), takes the band route (see
+    ``_band_null_split``)."""
     return n >= 160 and 8 * (b + 3) <= n
 
 
@@ -1064,11 +1023,39 @@ def _csc_of_band(band: np.ndarray) -> sp.csc_matrix:
 
 def _band_null_split(band: np.ndarray,
                      tolerances: Tolerances) -> NullSplit | None:
-    """``null_split`` of the square T of a band (2w + 1, n) on the band
-    route; None when its band does not pay (``_band_pays`` at the
-    half-bandwidth max(2 ku + 1, 2 kl - 1) of ``[[0, T], [T*, 0]]`` with
-    rows and columns interleaved, the width that the route was measured
-    at) or the smallest kept value is too small for T*T to resolve."""
+    """The ``null_splits`` split of the square T of a band (2w + 1, n) on
+    the band route, read off its band; None when the band does not pay or
+    the smallest kept value is too small for T*T to resolve.
+
+    The singular values come from LAPACK's band bidiagonal reduction and
+    dqds (``_band_singular_values``), with no dense matrix and no doubled
+    one, and the rank decision reads them as the dense route reads its
+    SVD.  The n - rank kernel and cokernel directions come from
+    ``small_singular_vectors`` on the sparse T*T and T T*, cut
+    ``sqrt(svd_gap_factor)`` below the smallest kept value, by the
+    stopping rule of the mapping torus; the number of directions found
+    must be the n - rank of the exact spectrum (IllConditioned
+    otherwise).  The frames span the singular subspaces of the dropped
+    values, but within the span they are Ritz vectors, not the dense
+    SVD's singular vectors.  T*T resolves a kept value only well above
+    ``sqrt(eps)`` times the largest, so a split whose smallest kept value
+    is below ``_BAND_FRAME_RTOL`` times the largest is handed back, for
+    the dense SVD to take.
+
+    The route is taken when n >= 160 and 8 (b + 3) <= n (``_band_pays``),
+    b = max(2 ku + 1, 2 kl - 1) the half-bandwidth of
+    ``[[0, T], [T*, 0]]`` with rows and columns interleaved, for lower and
+    upper half-bandwidths kl and ku of T.  The whole band route (band
+    singular values and the two frames of ``small_singular_vectors``) was
+    timed against a full dense SVD with one BLAS thread on a 2-core host,
+    on random complex band matrices with kl = ku (diagonally dominant, two
+    rows zeroed, so both frames have two columns): the two cost as much at
+    about b = 18 for n = 160, b = 24 for n = 194, b = 32 for n = 258 and
+    beyond b = 33 from n = 322 on, and the band route takes 0.13 of the
+    dense time at b = 1 and n = 258, and 0.10 at b = 3 and n = 514.  The
+    floor n >= 160 keeps every matrix up to n = 159 dense, so the
+    compressions of a small family stay on one stacked SVD.
+    """
     kl, ku = _band_widths(band)
     n = band.shape[1]
     if not _band_pays(max(2 * ku + 1, 2 * kl - 1), n):
@@ -1088,15 +1075,18 @@ def _band_null_split(band: np.ndarray,
     else:
         cut = s[rank - 1] / np.sqrt(tolerances.svd_gap_factor)
         kernel, cokernel, _, _ = small_singular_vectors(
-            _csc_of_band(band), cut, float(s[0]) ** 2, n - rank + 1,
-            count=n - rank)
+            _csc_of_band(band), cut, float(s[0]) ** 2, n - rank + 1)
+        found = kernel.shape[1]
+        if found != n - rank:
+            raise IllConditioned(f"{found} small singular values found "
+                                 f"where the spectrum has {n - rank}")
     return NullSplit(rank=rank, kernel=kernel, cokernel=cokernel,
                      singular_values=s, gap_ratio=ratio)
 
 
 def numerical_rank(matrix, tolerances: Tolerances = DEFAULT) -> int:
-    """The rank ``null_split`` decides, from the singular values alone;
-    an empty matrix is not factored."""
+    """The rank that ``null_splits`` decides for the matrix, from its
+    singular values alone; an empty matrix is not factored."""
     m = np.asarray(matrix)
     s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
     return _relative_split(s, tolerances)[0]
@@ -1110,8 +1100,7 @@ def _relative_split(s: np.ndarray, tolerances: Tolerances):
     return split_rank(s, threshold, tolerances)
 
 
-def small_singular_vectors(a, threshold: float, scale: float, k: int,
-                           count: int | None = None):
+def small_singular_vectors(a, threshold: float, scale: float, k: int):
     """Right and left singular vectors of the square sparse matrix ``a``
     with singular value below the threshold, their singular values, and
     ``s_next``, a lower bound on the first singular value at or above the
@@ -1142,16 +1131,9 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int,
     iteration stops as soon as it clears the threshold, not when it is
     tight.  Where the assumption holds, a rank decision that reads
     ``s_next`` as the smallest kept value (``split_rank``) can only
-    refuse more often than one that reads ``sigma_{ns+1}``.
-
-    A caller that knows from an exact spectrum that ``count`` values lie
-    below the threshold and the next one far above it passes ``count``:
-    the iteration then judges convergence on those values alone, since
-    the next Ritz value bounds its eigenvalue from above and so cannot
-    fall below the threshold, and both sides must count exactly that
-    many.  No bound is computed on that route, and ``s_next`` is nan
-    (its one caller, ``null_split``, reads the rank from the exact
-    spectrum instead).
+    refuse more often than one that reads ``sigma_{ns+1}``.  The mapping
+    torus reads its rank that way; the band route of ``null_splits``
+    reads it from the exact spectrum and checks the count against it.
 
     A complex ``a`` whose entries have no nonzero imaginary part (an exact
     test, not a tolerance) is iterated as its real part: ``a*a`` and
@@ -1165,15 +1147,14 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int,
     cut = threshold ** 2
 
     def smallest(gram, factor, k):
-        vecs, below, bound = _smallest_block(gram.tocsc(), k, scale, cut,
-                                             count)
+        vecs, below, bound = _smallest_block(gram.tocsc(), k, scale, cut)
         s = np.linalg.norm(factor @ vecs, axis=0)
         order = np.argsort(s, kind="stable")
         return s[order], vecs[:, order], below, bound
 
     while True:
         s_r, v_r, below, bound = smallest(a_h @ a, a, k)
-        if count is not None or below < k or k >= 64:
+        if below < k or k >= 64:
             break
         k *= 2
     ns = int(np.count_nonzero(s_r < threshold))
@@ -1183,9 +1164,7 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int,
     if ns != below:
         raise IllConditioned(
             f"{ns} singular values lie below the threshold {threshold:.3e} "
-            f"by their residual norms and {below} by their Ritz values"
-            if count is None else f"{ns} small singular values found "
-            f"where the spectrum has {count}")
+            f"by their residual norms and {below} by their Ritz values")
     s_l, v_l, _, _ = smallest(a @ a_h, a_h, max(ns + 2, 4))
     nl = int(np.count_nonzero(s_l < threshold))
     if nl != ns:
@@ -1208,27 +1187,23 @@ def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
     return scipy.linalg.qr(x, mode="economic", check_finite=False)[0]
 
 
-def _smallest_block(mat, k: int, scale: float, cut: float,
-                    count: int | None = None):
+def _smallest_block(mat, k: int, scale: float, cut: float):
     """Ritz vectors of the smallest k eigenvalues of a sparse PSD matrix,
     in ascending order of Ritz value, by seeded block inverse iteration
     (block methods resolve degenerate clusters, which single-vector
     Lanczos misses with a fixed start); with them, the number r of Ritz
-    values below ``cut`` (``count`` when it is given) and a lower bound on
-    the eigenvalue lambda_{r+1} that follows them (nan when ``count`` is
-    given: that route computes no bound).
+    values below ``cut`` and a lower bound on the eigenvalue lambda_{r+1}
+    that follows them.
 
     The iteration stops once the r values below the cut have settled, to
     ``1e-10 (scale + |value|)`` between two steps, and the bound on
-    lambda_{r+1} clears the cut; with a known ``count`` it stops once the
-    ``count`` smallest values have settled.  When all
-    k Ritz values lie below the cut it stops at once, with r = k and the
-    bound -inf: each Ritz value bounds its eigenvalue from above, so at
-    least k eigenvalues lie below the cut and only a larger block can
-    split them.  The values above lambda_{r+1} are never read, and in
-    inverse iteration they are the slowest to settle; a Ritz value in a
-    cluster settles slowly too, which is why lambda_{r+1} is bounded
-    rather than waited for.
+    lambda_{r+1} clears the cut.  When all k Ritz values lie below the
+    cut it stops at once, with r = k and the bound -inf: each Ritz value
+    bounds its eigenvalue from above, so at least k eigenvalues lie below
+    the cut and only a larger block can split them.  The values above
+    lambda_{r+1} are never read, and in inverse iteration they are the
+    slowest to settle; a Ritz value in a cluster settles slowly too,
+    which is why lambda_{r+1} is bounded rather than waited for.
 
     The bound (Parlett, The Symmetric Eigenvalue Problem, ch. 10) reads
     the Ritz pair (theta, y) of lambda_{r+1} and its residual norm
@@ -1274,16 +1249,13 @@ def _smallest_block(mat, k: int, scale: float, cut: float,
         x = _orthonormal_columns(lu.solve(x))
         small = x.conj().T @ (mat @ x)
         vals, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
-        read = count if count is not None else \
-            int(np.count_nonzero(vals < cut))
-        if read == k and count is None:
+        read = int(np.count_nonzero(vals < cut))
+        if read == k:
             return x @ rot, read, -np.inf
         settled = previous is not None and np.all(
             np.abs(vals[:read] - previous[:read])
             <= 1e-10 * scale + 1e-10 * np.abs(vals[:read]))
         previous = vals
-        if settled and count is not None:
-            return x @ rot, count, np.nan
         if settled:
             vectors = x @ rot
             bound = _next_eigenvalue_bound(mat, vectors[:, read:read + 2],
@@ -1312,22 +1284,15 @@ def _next_eigenvalue_bound(mat, y: np.ndarray, theta: np.ndarray) -> float:
                      theta[0] - rho[0] ** 2 / (weinstein[1] - theta[0])))
 
 
-def interior_directions(vectors: np.ndarray, mask: np.ndarray,
-                        tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    """Orthonormal basis of the directions in the span of ``vectors``
-    (orthonormal columns) that keep more than ``localization_mass`` of
-    their weight on the rows selected by ``mask`` (a principal-angle
-    count); its column count is the number of localized directions."""
-    return _interior_split(vectors, mask, tolerances)[1]
-
-
 def _interior_split(vectors: np.ndarray, mask: np.ndarray,
                    tolerances: Tolerances = DEFAULT):
-    """``interior_directions`` of each member of a stack of frames
-    (..., dim, k), by one SVD and one QR: the number of localized
-    directions of each member, and their bases as one stack
-    (..., dim, count), or None when the members keep different numbers.
-    A frame is a stack of one."""
+    """The directions in the span of each member of a stack of
+    orthonormal frames (..., dim, k) that keep more than
+    ``localization_mass`` of their weight on the rows selected by
+    ``mask`` (a principal-angle count), by one SVD and one QR: the number
+    of localized directions of each member, and orthonormal bases of them
+    as one stack (..., dim, count), or None when the members keep
+    different numbers.  A frame is a stack of one."""
     if vectors.shape[-1] == 0:
         return np.zeros(vectors.shape[:-2], dtype=int), vectors
     _, sv, vh = np.linalg.svd(vectors[..., mask, :], full_matrices=False)

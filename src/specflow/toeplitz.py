@@ -192,7 +192,7 @@ def _small_subspaces(section: SpectralSection, bands: np.ndarray,
     2w + 1, rank) over ``section``: one split per group of members of
     equal rank (``null_splits``) and one stacked ``_interior_split`` of
     their lifted kernels and of their cokernels.  Every member's fields
-    are those of its own ``null_split`` and ``interior_directions``."""
+    are those of the same two steps on a stack of it alone."""
     count, interior = len(bands), trunc.interior()
     dims = np.zeros((3, count), dtype=int)   # interior kernel, cokernel, raw
     singular_values = np.empty((count, bands.shape[-1]))

@@ -6,6 +6,7 @@ constructions are self-contained.
 """
 
 import dataclasses
+import functools
 from collections import Counter
 from contextlib import contextmanager
 
@@ -22,7 +23,7 @@ import specflow.operators
 from specflow import SpectralSection, SymbolFunction, TruncatedOperator
 from specflow.config import DEFAULT
 from specflow.errors import IllConditioned
-from specflow.operators import NullSplit, eigvalsh, interior_directions
+from specflow.operators import NullSplit, _interior_split, eigvalsh
 from specflow.toeplitz import SmallSubspaces
 
 
@@ -506,40 +507,49 @@ def assert_matches_dense_split(m, split, tolerances=DEFAULT,
     assert sine_of_largest_angle(split.cokernel, cokernel) <= 1e-6
 
 
+def member_split(split: NullSplit, j: int) -> NullSplit:
+    """Member j of a group of stacked splits, without the member axis."""
+    return NullSplit(rank=split.rank, kernel=split.kernel[j],
+                     cokernel=split.cokernel[j],
+                     singular_values=split.singular_values[j],
+                     gap_ratio=float(split.gap_ratio[j]))
+
+
+def lone_split(matrix, tolerances=DEFAULT) -> NullSplit:
+    """The ``null_splits`` split of one matrix, given as a stack of one."""
+    (_, split), = specflow.operators.null_splits(np.asarray(matrix)[None],
+                                                 tolerances)
+    return member_split(split, 0)
+
+
 @pytest.fixture(autouse=True)
-def band_null_split_matches_dense(monkeypatch):
-    """Repeat every band-route ``null_split`` of the suite with the dense
-    SVD, wherever ``null_split`` was imported to: a refusal must be the
-    dense route's refusal too, and a split must have its rank and
-    subspaces.  The SVD is the one in place before the test runs, so a
-    test that counts SVD calls does not count these."""
-    original = specflow.operators.null_split
+def band_null_split_matches_dense(monkeypatch, stacked_calls_match_members):
+    """Repeat every band-route split of the suite (``_band_null_split``,
+    which ``null_splits`` calls for each large square member) with the
+    dense SVD of its matrix: a refusal must be the dense route's refusal
+    too, and a split must have its rank, singular values and subspaces.
+    The SVD is the one in place before the test runs, so a test that
+    counts SVD calls does not count these.  It is set up after
+    ``stacked_calls_match_members``, whose member-by-member repeats run
+    on the unchecked split; ``inspect.unwrap`` gives that split too."""
+    ops = specflow.operators
+    original = ops._band_null_split
     svd = np.linalg.svd
 
-    def band_route(m):
-        ops = specflow.operators
-        if not (m.ndim == 2 and m.shape[0] == m.shape[1]
-                and ops._band_pays(1, len(m))):
-            return False
-        kl, ku = ops._band_widths(ops._band_of(m))
-        return ops._band_pays(max(2 * ku + 1, 2 * kl - 1), len(m))
-
-    def checked(matrix, tolerances=DEFAULT):
-        m = np.asarray(matrix)
-        if not band_route(m):
-            return original(matrix, tolerances)
+    @functools.wraps(original)
+    def checked(band, tolerances):
         try:
-            split = original(matrix, tolerances)
+            split = original(band, tolerances)
         except IllConditioned:
             with pytest.raises(IllConditioned):
-                dense_null_split(m, tolerances, svd)
+                dense_null_split(ops._dense(band), tolerances, svd)
             raise
-        assert_matches_dense_split(m, split, tolerances, svd)
+        if split is not None:
+            assert_matches_dense_split(ops._dense(band), split, tolerances,
+                                       svd)
         return split
 
-    for module in list(sys.modules.values()):
-        if vars(module).get("null_split") is original:
-            monkeypatch.setattr(module, "null_split", checked)
+    monkeypatch.setattr(ops, "_band_null_split", checked)
 
 
 def assert_same_split(a, b):
@@ -552,13 +562,14 @@ def assert_same_split(a, b):
 
 
 def reference_small_subspaces(t, tolerances=DEFAULT) -> SmallSubspaces:
-    """The small subspaces of one Toeplitz compression from its own
-    ``null_split`` and ``interior_directions``: the single-compression
-    route, against which the stacked split is compared bit for bit."""
-    split = specflow.operators.null_split(t.matrix, tolerances)
+    """The small subspaces of one Toeplitz compression from the split of
+    its dense matrix alone (``lone_split``) and ``_interior_split`` of
+    each lifted frame: the single-compression route, against which the
+    stacked split is compared bit for bit."""
+    split = lone_split(t.matrix, tolerances)
     basis, interior = t.section.basis, t.truncation.interior()
-    ker = interior_directions(basis @ split.kernel, interior, tolerances)
-    cok = interior_directions(basis @ split.cokernel, interior, tolerances)
+    ker = _interior_split(basis @ split.kernel, interior, tolerances)[1]
+    cok = _interior_split(basis @ split.cokernel, interior, tolerances)[1]
     nk, nc = ker.shape[1], cok.shape[1]
     return SmallSubspaces(kernel_interior=ker, cokernel_interior=cok,
                           kernel_dim=nk, cokernel_dim=nc,
@@ -611,15 +622,18 @@ def stacked_calls_match_members(monkeypatch):
     and cluster projectors must agree to roundoff instead
     (``assert_same_eigenspaces``).  A
     member of a family's operator is repeated as the operator of its own
-    band, a member of an array as a matrix, and a member of a band stack
-    as the dense matrix of its band.  The repeats run on the numpy
-    and scipy kernels in place before the test, so a test that counts
-    factorizations does not count them."""
+    band, a member of an array as a stack of one, and a member of a band
+    stack as a stack of one holding the dense matrix of its band; a dense
+    stack of one is not repeated, since that would be its own call.  The
+    repeats run on the numpy and scipy kernels and the band split in
+    place before the test, so a test that counts factorizations does not
+    count them."""
     eigh = specflow.operators.eigh
     null_splits = specflow.operators.null_splits
     pristine_kernels = kernels_now(
         (np.linalg, "eigh"), (np.linalg, "svd"),
         (specflow.operators, "_band_singular_values"),
+        (specflow.operators, "_band_null_split"),
         (specflow.operators, "_split_eigh"))
 
     def checked_eigh(operator, tolerances=DEFAULT):
@@ -657,15 +671,15 @@ def stacked_calls_match_members(monkeypatch):
         seen = []
         for members, split in groups:
             seen.extend(members.tolist())
+            # a dense stack of one would only repeat its own call
+            if len(stack) == 1 and not banded:
+                continue
             for j, i in enumerate(members):
                 member = dense_of_band(stack[i]) if banded else stack[i]
                 with pristine_kernels():
-                    alone = specflow.operators.null_split(member, tolerances)
-                assert_same_split(alone, NullSplit(
-                    rank=split.rank, kernel=split.kernel[j],
-                    cokernel=split.cokernel[j],
-                    singular_values=split.singular_values[j],
-                    gap_ratio=split.gap_ratio[j]))
+                    (_, alone), = null_splits(member[None], tolerances)
+                assert_same_split(member_split(alone, 0),
+                                  member_split(split, j))
         assert sorted(seen) == list(range(len(stack)))
         return groups
 

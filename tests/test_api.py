@@ -6,7 +6,8 @@ import dataclasses
 import inspect
 
 import specflow
-from specflow.operators import null_split, numerical_rank
+from specflow.operators import (null_splits, numerical_rank,
+                                small_singular_vectors, split_rank)
 
 OVERRIDES = {"tol", "rtol", "check_stability", "refine_check", "lipschitz",
              "grid", "fiber_grid", "tail"}
@@ -14,11 +15,14 @@ OVERRIDES = {"tol", "rtol", "check_stability", "refine_check", "lipschitz",
 
 def operations():
     """Every public function and method reachable from ``specflow.__all__``
-    plus the two rank primitives.  A dataclass constructor is left out:
-    its fields record a value (``WindingData.grid`` is the grid a winding
-    was computed on), they do not override one."""
-    yield "null_split", null_split
+    plus the rank primitives that the library modules call.  A dataclass
+    constructor is left out: its fields record a value
+    (``WindingData.grid`` is the grid a winding was computed on), they do
+    not override one."""
+    yield "null_splits", null_splits
     yield "numerical_rank", numerical_rank
+    yield "split_rank", split_rank
+    yield "small_singular_vectors", small_singular_vectors
     for name in specflow.__all__:
         obj = getattr(specflow, name)
         if inspect.isfunction(obj):
@@ -47,4 +51,5 @@ def test_operations_are_found():
     names = {name for name, _ in operations()}
     assert {"fredholm_index", "spectral_flow", "sf_pairs", "winding",
             "mapping_torus_index", "ProjectorFamily",
-            "SymbolFunction.from_samples"} <= names
+            "SymbolFunction.from_samples", "null_splits", "numerical_rank",
+            "split_rank", "small_singular_vectors"} <= names

@@ -395,7 +395,7 @@ class TestPeakMemory:
     bands over the Hardy index set, at K and at 2K, with no dim x dim
     matrix and no frame of the section.  The symbol of
     ``test_fredholm_index`` (lower half-bandwidth 5, interleaved b = 9)
-    takes the band route (``null_split``) at K as well as at 2K, so no
+    takes the band route (``null_splits``) at K as well as at 2K, so no
     258 x 258 singular-vector pair is formed."""
 
     def test_spectral_flow(self, peaks):

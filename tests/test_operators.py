@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -16,14 +17,14 @@ from specflow.errors import IllConditioned
 from specflow.models import bott_symbol_family
 from specflow.flow import _SpectrumCache
 import specflow.operators
-from specflow.operators import (NullSplit, _orthonormal_columns,
-                                half_bandwidth, interior_directions,
-                                null_split, null_splits, numerical_rank,
+from specflow.operators import (NullSplit, _interior_split,
+                                _orthonormal_columns, half_bandwidth,
+                                null_splits, numerical_rank,
                                 small_singular_vectors, split_rank)
 from conftest import (assert_matches_dense_split,
                       assert_same_eigenspaces, clustered_band_matrix,
                       dense_null_split, dense_of_band, derivative_matrix,
-                      fd_dirac_cos_spectrum, flow_symbols,
+                      fd_dirac_cos_spectrum, flow_symbols, lone_split,
                       lu_solve_counts, next_bound_residuals,
                       random_hermitian,
                       random_hermitian_symbol, random_trig_unitary,
@@ -650,14 +651,14 @@ class TestClosedFormPairs:
 
 class TestRank:
     def test_identity(self):
-        split = null_split(np.eye(7))
+        split = lone_split(np.eye(7))
         assert split.rank == 7
         assert split.kernel.shape == (7, 0) and split.cokernel.shape == (7, 0)
         assert split.gap_ratio == np.inf
 
     def test_zero(self):
         # the zero matrix has rank 0: its whole domain is the kernel
-        split = null_split(np.zeros((4, 6)))
+        split = lone_split(np.zeros((4, 6)))
         assert split.rank == 0
         assert np.allclose(split.kernel.conj().T @ split.kernel, np.eye(6))
         assert np.allclose(split.cokernel.conj().T @ split.cokernel, np.eye(4))
@@ -665,7 +666,7 @@ class TestRank:
     def test_rank3_construction(self, rng):
         vs = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
         m = sum(np.outer(v, v.conj()) for v in vs)
-        split = null_split(m)
+        split = lone_split(m)
         assert split.rank == 3
         assert np.abs(m @ split.kernel).max() <= 1e-10 * split.singular_values[0]
         assert np.abs(split.cokernel.conj().T @ m).max() \
@@ -687,7 +688,7 @@ class TestRank:
                  sum(np.outer(v, v.conj()) for v in vs)]
         loose = DEFAULT.with_(rank_rtol=1e-3)
         for m in cases:
-            assert numerical_rank(m, loose) == null_split(m, loose).rank
+            assert numerical_rank(m, loose) == lone_split(m, loose).rank
         with pytest.raises(IllConditioned, match="cluster"):
             numerical_rank(np.diag([1.0, 5e-8, 2e-9]))
 
@@ -695,16 +696,16 @@ class TestRank:
         # values straddle the threshold within the required factor
         m = np.diag([1.0, 5e-8, 2e-9])
         with pytest.raises(IllConditioned, match="cluster"):
-            null_split(m)
-        assert null_split(np.diag([1.0, 0.5])).rank == 2
+            lone_split(m)
+        assert lone_split(np.diag([1.0, 0.5])).rank == 2
 
     def test_value_at_threshold_is_kept(self):
-        assert null_split(np.diag([1.0, 1e-3]),
+        assert lone_split(np.diag([1.0, 1e-3]),
                           DEFAULT.with_(rank_rtol=1e-3)).rank == 2
         assert split_rank(np.array([1.0, 1e-3]), 1e-3) == (2, np.inf)
 
     def test_empty_matrix(self):
-        split = null_split(np.zeros((0, 3)))
+        split = lone_split(np.zeros((0, 3)))
         assert split.rank == 0
         assert split.kernel.shape == (3, 3) and split.cokernel.shape == (0, 0)
 
@@ -745,7 +746,7 @@ class TestStackedSplits:
         assert split.kernel.shape == (2, 3, 1)
         assert split.gap_ratio.shape == (2,)
         for j, i in enumerate(members):
-            alone = null_split(stack[i])
+            alone = lone_split(stack[i])
             assert np.array_equal(alone.kernel, split.kernel[j])
             assert alone.gap_ratio == split.gap_ratio[j]
 
@@ -894,7 +895,7 @@ class TestBandSingularValues:
                 tr = FourierTruncation(k, 2)
                 t = toeplitz_compress(hardy_section(tr), symbol, tr)
                 calls = band_svd_calls(monkeypatch)
-                split = null_split(t.matrix)
+                split = lone_split(t.matrix)
                 assert len(calls) == 1
                 rank, _, _, s = dense_null_split(t.matrix)
                 assert split.rank == rank
@@ -954,9 +955,10 @@ class TestBandNullSplit:
         shapes = svd_shapes(monkeypatch)
         bands = band_svd_calls(monkeypatch)
         try:
-            return null_split(m, tolerances)
+            return lone_split(m, tolerances)
         finally:
-            assert m.shape not in shapes and len(bands) == 1
+            assert all(shape[-2:] != m.shape for shape in shapes)
+            assert len(bands) == 1
 
     @pytest.mark.parametrize("kl, ku", [(1, 3), (3, 1), (2, 0), (0, 2)])
     def test_spans_match_dense(self, kl, ku, monkeypatch):
@@ -1048,8 +1050,8 @@ class TestBandNullSplit:
         t[n - 2, n - 2] = 1e-6 * np.linalg.svd(block, compute_uv=False)[0]
         shapes = svd_shapes(monkeypatch)
         bands = band_svd_calls(monkeypatch)
-        split = null_split(t)
-        assert shapes == [(n, n)] and len(bands) == 1
+        split = lone_split(t)
+        assert shapes == [(1, n, n)] and len(bands) == 1
         assert split.rank == n - 1
         assert_matches_dense_split(t, split)
 
@@ -1080,8 +1082,8 @@ class TestBandNullSplit:
                   random_square_band(300, 1, 1, rng_for(3))[:, :299]):
             shapes = svd_shapes(monkeypatch)
             bands = band_svd_calls(monkeypatch)
-            null_split(m)
-            assert bands == [] and shapes == [m.shape]
+            lone_split(m)
+            assert bands == [] and shapes == [(1,) + m.shape]
 
     @pytest.mark.parametrize("n, kl, ku", [(160, 8, 8), (240, 13, 13),
                                            (240, 3, 4)])
@@ -1201,30 +1203,34 @@ class TestSmallSingularVectors:
         assert bound < cut < s[-4] ** 2
 
     def test_band_route_takes_two_solves_per_block(self, monkeypatch):
-        # the known count of the band route judges convergence on the
-        # null values alone, which settle after two solves, and computes
-        # no bound on the next value (the suite's checks repeat the
-        # Toeplitz splits, so their factorizations are counted by value,
-        # not by number)
+        # the band route stops by the bound on the next value, which
+        # clears the cut as soon as the null values have settled, after
+        # two solves (the suite's checks repeat the Toeplitz splits, so
+        # their factorizations are counted by value, not by number)
         solves = lu_solve_counts(monkeypatch)
-
-        def no_bound(*args):
-            raise AssertionError("the known-count route computed a bound")
-
-        monkeypatch.setattr(specflow.operators, "_next_eigenvalue_bound",
-                            no_bound)
-        assert null_split(clustered_band_matrix(0, n=300)).rank == 298
-        assert solves == [2, 2]
-        t = clustered_band_matrix(0)
-        s = np.linalg.svd(t, compute_uv=False)
-        assert np.isnan(small_singular_vectors(
-            sp.csc_matrix(t), 1e-4 * s[0], s[0] ** 2, 8, count=2)[3])
+        residuals = next_bound_residuals(monkeypatch)
+        assert lone_split(clustered_band_matrix(0, n=300)).rank == 298
+        assert solves == [2, 2] and residuals
         solves.clear()
         tr = FourierTruncation(128, 2)
         g, winding = random_trig_unitary(2, rng_for(0), max_winding=2)
         t = toeplitz_compress(hardy_section(tr), g, tr)
         assert fredholm_index(t) == -winding == -3
         assert solves and set(solves) == {2}
+
+    def test_band_route_count_must_match_the_spectrum(self, monkeypatch):
+        # the exact spectrum claims one null value fewer than the matrix
+        # has: the iteration finds both, and the split refuses rather than
+        # return frames that disagree with the rank
+        ops = specflow.operators
+        band = ops._band_of(clustered_band_matrix(0, n=300))
+        s = ops._band_singular_values(band)
+        claimed = s.copy()
+        claimed[-2] = claimed[-3]
+        monkeypatch.setattr(ops, "_band_singular_values", lambda _: claimed)
+        with pytest.raises(IllConditioned, match="2 small singular values "
+                           "found where the spectrum has 1"):
+            inspect.unwrap(ops._band_null_split)(band, DEFAULT)
 
 
 class TestInteriorDirections:
@@ -1233,15 +1239,16 @@ class TestInteriorDirections:
         # 0.4 on the masked rows stays below localization_mass
         eye = np.eye(4)
         mask = np.array([True, True, False, False])
-        q = interior_directions(eye[:, [0, 3]], mask)
+        counts, q = _interior_split(eye[:, [0, 3]], mask)
+        assert counts == 1
         assert q.shape == (4, 1)
         assert abs(abs(q[0, 0]) - 1.0) <= 1e-12
         mixed = np.sqrt(0.4) * eye[:, [0]] + np.sqrt(0.6) * eye[:, [3]]
-        assert interior_directions(mixed, mask).shape == (4, 0)
+        assert _interior_split(mixed, mask)[1].shape == (4, 0)
 
     def test_empty(self):
-        assert interior_directions(np.zeros((5, 0)),
-                                   np.ones(5, dtype=bool)).shape == (5, 0)
+        assert _interior_split(np.zeros((5, 0)),
+                               np.ones(5, dtype=bool))[1].shape == (5, 0)
 
     def test_truncation_interior(self):
         assert list(FourierTruncation(4, 1).interior()) == \
