@@ -32,8 +32,8 @@ from .errors import (InvalidSection, RankJump, RoundingAmbiguous,
 # it under every name a specflow module holds it by, this one included
 from .flow import (GapInterval, Partition, SpectralSection, _brackets,
                    _constant_rank, _first_invalid, _gap_intervals,
-                   _gram_defect, _kept_above, _SampledCurve, _SpectrumCache,
-                   _top_section, comparison_map, gap_partition)  # noqa: F401
+                   _gram_defect, _SampledCurve, _section_above,
+                   _SpectrumCache, comparison_map, gap_partition)  # noqa: F401
 from .operators import FourierTruncation, TruncatedOperator, eigh, null_splits
 from .toeplitz import (_compressions, _family_values, _stable_subspaces,
                        hardy_section)
@@ -505,7 +505,5 @@ def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,
     operator at ``base.vertices[i]``, read off one stacked ``eigh`` of
     the family's operator.  The members keep one rank, or RankJump names
     the vertices whose rank differs."""
-    dec = eigh(family.operator, tolerances)
-    counts, windows = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
-    rank = _constant_rank(counts, "section rank", family.base.vertices)
-    return _top_section(dec.eigenvectors, rank, windows, cutoff, policy)
+    return _section_above(eigh(family.operator, tolerances), cutoff, policy,
+                          tolerances, family.base.vertices)

@@ -145,7 +145,6 @@ def _base_config(args) -> dict:
 
 def _run(args) -> tuple[dict, dict, dict]:
     """Returns (config echo, outputs, stability flags)."""
-    from . import __version__  # noqa: F401  (record carries the version)
     from .basegrid import BaseGrid
     from .config import DEFAULT
     from .errors import ConfigError
@@ -344,8 +343,7 @@ def main(argv=None) -> int:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.json:
-        shown = dict(record)
-        print(json.dumps(shown, indent=2, sort_keys=True))
+        print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(json.dumps(_to_builtin(outputs), sort_keys=True))
     if error is not None:

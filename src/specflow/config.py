@@ -40,7 +40,6 @@ class Tolerances:
     # winding / Chern integrals
     winding_grid: int = 512
     winding_ambiguity: float = 0.1      # |raw - nearest integer| beyond this is an error
-    closedness: float = 1e-6
     chern_integer_guard: float = 0.1    # plaquette/cochain totals must be this close to Z
 
     # eta regularization

@@ -30,7 +30,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (EigenvalueAtCutoff, InvalidSection, NoGapFound,
                      RankJump, ResolutionExceeded, UnstableIndex)
 from .operators import (EigenDecomposition, FourierTruncation, SymbolFunction,
-                        TruncatedOperator, _band_eigvalsh, _dirac_bands,
+                        TruncatedOperator, _band_spectrum, _dirac_bands,
                         _require_hermitian, eigh, eigvalsh, numerical_rank)
 
 
@@ -166,15 +166,16 @@ def aps_projection(operator: TruncatedOperator, cutoff: float,
 
 
 def _section_above(dec: EigenDecomposition, cutoff: float, policy: str,
-                   tolerances: Tolerances) -> SpectralSection:
+                   tolerances: Tolerances, vertices=None) -> SpectralSection:
     """The ``aps_projection`` section of an operator, read off its
     eigendecomposition; the decomposition of a stack gives the stacked
     section, whose members must keep equal numbers of eigenvectors
-    (RankJump naming the members otherwise, ``_constant_rank``)."""
+    (RankJump naming the members otherwise, by their base ``vertices``
+    when given, ``_constant_rank``)."""
     counts, window = _kept_above(dec.eigenvalues, cutoff, policy, tolerances)
     return _top_section(dec.eigenvectors,
-                        _constant_rank(counts, "section rank"), window,
-                        cutoff, policy)
+                        _constant_rank(counts, "section rank", vertices),
+                        window, cutoff, policy)
 
 
 def _constant_rank(ranks, what: str, vertices=None) -> int:
@@ -633,7 +634,7 @@ class _SpectrumCache:
     def _segment_rate(self, k: int) -> float:
         if k not in self._rates:
             samples = self.curve.samples
-            step = _band_eigvalsh(samples[k + 1] - samples[k])
+            step = _band_spectrum(samples[k + 1] - samples[k])[0]
             rates = np.abs(step).max(axis=-1) \
                 / (self.curve.ts[k + 1] - self.curve.ts[k])
             self._rates[k] = float(np.max(rates))

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from .config import DEFAULT, Tolerances
 from .errors import DoublingDetected, GluingInconsistent
 from .flow import OperatorCurve
-from .operators import (FourierTruncation, SymbolFunction, _band_eigvalsh,
+from .operators import (FourierTruncation, SymbolFunction, _band_spectrum,
                         _interior_split, _non_hermitian_band,
                         build_multiplication, gauge_transformed_potential,
                         small_singular_vectors, split_rank)
@@ -174,7 +174,7 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
                            wrap[wrap_rows, wrap_cols]])
     a = sp.coo_matrix((data, (row_idx, col_idx)),
                       shape=(m_u * dim, m_u * dim)).tocsc()
-    dnorm = float(np.abs(_band_eigvalsh(path.samples)).max())
+    dnorm = float(np.abs(_band_spectrum(path.samples)[0]).max())
     return MappingTorusOperator(a, spec, m_u, trunc,
                                 sigma_max_bound=2.0 / h + dnorm + 1.0)
 

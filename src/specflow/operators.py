@@ -460,28 +460,21 @@ def eigh(operator, tolerances: Tolerances = DEFAULT) -> EigenDecomposition:
     or of the operator of a family, from the lower triangle.
 
     The Hermiticity test reads the operator's band, or the band of an
-    array (``_non_hermitian_band``).  A band that splits into diagonal
-    blocks (``_split_starts``) is solved block by block (``_split_eigh``),
-    its 1 x 1 and 2 x 2 blocks in closed form with no LAPACK call; any
-    other goes to ``np.linalg.eigh``, whose ``w, v`` are returned as they
-    are.  Inside a degenerate cluster the basis is the solver's:
-    consumers read a cluster's span, not its frame.  A fixed input and
-    thread count give a deterministic result, and the members of a stack
-    agree with lone calls to within roundoff, bit for bit where both
-    split alike.
+    array (``_non_hermitian_band``), and the band solver
+    ``_band_spectrum`` returns ``w, v``: a band that splits into diagonal
+    blocks is solved block by block, its 1 x 1 and 2 x 2 blocks in closed
+    form with no LAPACK call, and any other by ``np.linalg.eigh``, whose
+    ``w, v`` are returned as they are.  Inside a degenerate cluster the
+    basis is the solver's: consumers read a cluster's span, not its
+    frame.  A fixed input and thread count give a deterministic result,
+    and the members of a stack agree with lone calls to within roundoff,
+    bit for bit where both split alike.
     """
-    if isinstance(operator, TruncatedOperator):
-        band, m = operator.band, None
-    else:
-        m = np.asarray(operator)
-        band = _band_of(m)
+    band = operator.band if isinstance(operator, TruncatedOperator) \
+        else _band_of(np.asarray(operator))
     if _non_hermitian_band(band, tolerances) is not None:
         raise ValueError("eigh requires a Hermitian matrix")
-    starts = _split_starts(band)
-    if len(starts) > 1:
-        w, v = _split_eigh(band, starts)
-    else:
-        w, v = np.linalg.eigh(operator.matrix if m is None else m)
+    w, v = _band_spectrum(band, vectors=True)
     v.setflags(write=False)
     w.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
@@ -508,13 +501,13 @@ def _split_starts(band: np.ndarray) -> np.ndarray:
 
 def _block_groups(band: np.ndarray, starts: np.ndarray):
     """The diagonal blocks of a band stack (..., 2b + 1, n) that splits
-    at ``starts``, by size s: yields the indices (k, s) of the k blocks
-    of each size, the blocks and their shift.  A 1 x 1 block is its real
-    diagonal entry (..., k, 1), shift None.  Larger blocks are bands
-    (..., k, 2w + 1, s), w = min(b, s - 1), centred on the mean of their
-    real diagonal, which is the shift (..., k, 1) to add back to their
-    eigenvalues: the roundoff of a block k + c_0 at mode k = 4096 is then
-    relative to c_0, not to 4096."""
+    at ``starts``, by size s, as ``_band_spectrum`` solves them: yields
+    the indices (k, s) of the k blocks of each size, the blocks and their
+    shift.  A 1 x 1 block is its real diagonal entry (..., k, 1), shift
+    None.  Larger blocks are bands (..., k, 2w + 1, s), w = min(b, s - 1),
+    centred on the mean of their real diagonal, which is the shift
+    (..., k, 1) to add back to their eigenvalues: the roundoff of a block
+    k + c_0 at mode k = 4096 is then relative to c_0, not to 4096."""
     width, n = band.shape[-2] // 2, band.shape[-1]
     band = band.astype(np.result_type(band.dtype, 1.0), copy=False)
     sizes = np.diff(np.r_[starts, n])
@@ -545,7 +538,10 @@ def _eigh_2x2(blocks: np.ndarray):
     eigenvalues are p - r and p + r.  An eigenvector (x, y) of p + r is
     (q + r, z) for q >= 0 and (conj z, r - q) otherwise, so neither entry
     cancels; (conj y, -conj x) is then one of p - r.  A multiple of the
-    identity (r = 0) gets the identity, with no division by zero."""
+    identity (r = 0) gets the identity, with no division by zero.
+    ``_band_spectrum`` reads the 2 x 2 blocks of a split band from it with
+    and without ``vectors``, so ``eigh`` and ``eigvalsh`` give the very
+    same eigenvalues there."""
     a, c = blocks[..., 1, 0].real, blocks[..., 1, 1].real
     z = blocks[..., 2, 0]
     p, q = 0.5 * (a + c), 0.5 * (a - c)
@@ -564,41 +560,6 @@ def _eigh_2x2(blocks: np.ndarray):
     return np.stack([p - r, p + r], axis=-1), v
 
 
-def _split_eigh(band: np.ndarray, starts: np.ndarray):
-    """``w, v`` of a band stack that splits at ``starts``, block size by
-    block size (``_block_groups``): a unit vector for a 1 x 1 block, the
-    closed form ``_eigh_2x2`` for 2 x 2 blocks, and one stacked
-    ``np.linalg.eigh`` for each larger size.  A stable argsort over the
-    block positions merges the eigenvalues, and each block's eigenvectors
-    are written straight to their sorted columns."""
-    n, lead = band.shape[-1], band.shape[:-2]
-    dtype = np.result_type(band.dtype, 1.0)
-    slots = np.empty(lead + (n,), dtype=np.finfo(dtype).dtype)
-    solved = []
-    for rows, blocks, shift in _block_groups(band, starts):
-        if shift is None:
-            slots[..., rows] = blocks
-            solved.append((rows, 1))
-            continue
-        w, v = _eigh_2x2(blocks) if rows.shape[1] == 2 \
-            else np.linalg.eigh(_dense(blocks))
-        slots[..., rows] = w + shift
-        solved.append((rows, v.reshape((-1,) + v.shape[-3:])))
-    order = np.argsort(slots, axis=-1, kind="stable")
-    # the column of each slot in the ascending order
-    column = np.empty_like(order)
-    np.put_along_axis(column, order, np.arange(n), axis=-1)
-    v = np.zeros(lead + (n, n), dtype=dtype)
-    flat_v, flat_column = v.reshape(-1, n, n), column.reshape(-1, n)
-    member = np.arange(len(flat_v))[:, None, None, None]
-    for rows, vectors in solved:
-        # component r of eigenvector c of block i sits in row rows[i, r]
-        # and in the column of slot rows[i, c]
-        flat_v[member, rows[:, :, None],
-               flat_column[:, rows][:, :, None, :]] = vectors
-    return np.take_along_axis(slots, order, axis=-1), v
-
-
 def half_bandwidth(m: np.ndarray):
     """Largest i - j over the nonzero entries m[i, j] with i >= j, for a
     matrix or for each member of a stack (..., n, n).
@@ -614,61 +575,88 @@ def half_bandwidth(m: np.ndarray):
 
 def eigvalsh(operator) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each member of a
-    stack (..., n, n), from the lower triangle.
-
-    A band that splits into diagonal blocks (``_split_starts``) is solved
-    block by block (``_block_groups``): a 1 x 1 block is its diagonal
-    entry, 2 x 2 blocks take the closed form ``_eigh_2x2``, so their
-    eigenvalues are bit-identical to those of ``eigh``, and each larger
-    block is routed as a matrix is.
-    A matrix whose band of half-bandwidth b fills at most a sixteenth of
-    each column, 16 (b + 1) <= n, goes to LAPACK's Hermitian band solver,
-    whose reduction to tridiagonal form (``?hbtrd``) costs O(n^2 b); any
-    other to the dense one.  Both see the same entries.  The crossover was
-    measured on random Hermitian band matrices with one BLAS thread: the
-    band solver costs about as much as the dense one once b reaches
-    n / 12 (n = 130 to 1026), and below n = 24 the dense one wins for any
-    b >= 1.  Members of a stack are routed one by one: the band members
-    are solved one at a time, the dense ones by one LAPACK call.  Every
-    matrix is read by its band (``_band_eigvalsh``): a band member hands
-    the solver the lower rows as they are, and only a dense member is
-    made dense.
+    stack (..., n, n), from the lower triangle: the band solver
+    ``_band_spectrum`` on the operator's band, or on the band of an array,
+    so a band member hands the solver its lower rows as they are and only
+    a dense member is made dense.  A split band yields the very
+    eigenvalues ``eigh`` gives.
     """
     if isinstance(operator, TruncatedOperator):
-        return _band_eigvalsh(operator.band)
-    m = np.asarray(operator)
-    return _band_eigvalsh(_band_of(m.astype(np.result_type(m.dtype, float),
-                                            copy=False)))
+        band = operator.band
+    else:
+        m = np.asarray(operator)
+        band = _band_of(m.astype(np.result_type(m.dtype, float), copy=False))
+    return _band_spectrum(band)[0]
 
 
-def _band_eigvalsh(band: np.ndarray) -> np.ndarray:
-    """``eigvalsh`` of the matrices of a band stack (..., 2b + 1, n): a
-    split band block by block (2 x 2 blocks by ``_eigh_2x2``, as in
-    ``_split_eigh``), and any other routed member by member on each
-    member's exact lower half-bandwidth."""
+def _band_spectrum(band: np.ndarray, vectors: bool = False):
+    """The ascending eigenvalues ``w`` (..., n) of the Hermitian matrices
+    of a band stack (..., 2b + 1, n), read from their lower triangles,
+    and an orthonormal eigenbasis ``v`` (..., n, n) when ``vectors`` is
+    set, else None: LAPACK's choice of eigenvalues alone or with vectors.
+
+    A band that splits into diagonal blocks (``_split_starts``) is solved
+    block size by block size (``_block_groups``): a 1 x 1 block is its
+    diagonal entry with a unit vector, 2 x 2 blocks take the closed form
+    ``_eigh_2x2``, and each larger size is solved as the band stack of
+    its blocks.  A sort merges the eigenvalues; with ``vectors`` it is a
+    stable argsort over the block positions, and each block's
+    eigenvectors are written straight to their sorted columns.
+
+    An unsplit band goes to ``np.linalg.eigh`` with ``vectors``.  Without,
+    each member is routed on its exact lower half-bandwidth b: a member
+    whose band fills at most a sixteenth of each column, 16 (b + 1) <= n,
+    goes to LAPACK's Hermitian band solver, whose reduction to tridiagonal
+    form (``?hbtrd``) costs O(n^2 b), one member at a time; the others to
+    the dense one, by one LAPACK call.  Both see the same entries.  The
+    crossover was measured on random Hermitian band matrices with one
+    BLAS thread: the band solver costs about as much as the dense one once
+    b reaches n / 12 (n = 130 to 1026), and below n = 24 the dense one
+    wins for any b >= 1."""
     width, n = band.shape[-2] // 2, band.shape[-1]
     starts = _split_starts(band)
-    if len(starts) > 1:
-        w = np.empty(band.shape[:-2] + (n,))
-        for rows, blocks, shift in _block_groups(band, starts):
-            if shift is None:
-                w[..., rows] = blocks
-            elif rows.shape[1] == 2:
-                w[..., rows] = _eigh_2x2(blocks)[0] + shift
-            else:
-                w[..., rows] = _band_eigvalsh(blocks) + shift
-        return np.sort(w, axis=-1)
-    lower = np.ravel(_lower_width(band))
-    flat = band.reshape(-1, 2 * width + 1, n)
-    banded = 16 * (lower + 1) <= n
-    if not banded.any():
-        return np.linalg.eigvalsh(_dense(band))
-    out = np.empty((len(flat), n), dtype=float)
-    if not banded.all():
-        out[~banded] = np.linalg.eigvalsh(_dense(flat[~banded]))
-    for i in np.flatnonzero(banded):
-        out[i] = _banded_eigvals(flat[i, width:width + lower[i] + 1])
-    return out.reshape(band.shape[:-2] + (n,))
+    if len(starts) == 1:
+        if vectors:
+            return np.linalg.eigh(_dense(band))
+        lower = np.ravel(_lower_width(band))
+        flat = band.reshape(-1, 2 * width + 1, n)
+        banded = 16 * (lower + 1) <= n
+        if not banded.any():
+            return np.linalg.eigvalsh(_dense(band)), None
+        w = np.empty((len(flat), n), dtype=float)
+        if not banded.all():
+            w[~banded] = np.linalg.eigvalsh(_dense(flat[~banded]))
+        for i in np.flatnonzero(banded):
+            w[i] = _banded_eigvals(flat[i, width:width + lower[i] + 1])
+        return w.reshape(band.shape[:-2] + (n,)), None
+    lead, dtype = band.shape[:-2], np.result_type(band.dtype, 1.0)
+    slots = np.empty(lead + (n,), dtype=np.finfo(dtype).dtype)
+    solved = []
+    for rows, blocks, shift in _block_groups(band, starts):
+        if shift is None:
+            slots[..., rows] = blocks
+            solved.append((rows, 1))
+            continue
+        w, v = _eigh_2x2(blocks) if rows.shape[1] == 2 \
+            else _band_spectrum(blocks, vectors)
+        slots[..., rows] = w + shift
+        if vectors:
+            solved.append((rows, v.reshape((-1,) + v.shape[-3:])))
+    if not vectors:
+        return np.sort(slots, axis=-1), None
+    order = np.argsort(slots, axis=-1, kind="stable")
+    # the column of each slot in the ascending order
+    column = np.empty_like(order)
+    np.put_along_axis(column, order, np.arange(n), axis=-1)
+    v = np.zeros(lead + (n, n), dtype=dtype)
+    flat_v, flat_column = v.reshape(-1, n, n), column.reshape(-1, n)
+    member = np.arange(len(flat_v))[:, None, None, None]
+    for rows, basis in solved:
+        # component r of eigenvector c of block i sits in row rows[i, r]
+        # and in the column of slot rows[i, c]
+        flat_v[member, rows[:, :, None],
+               flat_column[:, rows][:, :, None, :]] = basis
+    return np.take_along_axis(slots, order, axis=-1), v
 
 
 def _banded_eigvals(band: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import specflow.bundles
@@ -634,7 +635,7 @@ def stacked_calls_match_members(monkeypatch):
         (np.linalg, "eigh"), (np.linalg, "svd"),
         (specflow.operators, "_band_singular_values"),
         (specflow.operators, "_band_null_split"),
-        (specflow.operators, "_split_eigh"))
+        (specflow.operators, "_band_spectrum"))
 
     def checked_eigh(operator, tolerances=DEFAULT):
         dec = eigh(operator, tolerances)
@@ -691,25 +692,51 @@ def stacked_calls_match_members(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def split_eigh_matches_dense(monkeypatch, stacked_calls_match_members):
-    """Repeat every split-band solve of the suite (``_split_eigh``, which
-    ``eigh`` calls for a band that splits into blocks) with the dense
-    ``np.linalg.eigh`` of the same matrices: each member's eigenvalues and
-    cluster projectors must agree (``assert_same_eigenspaces``).  The
-    dense solver is the one in place before the test runs, so a test that
-    counts LAPACK calls does not count these.  It is set up after
+def split_solves_match_dense(monkeypatch, stacked_calls_match_members):
+    """Repeat every split-band solve of the suite (``_band_spectrum`` of a
+    band that splits into blocks, which ``eigh`` and ``eigvalsh`` both
+    call) with the dense solver of the same matrices: with ``vectors``,
+    each member's eigenvalues and cluster projectors must agree with
+    ``np.linalg.eigh`` (``assert_same_eigenspaces``), and without, its
+    eigenvalues with ``np.linalg.eigvalsh`` within 1e-12 of the spectrum's
+    scale (at least 1), a few MB of members at a time.  A member too large
+    to hold densely (n > 2048, a Dirac operator at K = 4096) is compared
+    with LAPACK's band solver on its lower rows instead.  The solvers are
+    the ones in place before the test runs, so a test that counts LAPACK
+    calls does not count these.  It is set up after
     ``stacked_calls_match_members``, whose member-by-member repeats run on
     the unchecked solver."""
     ops = specflow.operators
-    original = ops._split_eigh
-    dense_eigh = np.linalg.eigh
+    original = ops._band_spectrum
+    dense_eigh, dense_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    banded_eigvals = scipy.linalg.eigvals_banded
 
-    def checked(band, starts):
-        w, v = original(band, starts)
-        assert_same_eigenspaces(w, v, *dense_eigh(ops._dense(band)))
+    def reference_eigvalsh(band):
+        width, n = band.shape[-2] // 2, band.shape[-1]
+        flat = band.reshape(-1, 2 * width + 1, n)
+        if n > 2048:
+            parts = [banded_eigvals(b[width:], lower=True)[None]
+                     for b in flat]
+        else:
+            chunk = max(1, 2 ** 18 // (n * n))
+            parts = [dense_eigvalsh(ops._dense(flat[i:i + chunk]))
+                     for i in range(0, len(flat), chunk)]
+        return np.concatenate(parts).reshape(band.shape[:-2] + (n,))
+
+    def checked(band, vectors=False):
+        w, v = original(band, vectors)
+        if len(ops._split_starts(band)) == 1:
+            return w, v
+        if vectors:
+            assert_same_eigenspaces(w, v, *dense_eigh(ops._dense(band)))
+        else:
+            w_ref = reference_eigvalsh(band)
+            scale = np.maximum(np.abs(w_ref).max(axis=-1, initial=0.0), 1.0)
+            assert np.all(np.abs(w - w_ref).max(axis=-1, initial=0.0)
+                          <= 1e-12 * scale)
         return w, v
 
-    monkeypatch.setattr(ops, "_split_eigh", checked)
+    monkeypatch.setattr(ops, "_band_spectrum", checked)
 
 
 @pytest.fixture(autouse=True)

@@ -567,17 +567,17 @@ class TestHigherSpectralFlow:
         cf = self.bott_curve()
         q0, q1 = self.qsections(cf)
         solved, factored = [], []
-        eigvalsh, eigh = specflow.flow._band_eigvalsh, specflow.flow.eigh
+        spectrum, eigh = specflow.flow._band_spectrum, specflow.flow.eigh
 
-        def counted_eigvalsh(a):
+        def counted_spectrum(a, vectors=False):
             solved.append(np.array(a))
-            return eigvalsh(a)
+            return spectrum(a, vectors)
 
         def counted_eigh(a, *args, **kwargs):
             factored.append(a.matrix)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(specflow.flow, "_band_eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(specflow.flow, "_band_spectrum", counted_spectrum)
         monkeypatch.setattr(specflow.flow, "eigh", counted_eigh)
         cls = higher_spectral_flow(cf, q0, q1)
         assert (cls.ch0, cls.ch1) == (-1, -1)

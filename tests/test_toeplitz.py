@@ -11,7 +11,8 @@ from specflow import (CH1_NORMALIZATION, BaseGrid, FourierTruncation,
                       odd_chern_integral, spectral_flow, toeplitz_compress,
                       winding)
 from specflow.config import DEFAULT
-from specflow.errors import IllConditioned, RoundingAmbiguous, UnstableIndex
+from specflow.errors import (GridResolutionError, IllConditioned,
+                             RoundingAmbiguous, UnstableIndex)
 from specflow.operators import _band_of
 from specflow.models import bott_symbol_family, qwz_projector
 import specflow.toeplitz
@@ -469,6 +470,16 @@ class TestOddChernIntegral:
         c = odd_chern_integral(fam, base, n=0)
         assert all(val == -1.0 for val in c.values.values())
 
+    def test_degree0_refuses_a_jump_at_one_vertex(self):
+        # the windings are integers, so one vertex of winding 2 among
+        # winding 1 is refused at its first edge
+        base = BaseGrid.torus(8)
+        fam = {v: SymbolFunction.exponential(2 if v == (3, 5) else 1)
+               for v in base.vertices}
+        with pytest.raises(GridResolutionError,
+                           match=r"jumps across edge \(2, 5\) -> \(3, 5\)"):
+            odd_chern_integral(fam, base, n=0)
+
     def test_degree1_constant_family_vanishes(self):
         base = BaseGrid.torus(8)
         g = SymbolFunction({0: qwz_projector(0.3, 0.9) @ np.eye(2),
@@ -487,7 +498,8 @@ class TestOddChernIntegral:
     @pytest.mark.parametrize("kind", ["rank 1", "rank 2", "rank 3",
                                       "callable"])
     def test_degree1_matches_the_per_vertex_reference(self, kind):
-        # rank 2 is inverted by adjugate, ranks 1 and 3 by np.linalg.inv
+        # every rank is inverted by the adjoint, the reference by
+        # np.linalg.inv
         base = BaseGrid.torus(8 if kind == "rank 1" else 12)
         if kind == "rank 1":
             # a phase e^{i(b_1 + 2 b_2)} e^{ix} of the base point: scalars
