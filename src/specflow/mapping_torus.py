@@ -18,7 +18,9 @@ while the gluing artifacts live at the mode edges, so the index counts
 only interior-localized small singular directions of A and A*.  Those
 directions come from one path at every size, which the band route of
 ``operators.null_splits`` shares, stopping rule included: seeded block
-inverse iteration on the sparse A*A and A A*.  The small singular values
+inverse iteration for the low eigenvectors of the sparse A*A and A A*,
+both solved through one factorization of A*A + sI (the left side by the
+push-through identity).  The small singular values
 are the residual norms ||A v|| and ||A* u|| of its Ritz vectors.  The
 first singular value at or above the threshold is not computed but
 bounded from below, by a residual bound on the next eigenvalue of A*A:

@@ -897,10 +897,11 @@ def null_splits(stack, tolerances: Tolerances = DEFAULT,
 
 #: Smallest kept singular value, relative to the largest, whose split the
 #: band route reads from T*T.  Its square exceeds the shift (1e-12) of
-#: ``_smallest_block`` by 1e4, so each inverse iteration shrinks the kept
-#: part of the null block by that factor, and its convergence tolerance
-#: (1e-10), both relative to the largest value squared, by 100, so the
-#: iteration stops only once that part is below a tenth.
+#: ``small_singular_vectors`` by 1e4, so each inverse iteration shrinks
+#: the kept part of the null block by that factor, on the left side to
+#: roundoff in the block, and its convergence tolerance (1e-10), both
+#: relative to the largest value squared, by 100, so the iteration stops
+#: only once that part is below a tenth.
 _BAND_FRAME_RTOL = 1e-4
 
 
@@ -1019,7 +1020,8 @@ def _band_null_split(band: np.ndarray,
     dqds (``_band_singular_values``), with no dense matrix and no doubled
     one, and the rank decision reads them as the dense route reads its
     SVD.  The n - rank kernel and cokernel directions come from
-    ``small_singular_vectors`` on the sparse T*T and T T*, cut
+    ``small_singular_vectors`` of the sparse T (one factorization of
+    T*T + sI serves both sides), cut
     ``sqrt(svd_gap_factor)`` below the smallest kept value, by the
     stopping rule of the mapping torus; the number of directions found
     must be the n - rank of the exact spectrum (IllConditioned
@@ -1109,6 +1111,28 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int):
     resolved one by one, and the Ritz vectors of a cluster of such values
     are mixtures whose residual norms mix the cluster's values.
 
+    One factorization serves both sides and every block.  The shifted
+    Gram matrix ``a*a + s I``, ``s = 1e-12 scale``, is Hermitian positive
+    definite, so SuperLU factors it with a symmetric ordering of
+    ``A + A^T`` and diagonal pivots, which is as stable as Cholesky for
+    such a matrix.  The right side solves with it; the left side solves
+    with ``a a* + s I`` by the push-through identity
+    ``(a a* + s I)^{-1} = (I - a (a*a + s I)^{-1} a*) / s``, as
+    ``x - a (a*a + s I)^{-1} a* x`` (the factor ``1 / s`` is dropped, as
+    the QR that follows normalizes the block).  Along cokernel directions
+    that leaves ``x`` as it is; along a kept left direction of singular
+    value sigma the exact factor is ``s / (sigma^2 + s)``, which the
+    subtraction gives only to roundoff in ``||x||``, not to relative
+    accuracy, and inverse iteration needs those components only to
+    shrink.  Ritz values, residuals, bounds and counts are read from the
+    explicit ``a*a`` and ``a a*``, so they do not depend on that roundoff.
+    Each right block starts from a seeded draw of its size; the left
+    block takes the leading columns of the first draw, and draws its own
+    start only when it needs more columns than that draw has.  The
+    arithmetic follows the Gram matrix: a complex one is iterated from a
+    seeded complex start, and a real one in real arithmetic from the real
+    part of that start.
+
     ``s_next`` is the square root of ``_smallest_block``'s bound on the
     eigenvalue of ``a*a`` that follows the ns values below the threshold.
     It clears the threshold, and ``s_next <= sigma_{ns+1}`` to roundoff
@@ -1132,19 +1156,35 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int):
     if np.iscomplexobj(a.data) and not a.data.imag.any():
         a = a.real
     a_h = a.getH()
+    n = a.shape[0]
     cut = threshold ** 2
+    gram = (a_h @ a).tocsc()
+    shift = 1e-12 * scale + 1e-300
+    lu = spla.splu(gram + shift * sp.identity(n, format="csc",
+                                              dtype=gram.dtype),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
 
-    def smallest(gram, factor, k):
-        vecs, below, bound = _smallest_block(gram.tocsc(), k, scale, cut)
+    def draw(k):
+        rng = np.random.default_rng(1234567)
+        x = rng.standard_normal((n, k))
+        if np.iscomplexobj(gram):
+            x = x + 1j * rng.standard_normal((n, k))
+        return x
+
+    def smallest(solve, mat, factor, x):
+        vecs, below, bound = _smallest_block(solve, mat, x, scale, cut)
         s = np.linalg.norm(factor @ vecs, axis=0)
         order = np.argsort(s, kind="stable")
         return s[order], vecs[:, order], below, bound
 
+    first = x = draw(k)
     while True:
-        s_r, v_r, below, bound = smallest(a_h @ a, a, k)
+        s_r, v_r, below, bound = smallest(lu.solve, gram, a, x)
         if below < k or k >= 64:
             break
         k *= 2
+        x = draw(k)
     ns = int(np.count_nonzero(s_r < threshold))
     if ns >= k:
         raise IllConditioned("could not isolate the small singular "
@@ -1153,7 +1193,10 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int):
         raise IllConditioned(
             f"{ns} singular values lie below the threshold {threshold:.3e} "
             f"by their residual norms and {below} by their Ritz values")
-    s_l, v_l, _, _ = smallest(a @ a_h, a_h, max(ns + 2, 4))
+    k_left = max(ns + 2, 4)
+    start = first[:, :k_left] if k_left <= first.shape[1] else draw(k_left)
+    s_l, v_l, _, _ = smallest(lambda x: x - a @ lu.solve(a_h @ x),
+                              a @ a_h, a_h, start)
     nl = int(np.count_nonzero(s_l < threshold))
     if nl != ns:
         raise IllConditioned(f"two-sided small-singular counts differ "
@@ -1175,13 +1218,16 @@ def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
     return scipy.linalg.qr(x, mode="economic", check_finite=False)[0]
 
 
-def _smallest_block(mat, k: int, scale: float, cut: float):
-    """Ritz vectors of the smallest k eigenvalues of a sparse PSD matrix,
-    in ascending order of Ritz value, by seeded block inverse iteration
-    (block methods resolve degenerate clusters, which single-vector
-    Lanczos misses with a fixed start); with them, the number r of Ritz
-    values below ``cut`` and a lower bound on the eigenvalue lambda_{r+1}
-    that follows them.
+def _smallest_block(solve, mat, x: np.ndarray, scale: float, cut: float):
+    """Ritz vectors of the smallest k eigenvalues of a sparse PSD matrix
+    ``mat``, in ascending order of Ritz value, by block inverse iteration
+    from the n x k start ``x`` (block methods resolve degenerate clusters,
+    which single-vector Lanczos misses with a fixed start); with them, the
+    number r of Ritz values below ``cut`` and a lower bound on the
+    eigenvalue lambda_{r+1} that follows them.  ``solve`` applies a
+    shifted inverse of ``mat`` (``small_singular_vectors`` factors it) up
+    to a scalar factor, which the QR after every solve removes; the start
+    is not orthonormalized, as the solve is linear and leaves its span.
 
     The iteration stops once the r values below the cut have settled, to
     ``1e-10 (scale + |value|)`` between two steps, and the bound on
@@ -1210,31 +1256,15 @@ def _smallest_block(mat, k: int, scale: float, cut: float):
     assumption the bound lies at most rho below lambda_{r+1} <= theta,
     and carries roundoff of about ``eps scale``.
 
-    The shifted matrix ``mat + 1e-12 scale I`` is Hermitian positive
-    definite, so SuperLU factors it with a symmetric ordering of
-    ``A + A^T`` and diagonal pivots, which is as stable as Cholesky for
-    such a matrix.  The block is orthonormalized by LAPACK's Householder
-    QR (``_orthonormal_columns``) at the start and after every solve.
-    The arithmetic follows ``mat.dtype``: a complex matrix is iterated
-    from a seeded complex start, and a real one in real arithmetic from
-    the real part of that start.  IllConditioned after 60 steps, naming
-    the last bound and the cut.
+    The block is orthonormalized by LAPACK's Householder QR
+    (``_orthonormal_columns``) after every solve.  IllConditioned after
+    60 steps, naming the last bound and the cut.
     """
-    n = mat.shape[0]
-    shift = 1e-12 * scale + 1e-300
-    lu = spla.splu((mat + shift * sp.identity(n, format="csc",
-                                              dtype=mat.dtype)).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    rng = np.random.default_rng(1234567)
-    x = rng.standard_normal((n, k))
-    if np.iscomplexobj(mat):
-        x = x + 1j * rng.standard_normal((n, k))
-    x = _orthonormal_columns(x)
+    k = x.shape[1]
     previous = None
     bound = -np.inf
     for _ in range(60):
-        x = _orthonormal_columns(lu.solve(x))
+        x = _orthonormal_columns(solve(x))
         small = x.conj().T @ (mat @ x)
         vals, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
         read = int(np.count_nonzero(vals < cut))

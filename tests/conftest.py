@@ -203,25 +203,38 @@ def count_eigh(monkeypatch):
     return calls
 
 
-def lu_solve_counts(monkeypatch) -> list:
-    """Route every ``splu`` factorization of ``specflow.operators``
-    through a wrapper whose ``solve`` is counted: one entry per
-    factorization, in order, holding its number of solves."""
-    counts = []
+def splu_calls(monkeypatch) -> list:
+    """Record every ``splu`` factorization of ``specflow.operators``: one
+    entry per factorization, in order, holding the order of its matrix."""
+    calls = []
     original = specflow.operators.spla.splu
 
-    class Counted:
-        def __init__(self, lu):
-            self.lu, self.at = lu, len(counts)
-            counts.append(0)
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return original(matrix, *args, **kwargs)
 
-        def solve(self, rhs):
-            counts[self.at] += 1
-            return self.lu.solve(rhs)
+    monkeypatch.setattr(specflow.operators.spla, "splu", counted)
+    return calls
 
-    monkeypatch.setattr(specflow.operators.spla, "splu",
-                        lambda *args, **kwargs: Counted(original(*args,
-                                                                 **kwargs)))
+
+def block_solve_counts(monkeypatch) -> list:
+    """Route every ``_smallest_block`` call of ``specflow.operators``
+    through a wrapper that counts the solves of the solve it is handed:
+    one entry per block, in order, holding its number of solves."""
+    counts = []
+    original = specflow.operators._smallest_block
+
+    def counted(solve, *args):
+        at = len(counts)
+        counts.append(0)
+
+        def counted_solve(x):
+            counts[at] += 1
+            return solve(x)
+
+        return original(counted_solve, *args)
+
+    monkeypatch.setattr(specflow.operators, "_smallest_block", counted)
     return counts
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import specflow.mapping_torus
-import specflow.operators
 from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
                       TwistedLoopSpec, build_dirac, build_mapping_torus,
                       gauge_transformed_potential, mapping_torus_index,
@@ -12,11 +11,11 @@ from specflow.errors import GluingInconsistent, IllConditioned
 from specflow.mapping_torus import (MappingTorusOperator, _interior_index,
                                     _small_singular_vectors)
 from specflow.models import constant_shift_potential
-from conftest import (assert_matches_reference_assembly, dense_of_band,
-                      hermitian_guard_edge, lu_solve_counts,
-                      next_bound_residuals, random_hermitian,
-                      random_hermitian_symbol, rng_for,
-                      sine_of_largest_angle)
+from conftest import (assert_matches_reference_assembly,
+                      block_solve_counts, dense_of_band,
+                      hermitian_guard_edge, next_bound_residuals,
+                      random_hermitian, random_hermitian_symbol, rng_for,
+                      sine_of_largest_angle, splu_calls)
 
 
 def flux_spec(flux: int, k: int = 16) -> TwistedLoopSpec:
@@ -29,6 +28,17 @@ def flux_spec(flux: int, k: int = 16) -> TwistedLoopSpec:
         tr)
     glue = SymbolFunction.exponential(flux) if flux else None
     return TwistedLoopSpec(curve, glue)
+
+
+def complex_flux_spec(flux: int, k: int = 8) -> TwistedLoopSpec:
+    """A complex potential V0 glued by e^{i flux x} to its conjugate: the
+    path runs from -i d/dx + V0 to e^{i flux x} (-i d/dx + V0)
+    e^{-i flux x}, and its operator A is complex."""
+    v0 = random_hermitian_symbol(1, 1, rng_for(7), scale=0.5)
+    glue = SymbolFunction.exponential(flux)
+    return TwistedLoopSpec(OperatorCurve.from_potentials(
+        [0.0, 1.0], [v0, gauge_transformed_potential(glue, v0)],
+        FourierTruncation(k, 1)), glue)
 
 
 def three_sample_spec() -> TwistedLoopSpec:
@@ -208,7 +218,11 @@ class TestSmallSingularVectors:
         (flux_spec(2, k=8), 16),
         # the doubled-truncation operator of flux_spec(1, k=10) at m_u = 12,
         # n = 492, where the unread top of the block converges slowest
-        (flux_spec(1, k=20), 12)])
+        (flux_spec(1, k=20), 12),
+        # complex A with a nonzero index: the left frames come through
+        # the push-through solve in complex arithmetic
+        (complex_flux_spec(1), 16), (complex_flux_spec(2), 16),
+        (complex_flux_spec(-1), 16)])
     def test_matches_dense_svd(self, spec, m_u, monkeypatch):
         residuals = next_bound_residuals(monkeypatch)
         op = build_mapping_torus(spec, m_u)
@@ -233,10 +247,12 @@ class TestSmallSingularVectors:
 
     @pytest.mark.parametrize("spec, dtype", [
         (flux_spec(1, k=6), np.float64), (flux_spec(2, k=8), np.float64),
-        (three_sample_spec(), np.complex128)])
+        (three_sample_spec(), np.complex128),
+        (complex_flux_spec(1), np.complex128)])
     def test_real_loops_take_real_frames(self, spec, dtype):
         # the flux loops' samples and e^{i flux x} gluing are real matrices
-        # (stored as complex); the three-sample loop has a complex potential
+        # (stored as complex); the three-sample loop and the complex flux
+        # loop have a complex potential
         op = build_mapping_torus(spec, 12)
         threshold = DEFAULT.mapping_torus_rank_rtol * op.sigma_max_bound
         right, left, _, _ = _small_singular_vectors(op, threshold)
@@ -258,27 +274,27 @@ class TestIndex:
         idx = mapping_torus_index(op)
         assert idx == spectral_flow(spec.path) == -flux
 
-    def test_two_factorizations_per_count(self, monkeypatch):
-        # A*A and A A* once each, at its own grid and both doubled ones
-        calls = []
-        splu = specflow.operators.spla.splu
+    @pytest.mark.parametrize("flux", [1, 2, -1])
+    def test_complex_flux_index_equals_path_flow(self, flux):
+        spec = complex_flux_spec(flux)
+        op = build_mapping_torus(spec, 16)
+        assert mapping_torus_index(op) == spectral_flow(spec.path) == -flux
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(specflow.operators.spla, "splu", counted)
+    def test_one_factorization_per_operator(self, monkeypatch):
+        # A*A + sI once, serving both sides, at its own grid and both
+        # doubled ones
+        calls = splu_calls(monkeypatch)
         assert mapping_torus_index(build_mapping_torus(flux_spec(1), 16)) == -1
-        assert len(calls) == 6
+        assert len(calls) == 3
 
     def test_each_block_takes_at_most_two_solves(self, monkeypatch):
-        # each of the six blocks takes at most two solves: the values
-        # below the cut settle after two, and by then the bound on the
-        # next one, which sits in a cluster and settles slowly, clears the
-        # cut
-        solves = lu_solve_counts(monkeypatch)
+        # each of the six blocks, a right and a left one per operator,
+        # takes at most two solves: the values below the cut settle after
+        # two, and by then the bound on the next one, which sits in a
+        # cluster and settles slowly, clears the cut
+        solves = block_solve_counts(monkeypatch)
         assert mapping_torus_index(build_mapping_torus(flux_spec(1), 16)) == -1
-        assert max(solves) <= 2
+        assert len(solves) == 6 and max(solves) <= 2
 
     def test_doubled_operators_get_the_given_tolerances(self, monkeypatch):
         seen = []

@@ -22,14 +22,14 @@ from specflow.operators import (NullSplit, _interior_split,
                                 null_splits, numerical_rank,
                                 small_singular_vectors, split_rank)
 from conftest import (assert_matches_dense_split,
-                      assert_same_eigenspaces, clustered_band_matrix,
-                      dense_null_split, dense_of_band, derivative_matrix,
+                      assert_same_eigenspaces, block_solve_counts,
+                      clustered_band_matrix, dense_null_split,
+                      dense_of_band, derivative_matrix,
                       fd_dirac_cos_spectrum, flow_symbols, lone_split,
-                      lu_solve_counts, next_bound_residuals,
-                      random_hermitian,
+                      next_bound_residuals, random_hermitian,
                       random_hermitian_symbol, random_trig_unitary,
                       random_unitary, rng_for, sine_of_largest_angle,
-                      svd_shapes)
+                      splu_calls, svd_shapes)
 from test_perfbench_workloads import load_workloads
 
 
@@ -1205,18 +1205,56 @@ class TestSmallSingularVectors:
     def test_band_route_takes_two_solves_per_block(self, monkeypatch):
         # the band route stops by the bound on the next value, which
         # clears the cut as soon as the null values have settled, after
-        # two solves (the suite's checks repeat the Toeplitz splits, so
-        # their factorizations are counted by value, not by number)
-        solves = lu_solve_counts(monkeypatch)
+        # two solves; one factorization serves the two blocks of a split
+        # (the suite's checks repeat the Toeplitz splits, so their blocks
+        # and factorizations are counted by ratio, not by number)
+        factorizations = splu_calls(monkeypatch)
+        solves = block_solve_counts(monkeypatch)
         residuals = next_bound_residuals(monkeypatch)
         assert lone_split(clustered_band_matrix(0, n=300)).rank == 298
-        assert solves == [2, 2] and residuals
+        assert factorizations == [300] and solves == [2, 2] and residuals
+        factorizations.clear()
         solves.clear()
         tr = FourierTruncation(128, 2)
         g, winding = random_trig_unitary(2, rng_for(0), max_winding=2)
         t = toeplitz_compress(hardy_section(tr), g, tr)
         assert fredholm_index(t) == -winding == -3
-        assert solves and set(solves) == {2}
+        assert factorizations and len(solves) == 2 * len(factorizations)
+        assert max(solves) <= 2
+
+    def test_doubled_blocks_share_one_factorization(self, monkeypatch):
+        # eleven null rows under a first block of four: the right block
+        # doubles to 8 and 16 before the bound clears the cut, and every
+        # block, left ones included, solves with the one factorization
+        t = clustered_band_matrix(0, n=300)
+        t[[10, 40, 70, 100, 130, 160, 190, 220, 250]] = 0
+        u, s, vh = np.linalg.svd(t)
+        threshold = 1e-4 * s[0]
+        factorizations = splu_calls(monkeypatch)
+        solves = block_solve_counts(monkeypatch)
+        right, left, small, s_next = small_singular_vectors(
+            sp.csc_matrix(t), threshold, s[0] ** 2, 4)
+        assert factorizations == [300] and len(solves) == 4
+        assert right.shape == left.shape == (300, 11)
+        assert np.all(small <= 1e-12 * s[0])
+        assert threshold <= s_next <= s[-12]
+        assert sine_of_largest_angle(right, vh[-11:].conj().T) <= 1e-6
+        assert sine_of_largest_angle(left, u[:, -11:]) <= 1e-6
+
+    def test_kept_value_just_inside_the_band_frames(self):
+        # a row scaled by 2e-4 leaves a kept value 1.16e-4 of the largest,
+        # just above _BAND_FRAME_RTOL: the band route takes the split, and
+        # along that value the subtraction x - T z of the left solve
+        # cancels the most
+        t = clustered_band_matrix(0, n=300)
+        t[75] *= 2e-4
+        u, s, vh = np.linalg.svd(t)
+        assert 1e-4 < s[-3] / s[0] < 1.2e-4
+        split = specflow.operators._band_null_split(
+            specflow.operators._band_of(t), DEFAULT)
+        assert split.rank == 298
+        assert sine_of_largest_angle(split.kernel, vh[-2:].conj().T) <= 1e-6
+        assert sine_of_largest_angle(split.cokernel, u[:, -2:]) <= 1e-6
 
     def test_band_route_count_must_match_the_spectrum(self, monkeypatch):
         # the exact spectrum claims one null value fewer than the matrix
