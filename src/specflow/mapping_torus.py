@@ -36,9 +36,12 @@ both grid parameters must leave the counts unchanged (mandatory check).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
 from .errors import DoublingDetected, GluingInconsistent
@@ -135,6 +138,7 @@ def build_mapping_torus(spec: TwistedLoopSpec, m_u: int,
     an affine segment, so the largest sample norm, from one ``eigvalsh``
     of the band stack, bounds every midpoint slice in ``sigma_max_bound``.
     """
+    import scipy.sparse as sp
     if m_u < 8:
         raise ValueError("need at least 8 u-slices")
     trunc = spec.truncation

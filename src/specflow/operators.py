@@ -18,13 +18,15 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack
+
+# scipy is imported by the kernels that call it (band LAPACK, sparse LU,
+# Householder QR), so a process that never reaches one, such as a Chern
+# number or a family class, runs on numpy alone
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
 from .errors import IllConditioned
@@ -189,11 +191,19 @@ class SymbolFunction:
     def adjoint(self) -> "SymbolFunction":
         """g* with the same sample grid and tolerances: g*(x) is the
         adjoint of g(x) at every point, so a sampled symbol's promise of
-        unitarity carries over at its own sample points."""
-        return SymbolFunction({-k: c.conj().T for k, c in self.coefficients.items()},
-                              rank=self.rank, unitary=self.unitary,
-                              native_grid=self.native_grid,
-                              tolerances=self.tolerances)
+        unitarity carries over at its own sample points.
+
+        A unitary symbol's defect is not measured again: at each grid
+        point ``g* g - I`` and ``g g* - I`` have the same 2-norm, since
+        ``g* g`` and ``g g*`` have the same eigenvalues, so g* inherits
+        the defect g passed the same check with."""
+        adj = SymbolFunction({-k: c.conj().T for k, c in self.coefficients.items()},
+                             rank=self.rank, native_grid=self.native_grid,
+                             tolerances=self.tolerances)
+        if self.unitary:
+            adj.__dict__["unitarity_defect"] = self.unitarity_defect
+            object.__setattr__(adj, "unitary", True)
+        return adj
 
     def derivative(self) -> "SymbolFunction":
         return SymbolFunction({k: 1j * k * c for k, c in self.coefficients.items()},
@@ -662,6 +672,7 @@ def _band_spectrum(band: np.ndarray, vectors: bool = False):
 def _banded_eigvals(band: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian matrix whose lower band is
     stored row by row, ``band[d, j] = m[j + d, j]``."""
+    import scipy.linalg
     return scipy.linalg.eigvals_banded(band, lower=True)
 
 
@@ -926,6 +937,7 @@ def _lapack(name: str):
     module's C-API capsule.  The capsule's name is the C signature, and a
     Fortran routine takes every argument by pointer, so each argument is
     declared a ``c_void_p``."""
+    from scipy.linalg import cython_lapack
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     capsule_pointer = ctypes.PYFUNCTYPE(
@@ -999,6 +1011,7 @@ def _csc_of_band(band: np.ndarray) -> sp.csc_matrix:
     """The square matrix of a band (2w + 1, n) in CSC form, its exact
     zeros dropped and each column's rows ascending: entry for entry the
     ``sp.csc_matrix`` of the dense matrix."""
+    import scipy.sparse as sp
     width, n = band.shape[0] // 2, band.shape[1]
     # column j of the matrix is row j of the transposed band, its rows
     # j - w..j + w ascending
@@ -1153,6 +1166,8 @@ def small_singular_vectors(a, threshold: float, scale: float, k: int):
     real block finds the same subspaces, and the vectors returned are
     real.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     if np.iscomplexobj(a.data) and not a.data.imag.any():
         a = a.real
     a_h = a.getH()
@@ -1215,6 +1230,7 @@ def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
     columns of ``_smallest_block`` outgrow the rest by about 1e8, past
     where a Cholesky QR of the Gram matrix breaks down.
     """
+    import scipy.linalg
     return scipy.linalg.qr(x, mode="economic", check_finite=False)[0]
 
 

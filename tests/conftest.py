@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import specflow.bundles
 import specflow.flow
@@ -204,16 +205,17 @@ def count_eigh(monkeypatch):
 
 
 def splu_calls(monkeypatch) -> list:
-    """Record every ``splu`` factorization of ``specflow.operators``: one
+    """Record every ``scipy.sparse.linalg.splu`` factorization, which
+    ``specflow.operators`` looks up on that module when it factors: one
     entry per factorization, in order, holding the order of its matrix."""
     calls = []
-    original = specflow.operators.spla.splu
+    original = scipy.sparse.linalg.splu
 
     def counted(matrix, *args, **kwargs):
         calls.append(matrix.shape[0])
         return original(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(specflow.operators.spla, "splu", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     return calls
 
 

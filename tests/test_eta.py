@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -199,13 +200,95 @@ class TestReducedShiftedModel:
         assert reduced_eta_shifted_model(3.0) == 0.5
 
 
-def test_import_loads_no_eta_dependency():
-    # mpmath and scipy.special are loaded by the eta functions that use
-    # them, so importing the package, in a fresh interpreter, loads neither
-    code = ("import sys, specflow; print([m for m in ('mpmath', "
-            "'scipy.special') if m in sys.modules])")
+def _fresh(code: str):
+    """The JSON value that ``code``, run in a fresh interpreter on this
+    package, prints on its last line."""
     env = dict(os.environ, PYTHONPATH=str(Path(specflow.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=120)
-    assert done.stdout.split() == ["[]"]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_eta_dependency():
+    # mpmath and scipy.special are loaded by the eta functions that use
+    # them, so importing the package, in a fresh interpreter, loads neither
+    code = ("import json, sys, specflow; print(json.dumps([m for m in "
+            "('mpmath', 'scipy.special') if m in sys.modules]))")
+    assert _fresh(code) == []
+
+
+#: The family path: a plaquette Chern number, then a Toeplitz family class
+#: and a higher spectral flow on the 8x8 Bott family.
+FAMILY_PATH = """
+import json, sys
+from specflow import (BaseGrid, CurveOfFamilies, FourierTruncation,
+                      aps_section_family, chern_number,
+                      gauge_transformed_potential, higher_spectral_flow,
+                      toeplitz_family_index)
+from specflow.models import bott_symbol_family, qwz_projector_family
+
+base = BaseGrid.torus(8)
+chern = chern_number(qwz_projector_family(base))
+fam = bott_symbol_family(base)
+tr = FourierTruncation(4, 2)
+cls = toeplitz_family_index(fam, base, tr)
+pots = {v: gauge_transformed_potential(fam[v]) for v in base.vertices}
+curve = CurveOfFamilies.from_potentials(
+    base, lambda v, t: pots[v].scale(t), [0.0, 0.5, 1.0], tr)
+hsf = higher_spectral_flow(curve, aps_section_family(curve.family_at(0.0)),
+                           aps_section_family(curve.family_at(1.0)))
+print(json.dumps(dict(
+    integers=[chern, cls.ch0, cls.ch1, hsf.ch0, hsf.ch1],
+    equivalent=hsf.equivalent(cls),
+    scipy=sorted(m for m in sys.modules if m.startswith("scipy")))))
+"""
+
+#: Set-up and call of a Toeplitz index whose compressions at K = 80 and at
+#: 2K take the band route of ``null_splits``, and of a flux-1 mapping torus.
+SPARSE_PATHS = {
+    "band_route": ("""
+import numpy as np
+from specflow import (FourierTruncation, SymbolFunction, fredholm_index,
+                      hardy_section, toeplitz_compress)
+c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+u = np.array([[c, -s], [s, c]])
+v = np.diag([1.0, 1j]) @ u
+# u diag(e^{ix}, 1) v: winding 1, half-bandwidths 3 and 1
+g = SymbolFunction({1: u @ np.diag([1.0, 0.0]) @ v,
+                    0: u @ np.diag([0.0, 1.0]) @ v}, rank=2, unitary=True)
+tr = FourierTruncation(80, 2)
+t = toeplitz_compress(hardy_section(tr), g, tr)
+""", "fredholm_index(t)"),
+    "mapping_torus": ("""
+from specflow import (FourierTruncation, OperatorCurve, SymbolFunction,
+                      TwistedLoopSpec, build_mapping_torus,
+                      mapping_torus_index)
+from specflow.models import constant_shift_potential
+curve = OperatorCurve.from_potentials(
+    [0.0, 1.0], [constant_shift_potential(0.0),
+                 constant_shift_potential(-1.0)], FourierTruncation(16, 1))
+spec = TwistedLoopSpec(curve, SymbolFunction.exponential(1))
+""", "mapping_torus_index(build_mapping_torus(spec, 16))"),
+}
+
+
+def test_family_path_loads_no_scipy():
+    # scipy is loaded by the kernels that call it (band LAPACK, sparse LU,
+    # Householder QR), none of which a Chern number or a family class
+    # reaches
+    done = _fresh(FAMILY_PATH)
+    assert done["integers"] == [1, -1, -1, -1, -1]
+    assert done["equivalent"]
+    assert done["scipy"] == []
+
+
+@pytest.mark.parametrize("path", sorted(SPARSE_PATHS))
+def test_sparse_paths_load_scipy_when_they_solve(path):
+    setup, call = SPARSE_PATHS[path]
+    code = ("import json, sys\n" + setup
+            + "before = 'scipy.sparse.linalg' in sys.modules\n"
+            + f"value = {call}\n"
+            + "print(json.dumps([before, value, "
+              "'scipy.sparse.linalg' in sys.modules]))")
+    assert _fresh(code) == [False, -1, True]

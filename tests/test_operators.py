@@ -1333,6 +1333,16 @@ class TestUnitarityDefect:
             assert symbol.unitarity_defect \
                 == _unitarity_defect_per_point(symbol)
 
+    def test_adjoint_reuses_the_defect(self):
+        # g* g - I and g g* - I share their 2-norm, so the adjoint's
+        # inherited defect is a fresh measurement of it to roundoff
+        for symbol in self.symbols():
+            gstar = symbol.adjoint()
+            assert gstar.unitary and gstar.native_grid == symbol.native_grid
+            assert gstar.unitarity_defect == symbol.unitarity_defect
+            assert abs(gstar.unitarity_defect
+                       - _unitarity_defect_per_point(gstar)) <= 1e-15
+
 
 class TestSymbolAlgebra:
     def test_product_maps_to_matrix_product_on_interior(self, rng):
