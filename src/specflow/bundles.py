@@ -86,10 +86,11 @@ class _FrameMeasures(NamedTuple):
 
     @classmethod
     def of(cls, base: BaseGrid, frames: np.ndarray) -> "_FrameMeasures":
-        """Measured on the frames: one overlap ``F_a* F_b`` per edge,
-        factored once in each direction, whose smallest singular value
-        gives the step: the sine of the largest principal angle between
-        the ranges, ``sqrt(1 - sigma_min^2)``."""
+        """Measured on the frames: one overlap ``O = F_a* F_b`` per edge,
+        whose smallest singular value gives the step, the sine of the
+        largest principal angle between the ranges,
+        ``sqrt(1 - sigma_min^2)``, and which is factored once: the
+        backward link ``det O*`` is ``conj(det O)``."""
         defects = _gram_defect(frames)
         tails, heads = base.edge_index
         if frames.shape[-1] == 0:
@@ -97,10 +98,9 @@ class _FrameMeasures(NamedTuple):
                        np.ones(2 * len(tails), dtype=complex))
         overlaps = np.swapaxes(frames[tails].conj(), -1, -2) @ frames[heads]
         s_min = np.linalg.svd(overlaps, compute_uv=False)[..., -1]
-        links = np.concatenate([np.linalg.det(overlaps), np.linalg.det(
-            np.swapaxes(overlaps.conj(), -1, -2))])
+        links = np.linalg.det(overlaps)
         return cls(defects, np.sqrt(np.maximum(1.0 - s_min * s_min, 0.0)),
-                   links)
+                   np.concatenate([links, links.conj()]))
 
     def direct_sum(self, other: "_FrameMeasures") -> "_FrameMeasures":
         """The measures of the block-diagonal sum of the frames: a
@@ -257,8 +257,9 @@ def chern_number(family: ProjectorFamily,
     torus: sum of overlap-determinant phases around plaquettes over 2 pi.
 
     The link determinants are the ones the family recorded when it was
-    validated, each edge factored once in each direction; they are
-    multiplied around each plaquette in traversal order.  A link
+    validated, each edge's overlap factored once and its backward link
+    the conjugate of its forward one; they are multiplied around each
+    plaquette in traversal order.  A link
     determinant below ``overlap_min_det`` in modulus raises
     SingularOverlap, and a total more than 1e-6 from an integer raises
     RoundingAmbiguous.
@@ -432,17 +433,21 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies, q0: SpectralSection,
     the order of ``base.vertices`` (``aps_section_family``); any other
     stack is refused with ValueError.  A single partition with
     per-interval levels is certified across the whole base; the class is
-    the sum over the brackets of ``flow`` of the kernel bundle minus the
-    cokernel bundle of each bracket's comparison maps, and ch0 is checked
-    to be the constant pointwise flow.  The family at each breakpoint is
-    diagonalized once, as one stack: the partition reads its spectra off
-    the eigendecompositions that the brackets' sections need.  The
-    partition is streamed: the bracket at a breakpoint is built as soon
-    as the interval to its right is certified, and the decomposition
-    there is dropped at once, so a refusal of a bracket can come before a
-    refusal of the partition farther right.  Each bracket's comparison
-    maps are split as one stack, and the brackets' bundles are summed
-    from their recorded measures (``ProjectorFamily.direct_sum``).
+    the sum over the brackets of ``flow`` of a positive minus a negative
+    bundle, and ch0 is checked to be the constant pointwise flow.  At the
+    two end brackets, where q0 and q1 enter, these are the kernel and
+    cokernel bundles of the comparison maps, split as one stack.  An
+    interior bracket compares two sections of one eigenbasis, the one of
+    higher rank holding the other, so its bundle is framed by the
+    eigenvectors between the two levels, with no comparison map.  The
+    family at each breakpoint is diagonalized once, as one stack: the
+    partition reads its spectra off the eigendecompositions that the
+    brackets' sections need.  The partition is streamed: the bracket at
+    a breakpoint is built as soon as the interval to its right is
+    certified, and the decomposition there is dropped at once, so a
+    refusal of a bracket can come before a refusal of the partition
+    farther right.  The brackets' bundles are summed from their recorded
+    measures (``ProjectorFamily.direct_sum``).
     """
     base = curve_fam.base
     if any(q.basis.shape[:-2] != (len(base.vertices),) for q in (q0, q1)):
@@ -464,21 +469,25 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies, q0: SpectralSection,
             intervals.append(interval)
             yield interval
 
-    # one split of the comparison map Y* X : Im X -> Im Y gives the kernel
-    # frame in X's basis and the cokernel frame in Y's basis; lifted to the
-    # ambient space they frame the bracket's kernel and cokernel bundles
     flow = 0
     positive: ProjectorFamily | None = None
     negative: ProjectorFamily | None = None
-    for t, x, y in _brackets(certified(), cache.section, q0, q1):
+    for t, x, y, end in _brackets(certified(), cache.section, q0, q1):
         cache.release(t)
-        kernel, cokernel = _null_frames(base, comparison_map(x, y),
-                                        tolerances)
         flow += x.rank - y.rank
-        fam = ProjectorFamily(base, x.basis @ kernel, tolerances)
+        if end:
+            # one split of the comparison map Y* X : Im X -> Im Y gives the
+            # kernel frame in X's basis and the cokernel frame in Y's;
+            # lifted to the ambient space they frame the bracket's bundles
+            kernel, cokernel = _null_frames(base, comparison_map(x, y),
+                                            tolerances)
+            kernel, cokernel = x.basis @ kernel, y.basis @ cokernel
+        else:
+            kernel, cokernel = _interior_frames(x, y)
+        fam = ProjectorFamily(base, kernel, tolerances)
         if fam.rank:
             positive = fam if positive is None else positive.direct_sum(fam)
-        fam = ProjectorFamily(base, y.basis @ cokernel, tolerances)
+        fam = ProjectorFamily(base, cokernel, tolerances)
         if fam.rank:
             negative = fam if negative is None else negative.direct_sum(fam)
 
@@ -495,6 +504,15 @@ def higher_spectral_flow(curve_fam: CurveOfFamilies, q0: SpectralSection,
     return _class_from_parts(base, positive, negative, tolerances,
                              meta={"partitions": len(part.intervals),
                                    "min_gap": part.min_gap})
+
+
+def _interior_frames(x: SpectralSection, y: SpectralSection):
+    """The kernel and cokernel frames of an interior bracket [X - Y],
+    whose sections are top columns of one eigenbasis: the eigenvectors
+    between the two levels, the first columns of the section of higher
+    rank, frame one side, and the other side is empty."""
+    return (x.basis[..., :max(x.rank - y.rank, 0)],
+            y.basis[..., :max(y.rank - x.rank, 0)])
 
 
 def aps_section_family(family: OperatorFamily, cutoff: float = 0.0,

@@ -8,8 +8,10 @@ section P_j(t) above a_j moves continuously over it.  The flow is the sum
 of the brackets [P_1(0) - Q_0], [P_{j+1}(t_j) - P_j(t_j)] at each interior
 breakpoint t_j, and [Q_1 - P_n(1)], where Q_0 and Q_1 are the endpoint
 sections.  ``spectral_flow`` reads each bracket as a difference of
-eigenvalue counts, ``sf_pairs`` as a difference element, and
-``bundles.higher_spectral_flow`` as a difference of kernel bundles.
+eigenvalue counts, ``sf_pairs`` its two end brackets as difference
+elements and the interior ones as counts, and
+``bundles.higher_spectral_flow`` each bracket as a difference of kernel
+bundles.
 
 Sign convention: an eigenvalue moving from lambda < 0 to lambda >= 0
 contributes +1; zero eigenvalues at interval ends count on the
@@ -264,14 +266,24 @@ def _first_invalid(dec: EigenDecomposition | None, section: SpectralSection,
     if dec is None:
         worst = np.zeros(gram.shape)
     else:
+        # the eigenvalues ascend, so in every member the eigenvectors
+        # above its window are a suffix of its columns and those below a
+        # prefix: the stack is checked on its longest suffix and prefix
         w, v = dec.eigenvalues, dec.eigenvectors
         window = np.asarray(section.threshold_window)[..., None]
-        coeffs = np.swapaxes(b.conj(), -1, -2) @ v
-        fixed = np.linalg.norm(b @ coeffs - v, axis=-2)
-        killed = np.linalg.norm(coeffs, axis=-2)
-        worst = np.maximum(np.where(w > window, fixed, 0.0),
-                           np.where(w < -window, killed, 0.0))
-        worst = np.ravel(worst.max(axis=-1, initial=0.0))
+        above, below = w > window, w < -window
+        start = w.shape[-1] - np.max(np.count_nonzero(above, axis=-1),
+                                     initial=0)
+        stop = np.max(np.count_nonzero(below, axis=-1), initial=0)
+        bh = np.swapaxes(b.conj(), -1, -2)
+        top, bottom = v[..., start:], v[..., :stop]
+        fixed = np.linalg.norm(b @ (bh @ top) - top, axis=-2)
+        killed = np.linalg.norm(bh @ bottom, axis=-2)
+        worst = np.ravel(np.maximum(
+            np.where(above[..., start:], fixed, 0.0).max(axis=-1,
+                                                         initial=0.0),
+            np.where(below[..., :stop], killed, 0.0).max(axis=-1,
+                                                         initial=0.0)))
     bad_gram = gram > tolerances.projector_idempotent
     bad = np.flatnonzero(bad_gram | (worst > tolerances.section_condition))
     if bad.size == 0:
@@ -609,6 +621,12 @@ class _SpectrumCache:
         return _section_above(self.decomposition(t), cutoff, "inclusive",
                               self.tolerances)
 
+    def count(self, t: float, level: float) -> int:
+        """The rank of ``section(t, level)`` of a single curve, read off
+        the spectrum at t: ``#(eig >= level - cutoff_atol)``."""
+        return int(np.count_nonzero(
+            self(t) >= level - self.tolerances.cutoff_atol))
+
     def release(self, t: float):
         """Drop the operator at t and its eigendecomposition."""
         self._ops.pop(float(t), None)
@@ -692,24 +710,38 @@ def _gap_intervals(cache: _SpectrumCache, tolerances: Tolerances,
 def _brackets(intervals, section_at, q0, q1):
     """The brackets [X - Y] whose sum is the flow along a gap partition,
     given by its intervals in order (a sequence, or a stream such as
-    ``_gap_intervals``).
+    ``_gap_intervals``), for a caller that needs their sections
+    (``bundles.higher_spectral_flow``).
 
-    Yields (t, X, Y) for [P_1(0) - q0], for [P_{j+1}(t_j) - P_j(t_j)] at
-    each interior breakpoint t_j, and for [q1 - P_n(1)], where
+    Yields (t, X, Y, end) for [P_1(0) - q0], for [P_{j+1}(t_j) - P_j(t_j)]
+    at each interior breakpoint t_j, and for [q1 - P_n(1)], where
     ``P_j(t) = section_at(t, a_j)`` is taken above the level of interval
-    j.  A breakpoint's sections are built before they are yielded, and
-    the bracket at t_j as soon as interval j + 1 arrives, so the caller
-    may drop the spectral data at t in its loop body before the next
-    interval is asked for.
+    j; ``end`` marks the two end brackets.  Both sections of an interior
+    bracket are top columns of one eigenbasis, so the one of higher rank
+    holds the other, and only an end bracket, where q0 or q1 enters,
+    needs a comparison map.  A breakpoint's sections are built before
+    they are yielded, and the bracket at t_j as soon as interval j + 1
+    arrives, so the caller may drop the spectral data at t in its loop
+    body before the next interval is asked for.
     """
     intervals = iter(intervals)
     prev = next(intervals)
-    yield prev.t_left, section_at(prev.t_left, prev.level), q0
+    yield prev.t_left, section_at(prev.t_left, prev.level), q0, True
     for nxt in intervals:
         t = prev.t_right
-        yield t, section_at(t, nxt.level), section_at(t, prev.level)
+        yield t, section_at(t, nxt.level), section_at(t, prev.level), False
         prev = nxt
-    yield prev.t_right, q1, section_at(prev.t_right, prev.level)
+    yield prev.t_right, q1, section_at(prev.t_right, prev.level), True
+
+
+def _interior_flow(intervals: Sequence[GapInterval], count) -> int:
+    """The sum of the interior brackets [P_{j+1}(t_j) - P_j(t_j)] of a gap
+    partition, each ``count(t_j, a_{j+1}) - count(t_j, a_j)``: both are
+    spectral projections of the operator at t_j, so the difference
+    element of the bracket is the difference of their eigenvalue counts
+    above the two levels."""
+    return sum(count(a.t_right, b.level) - count(a.t_right, a.level)
+               for a, b in zip(intervals, intervals[1:]))
 
 
 @dataclass(frozen=True)
@@ -732,13 +764,10 @@ def spectral_flow_result(curve: OperatorCurve, cutoff0: float = 0.0,
     """
     cache = _SpectrumCache(curve, tolerances)
     part = gap_partition(curve, tolerances, _cache=cache)
-    atol = tolerances.cutoff_atol
-
-    def count(t: float, level: float) -> int:
-        return int(np.count_nonzero(cache(t) >= level - atol))
-
-    sf = sum(x - y for _, x, y in _brackets(
-        part.intervals, count, count(0.0, cutoff0), count(1.0, cutoff1)))
+    first, last = part.intervals[0], part.intervals[-1]
+    sf = (cache.count(first.t_left, first.level) - cache.count(0.0, cutoff0)
+          + _interior_flow(part.intervals, cache.count)
+          + cache.count(1.0, cutoff1) - cache.count(last.t_right, last.level))
     return SpectralFlowResult(sf=sf, partitions=len(part.intervals),
                               min_gap=part.min_gap)
 
@@ -757,12 +786,15 @@ def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
              tolerances: Tolerances = DEFAULT) -> int:
     """Spectral flow between endpoint pairs (D_0, q0) and (D_1, q1).
 
-    The sum of the difference elements of the brackets: the transported
-    section on each gap subinterval is the inclusive projector above its
-    certified level, so a partition of n intervals takes n + 1 difference
-    elements.  The computation is repeated on a once-bisected partition
-    and must agree.  Each operator on the curve is diagonalized at most
-    once.
+    The sum of the brackets of ``flow``: the transported section on each
+    gap subinterval is the inclusive projector above its certified
+    level.  The two end brackets, [P_1(0) - q0] and [q1 - P_n(1)], are
+    difference elements, whose comparison maps carry the rank check; an
+    interior bracket compares two spectral projections of one operator
+    and is read, as in ``spectral_flow``, as a difference of eigenvalue
+    counts off the spectra the partition holds.  The computation is
+    repeated on a once-bisected partition and must agree.  Only the
+    operators at t = 0 and t = 1 are diagonalized, once each.
     """
     _single("sf_pairs", q0, q1)
     cache = _SpectrumCache(curve, tolerances)
@@ -770,9 +802,13 @@ def sf_pairs(curve: OperatorCurve, q0: SpectralSection, q1: SpectralSection,
     _validate_section(cache.decomposition(1.0), q1, tolerances)
 
     def run(part: Partition) -> int:
-        return sum(difference_element(x, y, tolerances).value
-                   for _, x, y in _brackets(part.intervals, cache.section,
-                                            q0, q1))
+        first, last = part.intervals[0], part.intervals[-1]
+        return (difference_element(cache.section(first.t_left, first.level),
+                                   q0, tolerances).value
+                + _interior_flow(part.intervals, cache.count)
+                + difference_element(q1, cache.section(last.t_right,
+                                                       last.level),
+                                     tolerances).value)
 
     part = gap_partition(curve, tolerances, _cache=cache)
     value = run(part)

@@ -15,7 +15,6 @@ import hashlib
 import json
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .basegrid import BaseGrid
 from .config import DEFAULT, Tolerances
@@ -81,6 +80,7 @@ FAMILY_SCHEMA = {
 
 
 def validate(payload: dict, schema: dict, what: str):
+    from jsonschema import Draft202012Validator
     errors = sorted(Draft202012Validator(schema).iter_errors(payload),
                     key=lambda e: e.json_path)
     if errors:

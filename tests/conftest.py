@@ -7,7 +7,6 @@ constructions are self-contained.
 
 import dataclasses
 import functools
-from collections import Counter
 from contextlib import contextmanager
 
 import sys
@@ -189,19 +188,18 @@ def flow_symbols(seed: int) -> list:
     return symbols
 
 
-def count_eigh(monkeypatch):
-    """Route specflow.flow.eigh through a counter keyed by the operator
-    object; the list keeps every operator alive so ids stay unique."""
-    calls, seen = Counter(), []
+def factored_operators(monkeypatch) -> list:
+    """Route specflow.flow.eigh through a recorder: one entry per call, in
+    order, holding the operator it factors."""
+    factored = []
     original = specflow.flow.eigh
 
-    def counted(operator, *args, **kwargs):
-        seen.append(operator)
-        calls[id(operator)] += 1
+    def recorded(operator, *args, **kwargs):
+        factored.append(operator)
         return original(operator, *args, **kwargs)
 
-    monkeypatch.setattr(specflow.flow, "eigh", counted)
-    return calls
+    monkeypatch.setattr(specflow.flow, "eigh", recorded)
+    return factored
 
 
 def splu_calls(monkeypatch) -> list:
@@ -609,12 +607,14 @@ def assert_same_subspaces(a, b):
 
 def kernels_now(*names):
     """A context manager that puts back, for its body, the kernels the
-    (owner, name) pairs hold now, and then whatever they hold by then."""
+    (owner, name) pairs hold now, and then whatever they hold by then; a
+    kernel that a class only inherits is inherited again afterwards."""
     kernels = [(owner, name, getattr(owner, name)) for owner, name in names]
+    inherited = object()
 
     @contextmanager
     def pristine():
-        current = [(owner, name, getattr(owner, name))
+        current = [(owner, name, vars(owner).get(name, inherited))
                    for owner, name, _ in kernels]
         for owner, name, kernel in kernels:
             setattr(owner, name, kernel)
@@ -622,7 +622,10 @@ def kernels_now(*names):
             yield
         finally:
             for owner, name, kernel in current:
-                setattr(owner, name, kernel)
+                if kernel is inherited:
+                    delattr(owner, name)
+                else:
+                    setattr(owner, name, kernel)
 
     return pristine
 
@@ -782,6 +785,100 @@ def sums_match_their_frames(monkeypatch):
         return out
 
     monkeypatch.setattr(family, "direct_sum", checked)
+
+
+def assert_inclusions(x, y):
+    """The comparison maps of two sections, or stacked sections, of one
+    eigenbasis are coordinate inclusions: every singular value lies
+    within 1e-12 of 1, so no ``rank_rtol`` or ``svd_gap_factor`` could
+    refuse their rank."""
+    maps = specflow.flow.comparison_map(x, y)
+    if maps.size:
+        s = np.linalg.svd(maps, compute_uv=False)
+        assert np.abs(s - 1).max() <= 1e-12
+
+
+def reference_sf_pairs(curve, q0, q1, tolerances=DEFAULT) -> int:
+    """``sf_pairs`` as it was summed before its interior brackets were
+    read as eigenvalue counts: a difference element of every bracket,
+    from the sections of the eigendecomposition at each breakpoint, on
+    the gap partition and on its once-bisected refinement, which must
+    agree.  Every interior comparison map is checked to be an inclusion
+    (``assert_inclusions``), and each interior breakpoint's data is
+    dropped once its bracket is taken."""
+    flow = specflow.flow
+    cache = flow._SpectrumCache(curve, tolerances)
+    part = flow.gap_partition(curve, tolerances, _cache=cache)
+    finer = [t for iv in part.intervals
+             for t in (iv.t_left, 0.5 * (iv.t_left + iv.t_right))] + [1.0]
+    refined = flow.gap_partition(curve, tolerances, initial_breaks=finer,
+                                 _cache=cache)
+    values = []
+    for intervals in (part.intervals, refined.intervals):
+        first, last = intervals[0], intervals[-1]
+        value = flow.difference_element(
+            cache.section(first.t_left, first.level), q0, tolerances).value
+        for a, b in zip(intervals, intervals[1:]):
+            x = cache.section(a.t_right, b.level)
+            y = cache.section(a.t_right, a.level)
+            assert_inclusions(x, y)
+            value += flow.difference_element(x, y, tolerances).value
+            cache.release(a.t_right)
+        values.append(value + flow.difference_element(
+            q1, cache.section(last.t_right, last.level), tolerances).value)
+    assert values[0] == values[1]
+    return values[0]
+
+
+def assert_interior_frames_span(x, y, frames):
+    """The kernel and cokernel frames of the interior bracket [X - Y] of
+    stacked sections of one eigenbasis span what the split of its
+    comparison maps, lifted, spans: the sine of the largest principal
+    angle is at most 1e-10 in every member."""
+    assert_inclusions(x, y)
+    (_, split), = specflow.operators.null_splits(
+        specflow.flow.comparison_map(x, y))
+    for old, new in zip((x.basis @ split.kernel, y.basis @ split.cokernel),
+                        frames):
+        assert old.shape == new.shape
+        if new.shape[-1]:
+            residual = old - new @ (np.swapaxes(new.conj(), -1, -2) @ old)
+            assert np.linalg.norm(residual, 2, axis=(-2, -1)).max() <= 1e-10
+
+
+@pytest.fixture(autouse=True)
+def interior_brackets_match_reference(monkeypatch):
+    """Check every ``sf_pairs`` value of the suite against
+    ``reference_sf_pairs``, wherever it was imported to, and every
+    interior bracket that ``higher_spectral_flow`` frames against the
+    split of its comparison maps (``assert_interior_frames_span``).
+    The references run on the kernels in place before the test, so a
+    test that counts factorizations, sections or operators does not
+    count them."""
+    flow, bundles = specflow.flow, specflow.bundles
+    pristine = kernels_now(
+        (np.linalg, "svd"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+        (flow, "eigh"), (flow, "eigvalsh"), (flow, "_band_spectrum"),
+        (flow, "difference_element"), (flow, "gap_partition"),
+        (flow.OperatorCurve, "at"), (specflow.operators, "null_splits"))
+    sf_pairs, interior_frames = flow.sf_pairs, bundles._interior_frames
+
+    def checked_sf_pairs(curve, q0, q1, tolerances=DEFAULT):
+        value = sf_pairs(curve, q0, q1, tolerances)
+        with pristine():
+            assert value == reference_sf_pairs(curve, q0, q1, tolerances)
+        return value
+
+    def checked_interior_frames(x, y):
+        frames = interior_frames(x, y)
+        with pristine():
+            assert_interior_frames_span(x, y, frames)
+        return frames
+
+    for module in list(sys.modules.values()):
+        if vars(module).get("sf_pairs") is sf_pairs:
+            monkeypatch.setattr(module, "sf_pairs", checked_sf_pairs)
+    monkeypatch.setattr(bundles, "_interior_frames", checked_interior_frames)
 
 
 def reference_odd_chern_cochain(g_family, base):

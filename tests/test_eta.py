@@ -218,6 +218,15 @@ def test_import_loads_no_eta_dependency():
     assert _fresh(code) == []
 
 
+def test_chern_command_loads_no_json_schema():
+    # only a JSON input is validated against a schema, so a command that
+    # reads none, run in a fresh interpreter, leaves jsonschema unloaded
+    code = ("import json, sys\nfrom specflow import cli\n"
+            "cli.main(['chern', '--base', 'torus:8'])\n"
+            "print(json.dumps('jsonschema' in sys.modules))")
+    assert _fresh(code) is False
+
+
 #: The family path: a plaquette Chern number, then a Toeplitz family class
 #: and a higher spectral flow on the 8x8 Bott family.
 FAMILY_PATH = """

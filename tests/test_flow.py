@@ -5,7 +5,7 @@ import pytest
 
 from specflow import (FourierTruncation, OperatorCurve, SpectralSection,
                       SymbolFunction, TruncatedOperator, aps_projection,
-                      build_dirac, difference_element, eigvalsh,
+                      build_dirac, difference_element, eigh, eigvalsh,
                       gap_partition, gauge_transformed_potential, sf_pairs,
                       spectral_flow, spectral_flow_result,
                       validate_section_for)
@@ -13,8 +13,9 @@ import specflow.flow
 from specflow.config import DEFAULT
 from specflow.errors import (EigenvalueAtCutoff, IllConditioned,
                              InvalidSection, NoGapFound, RankJump)
-from specflow.flow import DifferenceElement, _SpectrumCache, certify_level
-from conftest import (count_eigh, dense_of_band, flow_symbols,
+from specflow.flow import (DifferenceElement, _first_invalid, _SpectrumCache,
+                           certify_level)
+from conftest import (dense_of_band, factored_operators, flow_symbols,
                       hermitian_guard_edge, random_hermitian_symbol,
                       random_unitary, rng_for, section_family_of,
                       skewed_shift_potential)
@@ -91,6 +92,76 @@ class TestApsProjection:
         else:
             with pytest.raises(InvalidSection, match="orthonormal"):
                 sec.validate()
+
+
+def full_first_invalid(dec, section, tolerances=DEFAULT):
+    """``_first_invalid`` with the section condition formed on every
+    eigenvector, ``B B* c - c`` and ``B* c`` for all columns c, and only
+    then masked by each member's window: the first failing member, with
+    the error to raise."""
+    b, w, v = section.basis, dec.eigenvalues, dec.eigenvectors
+    window = np.asarray(section.threshold_window)[..., None]
+    coeffs = np.swapaxes(b.conj(), -1, -2) @ v
+    fixed = np.linalg.norm(b @ coeffs - v, axis=-2)
+    killed = np.linalg.norm(coeffs, axis=-2)
+    worst = np.ravel(np.maximum(np.where(w > window, fixed, 0.0),
+                                np.where(w < -window, killed, 0.0)
+                                ).max(axis=-1))
+    bad = np.flatnonzero(worst > tolerances.section_condition)
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    return i, InvalidSection(
+        f"section condition fails with defect {worst[i]:.3e} "
+        f"(window R = {np.ravel(section.threshold_window)[i]:g})")
+
+
+class TestSectionConditionColumns:
+    #: Each member's window, and the eigenvalues k -> j of the column it
+    #: may turn: members 0 and 1 turn inside their windows, member 2
+    #: toward an eigenvector below its window (only ``B* c`` sees it),
+    #: member 3 one above it (only ``B B* c - c`` sees it), member 4
+    #: both.  The windows keep 2, 1 and 3 of the eigenvalues -3..3 on
+    #: each side outside.
+    WINDOWS = (1.5, 2.5, 1.5, 2.5, 0.5)
+    TURNS = ((1, -1), (2, -2), (1, -2), (3, 0), (1, -1))
+
+    def stacked_section(self, scale, members):
+        """A decomposition of five copies of one 7 x 7 operator with
+        eigenvalues -3..3, and a stacked section of rank 3 whose members
+        frame the top three eigenvectors, except that each of
+        ``members`` turns the column of its eigenvalue k toward the
+        eigenvector of j by the sine ``scale * section_condition``."""
+        u = random_unitary(7, rng_for(950))
+        h = (u * np.arange(-3.0, 4.0)) @ u.conj().T
+        dec = eigh(np.stack([h] * len(self.WINDOWS)))
+        v = dec.eigenvectors
+        frames = v[..., 4:].copy()
+        s = scale * DEFAULT.section_condition
+        for i in members:
+            k, j = self.TURNS[i]
+            frames[i, :, k - 1] = np.sqrt(1 - s * s) * v[i, :, 3 + k] \
+                + s * v[i, :, 3 + j]
+        return dec, SpectralSection(frames, np.array(self.WINDOWS),
+                                    "explicit")
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    @pytest.mark.parametrize("members, first", [((0, 1, 2, 3, 4), 2),
+                                                ((0, 1, 3, 4), 3),
+                                                ((0, 1, 4), 4)])
+    def test_same_first_member_as_every_column(self, scale, members,
+                                               first):
+        dec, section = self.stacked_section(scale, members)
+        got = _first_invalid(dec, section, DEFAULT)
+        want = full_first_invalid(dec, section)
+        if scale < 1:
+            assert got is None and want is None
+        else:
+            assert got[0] == want[0] == first
+            assert type(got[1]) is type(want[1])
+            assert str(got[1]) == str(want[1])
+            assert str(got[1]).startswith("section condition fails with "
+                                          "defect 2.000e-08")
 
 
 class TestDifferenceElement:
@@ -492,6 +563,8 @@ class TestBracketSum:
 
     def test_sf_pairs_takes_one_difference_element_per_bracket(
             self, monkeypatch):
+        # only the end brackets, where q0 and q1 enter, are difference
+        # elements; the interior ones are eigenvalue counts
         curve = shift_curve(-2.25, 0.25)
         q0 = aps_projection(curve.at(0.0), 0.0)
         q1 = aps_projection(curve.at(1.0), 0.0)
@@ -504,13 +577,9 @@ class TestBracketSum:
 
         monkeypatch.setattr(specflow.flow, "difference_element", counted)
         assert sf_pairs(curve, q0, q1) == spectral_flow(curve) == 3
-        part = gap_partition(curve)
-        finer = [t for iv in part.intervals
-                 for t in (iv.t_left, 0.5 * (iv.t_left + iv.t_right))] + [1.0]
-        refined = gap_partition(curve, initial_breaks=finer)
-        assert len(part.intervals) > 1
-        assert len(calls) == len(part.intervals) + 1 \
-            + len(refined.intervals) + 1
+        assert len(gap_partition(curve).intervals) > 1
+        # two per run, on the partition and on its refinement
+        assert len(calls) == 2 + 2
 
 
 class TestLipschitzBound:
@@ -594,11 +663,14 @@ class TestSfPairs:
             [0.0, 0.5, 1.0], [pot.scale(t) for t in (0.0, 0.5, 1.0)], tr)
         q0 = aps_projection(curve.at(0.0), 0.0, policy="inclusive")
         q1 = aps_projection(curve.at(1.0), 0.0, policy="inclusive")
-        calls = count_eigh(monkeypatch)
+        factored = factored_operators(monkeypatch)
         assert sf_pairs(curve, q0, q1) == -3
-        breaks = set(gap_partition(curve).breakpoints)
-        assert len(calls) > len(breaks)     # the refined run adds midpoints
-        assert max(calls.values()) == 1
+        assert len(gap_partition(curve).intervals) > 1
+        # only the end brackets take sections: the operators at t = 0 and
+        # t = 1 are factored, once each, for both runs
+        assert len(factored) == 2
+        for operator, t in zip(factored, (0.0, 1.0)):
+            assert np.array_equal(operator.band, curve.at(t).band)
 
     def test_matches_spectral_flow_with_aps_ends(self):
         curve = shift_curve(-0.25, 0.25)
@@ -631,6 +703,43 @@ class TestSfPairs:
                                "sections, not a family$"):
                 sf_pairs(curve, *args)
         assert sf_pairs(curve, q0, q1) == spectral_flow(curve) == 1
+
+    @staticmethod
+    def turned_start(curve, kept, dropped):
+        """A section at t = 0 that passes validation but differs from
+        P_1(0), the section above the first interval's level, inside its
+        window: the two eigenvectors of P_1(0) nearest the level are
+        turned toward the two eigenvectors below it that are nearest,
+        until their cosines to P_1(0) are ``kept`` and ``dropped``, the
+        two smallest singular values of its comparison map with P_1(0);
+        the others are 1.  Also returns the level."""
+        level = gap_partition(curve).intervals[0].level
+        dec = eigh(curve.at(0.0))
+        w, v = dec.eigenvalues, dec.eigenvectors
+        lo = int(np.count_nonzero(w < level))
+        frame = v[:, lo:].copy()
+        for j, cos in enumerate((kept, dropped)):
+            frame[:, j] = cos * v[:, lo + j] \
+                + np.sqrt(1 - cos * cos) * v[:, lo - 1 - j]
+        window = float(np.abs(w[lo - 2:lo + 2]).max())
+        q0 = SpectralSection(frame, window, "explicit")
+        validate_section_for(curve.at(0.0), q0)
+        return q0, level
+
+    def test_end_bracket_keeps_the_rank_guard(self):
+        # the comparison map of P_1(0) with q0 has the singular values
+        # kept >= rank_rtol > dropped: 20 rtol and rtol / 20 (ratio 400)
+        # split, 3 rtol and rtol / 3 (ratio 9 < svd_gap_factor) do not
+        curve = shift_curve(-0.25, 0.25)
+        q1 = aps_projection(curve.at(1.0), 0.0, policy="inclusive")
+        rtol = DEFAULT.rank_rtol
+        q0, level = self.turned_start(curve, 20 * rtol, rtol / 20)
+        assert sf_pairs(curve, q0, q1) == spectral_flow(curve, level, 0.0)
+        q0, _ = self.turned_start(curve, 3 * rtol, rtol / 3)
+        with pytest.raises(IllConditioned,
+                           match="singular values cluster at the rank "
+                                 "threshold"):
+            sf_pairs(curve, q0, q1)
 
     def test_invalid_section_rejected(self):
         curve = shift_curve(-0.25, 0.25)
